@@ -127,6 +127,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = _load(args)
     frame = evaluation.MetricFrame.from_csv(args.metrics)
     raw, gdp, matrix, umap, _ = _cleaned_dataset(config)
+    frame = frame.with_dataset_ids(umap)
     attributes = report._complete_attributes(raw, umap)
     popindex.fill_attributes(attributes, matrix, umap.index, raw.provenance)
     audit = report.rebuild_report(config, frame, matrix, attributes, gdp, raw)

@@ -4,14 +4,26 @@ three top-n ranking metrics (NDCG, MRR, RBP) under binary relevance.
 Fold membership and every per-user holdout are derived from the global
 seed via stable hashing, so evaluation order and parallelism cannot
 change the splits.
+
+A fold is scored without building any recommendation list.  A user's
+list is every item ranked by descending score, ties broken by ascending
+item index, with the training items excluded and the length capped at
+the depth (``als.recommend``'s rule).  Under that order the 1-based
+position of held-out item h is
+
+    #(items scoring above s_h) + #(items before h scoring exactly s_h) + 1,
+
+so the held-out items' positions come from counting, not sorting, and the
+hits are the positions within the list length.  NDCG, MRR and RBP are then
+accumulated over the hit positions in rank order, by the same helpers
+``ndcg``, ``mrr`` and ``rbp`` use, so both paths give identical floats.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import floor, log2
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,8 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import als
-from .errors import ConfigError
-from .interactions import InteractionMatrix, UserId
+from .errors import ConfigError, DataError
+from .interactions import IdMap, InteractionMatrix, UserId
 from .util import derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
@@ -93,6 +105,22 @@ class MetricFrame:
                 frame.rows.append(MetricRow(rec[0], int(rec[1]), float(rec[2]),
                                             float(rec[3]), float(rec[4])))
         return frame
+
+    def with_dataset_ids(self, umap: IdMap) -> "MetricFrame":
+        """The frame with each user id replaced by the dataset id it spells.
+
+        A CSV holds ids as text, while ML1M ids are integers; an id that
+        names no user of the dataset raises DataError.
+        """
+        by_text = {str(uid): uid for uid in umap.ids}
+        rows = []
+        for row in self.rows:
+            uid = by_text.get(str(row.user_id))
+            if uid is None:
+                raise DataError(f"metrics user id {row.user_id!r} is not a user "
+                                f"of the dataset")
+            rows.append(replace(row, user_id=uid))
+        return MetricFrame(rows)
 
 
 def make_folds(users: Sequence[int], k: int, scheme: str, seed: int,
@@ -178,6 +206,38 @@ def fold_training_matrix(matrix: InteractionMatrix, fold: Fold) -> InteractionMa
     return matrix.drop_entries(drop)
 
 
+def _hit_positions(ranked: Sequence, relevant) -> list[int]:
+    """1-based positions in ``ranked`` of the items in ``relevant``."""
+    return [pos for pos, item in enumerate(ranked, start=1) if item in relevant]
+
+
+def _ndcg_at(hits: Sequence[int], n_relevant: int, n_ranked: int) -> float:
+    if not n_relevant:
+        return 0.0
+    dcg = 0.0
+    for pos in hits:
+        dcg += 1.0 / log2(pos + 1)
+    # accumulated in a loop, not with sum(): since Python 3.12 sum() over
+    # floats is compensated and would round differently
+    idcg = 0.0
+    for pos in range(1, min(n_relevant, n_ranked) + 1):
+        idcg += 1.0 / log2(pos + 1)
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def _mrr_at(hits: Sequence[int]) -> float:
+    return 1.0 / hits[0] if hits else 0.0
+
+
+def _rbp_at(hits: Sequence[int], persistence: float) -> float:
+    if not 0.0 < persistence < 1.0:
+        raise ConfigError("rbp persistence must lie in (0, 1)")
+    total = 0.0
+    for pos in hits:
+        total += persistence ** (pos - 1)
+    return (1.0 - persistence) * total
+
+
 def ndcg(ranked: Sequence[int], relevant: set) -> float:
     """Binary-gain normalized discounted cumulative gain.
 
@@ -185,73 +245,62 @@ def ndcg(ranked: Sequence[int], relevant: set) -> float:
     the ideal DCG places all relevant items first.  0 when nothing is
     relevant.
     """
-    if not relevant:
-        return 0.0
-    dcg = 0.0
-    for pos, item in enumerate(ranked, start=1):
-        if item in relevant:
-            dcg += 1.0 / log2(pos + 1)
-    ideal_len = min(len(relevant), len(ranked))
-    idcg = sum(1.0 / log2(pos + 1) for pos in range(1, ideal_len + 1))
-    return dcg / idcg if idcg > 0 else 0.0
+    return _ndcg_at(_hit_positions(ranked, relevant), len(relevant), len(ranked))
 
 
 def mrr(ranked: Sequence[int], relevant: set) -> float:
     """Reciprocal rank of the first relevant item; 0 if none present."""
-    for pos, item in enumerate(ranked, start=1):
-        if item in relevant:
-            return 1.0 / pos
-    return 0.0
+    return _mrr_at(_hit_positions(ranked, relevant))
 
 
 def rbp(ranked: Sequence[int], relevant: set,
         persistence: float = DEFAULT_RBP_PERSISTENCE) -> float:
     """Rank-biased precision under a geometric patience model."""
-    if not 0.0 < persistence < 1.0:
-        raise ConfigError("rbp persistence must lie in (0, 1)")
-    total = 0.0
-    for pos, item in enumerate(ranked, start=1):
-        if item in relevant:
-            total += persistence ** (pos - 1)
-    return (1.0 - persistence) * total
+    return _rbp_at(_hit_positions(ranked, relevant), persistence)
 
 
-def _evaluate_user(model: als.AlsModel, matrix: InteractionMatrix, u: int,
-                   held: np.ndarray, n: int, persistence: float,
-                   filter_train: bool) -> tuple[float, float, float]:
-    items = matrix.user_items(u)
-    if filter_train:
-        exclude = np.setdiff1d(items, held, assume_unique=False)
-    else:
-        exclude = None
-    ranked = [item for item, _ in als.recommend(model, u, n, exclude)]
-    relevant = set(int(i) for i in held)
-    return (ndcg(ranked, relevant), mrr(ranked, relevant),
-            rbp(ranked, relevant, persistence))
+def _held_out_ranks(scores: np.ndarray, held: np.ndarray, n: int) -> list[int]:
+    """Sorted 1-based positions of the held-out items within the top n of
+    ``scores`` ranked by descending score, ties by ascending item index.
+
+    The positions are counted, not sorted (see the module docstring).
+    Exact ties are rare, so the count of lower-indexed equal scores is taken
+    only for held-out items whose score some other item shares.
+    """
+    held_scores = scores[held][:, None]
+    ranks = np.count_nonzero(scores > held_scores, axis=1) + 1
+    tied = np.count_nonzero(scores == held_scores, axis=1) > 1
+    for j in np.flatnonzero(tied):
+        ranks[j] += np.count_nonzero(scores[:held[j]] == held_scores[j])
+    return np.sort(ranks[ranks <= n]).tolist()
 
 
 def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,
                   user_ids: Sequence, n: int = DEFAULT_DEPTH,
                   persistence: float = DEFAULT_RBP_PERSISTENCE,
-                  filter_train: bool = True, threads: int = 1) -> list[MetricRow]:
+                  filter_train: bool = True) -> list[MetricRow]:
     """Metrics for every test user of one fold, in user-index order.
 
     ``matrix`` is the full cleaned matrix (used for each user's training
     items); the model must have been fit on this fold's training matrix.
     By default a user's training items are excluded from their
-    recommendation list.
+    recommendation list.  Each user's scores and list length are those of
+    ``als.recommend``; the held-out items' positions in that list are
+    counted, not sorted (see the module docstring).
     """
-    users = fold.test_users
-
-    def one(u: int) -> tuple[float, float, float]:
-        return _evaluate_user(model, matrix, u, fold.holdout[u], n,
-                              persistence, filter_train)
-
-    if threads <= 1 or len(users) < 2 * threads:
-        results = [one(u) for u in users]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, users))
-
-    return [MetricRow(user_ids[u], fold.index, nd, mr, rb)
-            for u, (nd, mr, rb) in zip(users, results)]
+    rows = []
+    for u in fold.test_users:
+        held = fold.holdout[u]
+        scores = model.item_factors @ model.user_factors[u]
+        if filter_train:
+            # exclude the user's items other than the held-out ones
+            kept = scores[held]
+            scores[matrix.user_items(u)] = -np.inf
+            scores[held] = kept
+        # the list holds min(n, items left) entries, but every held-out item
+        # outranks the excluded ones, so a cap of n alone gives the same hits
+        # and the same ideal length
+        hits = _held_out_ranks(scores, held, n)
+        rows.append(MetricRow(user_ids[u], fold.index, _ndcg_at(hits, len(held), n),
+                              _mrr_at(hits), _rbp_at(hits, persistence)))
+    return rows

@@ -265,7 +265,6 @@ def run_audit(config: AuditConfig, emit: bool = True) -> AuditReport:
         matrix, umap, imap = from_triples(raw.triples)
         if matrix.nnz == 0:
             raise DataError("no interactions after cleanup")
-        ds_view = _stats_view(matrix, raw)
 
         stage = "popularity"
         attributes = _complete_attributes(raw, umap)
@@ -294,8 +293,7 @@ def run_audit(config: AuditConfig, emit: bool = True) -> AuditReport:
             model = als.fit(train_matrix, hp, threads=config.output.threads)
             frame.rows.extend(evaluation.evaluate_fold(
                 model, fold, matrix, umap.ids, n=ev.depth,
-                persistence=ev.rbp_persistence, filter_train=ev.filter_train,
-                threads=config.output.threads))
+                persistence=ev.rbp_persistence, filter_train=ev.filter_train))
 
         report = rebuild_report(config, frame, matrix, attributes, gdp, raw,
                                 fold_seeds=fold_seeds, fold_scheme=fold_scheme)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from recaudit.cli import main
@@ -126,3 +127,65 @@ def test_seed_flag_changes_outputs(config_file, tmp_path):
                  "--seed", "2"]) == 0
     assert (a / "metrics_per_user.csv").read_bytes() != \
         (b / "metrics_per_user.csv").read_bytes()
+
+
+@pytest.fixture()
+def ml1m_config(tmp_path):
+    """A tiny data set in the ML1M file format, whose user ids are integers."""
+    rng = np.random.default_rng(7)
+    data = tmp_path / "ml1m"
+    data.mkdir()
+    ages = (1, 18, 25, 35, 45, 50, 56)
+    with open(data / "ratings.dat", "w", encoding="latin-1") as rfh, \
+            open(data / "users.dat", "w", encoding="latin-1") as ufh:
+        for user in range(1, 91):
+            for movie in rng.choice(np.arange(1, 51), size=int(rng.integers(5, 15)),
+                                    replace=False):
+                rfh.write(f"{user}::{movie}::{rng.integers(1, 6)}::978300760\n")
+            gender = "M" if user % 2 else "F"
+            ufh.write(f"{user}::{gender}::{ages[user % len(ages)]}::0::12345\n")
+    path = tmp_path / "ml1m.ini"
+    path.write_text(f"""
+[dataset]
+provenance = ml1m
+ratings = {data / 'ratings.dat'}
+users = {data / 'users.dat'}
+
+[model]
+factors = 4
+iterations = 2
+
+[evaluation]
+folds = 3
+depth = 20
+
+[ebm]
+max_rounds = 50
+bags = 2
+
+[output]
+dir = {tmp_path / 'out'}
+""")
+    return path
+
+
+def test_ml1m_audit_and_report_round_trip(ml1m_config, tmp_path):
+    assert main(["audit", "--config", str(ml1m_config)]) == 0
+    out_dir = tmp_path / "out"
+    first_summary = (out_dir / "group_summary.csv").read_bytes()
+
+    rerender = tmp_path / "rerender"
+    code = main(["report", "--config", str(ml1m_config),
+                 "--metrics", str(out_dir / "metrics_per_user.csv"),
+                 "--out", str(rerender)])
+    assert code == 0
+    assert (rerender / "group_summary.csv").read_bytes() == first_summary
+
+
+def test_report_rejects_unknown_user_id(ml1m_config, tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("user_id,fold,ndcg,mrr,rbp\n1,0,0.5,0.5,0.5\n9999,0,0.1,0.1,0.1\n")
+    code = main(["report", "--config", str(ml1m_config), "--metrics", str(metrics),
+                 "--out", str(tmp_path / "rerender")])
+    assert code == 3
+    assert "'9999'" in capsys.readouterr().err

@@ -219,14 +219,64 @@ class TestFoldPipeline:
             assert 0.0 <= row.rbp < 1.0
             assert row.fold == fold.index
 
-    def test_evaluate_fold_thread_independence(self, rng):
-        matrix, umap, plan = self.build(rng)
+    @staticmethod
+    def oracle_rows(model, fold, matrix, n, persistence, filter_train):
+        """Per test user: the whole list from als.recommend, scored by the
+        naive metric oracles."""
+        out = []
+        for u in fold.test_users:
+            held = fold.holdout[u]
+            exclude = np.setdiff1d(matrix.user_items(u), held) if filter_train else None
+            ranked = [i for i, _ in als.recommend(model, u, n, exclude)]
+            relevant = set(int(i) for i in held)
+            out.append((naive_ndcg(ranked, relevant), naive_mrr(ranked, relevant),
+                        naive_rbp(ranked, relevant, persistence)))
+        return out
+
+    def test_evaluate_fold_matches_recommend_oracle(self, rng):
+        # exact float equality, with exact score ties from zero and rounded
+        # factors, training items kept and excluded, and depths up to beyond
+        # the number of items
+        for trial in range(60):
+            n_users, n_items = int(rng.integers(4, 25)), int(rng.integers(3, 50))
+            matrix, umap, _ = random_matrix(rng, n_users, n_items,
+                                            density=float(rng.uniform(0.1, 0.8)))
+            plan = make_folds(list(range(matrix.n_users)), 2, "partition", seed=trial)
+            assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
+            k = int(rng.integers(1, 4))
+            items = rng.normal(size=(matrix.n_items, k))
+            items[rng.random(matrix.n_items) < 0.3] = 0.0
+            if trial % 3 == 0:
+                items = np.round(items)
+            model = als.AlsModel(rng.normal(size=(matrix.n_users, k)), items,
+                                 als.AlsHyperparams(factors=k))
+            depth = int(rng.integers(1, matrix.n_items + 5))
+            persistence = float(rng.uniform(0.1, 0.95))
+            for filter_train in (True, False):
+                for fold in plan.folds:
+                    rows = evaluate_fold(model, fold, matrix, umap.ids, n=depth,
+                                         persistence=persistence,
+                                         filter_train=filter_train)
+                    assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
+                        model, fold, matrix, depth, persistence, filter_train)
+
+    def test_evaluate_fold_single_held_out_item_and_deep_lists(self, rng):
+        # every user of 2-4 items holds out exactly one; depth exceeds the
+        # items left after excluding the training items
+        matrix, umap, _ = random_matrix(rng, 30, 12, density=0.15)
+        plan = make_folds(list(range(matrix.n_users)), 1, "partition", seed=5)
+        assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
         fold = plan.folds[0]
-        train = fold_training_matrix(matrix, fold)
-        model = als.fit(train, als.AlsHyperparams(factors=4, iterations=3, seed=0))
-        serial = evaluate_fold(model, fold, matrix, umap.ids, n=20, threads=1)
-        parallel = evaluate_fold(model, fold, matrix, umap.ids, n=20, threads=4)
-        assert serial == parallel
+        assert any(len(fold.holdout[u]) == 1 for u in fold.test_users)
+        model = als.AlsModel(rng.normal(size=(matrix.n_users, 2)),
+                             rng.normal(size=(matrix.n_items, 2)),
+                             als.AlsHyperparams(factors=2))
+        for depth in (1, matrix.n_items, matrix.n_items + 10):
+            for filter_train in (True, False):
+                rows = evaluate_fold(model, fold, matrix, umap.ids, n=depth,
+                                     filter_train=filter_train)
+                assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
+                    model, fold, matrix, depth, 0.85, filter_train)
 
     def test_full_recovery_gives_ndcg_one(self):
         # deterministic model whose top items are exactly the held-out set

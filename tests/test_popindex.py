@@ -4,7 +4,8 @@ import pytest
 from oracles import brute_force_pop_index
 from recaudit.ingest import PROVENANCE_LFM360K, PROVENANCE_ML1M, PROVENANCE_SYNTHETIC
 from recaudit.interactions import UserAttributes, from_triples
-from recaudit.popindex import fill_attributes, item_user_counts, pop_index, usage
+from recaudit.popindex import (fill_attributes, item_user_counts, pop_index, pop_indices,
+                               usage)
 
 from conftest import random_matrix
 
@@ -87,6 +88,49 @@ class TestPopIndex:
             assert pop_index(u, m, pop1) == pop_index(u, m2, pop2)
 
 
+class TestPopIndices:
+    def check(self, m):
+        pop = item_user_counts(m)
+        got = pop_indices(m, pop)
+        for u in range(m.n_users):
+            if m.user_degree(u) == 0:
+                assert got[u] == -1
+            else:
+                assert got[u] == oracle_pop(m, None, None, u) == pop_index(u, m, pop)
+
+    def test_matches_brute_force_oracle(self, rng):
+        for trial in range(40):
+            m, _, _ = random_matrix(rng, int(rng.integers(2, 40)),
+                                    int(rng.integers(1, 30)),
+                                    density=float(rng.uniform(0.02, 0.9)))
+            self.check(m)
+
+    def test_single_user(self):
+        m, _, _ = from_triples([("only", "x", 1), ("only", "y", 4)])
+        assert pop_indices(m, item_user_counts(m)).tolist() == [0]
+        self.check(m)
+
+    def test_empty_rows_read_minus_one(self, rng):
+        for trial in range(10):
+            m, _, _ = random_matrix(rng, 20, 15, density=0.3)
+            rows = m.user_index_of_entries()
+            emptied = rng.choice(m.n_users, size=5, replace=False)
+            trimmed = m.drop_entries(np.isin(rows, emptied))
+            assert all(trimmed.user_degree(u) == 0 for u in emptied)
+            self.check(trimmed)
+
+    def test_rows_with_equal_coverage(self):
+        # every item is shared by the same number of users
+        triples = [(f"u{u}", f"i{(u + j) % 6}", 1) for u in range(6) for j in range(3)]
+        m, _, _ = from_triples(triples)
+        assert len(set(item_user_counts(m).user_counts.tolist())) == 1
+        self.check(m)
+
+    def test_empty_matrix(self):
+        m, _, _ = from_triples([])
+        assert pop_indices(m, item_user_counts(m)).size == 0
+
+
 class TestUsage:
     def test_play_sum_for_lfm(self):
         m, _, _ = from_triples([("u", "a", 3), ("u", "b", 5)])
@@ -114,3 +158,12 @@ class TestFillAttributes:
         assert attrs[0].pop_index is not None
         assert attrs[2].usage is None
         assert attrs[2].pop_index is None
+
+    def test_empty_row_left_unset(self):
+        m, umap, _ = from_triples([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)])
+        trimmed = m.drop_entries(np.array([True, False, False]))
+        attrs = [UserAttributes("a"), UserAttributes("b")]
+        fill_attributes(attrs, trimmed, umap.index, PROVENANCE_LFM360K)
+        assert attrs[0].usage is None and attrs[0].pop_index is None
+        assert attrs[1].usage == 2
+        assert attrs[1].pop_index == pop_index(1, trimmed, item_user_counts(trimmed))
