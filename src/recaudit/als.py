@@ -9,13 +9,13 @@ minimizing
 Each half-sweep solves the k x k regularized normal equations row by row,
 using the precomputed Gram matrix of the opposite side plus sparse
 corrections for the observed entries, so a sweep costs O(nnz * k^2) instead
-of touching every user-item pair.  Row solves are independent: any worker
-count produces bit-identical factors.
+of touching every user-item pair.  Rows are solved serially in index order.
+There is no worker count: a thread pool over these GIL-bound per-row loops
+measured slower than one thread, so ``--threads`` selects nothing here.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,13 +72,12 @@ def _transpose_csr(m: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.nda
     return indptr, rows, vals
 
 
-def _solve_rows(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
-                indices: np.ndarray, data: np.ndarray, reg: float, alpha: float,
-                lo: int, hi: int) -> None:
-    """Solve the normal equations for rows [lo, hi) of ``this`` in place."""
+def _sweep(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
+           indices: np.ndarray, data: np.ndarray, reg: float, alpha: float) -> None:
+    """Solve the normal equations for every row of ``this`` in place."""
     k = other.shape[1]
     gram = other.T @ other + reg * np.eye(k)
-    for row in range(lo, hi):
+    for row in range(this.shape[0]):
         start, end = indptr[row], indptr[row + 1]
         if start == end:
             this[row, :] = 0.0
@@ -92,30 +91,11 @@ def _solve_rows(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
             this[row, :] = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular normal equations at row {row}") from exc
-
-
-def _sweep(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
-           indices: np.ndarray, data: np.ndarray, reg: float, alpha: float,
-           threads: int = 1) -> None:
-    n_rows = this.shape[0]
-    if threads <= 1 or n_rows < 2 * threads:
-        _solve_rows(this, other, indptr, indices, data, reg, alpha, 0, n_rows)
-    else:
-        bounds = np.linspace(0, n_rows, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_solve_rows, this, other, indptr, indices, data,
-                            reg, alpha, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi
-            ]
-            for fut in futures:
-                fut.result()
     if not np.isfinite(this).all():
         raise NumericalError("non-finite factors after half-sweep")
 
 
-def half_sweep(side: str, model: AlsModel, interactions: InteractionMatrix,
-               threads: int = 1) -> AlsModel:
+def half_sweep(side: str, model: AlsModel, interactions: InteractionMatrix) -> AlsModel:
     """One alternation step: re-solve all factor rows on one side.
 
     ``side`` is "users" or "items".  The opposite side's factors are left
@@ -125,20 +105,19 @@ def half_sweep(side: str, model: AlsModel, interactions: InteractionMatrix,
     if side == "users":
         _sweep(model.user_factors, model.item_factors, interactions.indptr,
                interactions.indices, interactions.data,
-               hp.regularization, hp.alpha, threads)
+               hp.regularization, hp.alpha)
     elif side == "items":
         indptr, rows, vals = _transpose_csr(interactions)
         _sweep(model.item_factors, model.user_factors, indptr, rows, vals,
-               hp.regularization, hp.alpha, threads)
+               hp.regularization, hp.alpha)
     else:
         raise ValueError(f"unknown side {side!r}")
     return model
 
 
-def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams,
-        threads: int = 1) -> AlsModel:
+def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams) -> AlsModel:
     """Train by alternating item-then-user half-sweeps for the configured
-    number of iterations.  Deterministic given the seed, for any thread count.
+    number of iterations.  Deterministic given the seed.
     """
     hyperparams.validate()
     if interactions.nnz == 0:
@@ -153,10 +132,10 @@ def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams,
     for iteration in range(hp.iterations):
         try:
             _sweep(model.item_factors, model.user_factors, *item_view,
-                   hp.regularization, hp.alpha, threads)
+                   hp.regularization, hp.alpha)
             _sweep(model.user_factors, model.item_factors, interactions.indptr,
                    interactions.indices, interactions.data,
-                   hp.regularization, hp.alpha, threads)
+                   hp.regularization, hp.alpha)
         except NumericalError as exc:
             raise NumericalError(f"iteration {iteration}: {exc}") from exc
     return model

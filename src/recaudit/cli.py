@@ -29,7 +29,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override all subsystem seeds")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--dataset", help="dataset directory with conventional file names")
-    parser.add_argument("--threads", type=int, help="worker threads (never changes results)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility (>= 1); selects nothing: "
+                             "every stage runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +86,7 @@ def cmd_ingest_stats(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load(args)
     _, _, matrix, _, _ = _cleaned_dataset(config)
-    model = als.fit(matrix, config.model, threads=config.output.threads)
+    model = als.fit(matrix, config.model)
     als.save_model(model, args.model_out)
     print(f"model written to {args.model_out} "
           f"({matrix.n_users} users x {matrix.n_items} items, k={config.model.factors})")

@@ -71,7 +71,7 @@ class GroupingConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "audit-out"
-    threads: int = 1
+    threads: int = 1  # validated (>= 1) but selects nothing; not hashed
     significance: float = 0.01
 
 
@@ -98,6 +98,8 @@ class AuditConfig:
         return hashlib.sha256("\n".join(self.canonical_lines()).encode()).hexdigest()
 
     def canonical_lines(self) -> list[str]:
+        """``section.key=value`` for every setting except ``output.threads``,
+        which selects nothing."""
         lines = []
         for section_name, section in (
             ("dataset", self.dataset), ("model", self.model),
@@ -105,6 +107,8 @@ class AuditConfig:
             ("ebm", self.ebm), ("output", self.output),
         ):
             for f in fields(section):
+                if section is self.output and f.name == "threads":
+                    continue
                 value = getattr(section, f.name)
                 if isinstance(value, tuple):
                     value = ",".join(str(v) for v in value)

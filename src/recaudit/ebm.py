@@ -13,7 +13,6 @@ into the intercept, so prediction = intercept + sum of shape lookups.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -187,13 +186,12 @@ def _fit_one_bag(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec]
 
 
 def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
-            specs: Sequence[FeatureSpec], config: EbmConfig = EbmConfig(),
-            threads: int = 1) -> EbmModel:
+            specs: Sequence[FeatureSpec], config: EbmConfig = EbmConfig()) -> EbmModel:
     """Fit the additive model on (feature dict, target) rows.
 
     Deterministic given (rows, specs, config): bags derive their bootstrap
-    RNG from the config seed and are averaged in index order regardless of
-    the worker count.
+    RNG from the config seed, run in index order and are averaged in that
+    order.
     """
     if len(rows) != len(targets):
         raise ValueError("rows and targets must have equal length")
@@ -207,15 +205,8 @@ def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
         raise NumericalError(f"non-finite target at row {int(bad[0])}")
 
     binned = _bin_matrix(rows, specs)
-
-    def run_bag(b: int) -> tuple[float, list[np.ndarray], list[float]]:
-        return _fit_one_bag(binned, y, specs, config, b)
-
-    if threads <= 1 or config.bags == 1:
-        bag_results = [run_bag(b) for b in range(config.bags)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bag_results = list(pool.map(run_bag, range(config.bags)))
+    bag_results = [_fit_one_bag(binned, y, specs, config, b)
+                   for b in range(config.bags)]
 
     intercept = sum(res[0] for res in bag_results) / config.bags
     shapes: dict[str, np.ndarray] = {}

@@ -290,7 +290,7 @@ def run_audit(config: AuditConfig, emit: bool = True) -> AuditReport:
                 iterations=config.model.iterations,
                 alpha=config.model.alpha, seed=fold_seed)
             train_matrix = evaluation.fold_training_matrix(matrix, fold)
-            model = als.fit(train_matrix, hp, threads=config.output.threads)
+            model = als.fit(train_matrix, hp)
             frame.rows.extend(evaluation.evaluate_fold(
                 model, fold, matrix, umap.ids, n=ev.depth,
                 persistence=ev.rbp_persistence, filter_train=ev.filter_train))
@@ -300,7 +300,7 @@ def run_audit(config: AuditConfig, emit: bool = True) -> AuditReport:
         if emit:
             stage = "emit"
             emit_tables(report, out_dir, runner)
-            emit_charts(report, out_dir)
+            emit_charts(report, out_dir, runner)
             path = runner.track(out_dir / "manifest.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(report.manifest, fh, indent=2, sort_keys=True)
@@ -366,8 +366,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     if len(all_rows) >= 10:
         specs = _ebm_specs(all_rows, config.ebm.max_bins)
         if specs:
-            ebm_model = ebm.fit_ebm(all_rows, targets, specs, config.ebm,
-                                    threads=config.output.threads)
+            ebm_model = ebm.fit_ebm(all_rows, targets, specs, config.ebm)
             ebm_importance = ebm.importance(ebm_model, all_rows)
     _solo_ebm_runs(config, schemes, tested_users, ndcg_means)
 
@@ -543,7 +542,8 @@ def emit_tables(report: AuditReport, out_dir: str | Path,
     return written
 
 
-def emit_charts(report: AuditReport, out_dir: str | Path) -> list[Path]:
+def emit_charts(report: AuditReport, out_dir: str | Path,
+                runner: Optional[_StageRunner] = None) -> list[Path]:
     """Write one SVG per scheme.  Chart failures warn instead of aborting."""
     out_dir = Path(out_dir) / "charts"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -570,6 +570,8 @@ def emit_charts(report: AuditReport, out_dir: str | Path) -> list[Path]:
                 if result.ebm_shape else None,
                 p_annotation=annotation)
             path = out_dir / f"{name}.svg"
+            if runner is not None:
+                runner.track(path)
             path.write_text(svg, encoding="utf-8")
             written.append(path)
         except Exception as exc:  # charts are best-effort

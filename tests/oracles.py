@@ -42,6 +42,17 @@ def naive_rbp(ranked, relevant, persistence):
     return (1.0 - persistence) * total
 
 
+def naive_fold_drop_mask(indptr, indices, holdout):
+    """True for every stored entry whose item is held out for its row,
+    found one user and one entry at a time."""
+    drop = np.zeros(len(indices), dtype=bool)
+    for user, held in holdout.items():
+        held_set = {int(item) for item in held}
+        for pos in range(int(indptr[user]), int(indptr[user + 1])):
+            drop[pos] = int(indices[pos]) in held_set
+    return drop
+
+
 def naive_rank_mid(values):
     """Ranks by sorting and averaging tied spans, quadratic but obvious."""
     values = list(values)

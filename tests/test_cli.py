@@ -108,14 +108,23 @@ def test_data_error_exit_code(tmp_path):
 
 
 def test_threads_flag_does_not_change_outputs(config_file, tmp_path):
-    base = tmp_path / "base"
-    threaded = tmp_path / "threaded"
-    assert main(["audit", "--config", str(config_file), "--out", str(base),
+    out = tmp_path / "out_dir"
+
+    def outputs():
+        return {path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    assert main(["audit", "--config", str(config_file), "--out", str(out),
                  "--threads", "1"]) == 0
-    assert main(["audit", "--config", str(config_file), "--out", str(threaded),
+    serial = outputs()
+    assert "manifest.json" in serial
+    assert "metrics_per_user.csv" in serial
+    assert main(["audit", "--config", str(config_file), "--out", str(out),
                  "--threads", "4"]) == 0
-    assert (base / "metrics_per_user.csv").read_bytes() == \
-        (threaded / "metrics_per_user.csv").read_bytes()
+    threaded = outputs()
+    assert sorted(threaded) == sorted(serial)
+    for name, data in serial.items():
+        assert threaded[name] == data, name
 
 
 def test_seed_flag_changes_outputs(config_file, tmp_path):

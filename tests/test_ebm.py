@@ -113,11 +113,11 @@ class TestFitEbm:
             weighted = float(np.dot(mass / mass.sum(), model.shapes[spec.name]))
             assert abs(weighted) < 1e-9
 
-    def test_deterministic_for_any_thread_count(self, rng):
+    def test_deterministic_rerun(self, rng):
         rows, ys = make_rows(rng, 300, lambda a, b: a - b)
         specs = specs_for(rows)
-        m1 = fit_ebm(rows, ys, specs, FAST, threads=1)
-        m2 = fit_ebm(rows, ys, specs, FAST, threads=4)
+        m1 = fit_ebm(rows, ys, specs, FAST)
+        m2 = fit_ebm(rows, ys, specs, FAST)
         assert m1.intercept == m2.intercept
         for name in m1.shapes:
             assert np.array_equal(m1.shapes[name], m2.shapes[name])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_mrr, naive_ndcg, naive_rbp
+from oracles import naive_fold_drop_mask, naive_mrr, naive_ndcg, naive_rbp
 from recaudit import als
 from recaudit.errors import ConfigError
 from recaudit.evaluation import (Fold, MetricFrame, MetricRow, assign_holdouts,
@@ -185,6 +185,34 @@ class TestFoldPipeline:
         train = fold_training_matrix(matrix, fold)
         held_pairs = {(u, int(i)) for u, items in fold.holdout.items() for i in items}
         assert train.nnz == matrix.nnz - len(held_pairs)
+
+    def test_training_matrix_matches_per_user_mask(self, rng):
+        for trial in range(30):
+            n_users = int(rng.integers(1, 25))
+            n_items = int(rng.integers(1, 30))
+            matrix, _, _ = random_matrix(rng, n_users, n_items,
+                                         density=float(rng.uniform(0.05, 0.6)))
+            fold = Fold(index=0, test_users=[])
+            # some users get no holdout at all, and trial 0 holds nothing out
+            for u in range(matrix.n_users):
+                items = matrix.user_items(u)
+                if trial == 0 or rng.random() < 0.3:
+                    continue
+                size = int(rng.integers(1, len(items) + 1))
+                held = rng.choice(items, size=size, replace=False)
+                if rng.random() < 0.2:
+                    # an item the user never had is ignored, as in the loop
+                    absent = np.setdiff1d(np.arange(matrix.n_items), items)
+                    held = np.append(held, absent[:1])
+                fold.holdout[u] = np.sort(held)
+                fold.test_users.append(u)
+            drop = naive_fold_drop_mask(matrix.indptr, matrix.indices, fold.holdout)
+            expected = matrix.drop_entries(drop)
+            train = fold_training_matrix(matrix, fold)
+            assert (train.n_users, train.n_items) == (matrix.n_users, matrix.n_items)
+            assert np.array_equal(train.indptr, expected.indptr)
+            assert np.array_equal(train.indices, expected.indices)
+            assert np.array_equal(train.data, expected.data)
 
     def test_holdout_determinism_per_user_id(self, rng):
         matrix, umap, _ = random_matrix(rng, 30, 40, density=0.3)

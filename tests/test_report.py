@@ -297,8 +297,9 @@ class TestFailureHandling:
         with pytest.raises(Exception, match="stage ingest"):
             run_audit(load_config(ini))
 
-    def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
-        truth = generate_planted(tmp_path / "data", n_users=60, n_items=40, seed=2)
+    @staticmethod
+    def small_config(tmp_path):
+        generate_planted(tmp_path / "data", n_users=60, n_items=40, seed=2)
         ini = tmp_path / "c.ini"
         ini.write_text(f"""
 [dataset]
@@ -318,15 +319,32 @@ bags = 2
 [output]
 dir = {tmp_path / 'out'}
 """)
+        return load_config(ini)
 
-        def boom(report, out_dir):
+    def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
+        config = self.small_config(tmp_path)
+
+        def boom(report, out_dir, runner=None):
             raise DataError("chart stage exploded")
 
         monkeypatch.setattr(report_mod, "emit_charts", boom)
         with pytest.raises(DataError, match="stage emit"):
-            run_audit(load_config(ini))
+            run_audit(config)
         assert not (tmp_path / "out" / "metrics_per_user.csv").exists()
         assert not (tmp_path / "out" / "group_summary.csv").exists()
+
+    def test_charts_removed_when_manifest_write_fails(self, tmp_path, monkeypatch):
+        config = self.small_config(tmp_path)
+
+        def boom(*args, **kwargs):
+            raise OSError("manifest write failed")
+
+        monkeypatch.setattr(report_mod.json, "dump", boom)
+        with pytest.raises(OSError, match="manifest write failed"):
+            run_audit(config)
+        assert (tmp_path / "out" / "charts").is_dir()
+        assert list((tmp_path / "out").rglob("*.svg")) == []
+        assert list((tmp_path / "out").rglob("*.csv")) == []
 
 
 class TestCharts:
