@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Verbs: ingest-stats (dataset statistics after cleanup), train (fit one
-model on the full cleaned matrix and dump the factors), evaluate (folds +
-per-user metrics CSV), audit (full pipeline), report (re-render tables and
-charts from an existing per-user metrics CSV).
+model on the full cleaned matrix and dump the factors), evaluate (folds,
+training and scoring; writes only the per-user metrics CSV), audit (full
+pipeline), report (re-render tables and charts from an existing per-user
+metrics CSV).  Each verb is a short composition of the stages in
+``recaudit.report``.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
+Exit codes: 0 success, 2 config error (including an unusable ``--out``,
+``--metrics`` or ``--model-out`` path), 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import logging
 import sys
 from pathlib import Path
 
-from . import als, evaluation, popindex, report
+from . import als, evaluation, report
 from .config import AuditConfig, apply_overrides, load_config
 from .errors import RecauditError
-from .ingest import cold_start_filter
-from .interactions import from_triples
-from .interactions import stats as dataset_stats
+# not called here: the benchmark's tracer (perfbench/tracer.py) checks that
+# cli and report share these two functions
+from .ingest import cold_start_filter  # noqa: F401
+from .interactions import from_triples  # noqa: F401
 from .util import fmt_float
 
 
@@ -62,32 +66,26 @@ def _load(args: argparse.Namespace) -> AuditConfig:
                            threads=args.threads, dataset_dir=args.dataset)
 
 
-def _cleaned_dataset(config: AuditConfig):
-    raw, gdp = report._load_dataset(config)
-    raw = cold_start_filter(raw, config.dataset.cold_start_min_items)
-    matrix, umap, imap = from_triples(raw.triples)
-    return raw, gdp, matrix, umap, imap
-
-
 def cmd_ingest_stats(args: argparse.Namespace) -> int:
-    config = _load(args)
-    raw, _, matrix, _, _ = _cleaned_dataset(config)
-    ds = dataset_stats(matrix)
-    print(f"provenance:     {raw.provenance}")
-    print(f"users:          {ds.n_users}")
-    print(f"items:          {ds.n_items}")
-    print(f"interactions:   {ds.n_interactions}")
-    print(f"sparsity:       {ds.sparsity:.6f} ({100 * ds.sparsity:.2f}%)")
-    print(f"skipped rows:   {raw.skipped_interactions}")
-    print(f"removed users:  {raw.skipped_users}")
+    stats = report.load(_load(args)).summary()
+    sparsity = stats["sparsity"]
+    print(f"provenance:     {stats['provenance']}")
+    print(f"users:          {stats['n_users']}")
+    print(f"items:          {stats['n_items']}")
+    print(f"interactions:   {stats['n_interactions']}")
+    print(f"sparsity:       {sparsity:.6f} ({100 * sparsity:.2f}%)")
+    print(f"skipped rows:   {stats['skipped_rows']}")
+    print(f"removed users:  {stats['removed_users']}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load(args)
-    _, _, matrix, _, _ = _cleaned_dataset(config)
-    model = als.fit(matrix, config.model)
-    als.save_model(model, args.model_out)
+    matrix = report.load(config).matrix
+    with report.stage("train"):
+        model = als.fit(matrix, config.model)
+    with report.stage("emit"):
+        als.save_model(model, args.model_out)
     print(f"model written to {args.model_out} "
           f"({matrix.n_users} users x {matrix.n_items} items, k={config.model.factors})")
     return 0
@@ -95,22 +93,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load(args)
-    audit = report.run_audit(config, emit=False)
+    frame = report.score(config, report.load(config))
     out_dir = Path(config.output.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "metrics_per_user.csv"
-    audit.frame.to_csv(path)
-    means = audit.frame.per_user_mean("ndcg")
+    with report.stage("emit"), report.staging(out_dir) as tmp:
+        frame.to_csv(tmp / "metrics_per_user.csv")
+    means = frame.per_user_mean("ndcg")
     overall = sum(means.values()) / len(means) if means else 0.0
-    print(f"metrics for {len(means)} users written to {path}")
+    print(f"metrics for {len(means)} users written to {out_dir / 'metrics_per_user.csv'}")
     print(f"mean NDCG: {fmt_float(overall)}")
     return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = _load(args)
-    audit = report.run_audit(config, emit=True)
-    out_dir = Path(config.output.dir)
+    audit = report.run_audit(config)
     print(f"audit complete: {audit.manifest['n_tested_users']} users evaluated")
     for name in sorted(audit.schemes):
         kw = audit.schemes[name].kw.get("ndcg")
@@ -121,22 +117,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
             marker = " *" if adj is not None and adj < config.output.significance else ""
             print(f"  {name:24s} H={kw.H:10.3f}  p={kw.p_value:.3g}  "
                   f"p_bonf={adj:.3g}{marker}")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {config.output.dir}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _load(args)
-    frame = evaluation.MetricFrame.from_csv(args.metrics)
-    raw, gdp, matrix, umap, _ = _cleaned_dataset(config)
-    frame = frame.with_dataset_ids(umap)
-    attributes = report._complete_attributes(raw, umap)
-    popindex.fill_attributes(attributes, matrix, umap.index, raw.provenance)
-    audit = report.rebuild_report(config, frame, matrix, attributes, gdp, raw)
-    out_dir = Path(config.output.dir)
-    report.emit_tables(audit, out_dir)
-    report.emit_charts(audit, out_dir)
-    print(f"re-rendered report into {out_dir}")
+    with report.stage("metrics"):
+        frame = evaluation.MetricFrame.from_csv(args.metrics)
+    data = report.load(config)
+    with report.stage("metrics"):
+        frame = frame.with_dataset_ids(data.umap)
+    report.emit(report.rebuild_report(config, frame, data), config.output.dir)
+    print(f"re-rendered report into {config.output.dir}")
     return 0
 
 

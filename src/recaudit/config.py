@@ -70,7 +70,7 @@ class GroupingConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    dir: str = "audit-out"
+    dir: str = "audit-out"  # where outputs go; not hashed
     threads: int = 1  # validated (>= 1) but selects nothing; not hashed
     significance: float = 0.01
 
@@ -98,8 +98,8 @@ class AuditConfig:
         return hashlib.sha256("\n".join(self.canonical_lines()).encode()).hexdigest()
 
     def canonical_lines(self) -> list[str]:
-        """``section.key=value`` for every setting except ``output.threads``,
-        which selects nothing."""
+        """``section.key=value`` for every setting except ``output.dir``
+        and ``output.threads``, which do not change the results."""
         lines = []
         for section_name, section in (
             ("dataset", self.dataset), ("model", self.model),
@@ -107,7 +107,7 @@ class AuditConfig:
             ("ebm", self.ebm), ("output", self.output),
         ):
             for f in fields(section):
-                if section is self.output and f.name == "threads":
+                if section is self.output and f.name in ("dir", "threads"):
                     continue
                 value = getattr(section, f.name)
                 if isinstance(value, tuple):

@@ -1,10 +1,14 @@
-"""Full audit orchestration: ingest, train, evaluate, group, test, explain,
-and emit the report files.
+"""The audit pipeline as the stages every CLI verb composes: ``load``
+(ingest, cold start, matrix), ``score`` (folds, fit and evaluate per fold),
+``rebuild_report`` (grouping, tests, explainer) and ``emit`` (tables,
+charts, manifest).
 
 Every random decision derives from the seeds recorded in the manifest, all
 reductions happen in fixed order, and the per-user metrics CSV is the
-single source for every downstream number.  A stage failure aborts with
-the stage name and removes partial outputs.
+single source for every downstream number.  A failure names the stage it
+happened in.  Outputs are written into a staging directory and moved into
+place only once all of them are written, so a failed run leaves the
+previous outputs as they were.
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ import csv
 import json
 import logging
 import math
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -55,7 +63,6 @@ class SchemeResult:
 @dataclass
 class AuditReport:
     config: AuditConfig
-    stats: "DatasetStatsView"
     frame: evaluation.MetricFrame
     schemes: dict[str, SchemeResult]
     ebm_importance: list[tuple[str, float]]  # all-features run, sorted desc
@@ -64,14 +71,24 @@ class AuditReport:
     manifest: dict
 
 
-@dataclass(frozen=True)
-class DatasetStatsView:
-    n_users: int
-    n_items: int
-    n_interactions: int
-    sparsity: float
-    skipped_rows: int
-    removed_users: int
+@dataclass
+class Dataset:
+    """The cleaned dataset every verb starts from."""
+
+    raw: RawDataset
+    gdp: Optional[GdpTable]
+    matrix: InteractionMatrix
+    umap: IdMap
+
+    def summary(self) -> dict:
+        """Dataset statistics, as ``ingest-stats`` prints them and the
+        manifest records them."""
+        ds = dataset_stats(self.matrix)
+        return {"provenance": self.raw.provenance, "n_users": ds.n_users,
+                "n_items": ds.n_items, "n_interactions": ds.n_interactions,
+                "sparsity": ds.sparsity,
+                "skipped_rows": self.raw.skipped_interactions,
+                "removed_users": self.raw.skipped_users}
 
 
 @dataclass
@@ -123,7 +140,25 @@ def build_crosstab(rows_assignment: grouping.GroupAssignment,
                     percentages=pct, col_totals=totals)
 
 
-def _load_dataset(config: AuditConfig) -> tuple[RawDataset, Optional[GdpTable]]:
+@contextmanager
+def stage(name: str):
+    """Name the pipeline stage in any error raised inside it (also usable
+    as a decorator).
+
+    An OSError comes from a path the user gave, such as ``--out`` or
+    ``--metrics``, so it becomes a ConfigError (exit 2).
+    """
+    try:
+        yield
+    except RecauditError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"stage {name}: {exc}") from exc
+
+
+@stage("ingest")
+def load(config: AuditConfig) -> Dataset:
+    """Parse the configured files, drop cold-start users, build the matrix."""
     ds = config.dataset
     if ds.provenance == PROVENANCE_ML1M:
         if not ds.ratings or not ds.users:
@@ -134,14 +169,37 @@ def _load_dataset(config: AuditConfig) -> tuple[RawDataset, Optional[GdpTable]]:
             raise ConfigError(f"{ds.provenance} provenance needs an interactions path")
         raw = load_lfm(ds.interactions, ds.profiles, provenance=ds.provenance)
     gdp = load_gdp(ds.gdp_table) if ds.gdp_table else None
-    return raw, gdp
+    raw = cold_start_filter(raw, ds.cold_start_min_items)
+    matrix, umap, _ = from_triples(raw.triples)
+    if matrix.nnz == 0:
+        raise DataError("no interactions after cleanup")
+    return Dataset(raw, gdp, matrix, umap)
 
 
-def _complete_attributes(raw: RawDataset, umap: IdMap) -> list[UserAttributes]:
-    """Attribute records for every matrix user, in matrix index order."""
-    by_id = raw.attribute_index()
-    return [by_id.get(uid) or UserAttributes(user_id=uid, gender=GENDER_NA)
-            for uid in umap.ids]
+@stage("score")
+def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
+    """Split the users into folds, then fit and evaluate one model per fold."""
+    ev = config.evaluation
+    fold_scheme = config.resolved_fold_scheme()
+    plan = evaluation.make_folds(
+        list(range(data.matrix.n_users)), ev.folds, fold_scheme, ev.seed,
+        sample_size=ev.sample_size if fold_scheme == "sample" else None)
+    evaluation.assign_holdouts(plan, data.matrix, data.umap.ids, ev.holdout_fraction)
+
+    frame = evaluation.MetricFrame()
+    for fold in plan.folds:
+        hp = als.AlsHyperparams(
+            factors=config.model.factors,
+            regularization=config.model.regularization,
+            iterations=config.model.iterations,
+            alpha=config.model.alpha,
+            seed=derive_seed(config.model.seed, "fold", fold.index))
+        train_matrix = evaluation.fold_training_matrix(data.matrix, fold)
+        model = als.fit(train_matrix, hp)
+        frame.rows.extend(evaluation.evaluate_fold(
+            model, fold, data.matrix, data.umap.ids, n=ev.depth,
+            persistence=ev.rbp_persistence, filter_train=ev.filter_train))
+    return frame
 
 
 def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
@@ -232,97 +290,26 @@ def _ebm_specs(rows: list[dict], max_bins: int) -> list[ebm.FeatureSpec]:
     return specs
 
 
-class _StageRunner:
-    """Runs named stages, removing this run's outputs if one fails."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.created: list[Path] = []
-
-    def track(self, path: Path) -> Path:
-        self.created.append(path)
-        return path
-
-    def cleanup(self) -> None:
-        for path in reversed(self.created):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+def run_audit(config: AuditConfig) -> AuditReport:
+    """The full audit: every stage, then all outputs and the manifest."""
+    data = load(config)
+    audit = rebuild_report(config, score(config, data), data)
+    emit(audit, config.output.dir, with_manifest=True)
+    return audit
 
 
-def run_audit(config: AuditConfig, emit: bool = True) -> AuditReport:
-    """Execute the full audit pipeline and (optionally) write all outputs."""
-    out_dir = Path(config.output.dir)
-    runner = _StageRunner(out_dir)
-    stage = "setup"
-    try:
-        stage = "ingest"
-        raw, gdp = _load_dataset(config)
-        stage = "cold_start"
-        raw = cold_start_filter(raw, config.dataset.cold_start_min_items)
-        stage = "matrix"
-        matrix, umap, imap = from_triples(raw.triples)
-        if matrix.nnz == 0:
-            raise DataError("no interactions after cleanup")
-
-        stage = "popularity"
-        attributes = _complete_attributes(raw, umap)
-        popindex.fill_attributes(attributes, matrix, umap.index, raw.provenance)
-
-        stage = "folds"
-        fold_scheme = config.resolved_fold_scheme()
-        ev = config.evaluation
-        plan = evaluation.make_folds(
-            list(range(matrix.n_users)), ev.folds, fold_scheme, ev.seed,
-            sample_size=ev.sample_size if fold_scheme == "sample" else None)
-        evaluation.assign_holdouts(plan, matrix, umap.ids, ev.holdout_fraction)
-
-        stage = "train_evaluate"
-        frame = evaluation.MetricFrame()
-        fold_seeds = {}
-        for fold in plan.folds:
-            fold_seed = derive_seed(config.model.seed, "fold", fold.index)
-            fold_seeds[fold.index] = fold_seed
-            hp = als.AlsHyperparams(
-                factors=config.model.factors,
-                regularization=config.model.regularization,
-                iterations=config.model.iterations,
-                alpha=config.model.alpha, seed=fold_seed)
-            train_matrix = evaluation.fold_training_matrix(matrix, fold)
-            model = als.fit(train_matrix, hp)
-            frame.rows.extend(evaluation.evaluate_fold(
-                model, fold, matrix, umap.ids, n=ev.depth,
-                persistence=ev.rbp_persistence, filter_train=ev.filter_train))
-
-        report = rebuild_report(config, frame, matrix, attributes, gdp, raw,
-                                fold_seeds=fold_seeds, fold_scheme=fold_scheme)
-        if emit:
-            stage = "emit"
-            emit_tables(report, out_dir, runner)
-            emit_charts(report, out_dir, runner)
-            path = runner.track(out_dir / "manifest.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report.manifest, fh, indent=2, sort_keys=True)
-        return report
-    except RecauditError as exc:
-        runner.cleanup()
-        raise type(exc)(f"stage {stage}: {exc}") from exc
-    except Exception:
-        runner.cleanup()
-        raise
-
-
+@stage("report")
 def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
-                   matrix: InteractionMatrix, attributes: Sequence[UserAttributes],
-                   gdp: Optional[GdpTable], raw: RawDataset,
-                   fold_seeds: Optional[dict] = None,
-                   fold_scheme: Optional[str] = None) -> AuditReport:
+                   data: Dataset) -> AuditReport:
     """Grouping, significance testing, explainer runs, and cross-tabs from
-    an existing metric frame.  Used both by run_audit and by the ``report``
-    verb that re-renders from a per-user metrics CSV."""
-    ds_view = _stats_view(matrix, raw)
-    assignments = build_assignments(config, attributes, gdp)
+    a metric frame, whether just scored or read back from a per-user
+    metrics CSV."""
+    by_id = data.raw.attribute_index()
+    attributes = [by_id.get(uid) or UserAttributes(user_id=uid, gender=GENDER_NA)
+                  for uid in data.umap.ids]
+    popindex.fill_attributes(attributes, data.matrix, data.umap.index,
+                             data.raw.provenance)
+    assignments = build_assignments(config, attributes, data.gdp)
 
     schemes: dict[str, SchemeResult] = {}
     family: list[tuple[str, str]] = []
@@ -383,36 +370,23 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     manifest = {
         "config_hash": config.config_hash(),
         "config": config.canonical_lines(),
-        "dataset": {
-            "provenance": raw.provenance,
-            "n_users": ds_view.n_users,
-            "n_items": ds_view.n_items,
-            "n_interactions": ds_view.n_interactions,
-            "sparsity": ds_view.sparsity,
-            "skipped_rows": ds_view.skipped_rows,
-            "removed_users": ds_view.removed_users,
-        },
+        "dataset": data.summary(),
         "seeds": {
             "model": config.model.seed,
             "evaluation": config.evaluation.seed,
             "ebm": config.ebm.seed,
-            "per_fold_model": fold_seeds if fold_seeds is not None else {},
+            "per_fold_model": {i: derive_seed(config.model.seed, "fold", i)
+                               for i in range(config.evaluation.folds)},
         },
-        "fold_scheme": fold_scheme or config.resolved_fold_scheme(),
+        "fold_scheme": config.resolved_fold_scheme(),
         "schemes": sorted(assignments),
         "n_tested_users": len(tested_users),
         "bonferroni_family_size": len(family),
     }
-    return AuditReport(config=config, stats=ds_view, frame=frame,
+    return AuditReport(config=config, frame=frame,
                        schemes=schemes, ebm_importance=ebm_importance,
                        ebm_model=ebm_model, crosstabs=crosstabs,
                        manifest=manifest)
-
-
-def _stats_view(matrix: InteractionMatrix, raw: RawDataset) -> DatasetStatsView:
-    ds = dataset_stats(matrix)
-    return DatasetStatsView(ds.n_users, ds.n_items, ds.n_interactions, ds.sparsity,
-                            raw.skipped_interactions, raw.skipped_users)
 
 
 def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
@@ -446,26 +420,54 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
         result.solo_importance = ebm.importance(model, rows)[0][1]
 
 
-def _write_csv(runner: Optional[_StageRunner], path: Path, header: list[str],
-               rows: list[list]) -> None:
-    if runner is not None:
-        runner.track(path)
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def emit_tables(report: AuditReport, out_dir: str | Path,
-                runner: Optional[_StageRunner] = None) -> list[Path]:
-    """Write the CSV outputs; returns the paths written."""
+@contextmanager
+def staging(out_dir: str | Path):
+    """A new directory inside ``out_dir`` to write outputs into.
+
+    When the block succeeds, each file written there replaces its namesake
+    in ``out_dir``.  The directories the files go to are made before any
+    file moves, so an unusable destination fails while the previous
+    outputs are still whole.  The staging directory is removed either way.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        yield tmp
+        files = sorted(p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file())
+        for rel in files:
+            (out_dir / rel).parent.mkdir(exist_ok=True)
+        for rel in files:
+            os.replace(tmp / rel, out_dir / rel)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+@stage("emit")
+def emit(report: AuditReport, out_dir: str | Path, with_manifest: bool = False) -> None:
+    """Write the tables, the charts and optionally ``manifest.json`` into
+    ``out_dir``, through a staging directory."""
+    with staging(out_dir) as tmp:
+        emit_tables(report, tmp)
+        emit_charts(report, tmp)
+        if with_manifest:
+            with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
+                json.dump(report.manifest, fh, indent=2, sort_keys=True)
+
+
+def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
+    """Write the CSV outputs; returns the paths written."""
+    out_dir = Path(out_dir)
     written = []
 
     path = out_dir / "metrics_per_user.csv"
-    if runner is not None:
-        runner.track(path)
     report.frame.to_csv(path)
     written.append(path)
 
@@ -482,9 +484,9 @@ def emit_tables(report: AuditReport, out_dir: str | Path,
                 row.append(fmt_float(se) if se is not None else "")
             summary_rows.append(row)
     path = out_dir / "group_summary.csv"
-    _write_csv(runner, path, ["scheme", "group", "n_users", "n_tested",
-                              "mean_ndcg", "se_ndcg", "mean_mrr", "se_mrr",
-                              "mean_rbp", "se_rbp"], summary_rows)
+    _write_csv(path, ["scheme", "group", "n_users", "n_tested",
+                      "mean_ndcg", "se_ndcg", "mean_mrr", "se_mrr",
+                      "mean_rbp", "se_rbp"], summary_rows)
     written.append(path)
 
     stats_rows = []
@@ -501,14 +503,14 @@ def emit_tables(report: AuditReport, out_dir: str | Path,
                                    fmt_float(result.p_adjusted[metric]),
                                    len(kw.group_sizes)])
     path = out_dir / "stats_summary.csv"
-    _write_csv(runner, path, ["scheme", "metric", "H", "df", "p", "p_bonferroni",
-                              "n_groups"], stats_rows)
+    _write_csv(path, ["scheme", "metric", "H", "df", "p", "p_bonferroni",
+                      "n_groups"], stats_rows)
     written.append(path)
 
     imp_rows = [[feat, fmt_float(value), rank + 1]
                 for rank, (feat, value) in enumerate(report.ebm_importance)]
     path = out_dir / "ebm_importance.csv"
-    _write_csv(runner, path, ["feature", "importance", "rank"], imp_rows)
+    _write_csv(path, ["feature", "importance", "rank"], imp_rows)
     written.append(path)
 
     solo = [(name, res.solo_importance) for name, res in report.schemes.items()
@@ -517,7 +519,7 @@ def emit_tables(report: AuditReport, out_dir: str | Path,
     solo_rows = [[name, fmt_float(value), rank + 1]
                  for rank, (name, value) in enumerate(solo)]
     path = out_dir / "ebm_solo_importance.csv"
-    _write_csv(runner, path, ["feature", "importance", "rank"], solo_rows)
+    _write_csv(path, ["feature", "importance", "rank"], solo_rows)
     written.append(path)
 
     if report.ebm_model is not None:
@@ -527,7 +529,7 @@ def emit_tables(report: AuditReport, out_dir: str | Path,
             for b, score in enumerate(report.ebm_model.shapes[spec.name]):
                 shape_rows.append([spec.name, labels[b], fmt_float(score)])
         path = out_dir / "ebm_shapes.csv"
-        _write_csv(runner, path, ["feature", "bin", "score"], shape_rows)
+        _write_csv(path, ["feature", "bin", "score"], shape_rows)
         written.append(path)
 
     for name in sorted(report.crosstabs):
@@ -537,13 +539,12 @@ def emit_tables(report: AuditReport, out_dir: str | Path,
                 for row in tab.row_labels]
         rows.append(["n_users"] + [tab.col_totals[col] for col in tab.col_labels])
         path = out_dir / f"crosstab_{name}.csv"
-        _write_csv(runner, path, header, rows)
+        _write_csv(path, header, rows)
         written.append(path)
     return written
 
 
-def emit_charts(report: AuditReport, out_dir: str | Path,
-                runner: Optional[_StageRunner] = None) -> list[Path]:
+def emit_charts(report: AuditReport, out_dir: str | Path) -> list[Path]:
     """Write one SVG per scheme.  Chart failures warn instead of aborting."""
     out_dir = Path(out_dir) / "charts"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -570,8 +571,6 @@ def emit_charts(report: AuditReport, out_dir: str | Path,
                 if result.ebm_shape else None,
                 p_annotation=annotation)
             path = out_dir / f"{name}.svg"
-            if runner is not None:
-                runner.track(path)
             path.write_text(svg, encoding="utf-8")
             written.append(path)
         except Exception as exc:  # charts are best-effort

@@ -198,3 +198,49 @@ def test_report_rejects_unknown_user_id(ml1m_config, tmp_path, capsys):
                  "--out", str(tmp_path / "rerender")])
     assert code == 3
     assert "'9999'" in capsys.readouterr().err
+
+
+def test_manifest_independent_of_out_dir(config_file, tmp_path):
+    for name in ("d1", "d2"):
+        assert main(["audit", "--config", str(config_file),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "d1" / "manifest.json").read_bytes() == \
+        (tmp_path / "d2" / "manifest.json").read_bytes()
+
+
+def test_unusable_charts_destination_exits_2(config_file, tmp_path, capsys):
+    good = tmp_path / "good"
+    assert main(["audit", "--config", str(config_file), "--out", str(good)]) == 0
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "charts").write_text("not a directory")
+    capsys.readouterr()
+    for argv in (["audit"],
+                 ["report", "--metrics", str(good / "metrics_per_user.csv")]):
+        code = main(argv + ["--config", str(config_file), "--out", str(bad)])
+        assert code == 2, argv
+        assert "stage emit" in capsys.readouterr().err, argv
+        assert sorted(p.name for p in bad.iterdir()) == ["charts"], argv
+
+
+def test_report_missing_metrics_exits_2(config_file, tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    code = main(["report", "--config", str(config_file), "--metrics", str(missing)])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_evaluate_skips_the_explainer(config_file, tmp_path, monkeypatch):
+    assert main(["audit", "--config", str(config_file),
+                 "--out", str(tmp_path / "audit")]) == 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("evaluate must not fit the explainer")
+
+    monkeypatch.setattr("recaudit.ebm.fit_ebm", boom)
+    assert main(["evaluate", "--config", str(config_file),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "metrics_per_user.csv").read_bytes() == \
+        (tmp_path / "audit" / "metrics_per_user.csv").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "eval").iterdir()) == \
+        ["metrics_per_user.csv"]

@@ -340,11 +340,42 @@ dir = {tmp_path / 'out'}
             raise OSError("manifest write failed")
 
         monkeypatch.setattr(report_mod.json, "dump", boom)
-        with pytest.raises(OSError, match="manifest write failed"):
+        with pytest.raises(ConfigError, match="stage emit.*manifest write failed"):
             run_audit(config)
-        assert (tmp_path / "out" / "charts").is_dir()
         assert list((tmp_path / "out").rglob("*.svg")) == []
         assert list((tmp_path / "out").rglob("*.csv")) == []
+
+    def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        config = self.small_config(tmp_path)
+        out = tmp_path / "out"
+        run_audit(config)
+
+        def snapshot():
+            return {path.relative_to(out).as_posix():
+                    path.read_bytes() if path.is_file() else None
+                    for path in out.rglob("*")}
+
+        before = snapshot()
+        assert "manifest.json" in before and "charts/gender.svg" in before
+
+        def boom(*args, **kwargs):
+            raise DataError("chart stage exploded")
+
+        monkeypatch.setattr(report_mod, "emit_charts", boom)
+        with pytest.raises(DataError, match="stage emit"):
+            run_audit(config)
+        # same files, same bytes, and no staging directory left behind
+        assert snapshot() == before
+
+    def test_report_failure_names_report_stage(self, tmp_path, monkeypatch):
+        config = self.small_config(tmp_path)
+
+        def boom(*args, **kwargs):
+            raise DataError("grouping exploded")
+
+        monkeypatch.setattr(report_mod, "build_assignments", boom)
+        with pytest.raises(DataError, match="stage report: grouping exploded"):
+            run_audit(config)
 
 
 class TestCharts:
