@@ -6,6 +6,10 @@ learning-rate-scaled per-bin mean residual into that feature's shape
 function, which is the exact greedy depth-1 step on binned data.  Several
 bagged replicates are fit on seeded bootstrap samples and averaged; the
 out-of-bootstrap rows provide the held-back loss for early stopping.
+The bags are boosted together as one batch, one bincount per feature per
+round for all of them; a bag that stops early leaves the batch, and the
+result is float for float that of fitting the bags one by one.  Features
+are binned a column at a time.
 Shapes are centered to be mass-weighted mean-zero, with the offset folded
 into the intercept, so prediction = intercept + sum of shape lookups.
 """
@@ -62,9 +66,25 @@ class FeatureSpec:
             if np.isnan(v):
                 return self.missing_bin
             return int(np.searchsorted(self.bin_edges, v, side="left"))
+        return self._category_index().get(value, self.missing_bin)
+
+    def bin_column(self, values: Sequence) -> np.ndarray:
+        """``bin_of`` of every value, one searchsorted or dict pass per column."""
+        missing = self.missing_bin
+        if self.kind == KIND_NUMERIC:
+            v = np.fromiter((np.nan if x is None else float(x) for x in values),
+                            dtype=np.float64, count=len(values))
+            bins = np.searchsorted(self.bin_edges, v, side="left")
+            bins[np.isnan(v)] = missing
+            return bins
+        index = self._category_index()
+        return np.fromiter((missing if x is None else index.get(x, missing)
+                            for x in values), dtype=np.int64, count=len(values))
+
+    def _category_index(self) -> dict:
         if self._cat_index is None:
             self._cat_index = {c: i for i, c in enumerate(self.categories)}
-        return self._cat_index.get(value, self.missing_bin)
+        return self._cat_index
 
     def bin_labels(self) -> list[str]:
         if self.kind == KIND_CATEGORICAL:
@@ -129,60 +149,126 @@ class EbmModel:
 
 
 def _bin_matrix(rows: Sequence[dict], specs: Sequence[FeatureSpec]) -> np.ndarray:
+    """The (rows, features) bin of every cell, binned one column at a time."""
     binned = np.empty((len(rows), len(specs)), dtype=np.int64)
     for j, spec in enumerate(specs):
-        for i, row in enumerate(rows):
-            binned[i, j] = spec.bin_of(row.get(spec.name))
+        binned[:, j] = spec.bin_column([row.get(spec.name) for row in rows])
     return binned
 
 
 def _fit_one_bag(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
                  config: EbmConfig, bag: int) -> tuple[float, list[np.ndarray], list[float]]:
+    return _fit_bags(binned, y, specs, config, [bag])[0]
+
+
+def _fit_bags(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
+              config: EbmConfig, bags: Sequence[int]
+              ) -> list[tuple[float, list[np.ndarray], list[float]]]:
+    """Boost the given bags as one batch: (intercept, shapes, in-bag losses)
+    per bag, in order.
+
+    Every bootstrap has exactly n rows, so the in-bag state is a (bags, n)
+    residual array, and one bincount over the keys position * n_bins + bin
+    gives every bag's per-bin sums.  Bincount adds in row order within each key,
+    and both losses are per-bag means over contiguous rows (pairwise sums,
+    as for one bag alone), so every float equals that of boosting the bag
+    by itself.  A bag that stops early leaves the batch.
+    """
     n = y.shape[0]
-    rng = np.random.default_rng(derive_seed(config.seed, "bag", bag))
-    boot = rng.integers(0, n, size=n)
-    in_bag = binned[boot]
-    y_in = y[boot]
-    oob_mask = np.ones(n, dtype=bool)
-    oob_mask[np.unique(boot)] = False
-    oob_rows = np.flatnonzero(oob_mask)
-    have_oob = oob_rows.size > 0
-
-    intercept = float(np.mean(y_in))
-    shapes = [np.zeros(spec.n_bins) for spec in specs]
-    residual = y_in - intercept
-    if have_oob:
-        oob_binned = binned[oob_rows]
-        oob_pred = np.full(oob_rows.size, intercept)
-        y_oob = y[oob_rows]
-
-    best_loss = np.inf
-    stale = 0
     lr = config.learning_rate
-    inbag_losses: list[float] = []
+    n_bins = [spec.n_bins for spec in specs]
+    intercepts, residual, keys, oob_pos, y_oob, oob_keys = _bootstraps(
+        binned, y, n_bins, config.seed, bags)
+    oob_pred = np.array(intercepts)[oob_pos]
+    shapes = [np.zeros((len(bags), nb)) for nb in n_bins]
+
+    ids = np.arange(len(bags))  # the bag at each batch position
+    history: list[list[float]] = [[] for _ in bags]
+    best = np.full(len(bags), np.inf)
+    stale = np.zeros(len(bags), dtype=np.int64)
+    results: list = [None] * len(bags)
+
+    def finish(p: int) -> None:
+        bag = ids[p]
+        results[bag] = (intercepts[bag], [shape[p].copy() for shape in shapes], history[p])
+
+    batch_changed = True
     for _ in range(config.max_rounds):
-        for j, spec in enumerate(specs):
-            bins = in_bag[:, j]
-            sums = np.bincount(bins, weights=residual, minlength=spec.n_bins)
-            counts = np.bincount(bins, minlength=spec.n_bins)
-            step = np.zeros(spec.n_bins)
-            seen = counts > 0
-            step[seen] = lr * sums[seen] / counts[seen]
-            shapes[j] += step
-            residual -= step[bins]
-            if have_oob:
-                oob_pred += step[oob_binned[:, j]]
-        inbag_losses.append(float(np.mean(residual ** 2)))
-        held_loss = float(np.mean((y_oob - oob_pred) ** 2)) if have_oob \
-            else inbag_losses[-1]
-        if held_loss < best_loss - 1e-15:
-            best_loss = held_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    return intercept, shapes, inbag_losses
+        if batch_changed:
+            k = ids.size
+            # an empty bin's sum is exactly 0.0, so dividing it by 1 keeps its step 0.0
+            divisors = [np.maximum(np.bincount(key, minlength=k * nb), 1).astype(np.float64)
+                        for key, nb in zip(keys, n_bins)]
+            bounds = np.searchsorted(oob_pos, np.arange(k + 1)).tolist()
+            flat = residual.reshape(-1)
+            flat_shapes = [shape.reshape(-1) for shape in shapes]
+            batch_changed = False
+        for j, nb in enumerate(n_bins):
+            sums = np.bincount(keys[j], weights=flat, minlength=k * nb)
+            step = lr * sums / divisors[j]
+            flat_shapes[j] += step
+            flat -= step[keys[j]]
+            oob_pred += step[oob_keys[j]]
+        # np.mean's pairwise sum and division per bag; a reduceat would sum
+        # sequentially, move last ulps and could flip the 1e-15 stop test
+        losses = (np.add.reduce(residual ** 2, axis=1) / n).tolist()
+        sq = (y_oob - oob_pred) ** 2
+        held = np.array([float(np.add.reduce(sq[lo:hi])) / (hi - lo) if hi > lo
+                         else loss for lo, hi, loss in zip(bounds, bounds[1:], losses)])
+        for past, loss in zip(history, losses):
+            past.append(loss)
+        improved = held < best - 1e-15
+        best = np.where(improved, held, best)
+        stale = np.where(improved, 0, stale + 1)
+        stop = ~improved & (stale >= config.patience)
+        if stop.any():
+            for p in np.flatnonzero(stop):
+                finish(p)
+            keep = ~stop
+            if not keep.any():
+                return results
+            position = np.cumsum(keep) - 1
+            in_kept = keep[oob_pos]
+            oob_pos = position[oob_pos[in_kept]]
+            y_oob, oob_pred = y_oob[in_kept], oob_pred[in_kept]
+            # key % n_bins is the bin: re-key the kept bags by their new positions
+            keys = [(key.reshape(k, n)[keep] % nb + position[keep][:, None] * nb).ravel()
+                    for key, nb in zip(keys, n_bins)]
+            oob_keys = [key[in_kept] % nb + oob_pos * nb for key, nb in zip(oob_keys, n_bins)]
+            residual = residual[keep]
+            shapes = [shape[keep] for shape in shapes]
+            history = [past for past, kept in zip(history, keep) if kept]
+            ids, best, stale = ids[keep], best[keep], stale[keep]
+            batch_changed = True
+    for p in range(ids.size):
+        finish(p)
+    return results
+
+
+def _bootstraps(binned: np.ndarray, y: np.ndarray, n_bins: list[int], seed: int,
+                bags: Sequence[int]):
+    """Each bag's seeded bootstrap as batch state: intercepts, the (bags, n)
+    residual, and per feature the bin keys position * n_bins + bin of the
+    in-bag rows and of the out-of-bag rows (all bags' out-of-bag rows,
+    concatenated in bag order, with their batch positions and targets)."""
+    n = y.shape[0]
+    boots, oobs = [], []
+    for bag in bags:
+        rng = np.random.default_rng(derive_seed(seed, "bag", bag))
+        boot = rng.integers(0, n, size=n)
+        oob_mask = np.ones(n, dtype=bool)
+        oob_mask[boot] = False
+        boots.append(boot)
+        oobs.append(np.flatnonzero(oob_mask))
+    intercepts = [float(np.mean(y[boot])) for boot in boots]
+    boot = np.stack(boots)
+    residual = y[boot] - np.array(intercepts)[:, None]
+    keys = [(binned[:, j][boot] + np.arange(len(bags))[:, None] * nb).ravel()
+            for j, nb in enumerate(n_bins)]
+    oob_rows = np.concatenate(oobs)
+    oob_pos = np.repeat(np.arange(len(bags)), [rows.size for rows in oobs])
+    oob_keys = [oob_pos * nb + binned[oob_rows, j] for j, nb in enumerate(n_bins)]
+    return intercepts, residual, keys, oob_pos, y[oob_rows], oob_keys
 
 
 def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
@@ -190,8 +276,8 @@ def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
     """Fit the additive model on (feature dict, target) rows.
 
     Deterministic given (rows, specs, config): bags derive their bootstrap
-    RNG from the config seed, run in index order and are averaged in that
-    order.
+    RNG from the config seed, are boosted together and are averaged in
+    index order.
     """
     if len(rows) != len(targets):
         raise ValueError("rows and targets must have equal length")
@@ -205,8 +291,7 @@ def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
         raise NumericalError(f"non-finite target at row {int(bad[0])}")
 
     binned = _bin_matrix(rows, specs)
-    bag_results = [_fit_one_bag(binned, y, specs, config, b)
-                   for b in range(config.bags)]
+    bag_results = _fit_bags(binned, y, specs, config, range(config.bags))
 
     intercept = sum(res[0] for res in bag_results) / config.bags
     shapes: dict[str, np.ndarray] = {}

@@ -98,12 +98,18 @@ class MetricFrame:
         frame = cls()
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if header != ["user_id", "fold", "ndcg", "mrr", "rbp"]:
                 raise ConfigError(f"unexpected metrics CSV header in {path}")
             for rec in reader:
-                frame.rows.append(MetricRow(rec[0], int(rec[1]), float(rec[2]),
-                                            float(rec[3]), float(rec[4])))
+                try:
+                    user_id, fold, ndcg, mrr, rbp = rec
+                    row = MetricRow(user_id, int(fold), float(ndcg), float(mrr),
+                                    float(rbp))
+                except ValueError as exc:
+                    raise DataError(f"malformed metrics row in {path} line "
+                                    f"{reader.line_num}: {exc}") from exc
+                frame.rows.append(row)
         return frame
 
     def with_dataset_ids(self, umap: IdMap) -> "MetricFrame":

@@ -140,3 +140,55 @@ def ks_distance_from_uniform(p_values):
     grid_lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(sorted_p - grid_hi)),
                      np.max(np.abs(sorted_p - grid_lo))))
+
+
+def naive_fit_one_bag(binned, y, specs, config, bag):
+    """One explainer bag boosted on its own, one numpy call per step: the
+    per-bag loop the batched fit must match float for float."""
+    from recaudit.util import derive_seed
+
+    n = y.shape[0]
+    rng = np.random.default_rng(derive_seed(config.seed, "bag", bag))
+    boot = rng.integers(0, n, size=n)
+    in_bag = binned[boot]
+    y_in = y[boot]
+    oob_mask = np.ones(n, dtype=bool)
+    oob_mask[np.unique(boot)] = False
+    oob_rows = np.flatnonzero(oob_mask)
+    have_oob = oob_rows.size > 0
+
+    intercept = float(np.mean(y_in))
+    shapes = [np.zeros(spec.n_bins) for spec in specs]
+    residual = y_in - intercept
+    if have_oob:
+        oob_binned = binned[oob_rows]
+        oob_pred = np.full(oob_rows.size, intercept)
+        y_oob = y[oob_rows]
+
+    best_loss = np.inf
+    stale = 0
+    lr = config.learning_rate
+    inbag_losses = []
+    for _ in range(config.max_rounds):
+        for j, spec in enumerate(specs):
+            bins = in_bag[:, j]
+            sums = np.bincount(bins, weights=residual, minlength=spec.n_bins)
+            counts = np.bincount(bins, minlength=spec.n_bins)
+            step = np.zeros(spec.n_bins)
+            seen = counts > 0
+            step[seen] = lr * sums[seen] / counts[seen]
+            shapes[j] += step
+            residual -= step[bins]
+            if have_oob:
+                oob_pred += step[oob_binned[:, j]]
+        inbag_losses.append(float(np.mean(residual ** 2)))
+        held_loss = float(np.mean((y_oob - oob_pred) ** 2)) if have_oob \
+            else inbag_losses[-1]
+        if held_loss < best_loss - 1e-15:
+            best_loss = held_loss
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return intercept, shapes, inbag_losses

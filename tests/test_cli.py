@@ -244,3 +244,25 @@ def test_evaluate_skips_the_explainer(config_file, tmp_path, monkeypatch):
         (tmp_path / "audit" / "metrics_per_user.csv").read_bytes()
     assert sorted(p.name for p in (tmp_path / "eval").iterdir()) == \
         ["metrics_per_user.csv"]
+
+
+@pytest.mark.parametrize("bad_row", ["1,zero,0.5,0.5,0.5", "1,0"])
+def test_report_malformed_metrics_row_exits_3(config_file, tmp_path, capsys, bad_row):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(f"user_id,fold,ndcg,mrr,rbp\n1,0,0.5,0.5,0.5\n{bad_row}\n")
+    out = tmp_path / "rerender"
+    code = main(["report", "--config", str(config_file), "--metrics", str(metrics),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "stage metrics" in err
+    assert f"{metrics} line 3" in err
+    assert not out.exists()
+
+
+def test_report_empty_metrics_file_exits_2(config_file, tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("")
+    code = main(["report", "--config", str(config_file), "--metrics", str(metrics)])
+    assert code == 2
+    assert "header" in capsys.readouterr().err
