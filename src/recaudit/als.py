@@ -10,8 +10,9 @@ Each half-sweep solves the k x k regularized normal equations row by row,
 using the precomputed Gram matrix of the opposite side plus sparse
 corrections for the observed entries, so a sweep costs O(nnz * k^2) instead
 of touching every user-item pair.  Rows are solved serially in index order.
-There is no worker count: a thread pool over these GIL-bound per-row loops
-measured slower than one thread, so ``--threads`` selects nothing here.
+There is no worker count here: a thread pool over these GIL-bound per-row
+loops measured slower than one thread.  Parallelism is one level up, where
+``--threads`` is the number of processes the folds run in, one fit each.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ metrics CSV).  Each verb is a short composition of the stages in
 ``recaudit.report``.
 
 Exit codes: 0 success, 2 config error (including an unusable ``--out``,
-``--metrics`` or ``--model-out`` path), 3 data error, 4 numerical error.
+``--metrics`` or ``--model-out`` path), 3 data error, 4 numerical error,
+5 a fold worker process ended without a result (for example killed by a
+signal).  An error in a fold worker exits with its own code.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--dataset", help="dataset directory with conventional file names")
     parser.add_argument("--threads", type=int,
-                        help="accepted for compatibility (>= 1); selects nothing: "
-                             "every stage runs serially")
+                        help="number of processes the folds run in (>= 1), capped at "
+                             "the fold count; outputs are the same at any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

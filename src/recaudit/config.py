@@ -71,7 +71,7 @@ class GroupingConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "audit-out"  # where outputs go; not hashed
-    threads: int = 1  # validated (>= 1) but selects nothing; not hashed
+    threads: int = 1  # fold worker processes, capped at the fold count; not hashed
     significance: float = 0.01
 
 

@@ -1,7 +1,7 @@
 """Error types shared across the pipeline.
 
 Each class maps to a process exit code so the CLI can translate failures
-uniformly: config 2, data 3, numerical 4.
+uniformly: config 2, data 3, numerical 4, fold worker lost 5.
 """
 
 
@@ -27,3 +27,10 @@ class NumericalError(RecauditError):
     """Non-finite values or singular systems encountered during training."""
 
     exit_code = 4
+
+
+class WorkerError(RecauditError):
+    """A fold worker process ended without sending its result, for example
+    when a signal such as the out-of-memory killer's SIGKILL ended it."""
+
+    exit_code = 5

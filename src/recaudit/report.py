@@ -5,10 +5,13 @@ charts, manifest).
 
 Every random decision derives from the seeds recorded in the manifest, all
 reductions happen in fixed order, and the per-user metrics CSV is the
-single source for every downstream number.  A failure names the stage it
-happened in.  Outputs are written into a staging directory and moved into
-place only once all of them are written, so a failed run leaves the
-previous outputs as they were.
+single source for every downstream number.  ``score`` runs the folds in
+``output.threads`` processes and puts their rows together in fold order.
+A failure names the stage it happened in.  Outputs are written into a
+staging directory and moved into place only once all of them are written,
+so a run that fails before the moves leaves the previous outputs as they
+were; ``manifest.json`` moves last, so one that fails during them leaves
+the previous manifest in place.
 """
 
 from __future__ import annotations
@@ -18,19 +21,23 @@ import json
 import logging
 import math
 import os
+import pickle
 import shutil
+import signal
+import sys
 import tempfile
+import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from . import als, ebm, evaluation, grouping, popindex, stats
 from .charts import render_scheme_chart
 from .config import AuditConfig
-from .errors import ConfigError, DataError, RecauditError
+from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .ingest import (GdpTable, PROVENANCE_ML1M, RawDataset,
                      cold_start_filter, load_gdp, load_lfm, load_ml1m)
 from .interactions import (GENDER_NA, IdMap, InteractionMatrix, UserAttributes,
@@ -41,6 +48,7 @@ from .util import derive_seed, fmt_float
 log = logging.getLogger(__name__)
 
 METRICS = ("ndcg", "mrr", "rbp")
+MANIFEST = Path("manifest.json")
 
 # schemes whose buckets describe who the user is, rather than how they consume
 DEMOGRAPHIC_SCHEMES = ("age_original", "age_equal_range", "age_equal_count",
@@ -73,7 +81,9 @@ class AuditReport:
 
 @dataclass
 class Dataset:
-    """The cleaned dataset every verb starts from."""
+    """The cleaned dataset every verb starts from.  ``raw`` keeps the
+    attributes, the provenance and the drop counts; its triples are
+    emptied once ``matrix`` is built."""
 
     raw: RawDataset
     gdp: Optional[GdpTable]
@@ -173,12 +183,19 @@ def load(config: AuditConfig) -> Dataset:
     matrix, umap, _ = from_triples(raw.triples)
     if matrix.nnz == 0:
         raise DataError("no interactions after cleanup")
-    return Dataset(raw, gdp, matrix, umap)
+    # nothing reads the per-row tuples once the matrix holds them
+    return Dataset(replace(raw, triples=[]), gdp, matrix, umap)
 
 
 @stage("score")
 def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
-    """Split the users into folds, then fit and evaluate one model per fold."""
+    """Split the users into folds, then fit and evaluate one model per fold.
+
+    The folds run in ``min(output.threads, folds)`` processes (one where
+    ``os.fork`` does not exist); see ``_map_folds``.  Each fold is seeded
+    on its own and its rows are concatenated in fold order, so the frame
+    is the same at any worker count.
+    """
     ev = config.evaluation
     fold_scheme = config.resolved_fold_scheme()
     plan = evaluation.make_folds(
@@ -186,8 +203,7 @@ def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
         sample_size=ev.sample_size if fold_scheme == "sample" else None)
     evaluation.assign_holdouts(plan, data.matrix, data.umap.ids, ev.holdout_fraction)
 
-    frame = evaluation.MetricFrame()
-    for fold in plan.folds:
+    def run(fold: evaluation.Fold) -> list[evaluation.MetricRow]:
         hp = als.AlsHyperparams(
             factors=config.model.factors,
             regularization=config.model.regularization,
@@ -196,10 +212,92 @@ def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
             seed=derive_seed(config.model.seed, "fold", fold.index))
         train_matrix = evaluation.fold_training_matrix(data.matrix, fold)
         model = als.fit(train_matrix, hp)
-        frame.rows.extend(evaluation.evaluate_fold(
+        return evaluation.evaluate_fold(
             model, fold, data.matrix, data.umap.ids, n=ev.depth,
-            persistence=ev.rbp_persistence, filter_train=ev.filter_train))
+            persistence=ev.rbp_persistence, filter_train=ev.filter_train)
+
+    workers = min(config.output.threads, len(plan.folds)) if hasattr(os, "fork") else 1
+    rows = _map_folds(run, plan.folds, workers)
+    frame = evaluation.MetricFrame()
+    for fold in plan.folds:
+        frame.rows.extend(rows[fold.index])
     return frame
+
+
+def _map_folds(run: Callable[[evaluation.Fold], list], folds: list[evaluation.Fold],
+               workers: int) -> dict[int, list]:
+    """``{fold.index: run(fold)}``, the folds dealt round-robin to
+    ``workers`` processes: worker ``w`` runs ``folds[w::workers]``.
+
+    This process is worker 0 and runs its share in place; the others are
+    forked from it, so they share the matrix and the holdouts
+    copy-on-write and send back only their rows, pickled down a pipe.  A
+    ``RecauditError`` in a worker is raised here with its own type; a
+    worker that ends without a result raises ``WorkerError``.  However this
+    function is left, every worker it forked has been killed and reaped.
+    The pipeline starts no threads of its own before this point.
+    """
+    if workers == 1:
+        return {fold.index: run(fold) for fold in folds}
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: dict[int, tuple] = {}  # pid -> (pipe read end, its folds)
+    try:
+        for w in range(1, workers):
+            share = folds[w::workers]
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _fold_worker(run, share, read_fd, write_fd)
+            os.close(write_fd)
+            children[pid] = (os.fdopen(read_fd, "rb"), share)
+        results = {fold.index: run(fold) for fold in folds[::workers]}
+        for pid, (pipe, share) in list(children.items()):
+            try:
+                outcome = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if isinstance(outcome, RecauditError):
+                raise outcome
+            if outcome is None:
+                ended = (f"killed by signal {-code} ({signal.strsignal(-code)})"
+                         if code < 0 else f"exit status {code}")
+                raise WorkerError(
+                    f"the worker for folds {', '.join(str(f.index) for f in share)} "
+                    f"ended without a result: {ended}")
+            results.update(outcome)
+        return results
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fold_worker(run: Callable[[evaluation.Fold], list], folds: list[evaluation.Fold],
+                 read_fd: int, write_fd: int) -> NoReturn:
+    """A forked worker: run ``folds``, send ``{fold.index: rows}`` or the
+    ``RecauditError`` that stopped them, and exit without returning into
+    the caller's stack.  Any other error is printed here, and the parent
+    gets no result."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = {fold.index: run(fold) for fold in folds}
+        except RecauditError as exc:
+            outcome = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
@@ -432,16 +530,20 @@ def staging(out_dir: str | Path):
     """A new directory inside ``out_dir`` to write outputs into.
 
     When the block succeeds, each file written there replaces its namesake
-    in ``out_dir``.  The directories the files go to are made before any
-    file moves, so an unusable destination fails while the previous
-    outputs are still whole.  The staging directory is removed either way.
+    in ``out_dir``, one ``os.replace`` at a time, and ``manifest.json``
+    moves last: if any move fails, the previous manifest stays, so a
+    current manifest means every file beside it is current.  The
+    directories the files go to are made before any file moves, so an
+    unusable destination fails while the previous outputs are still whole.
+    The staging directory is removed either way.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
         yield tmp
-        files = sorted(p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file())
+        files = sorted((p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file()),
+                       key=lambda rel: (rel == MANIFEST, rel))
         for rel in files:
             (out_dir / rel).parent.mkdir(exist_ok=True)
         for rel in files:
@@ -458,7 +560,7 @@ def emit(report: AuditReport, out_dir: str | Path, with_manifest: bool = False) 
         emit_tables(report, tmp)
         emit_charts(report, tmp)
         if with_manifest:
-            with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
+            with open(tmp / MANIFEST, "w", encoding="utf-8") as fh:
                 json.dump(report.manifest, fh, indent=2, sort_keys=True)
 
 

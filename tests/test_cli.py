@@ -1,8 +1,15 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from recaudit import als
 from recaudit.cli import main
+from recaudit.config import load_config
+from recaudit.errors import NumericalError
 from recaudit.synthetic import generate_planted
+from recaudit.util import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +273,81 @@ def test_report_empty_metrics_file_exits_2(config_file, tmp_path, capsys):
     code = main(["report", "--config", str(config_file), "--metrics", str(metrics)])
     assert code == 2
     assert "header" in capsys.readouterr().err
+
+
+def fail_fold(monkeypatch, config_file, fold, failure):
+    """Make ``als.fit`` call ``failure()`` for ``fold``'s model only."""
+    seed = derive_seed(load_config(config_file).model.seed, "fold", fold)
+    real_fit = als.fit
+
+    def fit(matrix, hp):
+        if hp.seed == seed:
+            failure()
+        return real_fit(matrix, hp)
+
+    monkeypatch.setattr(als, "fit", fit)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# At --threads 2 with 3 folds, this process runs folds 0 and 2 and one
+# forked worker runs fold 1.
+
+def test_worker_error_keeps_its_exit_code(config_file, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def failure():
+        raise NumericalError(f"planted in pid {os.getpid()}")
+
+    fail_fold(monkeypatch, config_file, 1, failure)
+    out = tmp_path / "workers"
+    code = main(["audit", "--config", str(config_file), "--out", str(out),
+                 "--threads", "2"])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "error: stage score: planted in pid" in err
+    assert f"pid {parent}" not in err  # raised in the worker, not here
+    assert not out.exists()
+    assert_no_children()
+
+
+def test_killed_worker_exits_5(config_file, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def failure():
+        if os.getpid() == parent:
+            raise AssertionError("fold 1 ran in the parent")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_fold(monkeypatch, config_file, 1, failure)
+    out = tmp_path / "workers"
+    code = main(["audit", "--config", str(config_file), "--out", str(out),
+                 "--threads", "2"])
+    err = capsys.readouterr().err
+    assert code == 5, err
+    assert "stage score: the worker for folds 1 ended without a result: " \
+        f"killed by signal {int(signal.SIGKILL)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert_no_children()
+
+
+@pytest.mark.parametrize("error", [NumericalError("planted"), KeyboardInterrupt()])
+def test_failure_in_own_folds_stops_the_workers(config_file, tmp_path, monkeypatch,
+                                                 capsys, error):
+    def failure():
+        raise error
+
+    fail_fold(monkeypatch, config_file, 0, failure)
+    argv = ["evaluate", "--config", str(config_file), "--out", str(tmp_path / "w"),
+            "--threads", "2"]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 4
+        assert "stage score: planted" in capsys.readouterr().err
+    assert_no_children()

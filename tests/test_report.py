@@ -1,5 +1,8 @@
 import csv
+import os
+import shutil
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +291,53 @@ class TestCountrySchemes:
             assert total == 100 or tab.col_totals[col] == 0
 
 
+@pytest.fixture(scope="module")
+def fold_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fold_data")
+    generate_planted(root / "data", n_users=90, n_items=50, seed=5)
+    return root
+
+
+def fold_config(root, scheme, folds):
+    """A small config; ``folds`` may be 1, which only a config file rejects."""
+    ini = root / f"{scheme}.ini"
+    ini.write_text(f"""
+[dataset]
+provenance = synthetic
+interactions = {root / 'data' / 'interactions.tsv'}
+profiles = {root / 'data' / 'profiles.tsv'}
+[model]
+factors = 5
+iterations = 2
+[evaluation]
+scheme = {scheme}
+sample_size = 20
+depth = 25
+[output]
+dir = {root / 'out'}
+""")
+    config = load_config(ini)
+    return replace(config, evaluation=replace(config.evaluation, folds=folds))
+
+
+class TestFoldWorkers:
+    @pytest.mark.parametrize("folds", [1, 3])
+    @pytest.mark.parametrize("scheme", ["sample", "partition"])
+    def test_rows_equal_at_any_worker_count(self, fold_data, scheme, folds):
+        config = fold_config(fold_data, scheme, folds)
+        data = report_mod.load(config)
+        serial = report_mod.score(config, data).rows
+        assert {row.fold for row in serial} == set(range(folds))
+        for threads in (2, folds, folds + 2):
+            rows = report_mod.score(apply_overrides(config, threads=threads), data).rows
+            assert rows == serial, threads
+
+    def test_load_drops_the_triples(self, fold_data):
+        data = report_mod.load(fold_config(fold_data, "partition", 3))
+        assert data.raw.triples == []
+        assert data.matrix.nnz > 0 and data.raw.attributes
+
+
 class TestFailureHandling:
     def test_missing_data_aborts_with_stage(self, tmp_path):
         ini = tmp_path / "c.ini"
@@ -366,6 +416,40 @@ dir = {tmp_path / 'out'}
             run_audit(config)
         # same files, same bytes, and no staging directory left behind
         assert snapshot() == before
+
+    def test_manifest_moves_last(self, tmp_path, monkeypatch):
+        config = self.small_config(tmp_path)
+        data = report_mod.load(config)
+        frame = report_mod.score(config, data)
+        previous = report_mod.rebuild_report(config, frame, data)
+        latest = report_mod.rebuild_report(
+            apply_overrides(config, seed=config.model.seed + 1), frame, data)
+        out = tmp_path / "out"
+        report_mod.emit(latest, out, with_manifest=True)
+        latest_manifest = (out / "manifest.json").read_bytes()
+        n_files = sum(1 for p in out.rglob("*") if p.is_file())
+        real_replace = os.replace
+        moved = []
+
+        def failing_replace(src, dst):
+            moved.append(Path(dst).relative_to(out).as_posix())
+            if len(moved) == fail_at:
+                raise OSError(f"move {fail_at} failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(report_mod.os, "replace", failing_replace)
+        for n in range(1, n_files + 1):
+            shutil.rmtree(out)
+            fail_at = 0
+            report_mod.emit(previous, out, with_manifest=True)
+            previous_manifest = (out / "manifest.json").read_bytes()
+            assert previous_manifest != latest_manifest
+            moved.clear()
+            fail_at = n
+            with pytest.raises(ConfigError, match=f"stage emit: move {n} failed"):
+                report_mod.emit(latest, out, with_manifest=True)
+            assert (out / "manifest.json").read_bytes() == previous_manifest, moved
+        assert moved[-1] == "manifest.json" and len(moved) == n_files
 
     def test_report_failure_names_report_stage(self, tmp_path, monkeypatch):
         config = self.small_config(tmp_path)
