@@ -20,6 +20,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import als, evaluation, report
 from .config import AuditConfig, apply_overrides, load_config
 from .errors import RecauditError
@@ -95,12 +97,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load(args)
-    frame = report.score(config, report.load(config))
+    data = report.load(config)
+    frame = report.score(config, data)
     out_dir = Path(config.output.dir)
     with report.stage("emit"), report.staging(out_dir) as tmp:
         frame.to_csv(tmp / "metrics_per_user.csv")
-    means = frame.per_user_mean("ndcg")
-    overall = sum(means.values()) / len(means) if means else 0.0
+    ndcg = frame.user_means(data.umap)["ndcg"]
+    means = ndcg[~np.isnan(ndcg)].tolist()
+    overall = sum(means) / len(means) if means else 0.0
     print(f"metrics for {len(means)} users written to {out_dir / 'metrics_per_user.csv'}")
     print(f"mean NDCG: {fmt_float(overall)}")
     return 0

@@ -216,6 +216,12 @@ def load_config(path: Optional[str | Path] = None) -> AuditConfig:
     for scheme in grouping.schemes:
         if scheme != SCHEME_AUTO and scheme not in ALL_GROUPING_SCHEMES:
             raise ConfigError(f"unknown grouping scheme {scheme!r}")
+    if not grouping.age_brackets:
+        raise ConfigError("[grouping] age_brackets must list at least one bound")
+    for key, minimum in (("age_range_width", 1), ("age_count_bins", 2),
+                         ("usage_bins", 2), ("country_buckets", 1)):
+        if getattr(grouping, key) < minimum:
+            raise ConfigError(f"[grouping] {key} must be >= {minimum}")
 
     ebm_config = EbmConfig(
         learning_rate=_get(parser, "ebm", "learning_rate", float, 0.01),

@@ -43,6 +43,7 @@ SCHEME_PARTITION = "partition"
 DEFAULT_HOLDOUT_FRACTION = 0.2
 DEFAULT_DEPTH = 1000
 DEFAULT_RBP_PERSISTENCE = 0.85
+METRICS = ("ndcg", "mrr", "rbp")
 
 
 @dataclass
@@ -75,15 +76,22 @@ class MetricFrame:
 
     rows: list[MetricRow] = field(default_factory=list)
 
-    def per_user_mean(self, metric: str) -> dict[UserId, float]:
-        """Mean of one metric across the folds each user was tested in."""
-        totals: dict[UserId, float] = {}
-        counts: dict[UserId, int] = {}
-        for row in self.rows:
-            value = getattr(row, metric)
-            totals[row.user_id] = totals.get(row.user_id, 0.0) + value
-            counts[row.user_id] = counts.get(row.user_id, 0) + 1
-        return {uid: totals[uid] / counts[uid] for uid in totals}
+    def user_means(self, umap: IdMap) -> dict[str, np.ndarray]:
+        """Per metric, each user's mean across the folds they were tested
+        in, as an ``(n_users,)`` array in dense user order; NaN where a user
+        was not tested.  A user's sum runs in row order."""
+        users = np.fromiter((umap.index[row.user_id] for row in self.rows),
+                            dtype=np.intp, count=len(self.rows))
+        counts = np.bincount(users, minlength=len(umap))
+        tested = counts > 0
+        means = {}
+        for metric in METRICS:
+            values = np.fromiter((getattr(row, metric) for row in self.rows),
+                                 dtype=np.float64, count=len(self.rows))
+            sums = np.bincount(users, weights=values, minlength=len(umap))
+            means[metric] = np.full(len(umap), np.nan)
+            means[metric][tested] = sums[tested] / counts[tested]
+        return means
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -95,20 +103,30 @@ class MetricFrame:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MetricFrame":
+        """Read a per-user metrics CSV.  A malformed row, a metric outside
+        [0, 1] or a second row for one (user, fold) raises DataError naming
+        the file and line."""
         frame = cls()
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["user_id", "fold", "ndcg", "mrr", "rbp"]:
                 raise ConfigError(f"unexpected metrics CSV header in {path}")
+            seen: set[tuple[str, int]] = set()
             for rec in reader:
+                where = f"{path} line {reader.line_num}"
                 try:
                     user_id, fold, ndcg, mrr, rbp = rec
                     row = MetricRow(user_id, int(fold), float(ndcg), float(mrr),
                                     float(rbp))
                 except ValueError as exc:
-                    raise DataError(f"malformed metrics row in {path} line "
-                                    f"{reader.line_num}: {exc}") from exc
+                    raise DataError(f"malformed metrics row in {where}: {exc}") from exc
+                if not all(0.0 <= v <= 1.0 for v in (row.ndcg, row.mrr, row.rbp)):
+                    raise DataError(f"metric value outside [0, 1] in {where}")
+                if (user_id, row.fold) in seen:
+                    raise DataError(f"second row for user {user_id!r} in fold "
+                                    f"{row.fold} in {where}")
+                seen.add((user_id, row.fold))
                 frame.rows.append(row)
         return frame
 
@@ -254,7 +272,8 @@ def _rbp_at(hits: Sequence[int], persistence: float) -> float:
     total = 0.0
     for pos in hits:
         total += persistence ** (pos - 1)
-    return (1.0 - persistence) * total
+    # rounding can lift a long run of top hits just past 1
+    return min(1.0, (1.0 - persistence) * total)
 
 
 def ndcg(ranked: Sequence[int], relevant: set) -> float:

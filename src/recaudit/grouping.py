@@ -4,14 +4,17 @@ sampling.
 
 Every scheme assigns each user exactly one label; users whose source
 attribute is missing get the distinguished "N/A" label, which significance
-testing later drops.
+testing later drops.  A scheme takes its attribute values as one sequence
+in dense user order and stores the labels as one integer code per user,
+so every per-group count or statistic is a mask or a ``bincount``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,30 +29,54 @@ NA_LABEL = "N/A"
 
 @dataclass
 class GroupAssignment:
+    """One label per user: ``codes[i]`` indexes ``labels`` for the user at
+    dense index i (the order of ``IdMap.ids``)."""
+
     name: str
     labels: list[str]  # presentation order; N/A last when present
-    by_user: dict = field(default_factory=dict)  # user_id -> label
+    codes: np.ndarray  # (n_users,) ints into labels
 
     def sizes(self) -> dict[str, int]:
-        counts = {label: 0 for label in self.labels}
-        for label in self.by_user.values():
-            counts[label] += 1
-        return counts
-
-    def members(self, label: str) -> list:
-        return [uid for uid, lab in self.by_user.items() if lab == label]
+        counts = np.bincount(self.codes, minlength=len(self.labels))
+        return dict(zip(self.labels, counts.tolist()))
 
     def non_na_labels(self) -> list[str]:
         return [label for label in self.labels if label != NA_LABEL]
 
 
-def _finish(name: str, by_user: dict, ordered_labels: list[str]) -> GroupAssignment:
-    """Drop empty labels, keep N/A last, and package the assignment."""
-    present = {label for label in by_user.values()}
-    labels = [lab for lab in ordered_labels if lab in present and lab != NA_LABEL]
-    if NA_LABEL in present:
-        labels.append(NA_LABEL)
-    return GroupAssignment(name=name, labels=labels, by_user=by_user)
+def _finish(name: str, codes: np.ndarray, ordered_labels: list[str]) -> GroupAssignment:
+    """Drop empty labels, keep N/A last, and package the assignment.
+
+    ``codes`` index ``ordered_labels``; code ``len(ordered_labels)`` is N/A.
+    """
+    counts = np.bincount(codes, minlength=len(ordered_labels) + 1)
+    kept = np.flatnonzero(counts)
+    remap = np.zeros(len(counts), dtype=np.intp)
+    remap[kept] = np.arange(len(kept))
+    labels = [ordered_labels[k] if k < len(ordered_labels) else NA_LABEL
+              for k in kept.tolist()]
+    return GroupAssignment(name=name, labels=labels, codes=remap[codes])
+
+
+def _from_labels(name: str, per_user: Sequence[str],
+                 ordered_labels: list[str]) -> GroupAssignment:
+    """The assignment giving user i the label ``per_user[i]``; a label
+    missing from ``ordered_labels`` (N/A among them) becomes N/A."""
+    code_of = {label: code for code, label in enumerate(ordered_labels)}
+    na = len(ordered_labels)
+    codes = np.fromiter((code_of.get(label, na) for label in per_user),
+                        dtype=np.intp, count=len(per_user))
+    return _finish(name, codes, ordered_labels)
+
+
+def _numeric(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of non-missing values, and the values as float64 (0 where
+    missing)."""
+    present = np.fromiter((v is not None for v in values), dtype=bool,
+                          count=len(values))
+    arr = np.fromiter((0.0 if v is None else v for v in values),
+                      dtype=np.float64, count=len(values))
+    return present, arr
 
 
 def _fmt_value(v) -> str:
@@ -58,20 +85,15 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def bucket_categorical(name: str, values: Mapping[UserId, Optional[str]]) -> GroupAssignment:
+def bucket_categorical(name: str, values: Sequence[Optional[str]]) -> GroupAssignment:
     """One group per distinct value, ordered by descending size; missing -> N/A."""
-    by_user: dict = {}
-    counts: dict[str, int] = {}
-    for uid, value in values.items():
-        label = NA_LABEL if value is None else str(value)
-        by_user[uid] = label
-        if label != NA_LABEL:
-            counts[label] = counts.get(label, 0) + 1
+    per_user = [NA_LABEL if value is None else str(value) for value in values]
+    counts = Counter(label for label in per_user if label != NA_LABEL)
     ordered = sorted(counts, key=lambda lab: (-counts[lab], lab))
-    return _finish(name, by_user, ordered)
+    return _from_labels(name, per_user, ordered)
 
 
-def bucket_from_brackets(name: str, values: Mapping[UserId, Optional[int]],
+def bucket_from_brackets(name: str, values: Sequence[Optional[int]],
                          lower_bounds: Sequence[int]) -> GroupAssignment:
     """Bucket by a configured bracket list of lower bounds (e.g. the ML1M
     age codes).  Values below the first bound fall into the first bracket.
@@ -83,40 +105,30 @@ def bucket_from_brackets(name: str, values: Mapping[UserId, Optional[int]],
             labels.append(f"{lo}-{bounds[i + 1] - 1}")
         else:
             labels.append(f"{lo}+")
-    by_user: dict = {}
-    for uid, value in values.items():
-        if value is None:
-            by_user[uid] = NA_LABEL
-        else:
-            idx = int(np.searchsorted(bounds, value, side="right")) - 1
-            by_user[uid] = labels[max(idx, 0)]
-    return _finish(name, by_user, labels)
+    present, arr = _numeric(values)
+    idx = np.maximum(np.searchsorted(bounds, arr, side="right") - 1, 0)
+    return _finish(name, np.where(present, idx, len(labels)), labels)
 
 
-def bucket_equal_range(name: str, values: Mapping[UserId, Optional[int]],
+def bucket_equal_range(name: str, values: Sequence[Optional[int]],
                        width: int, anchor: Optional[int] = None) -> GroupAssignment:
     """Uniform-width bins [lo, lo+width) anchored at ``anchor`` (default:
     the minimum observed value).  Intended for integer attributes like age.
     """
     if width <= 0:
         raise ValueError("bin width must be positive")
-    present = [v for v in values.values() if v is not None]
-    by_user: dict = {}
+    present = [v for v in values if v is not None]
     if not present:
-        by_user = {uid: NA_LABEL for uid in values}
-        return _finish(name, by_user, [])
+        return _finish(name, np.zeros(len(values), dtype=np.intp), [])
     lo0 = min(present) if anchor is None else anchor
     n_bins = (max(present) - lo0) // width + 1
     labels = [f"{lo0 + b * width}-{lo0 + (b + 1) * width - 1}" for b in range(n_bins)]
-    for uid, value in values.items():
-        if value is None:
-            by_user[uid] = NA_LABEL
-        else:
-            by_user[uid] = labels[min(max((value - lo0) // width, 0), n_bins - 1)]
-    return _finish(name, by_user, labels)
+    mask, arr = _numeric(values)
+    idx = np.clip((arr - lo0) // width, 0, n_bins - 1).astype(np.intp)
+    return _finish(name, np.where(mask, idx, n_bins), labels)
 
 
-def bucket_equal_count(name: str, values: Mapping[UserId, Optional[float]],
+def bucket_equal_count(name: str, values: Sequence[Optional[float]],
                        k: int) -> GroupAssignment:
     """Roughly equal-population bins of a numeric attribute.
 
@@ -127,12 +139,11 @@ def bucket_equal_count(name: str, values: Mapping[UserId, Optional[float]],
     """
     if k < 2:
         raise ValueError("equal-count bucketing needs k >= 2")
-    items = [(uid, v) for uid, v in values.items() if v is not None]
-    by_user: dict = {uid: NA_LABEL for uid, v in values.items() if v is None}
-    if len(items) < k:
-        raise ValueError(f"need at least {k} non-missing values, have {len(items)}")
-    sorted_vals = np.sort(np.array([v for _, v in items], dtype=np.float64))
-    n = len(sorted_vals)
+    present, arr = _numeric(values)
+    n = int(np.count_nonzero(present))
+    if n < k:
+        raise ValueError(f"need at least {k} non-missing values, have {n}")
+    sorted_vals = np.sort(arr[present])
 
     boundaries = [0]
     for i in range(1, k):
@@ -152,11 +163,8 @@ def bucket_equal_count(name: str, values: Mapping[UserId, Optional[float]],
         lo, hi = sorted_vals[start], sorted_vals[end - 1]
         upper_values.append(hi)
         labels.append(f"{_fmt_value(lo)}-{_fmt_value(hi)}" if lo != hi else _fmt_value(lo))
-    upper = np.array(upper_values)
-    for uid, v in items:
-        idx = int(np.searchsorted(upper, v, side="left"))
-        by_user[uid] = labels[min(idx, len(labels) - 1)]
-    return _finish(name, by_user, labels)
+    idx = np.minimum(np.searchsorted(upper_values, arr, side="left"), len(labels) - 1)
+    return _finish(name, np.where(present, idx, len(labels)), labels)
 
 
 PREVALENCE_LABELS = ("low", "medium", "high")
@@ -182,11 +190,6 @@ def bucket_countries_by_prevalence(name: str, attributes: Sequence[UserAttribute
         if attr.country is not None:
             counts[attr.country] = counts.get(attr.country, 0) + 1
     labels = _tercile_labels(k)
-    by_user: dict = {}
-    if not counts:
-        by_user = {a.user_id: NA_LABEL for a in attributes}
-        return _finish(name, by_user, labels)
-
     ordered = sorted(counts, key=lambda c: (counts[c], c))
     country_bucket: dict[str, str] = {}
     pos = 0
@@ -215,12 +218,8 @@ def bucket_countries_by_prevalence(name: str, attributes: Sequence[UserAttribute
         for c in chosen:
             country_bucket[c] = labels[j]
 
-    for attr in attributes:
-        if attr.country is None or attr.country not in country_bucket:
-            by_user[attr.user_id] = NA_LABEL
-        else:
-            by_user[attr.user_id] = country_bucket[attr.country]
-    return _finish(name, by_user, labels)
+    return _from_labels(name, [country_bucket.get(a.country, NA_LABEL)
+                               for a in attributes], labels)
 
 
 def bucket_countries_by_gdp(name: str, attributes: Sequence[UserAttributes],
@@ -241,61 +240,49 @@ def bucket_countries_by_gdp(name: str, attributes: Sequence[UserAttributes],
         for j, chunk in enumerate(chunks):
             for idx in chunk:
                 country_bucket[with_gdp[idx][1]] = labels[j]
-    by_user = {
-        a.user_id: country_bucket.get(a.country, NA_LABEL) if a.country else NA_LABEL
-        for a in attributes
-    }
-    return _finish(name, by_user, labels)
+    return _from_labels(name, [country_bucket.get(a.country, NA_LABEL) if a.country
+                               else NA_LABEL for a in attributes], labels)
 
 
 def control_last_digit(name: str, user_ids: Sequence[UserId]) -> GroupAssignment:
     """Control grouping by the last decimal digit of a numeric id, or the
     last hex character of a sha1-style id.  Should predict nothing.
     """
-    by_user: dict = {}
-    for uid in user_ids:
-        text = str(uid)
-        by_user[uid] = text[-1].lower() if text else NA_LABEL
-    present = sorted({lab for lab in by_user.values() if lab != NA_LABEL})
-    return _finish(name, by_user, present)
+    per_user = [str(uid)[-1:].lower() or NA_LABEL for uid in user_ids]
+    return _from_labels(name, per_user, sorted(set(per_user) - {NA_LABEL}))
 
 
-def bucket_integer_values(name: str, values: Mapping[UserId, Optional[int]],
+def bucket_integer_values(name: str, values: Sequence[Optional[int]],
                           merge_at: int = 13) -> GroupAssignment:
     """One group per raw integer value, merging everything >= merge_at
     into a single top group (pop-index presentation).
     """
     top = f"{merge_at}+"
-    by_user: dict = {}
-    seen: set[int] = set()
-    for uid, v in values.items():
-        if v is None:
-            by_user[uid] = NA_LABEL
-        elif v >= merge_at:
-            by_user[uid] = top
-        else:
-            by_user[uid] = str(int(v))
-            seen.add(int(v))
-    labels = [str(v) for v in sorted(seen)]
-    if any(lab == top for lab in by_user.values()):
-        labels.append(top)
-    return _finish(name, by_user, labels)
+    per_user = [NA_LABEL if v is None else top if v >= merge_at else str(int(v))
+                for v in values]
+    seen = sorted({int(v) for v in values if v is not None and v < merge_at})
+    return _from_labels(name, per_user, [str(v) for v in seen] + [top])
 
 
-def balanced_sample(assignment: GroupAssignment, seed: int) -> list:
-    """Equal-size seeded sample: min non-N/A group size users per group."""
-    groups = {label: sorted(assignment.members(label), key=str)
-              for label in assignment.non_na_labels()}
-    groups = {label: members for label, members in groups.items() if members}
+def balanced_sample(assignment: GroupAssignment, seed: int,
+                    users: np.ndarray) -> np.ndarray:
+    """Equal-size seeded sample: min non-N/A group size users per group.
+
+    ``users`` are the dense indices of the users who may be drawn; each
+    group lists its members in their order there before the seeded pick.
+    Returns user indices, grouped by label in presentation order.
+    """
+    users = np.asarray(users, dtype=np.intp)
+    codes = assignment.codes[users]
+    groups = [(label, users[codes == code])
+              for code, label in enumerate(assignment.non_na_labels())]
+    groups = [(label, members) for label, members in groups if len(members)]
     if not groups:
         raise ValueError(f"{assignment.name}: no non-N/A groups to sample")
-    m = min(len(members) for members in groups.values())
-    sampled: list = []
-    for label in assignment.non_na_labels():
-        members = groups.get(label)
-        if not members:
-            continue
+    m = min(len(members) for _, members in groups)
+    sampled = []
+    for label, members in groups:
         rng = np.random.default_rng(derive_seed(seed, "balanced", assignment.name, label))
         picks = rng.choice(len(members), size=m, replace=False)
-        sampled.extend(members[i] for i in sorted(picks))
-    return sampled
+        sampled.append(members[np.sort(picks)])
+    return np.concatenate(sampled)

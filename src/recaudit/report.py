@@ -38,6 +38,7 @@ from . import als, ebm, evaluation, grouping, popindex, stats
 from .charts import render_scheme_chart
 from .config import AuditConfig
 from .errors import ConfigError, DataError, RecauditError, WorkerError
+from .evaluation import METRICS
 from .ingest import (GdpTable, PROVENANCE_ML1M, RawDataset,
                      cold_start_filter, load_gdp, load_lfm, load_ml1m)
 from .interactions import (GENDER_NA, IdMap, InteractionMatrix, UserAttributes,
@@ -47,7 +48,6 @@ from .util import derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
 
-METRICS = ("ndcg", "mrr", "rbp")
 MANIFEST = Path("manifest.json")
 
 # schemes whose buckets describe who the user is, rather than how they consume
@@ -111,6 +111,30 @@ class CrossTab:
     col_totals: dict[str, int]
 
 
+def scheme_result(assignment: grouping.GroupAssignment,
+                  means: dict[str, np.ndarray]) -> SchemeResult:
+    """A scheme's user and tested counts per group, and per metric each
+    group's mean and standard error over its tested users and the
+    Kruskal-Wallis test; ``means`` as ``MetricFrame.user_means`` gives it."""
+    tested = ~np.isnan(means["ndcg"])
+    in_group = [tested & (assignment.codes == code)
+                for code in range(len(assignment.labels))]
+    result = SchemeResult(assignment=assignment, counts=assignment.sizes())
+    result.tested = {label: int(np.count_nonzero(mask))
+                     for label, mask in zip(assignment.labels, in_group)}
+    for metric in METRICS:
+        result.means[metric], result.ses[metric] = {}, {}
+        for label, mask in zip(assignment.labels, in_group):
+            values = means[metric][mask]
+            if len(values):
+                result.means[metric][label] = float(values.mean())
+                result.ses[metric][label] = (
+                    float(values.std(ddof=1) / math.sqrt(len(values)))
+                    if len(values) > 1 else 0.0)
+        result.kw[metric] = stats.test_grouping(means[metric], assignment)
+    return result
+
+
 def _largest_remainder(shares: Sequence[float]) -> list[int]:
     """Round percentage shares to integers that sum to exactly 100."""
     if not shares:
@@ -130,21 +154,19 @@ def build_crosstab(rows_assignment: grouping.GroupAssignment,
     attribute are left out of the column total."""
     row_labels = rows_assignment.non_na_labels()
     col_labels = list(cols_assignment.labels)
+    n_rows = len(row_labels)
+    has_row = rows_assignment.codes < n_rows
+    cells = np.bincount(cols_assignment.codes[has_row] * n_rows
+                        + rows_assignment.codes[has_row],
+                        minlength=len(col_labels) * n_rows)
     pct: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
-    row_of = rows_assignment.by_user
-    for col in col_labels:
-        members = [uid for uid in cols_assignment.members(col)
-                   if row_of.get(uid, grouping.NA_LABEL) != grouping.NA_LABEL]
-        totals[col] = len(members)
-        counts = {row: 0 for row in row_labels}
-        for uid in members:
-            counts[row_of[uid]] += 1
-        if members:
-            shares = [100.0 * counts[row] / len(members) for row in row_labels]
-            ints = _largest_remainder(shares)
+    for col, counts in zip(col_labels, cells.reshape(len(col_labels), n_rows).tolist()):
+        totals[col] = total = sum(counts)
+        if total:
+            ints = _largest_remainder([100.0 * count / total for count in counts])
         else:
-            ints = [0] * len(row_labels)
+            ints = [0] * n_rows
         pct[col] = dict(zip(row_labels, ints))
     return CrossTab(row_labels=row_labels, col_labels=col_labels,
                     percentages=pct, col_totals=totals)
@@ -304,8 +326,8 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
                       gdp: Optional[GdpTable]) -> dict[str, grouping.GroupAssignment]:
     """All configured grouping schemes that the data can support."""
     gc = config.grouping
-    ages = {a.user_id: a.age for a in attributes}
-    have_ages = any(v is not None for v in ages.values())
+    ages = [a.age for a in attributes]
+    have_ages = any(v is not None for v in ages)
     have_countries = any(a.country is not None for a in attributes)
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
 
@@ -322,8 +344,7 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
             except ValueError as exc:
                 log.warning("skipping age_equal_count scheme: %s", exc)
         elif scheme == "gender":
-            genders = {a.user_id: (a.gender if a.gender != GENDER_NA else None)
-                       for a in attributes}
+            genders = [a.gender if a.gender != GENDER_NA else None for a in attributes]
             out[scheme] = grouping.bucket_categorical(scheme, genders)
         elif scheme == "country_prevalence" and have_countries:
             out[scheme] = grouping.bucket_countries_by_prevalence(
@@ -332,13 +353,13 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
             out[scheme] = grouping.bucket_countries_by_gdp(scheme, attributes, gdp,
                                                            gc.country_buckets)
         elif scheme == "usage":
-            usages = {a.user_id: a.usage for a in attributes}
+            usages = [a.usage for a in attributes]
             try:
                 out[scheme] = grouping.bucket_equal_count(scheme, usages, gc.usage_bins)
             except ValueError as exc:
                 log.warning("skipping usage scheme: %s", exc)
         elif scheme == "popindex":
-            pops = {a.user_id: a.pop_index for a in attributes}
+            pops = [a.pop_index for a in attributes]
             out[scheme] = grouping.bucket_integer_values(scheme, pops,
                                                          gc.popindex_merge_at)
         elif scheme == "last_digit":
@@ -349,26 +370,24 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
 
 def _ebm_feature_rows(attributes: Sequence[UserAttributes],
                       assignments: dict[str, grouping.GroupAssignment],
-                      user_ids: Sequence) -> list[dict]:
-    """Feature dicts for the all-features explainer run."""
-    by_id = {a.user_id: a for a in attributes}
-    country_prev = assignments.get("country_prevalence")
-    country_gdp = assignments.get("country_gdp")
+                      users: np.ndarray) -> list[dict]:
+    """Feature dicts for the all-features explainer run, one per user index
+    in ``users``."""
+    countries = [assignments[name] for name in ("country_prevalence", "country_gdp")
+                 if name in assignments]
     rows = []
-    for uid in user_ids:
-        attr = by_id[uid]
+    for i in users.tolist():
+        attr = attributes[i]
         row = {
             "age": attr.age,
             "gender": None if attr.gender == GENDER_NA else attr.gender,
             "usage": attr.usage,
             "pop_index": attr.pop_index,
-            "last_digit": str(uid)[-1].lower(),
+            "last_digit": str(attr.user_id)[-1].lower(),
         }
-        for name, assignment in (("country_prevalence", country_prev),
-                                 ("country_gdp", country_gdp)):
-            if assignment is not None:
-                label = assignment.by_user.get(uid, grouping.NA_LABEL)
-                row[name] = None if label == grouping.NA_LABEL else label
+        for assignment in countries:
+            label = assignment.labels[assignment.codes[i]]
+            row[assignment.name] = None if label == grouping.NA_LABEL else label
         rows.append(row)
     return rows
 
@@ -409,43 +428,24 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
                              data.raw.provenance)
     assignments = build_assignments(config, attributes, data.gdp)
 
-    schemes: dict[str, SchemeResult] = {}
-    family: list[tuple[str, str]] = []
-    per_metric_means = {m: frame.per_user_mean(m) for m in METRICS}
-    tested_ids = set(per_metric_means["ndcg"])
-    for name, assignment in assignments.items():
-        result = SchemeResult(assignment=assignment)
-        result.counts = assignment.sizes()
-        for label in assignment.labels:
-            members = [uid for uid in assignment.members(label) if uid in tested_ids]
-            result.tested[label] = len(members)
-        for metric in METRICS:
-            means = per_metric_means[metric]
-            result.means[metric] = {}
-            result.ses[metric] = {}
-            for label in assignment.labels:
-                values = [means[uid] for uid in assignment.members(label)
-                          if uid in means]
-                if values:
-                    arr = np.asarray(values)
-                    result.means[metric][label] = float(arr.mean())
-                    result.ses[metric][label] = (
-                        float(arr.std(ddof=1) / math.sqrt(len(arr)))
-                        if len(arr) > 1 else 0.0)
-            kw = stats.test_grouping(frame, assignment, metric)
-            result.kw[metric] = kw
-            if kw is not None:
-                family.append((name, metric))
-        schemes[name] = result
+    means = frame.user_means(data.umap)
+    schemes = {name: scheme_result(assignment, means)
+               for name, assignment in assignments.items()}
+    family = [(name, metric) for name, result in schemes.items()
+              for metric in METRICS if result.kw[metric] is not None]
     p_values = [schemes[n].kw[m].p_value for n, m in family]
     adjusted = stats.bonferroni(p_values)
     for (name, metric), p_adj in zip(family, adjusted):
         schemes[name].p_adjusted[metric] = p_adj
 
-    tested_users = sorted(tested_ids, key=str)
-    ndcg_means = per_metric_means["ndcg"]
+    # the explainers' bootstrap draws depend on row order, so the rows follow
+    # the id texts, not the order the dataset lists the users in
+    ids = data.umap.ids
+    tested_users = np.array(
+        sorted(np.flatnonzero(~np.isnan(means["ndcg"])).tolist(),
+               key=lambda i: str(ids[i])), dtype=np.intp)
     all_rows = _ebm_feature_rows(attributes, assignments, tested_users)
-    targets = [ndcg_means[uid] for uid in tested_users]
+    targets = means["ndcg"][tested_users]
     ebm_model = None
     ebm_importance: list[tuple[str, float]] = []
     if len(all_rows) >= 10:
@@ -453,7 +453,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
         if specs:
             ebm_model = ebm.fit_ebm(all_rows, targets, specs, config.ebm)
             ebm_importance = ebm.importance(ebm_model, all_rows)
-    _solo_ebm_runs(config, schemes, tested_users, ndcg_means)
+    _solo_ebm_runs(config, schemes, tested_users, means["ndcg"])
 
     crosstabs: dict[str, CrossTab] = {}
     for base in ("usage", "popindex"):
@@ -488,33 +488,27 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
 
 
 def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
-                   tested_users: list, ndcg_means: dict) -> None:
-    """Per-scheme single-feature explainer runs on balanced samples.
+                   tested_users: np.ndarray, ndcg_means: np.ndarray) -> None:
+    """Per-scheme single-feature explainer runs on balanced samples of the
+    tested users.
 
     The scheme label acts as one categorical feature; the resulting shape
     values feed the charts' score row and the solo importance ranking.
     """
-    tested = set(tested_users)
-    for name, result in schemes.items():
+    for result in schemes.values():
         assignment = result.assignment
-        restricted = grouping.GroupAssignment(
-            name=assignment.name, labels=list(assignment.labels),
-            by_user={uid: lab for uid, lab in assignment.by_user.items()
-                     if uid in tested})
-        if not restricted.non_na_labels():
-            continue
         try:
-            sample = grouping.balanced_sample(restricted, config.ebm.seed)
+            sample = grouping.balanced_sample(assignment, config.ebm.seed, tested_users)
         except ValueError:
             continue
         if len(sample) < 10:
             continue
-        rows = [{"group": restricted.by_user[uid]} for uid in sample]
-        targets = [ndcg_means[uid] for uid in sample]
+        rows = [{"group": assignment.labels[code]}
+                for code in assignment.codes[sample].tolist()]
         spec = ebm.categorical_spec("group", [row["group"] for row in rows])
-        model = ebm.fit_ebm(rows, targets, [spec], config.ebm)
+        model = ebm.fit_ebm(rows, ndcg_means[sample], [spec], config.ebm)
         result.ebm_shape = {label: model.shape_value("group", label)
-                            for label in restricted.non_na_labels()}
+                            for label in assignment.non_na_labels()}
         result.solo_importance = ebm.importance(model, rows)[0][1]
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evaluation import MetricFrame
 from .grouping import GroupAssignment
 
 _EPS = 1e-16
@@ -164,20 +163,18 @@ def bonferroni(p_values: Sequence[float]) -> list[float]:
     return [min(1.0, m * p) for p in p_values]
 
 
-def test_grouping(frame: MetricFrame, assignment: GroupAssignment,
-                  metric: str) -> Optional[KwResult]:
-    """Kruskal-Wallis over per-user mean metric values, grouped by the
-    assignment with the N/A group omitted.
+def test_grouping(means: np.ndarray, assignment: GroupAssignment) -> Optional[KwResult]:
+    """Kruskal-Wallis over per-user mean metric values (an ``(n_users,)``
+    array, NaN for users never tested), grouped by the assignment with the
+    N/A group omitted.
 
     Returns None ("not testable") when fewer than two non-N/A groups have
     any evaluated users.
     """
-    means = frame.per_user_mean(metric)
-    groups: list[list[float]] = []
-    for label in assignment.non_na_labels():
-        values = [means[uid] for uid in assignment.members(label) if uid in means]
-        if values:
-            groups.append(values)
+    tested = ~np.isnan(means)
+    groups = [means[tested & (assignment.codes == code)]
+              for code in range(len(assignment.non_na_labels()))]
+    groups = [group for group in groups if len(group)]
     if len(groups) < 2 or sum(len(g) for g in groups) < 3:
         return None
     return kruskal_wallis(groups)

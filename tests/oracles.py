@@ -192,3 +192,101 @@ def naive_fit_one_bag(binned, y, specs, config, bag):
             if stale >= config.patience:
                 break
     return intercept, shapes, inbag_losses
+
+
+# ---- per-group numbers from user_id -> label dicts ---------------------------
+# The report once computed every per-group number this way: one scan of a
+# user_id -> label dict per label.  The dicts are filled in dense user order,
+# so each label's members come out in that order.
+
+NA = "N/A"
+
+
+def naive_labels(by_user, ordered):
+    """The presentation labels: those of ``ordered`` with a member, then N/A
+    if anyone has it."""
+    present = set(by_user.values())
+    labels = [lab for lab in ordered if lab in present and lab != NA]
+    if NA in present:
+        labels.append(NA)
+    return labels
+
+
+def naive_members(by_user, label):
+    return [uid for uid, lab in by_user.items() if lab == label]
+
+
+def naive_per_user_mean(rows, metric):
+    """Mean of one metric across the folds each user was tested in, summed
+    in row order."""
+    totals = {}
+    counts = {}
+    for row in rows:
+        value = getattr(row, metric)
+        totals[row.user_id] = totals.get(row.user_id, 0.0) + value
+        counts[row.user_id] = counts.get(row.user_id, 0) + 1
+    return {uid: totals[uid] / counts[uid] for uid in totals}
+
+
+def naive_group_numbers(by_user, labels, means_by_metric):
+    """Per label: user count, tested count, and per metric the mean and
+    standard error over the tested members (absent when none is tested)."""
+    out = {}
+    tested_ids = means_by_metric["ndcg"]
+    for label in labels:
+        members = naive_members(by_user, label)
+        entry = {"size": len(members),
+                 "tested": sum(1 for uid in members if uid in tested_ids),
+                 "mean": {}, "se": {}}
+        for metric, means in means_by_metric.items():
+            values = [means[uid] for uid in members if uid in means]
+            if values:
+                arr = np.asarray(values)
+                entry["mean"][metric] = float(arr.mean())
+                entry["se"][metric] = (float(arr.std(ddof=1) / math.sqrt(len(arr)))
+                                       if len(arr) > 1 else 0.0)
+        out[label] = entry
+    return out
+
+
+def naive_kw_groups(by_user, labels, means):
+    """The value lists a Kruskal-Wallis test compares: each non-N/A label's
+    tested members, empty ones left out."""
+    groups = []
+    for label in labels:
+        if label == NA:
+            continue
+        values = [means[uid] for uid in naive_members(by_user, label) if uid in means]
+        if values:
+            groups.append(values)
+    return groups
+
+
+def naive_crosstab_counts(row_of, row_labels, col_of, col_labels):
+    """Per column label: the users with a non-N/A row label, and their count
+    per row label."""
+    out = {}
+    for col in col_labels:
+        members = [uid for uid in naive_members(col_of, col) if row_of[uid] != NA]
+        counts = {row: 0 for row in row_labels if row != NA}
+        for uid in members:
+            counts[row_of[uid]] += 1
+        out[col] = (len(members), counts)
+    return out
+
+
+def naive_balanced_sample(by_user, labels, eligible, rng_for):
+    """min non-N/A group size users per group, each group's eligible members
+    sorted by id text before ``rng_for(label)`` picks them."""
+    groups = {label: sorted((uid for uid in naive_members(by_user, label)
+                             if uid in eligible), key=str)
+              for label in labels if label != NA}
+    groups = {label: members for label, members in groups.items() if members}
+    if not groups:
+        return None
+    m = min(len(members) for members in groups.values())
+    sampled = []
+    for label, members in groups.items():
+        picks = rng_for(label).choice(len(members), size=m, replace=False)
+        sampled.extend(members[i] for i in sorted(picks))
+    return sampled

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_pop_index, ks_distance_from_uniform,
-                     naive_als_loss, naive_mrr, naive_ndcg, naive_rbp)
+                     naive_als_loss, naive_mrr, naive_ndcg, naive_per_user_mean,
+                     naive_rbp)
 from recaudit import als, evaluation
 from recaudit.config import apply_overrides, load_config
 from recaudit.ebm import EbmConfig, _bin_matrix, _fit_one_bag, bin_numeric, fit_ebm, importance, predict_batch
@@ -285,7 +286,7 @@ def test_criterion_7_planted_bias_detection(planted_audit):
         assert by_name["last_digit"] < by_name[signal]
 
     # permuted group labels: quiet in >= 90% of 20 seeds
-    means = report.frame.per_user_mean("ndcg")
+    means = naive_per_user_mean(report.frame.rows, "ndcg")
     users = sorted(means, key=str)
     values = np.array([means[u] for u in users])
     labels = np.array([1 if u in truth.biased_users else 0 for u in users])

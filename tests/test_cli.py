@@ -207,6 +207,27 @@ def test_report_rejects_unknown_user_id(ml1m_config, tmp_path, capsys):
     assert "'9999'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["2,0,nan,0.5,0.5", "2,0,0.5,7.5,0.5",
+                                     "2,0,0.5,0.5,-2", "1,0,0.5,0.5,0.5"])
+def test_report_rejects_bad_metric_rows(ml1m_config, tmp_path, capsys, bad_row):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(f"user_id,fold,ndcg,mrr,rbp\n1,0,0.5,0.5,0.5\n{bad_row}\n")
+    code = main(["report", "--config", str(ml1m_config), "--metrics", str(metrics),
+                 "--out", str(tmp_path / "rerender")])
+    assert code == 3
+    assert "stage metrics: " in capsys.readouterr().err
+    assert not (tmp_path / "rerender").exists()
+
+
+@pytest.mark.parametrize("setting", ["age_range_width = 0", "country_buckets = 0",
+                                     "age_count_bins = 1", "usage_bins = 1"])
+def test_grouping_range_exits_2(ml1m_config, tmp_path, capsys, setting):
+    ini = tmp_path / "grouping.ini"
+    ini.write_text(ml1m_config.read_text() + f"\n[grouping]\n{setting}\n")
+    assert main(["report", "--config", str(ini), "--metrics", str(tmp_path / "m.csv")]) == 2
+    assert setting.split()[0] in capsys.readouterr().err
+
+
 def test_manifest_independent_of_out_dir(config_file, tmp_path):
     for name in ("d1", "d2"):
         assert main(["audit", "--config", str(config_file),

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from oracles import naive_fold_drop_mask, naive_mrr, naive_ndcg, naive_rbp
 from recaudit import als
-from recaudit.errors import ConfigError
+from recaudit.errors import ConfigError, DataError
 from recaudit.evaluation import (Fold, MetricFrame, MetricRow, assign_holdouts,
                                  evaluate_fold, fold_training_matrix,
                                  holdout_split, make_folds, mrr, ndcg, rbp)
-from recaudit.interactions import from_triples
+from recaudit.interactions import IdMap, from_triples
 
 from conftest import random_matrix
 
@@ -106,6 +106,12 @@ class TestMetrics:
         assert rbp([1], {1}, persistence=0.85) == pytest.approx(0.15, abs=1e-12)
         assert rbp([1, 2], {1, 2}, persistence=0.5) == 0.75
         assert rbp([1, 2], set(), persistence=0.5) == 0.0
+
+    def test_rbp_at_most_one(self):
+        # a long run of top hits rounds past 1 unless capped, and the metrics
+        # CSV reader rejects values above 1
+        ranked = list(range(1000))
+        assert rbp(ranked, set(ranked), persistence=0.95) == 1.0
 
     def test_rbp_persistence_validation(self):
         with pytest.raises(ConfigError):
@@ -367,8 +373,22 @@ class TestMetricFrame:
             MetricRow("u", 1, 0.6, 0.0, 0.0),
             MetricRow("v", 0, 1.0, 0.0, 0.0),
         ])
-        means = frame.per_user_mean("ndcg")
-        assert means == {"u": pytest.approx(0.4), "v": 1.0}
+        umap = IdMap(("w", "v", "u"), {"w": 0, "v": 1, "u": 2})
+        means = frame.user_means(umap)["ndcg"]
+        assert np.isnan(means[0])
+        assert means[1:].tolist() == [1.0, pytest.approx(0.4)]
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("u2,1,nan,0.5,0.5", r"outside \[0, 1\]"),
+        ("u2,1,0.5,7.5,0.5", r"outside \[0, 1\]"),
+        ("u2,1,0.5,0.5,-2", r"outside \[0, 1\]"),
+        ("u1,0,0.5,0.5,0.5", "second row for user 'u1' in fold 0"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, bad_row, message):
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"user_id,fold,ndcg,mrr,rbp\nu1,0,0.2,0.3,0.4\n{bad_row}\n")
+        with pytest.raises(DataError, match=f"{message} in {path} line 3"):
+            MetricFrame.from_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,13 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import (naive_balanced_sample, naive_crosstab_counts, naive_group_numbers,
+                     naive_kw_groups, naive_labels, naive_per_user_mean)
 from recaudit import report as report_mod
 from recaudit.config import apply_overrides, load_config
 from recaudit.errors import ConfigError, DataError
-from recaudit.evaluation import MetricFrame
-from recaudit.grouping import bucket_categorical, bucket_integer_values
-from recaudit.report import build_crosstab, run_audit
+from recaudit.evaluation import METRICS, MetricFrame, MetricRow
+from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
+                               bucket_from_brackets, bucket_integer_values)
+from recaudit.interactions import IdMap
+from recaudit.report import _largest_remainder, build_crosstab, run_audit
+from recaudit.stats import kruskal_wallis
 from recaudit.synthetic import generate_planted
+from recaudit.util import derive_seed
 
 
 @pytest.fixture(scope="session")
@@ -86,6 +92,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(bad)
 
+    @pytest.mark.parametrize("setting", ["age_range_width = 0", "age_range_width = -15",
+                                         "age_count_bins = 1", "usage_bins = 1",
+                                         "country_buckets = 0", "age_brackets = ,"])
+    def test_grouping_ranges_rejected(self, tmp_path, setting):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[grouping]\n{setting}\n")
+        with pytest.raises(ConfigError, match=setting.split()[0]):
+            load_config(bad)
+
     def test_seed_override(self):
         config = apply_overrides(load_config(None), seed=100)
         assert config.model.seed == 100
@@ -109,33 +124,135 @@ class TestConfig:
 
 class TestCrossTab:
     def test_columns_sum_to_100(self):
-        rows = bucket_integer_values("pop", {f"u{i}": i % 5 for i in range(40)},
-                                     merge_at=13)
-        cols = bucket_categorical("g", {f"u{i}": ("a" if i < 25 else "b")
-                                        for i in range(40)})
+        rows = bucket_integer_values("pop", [i % 5 for i in range(40)], merge_at=13)
+        cols = bucket_categorical("g", ["a" if i < 25 else "b" for i in range(40)])
         tab = build_crosstab(rows, cols)
         for col in tab.col_labels:
             assert sum(tab.percentages[col].values()) == 100
 
     def test_uneven_shares_still_sum_100(self, rng):
-        rows = bucket_integer_values(
-            "pop", {f"u{i}": int(v) for i, v in enumerate(rng.integers(0, 7, 97))},
-            merge_at=13)
-        cols = bucket_categorical(
-            "g", {f"u{i}": str(v) for i, v in enumerate(rng.integers(0, 3, 97))})
+        rows = bucket_integer_values("pop", rng.integers(0, 7, 97).tolist(), merge_at=13)
+        cols = bucket_categorical("g", [str(v) for v in rng.integers(0, 3, 97)])
         tab = build_crosstab(rows, cols)
         for col in tab.col_labels:
             assert sum(tab.percentages[col].values()) == 100
 
     def test_empty_column_no_division_error(self):
         # ghost has no pop bucket, so the N/A gender column counts nobody
-        rows = bucket_integer_values("pop", {"u0": 1, "u1": 2, "ghost": None},
-                                     merge_at=13)
-        cols = bucket_categorical("g", {"u0": "a", "u1": "a", "ghost": None})
+        rows = bucket_integer_values("pop", [1, 2, None], merge_at=13)
+        cols = bucket_categorical("g", ["a", "a", None])
         tab = build_crosstab(rows, cols)
         assert tab.col_totals["N/A"] == 0
         assert sum(tab.percentages["N/A"].values()) == 0
         assert sum(tab.percentages["a"].values()) == 100
+
+
+BRACKETS = (0, 2, 4, 6, 8, 10)
+BRACKET_LABELS = ["0-1", "2-3", "4-5", "6-7", "8-9", "10+"]
+
+
+def random_case(rng):
+    """Users with a bracketed value and a category (each sometimes missing),
+    metric rows for a random subset of them over 1-3 folds, rows shuffled."""
+    n = int(rng.integers(1, 40))
+    keys = (rng.permutation(n) + 1).tolist()
+    ids = keys if rng.random() < 0.5 else [f"u{k}" for k in keys]
+    # values stay below 8, so "8-9" and "10+" always end up empty
+    value_pool = rng.choice(8, size=int(rng.integers(1, 5)), replace=False)
+    values = [None if rng.random() < 0.2 else int(rng.choice(value_pool))
+              for _ in range(n)]
+    weights = rng.dirichlet(np.ones(4) * 0.7)
+    cats = [None if rng.random() < 0.15 else "abcd"[int(rng.choice(4, p=weights))]
+            for _ in range(n)]
+    coarse = rng.random() < 0.5  # coarse values tie, which the ranks must handle
+    rows = []
+    for uid in ids:
+        if rng.random() < 0.6:
+            for fold in rng.choice(5, size=int(rng.integers(1, 4)), replace=False):
+                v = rng.integers(0, 4, 3) / 3 if coarse else rng.random(3)
+                rows.append(MetricRow(uid, int(fold), *map(float, v)))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return ids, values, cats, rows
+
+
+class TestGroupNumbersMatchOracle:
+    """Seeded random assignments: every per-group number equals, float for
+    float, the user_id -> label dict computation in tests/oracles.py."""
+
+    def test_random_assignments(self, rng):
+        seen = set()
+        for case in range(150):
+            ids, values, cats, rows = random_case(rng)
+            umap = IdMap(tuple(ids), {uid: i for i, uid in enumerate(ids)})
+            means = MetricFrame(rows=rows).user_means(umap)
+            oracle_means = {m: naive_per_user_mean(rows, m) for m in METRICS}
+            for m in METRICS:
+                np.testing.assert_array_equal(
+                    means[m], [oracle_means[m].get(uid, np.nan) for uid in ids])
+            tested_ids = set(oracle_means["ndcg"])
+            tested_order = np.array(sorted((i for i, uid in enumerate(ids)
+                                            if uid in tested_ids),
+                                           key=lambda i: str(ids[i])), dtype=np.intp)
+
+            bracket_of = {uid: NA_LABEL if v is None else BRACKET_LABELS[v // 2]
+                          for uid, v in zip(ids, values)}
+            cat_of = {uid: NA_LABEL if c is None else c for uid, c in zip(ids, cats)}
+            cat_counts = {c: cats.count(c) for c in set(cats) - {None}}
+            cat_order = sorted(cat_counts, key=lambda c: (-cat_counts[c], c))
+            brackets = bucket_from_brackets("br", values, BRACKETS)
+            categories = bucket_categorical("cat", cats)
+            for assignment, by_user, ordered in ((brackets, bracket_of, BRACKET_LABELS),
+                                                 (categories, cat_of, cat_order)):
+                labels = naive_labels(by_user, ordered)
+                assert assignment.labels == labels
+                assert [labels[c] for c in assignment.codes] == list(by_user.values())
+
+                result = report_mod.scheme_result(assignment, means)
+                numbers = naive_group_numbers(by_user, labels, oracle_means)
+                assert result.counts == {lab: e["size"] for lab, e in numbers.items()}
+                assert result.tested == {lab: e["tested"] for lab, e in numbers.items()}
+                for m in METRICS:
+                    assert result.means[m] == {lab: e["mean"][m]
+                                               for lab, e in numbers.items()
+                                               if m in e["mean"]}
+                    assert result.ses[m] == {lab: e["se"][m] for lab, e in numbers.items()
+                                             if m in e["se"]}
+                    groups = naive_kw_groups(by_user, labels, oracle_means[m])
+                    testable = len(groups) >= 2 and sum(map(len, groups)) >= 3
+                    assert result.kw[m] == (kruskal_wallis(groups) if testable else None)
+
+                expected = naive_balanced_sample(
+                    by_user, labels, tested_ids,
+                    lambda label: np.random.default_rng(
+                        derive_seed(case, "balanced", assignment.name, label)))
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        balanced_sample(assignment, case, tested_order)
+                else:
+                    sample = balanced_sample(assignment, case, tested_order)
+                    assert [ids[i] for i in sample] == expected
+
+                seen.update(kind for kind, hit in (
+                    ("n/a", NA_LABEL in labels),
+                    ("dropped", len(labels) < len(set(ordered) | {NA_LABEL})),
+                    ("untested group", any(e["size"] and not e["tested"]
+                                           for e in numbers.values())),
+                    ("one-member group", any(e["tested"] == 1 for e in numbers.values())),
+                    ("untested user", len(tested_ids) < len(ids))) if hit)
+
+            tab = build_crosstab(brackets, categories)
+            row_labels = [lab for lab in brackets.labels if lab != NA_LABEL]
+            assert tab.row_labels == row_labels
+            assert tab.col_labels == categories.labels
+            counts = naive_crosstab_counts(bracket_of, brackets.labels, cat_of,
+                                           categories.labels)
+            for col, (total, per_row) in counts.items():
+                assert tab.col_totals[col] == total
+                pct = (_largest_remainder([100.0 * per_row[r] / total for r in row_labels])
+                       if total else [0] * len(row_labels))
+                assert tab.percentages[col] == dict(zip(row_labels, pct))
+        assert seen == {"n/a", "dropped", "untested group", "one-member group",
+                        "untested user"}
 
 
 class TestAuditEndToEnd:
@@ -168,13 +285,16 @@ class TestAuditEndToEnd:
         _, config, audit, _ = small_audit
         out = Path(config.output.dir)
         frame = MetricFrame.from_csv(out / "metrics_per_user.csv")
-        means = frame.per_user_mean("ndcg")
+        means = naive_per_user_mean(frame.rows, "ndcg")
         gender = audit.schemes["gender"]
         with open(out / "group_summary.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh)
                     if r["scheme"] == "gender" and r["group"] == "m"]
         assert len(rows) == 1
-        members = [uid for uid in gender.assignment.members("m") if uid in means]
+        ids = report_mod.load(config).umap.ids
+        m = gender.assignment.labels.index("m")
+        members = [ids[i] for i in np.flatnonzero(gender.assignment.codes == m)
+                   if ids[i] in means]
         expected = sum(means[u] for u in members) / len(members)
         assert float(rows[0]["mean_ndcg"]) == pytest.approx(expected, abs=1e-12)
         assert int(rows[0]["n_tested"]) == len(members)

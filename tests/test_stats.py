@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import ks_distance_from_uniform, naive_kruskal_h, naive_rank_mid
 from recaudit.evaluation import MetricFrame, MetricRow
 from recaudit.grouping import bucket_categorical
+from recaudit.interactions import IdMap
 from recaudit.stats import bonferroni, chi2_sf, kruskal_wallis, rank_mid
 from recaudit.stats import test_grouping as kw_test_grouping  # avoid pytest collection
 
@@ -135,9 +136,15 @@ class TestBonferroni:
         assert all(a <= 1.0 for a in adjusted)
 
 
-def frame_of(means):
+def ndcg_means(rows, user_ids):
+    """The per-user NDCG means of ``rows`` in the order of ``user_ids``."""
+    umap = IdMap(tuple(user_ids), {uid: i for i, uid in enumerate(user_ids)})
+    return MetricFrame(rows=rows).user_means(umap)["ndcg"]
+
+
+def means_of(means, user_ids):
     rows = [MetricRow(uid, 0, value, value, value) for uid, value in means.items()]
-    return MetricFrame(rows=rows)
+    return ndcg_means(rows, user_ids)
 
 
 class TestTestGrouping:
@@ -149,24 +156,24 @@ class TestTestGrouping:
             labels[f"a{i}"] = "a"
             means[f"b{i}"] = float(rng.normal(0.4, 0.05))
             labels[f"b{i}"] = "b"
-        assignment = bucket_categorical("g", labels)
-        result = kw_test_grouping(frame_of(means), assignment, "ndcg")
+        assignment = bucket_categorical("g", list(labels.values()))
+        result = kw_test_grouping(means_of(means, labels), assignment)
         assert result is not None
         assert result.p_value < 0.01
 
     def test_na_users_omitted(self, rng):
         means = {f"u{i}": float(rng.random()) for i in range(20)}
         labels = {f"u{i}": ("x" if i % 2 else None) for i in range(20)}
-        assignment = bucket_categorical("g", labels)
+        assignment = bucket_categorical("g", list(labels.values()))
         # only one usable group once N/A users are dropped
-        assert kw_test_grouping(frame_of(means), assignment, "ndcg") is None
+        assert kw_test_grouping(means_of(means, labels), assignment) is None
 
     def test_group_without_tested_users_not_testable(self, rng):
         means = {f"a{i}": float(rng.random()) for i in range(10)}
         labels = {f"a{i}": "a" for i in range(10)}
         labels.update({f"b{i}": "b" for i in range(5)})  # b users never evaluated
-        assignment = bucket_categorical("g", labels)
-        assert kw_test_grouping(frame_of(means), assignment, "ndcg") is None
+        assignment = bucket_categorical("g", list(labels.values()))
+        assert kw_test_grouping(means_of(means, labels), assignment) is None
 
     def test_pools_means_across_folds(self, rng):
         rows = []
@@ -176,7 +183,7 @@ class TestTestGrouping:
             rows.append(MetricRow(f"b{i}", 0, 0.3, 0.3, 0.3))
         labels = {f"a{i}": "a" for i in range(30)}
         labels.update({f"b{i}": "b" for i in range(30)})
-        assignment = bucket_categorical("g", labels)
-        result = kw_test_grouping(MetricFrame(rows=rows), assignment, "ndcg")
+        assignment = bucket_categorical("g", list(labels.values()))
+        result = kw_test_grouping(ndcg_means(rows, labels), assignment)
         assert result is not None
         assert result.group_sizes == (30, 30)
