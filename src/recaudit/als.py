@@ -170,23 +170,6 @@ def _top_n_full(scores: np.ndarray, n: int) -> np.ndarray:
     return order[:n]
 
 
-def _top_n_partition(scores: np.ndarray, n: int) -> np.ndarray:
-    """argpartition-based top-n with the same exact tie rule as a full sort."""
-    if n >= scores.shape[0]:
-        return _top_n_full(scores, n)
-    part = np.argpartition(-scores, n - 1)[:n]
-    boundary = scores[part].min()
-    strict = np.flatnonzero(scores > boundary)
-    # fill the remaining slots with boundary-tied items, lowest index first
-    tied = np.flatnonzero(scores == boundary)[: n - strict.shape[0]]
-    candidates = np.concatenate([strict, tied])
-    order = np.lexsort((candidates, -scores[candidates]))
-    return candidates[order]
-
-
-_PARTITION_THRESHOLD = 4096
-
-
 def recommend(model: AlsModel, user: int, n: int,
               exclude: np.ndarray | set | None = None) -> list[tuple[int, float]]:
     """Ranked top-n (item, score) list for one user.
@@ -206,11 +189,7 @@ def recommend(model: AlsModel, user: int, n: int,
     n = min(n, available)
     if n <= 0:
         return []
-    if scores.shape[0] > _PARTITION_THRESHOLD and n < scores.shape[0]:
-        top = _top_n_partition(scores, n)
-    else:
-        top = _top_n_full(scores, n)
-    return [(int(i), float(scores[i])) for i in top]
+    return [(int(i), float(scores[i])) for i in _top_n_full(scores, n)]
 
 
 def save_model(model: AlsModel, path: str | Path) -> None:

@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import DataError
-from .interactions import GENDER_FEMALE, GENDER_MALE, GENDER_NA, UserAttributes
+from .interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, Triples,
+                           UserAttributes)
 
 log = logging.getLogger(__name__)
 
@@ -32,16 +35,13 @@ LFM_COLD_START_MAX_ITEMS = 40
 
 @dataclass
 class RawDataset:
-    """Parsed triples plus user attributes, before matrix construction."""
+    """Parsed rows plus user attributes, before matrix construction."""
 
-    triples: list[tuple]
+    triples: Triples
     attributes: list[UserAttributes]
     provenance: str
     skipped_interactions: int = 0
     skipped_users: int = 0
-
-    def attribute_index(self) -> dict:
-        return {a.user_id: a for a in self.attributes}
 
 
 @dataclass
@@ -65,21 +65,16 @@ class GdpTable:
 
 
 def _iter_lines(stream: Iterable[str], what: str):
-    """Enumerate lines, converting decode failures into a DataError."""
-    it = iter(stream)
+    """Enumerate lines without line endings; a decode failure raises DataError."""
     lineno = 0
-    while True:
-        lineno += 1
-        try:
-            line = next(it)
-        except StopIteration:
-            return
-        except (UnicodeDecodeError, OSError) as exc:
-            raise DataError(f"{what}: unreadable input at line {lineno}: {exc}") from exc
-        yield lineno, line
+    try:
+        for lineno, line in enumerate(stream, 1):
+            yield lineno, line.rstrip("\n").rstrip("\r")
+    except (UnicodeDecodeError, OSError) as exc:
+        raise DataError(f"{what}: unreadable input at line {lineno + 1}: {exc}") from exc
 
 
-def parse_lfm_interactions(stream: Iterable[str]) -> tuple[list[tuple], int]:
+def parse_lfm_interactions(stream: Iterable[str]) -> tuple[Triples, int]:
     """Parse LFM360K play records: user-sha1 \\t artist-mbid \\t artist-name \\t plays.
 
     Rows with a wrong field count, an empty user, no artist identity, or a
@@ -88,31 +83,22 @@ def parse_lfm_interactions(stream: Iterable[str]) -> tuple[list[tuple], int]:
 
     Returns (triples, skipped_row_count).
     """
-    triples: list[tuple] = []
     skipped = 0
-    for _, line in _iter_lines(stream, "lfm interactions"):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            skipped += 1
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            skipped += 1
-            continue
-        user, mbid, name, plays_text = fields
-        artist = mbid if mbid else name
-        if not user or not artist:
-            skipped += 1
-            continue
-        try:
-            plays = int(plays_text)
-        except ValueError:
-            skipped += 1
-            continue
-        if plays <= 0:
-            skipped += 1
-            continue
-        triples.append((user, artist, plays))
+
+    def valid_rows():
+        nonlocal skipped
+        for _, line in _iter_lines(stream, "lfm interactions"):
+            try:
+                user, mbid, name, plays_text = line.split("\t")
+                plays = int(plays_text)
+            except ValueError:  # wrong field count or non-integer plays
+                plays = 0
+            if plays > 0 and user and (mbid or name):
+                yield user, mbid or name, plays
+            else:
+                skipped += 1
+
+    triples = Triples.from_rows(valid_rows())
     return triples, skipped
 
 
@@ -136,7 +122,6 @@ def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
     seen: set = set()
     out: list[UserAttributes] = []
     for lineno, line in _iter_lines(stream, "lfm profiles"):
-        line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         fields = line.split("\t")
@@ -173,35 +158,36 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
     are skipped with a warning.  The users file's occupation and zip fields
     are parsed but not carried into the attribute table.
     """
-    triples: list[tuple] = []
     skipped = 0
-    for lineno, line in _iter_lines(ratings_stream, "ml1m ratings"):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        fields = line.split("::")
-        if len(fields) != 4:
-            skipped += 1
-            log.warning("ml1m ratings line %d: expected 4 fields, got %d", lineno, len(fields))
-            continue
-        try:
-            user = int(fields[0])
-            movie = int(fields[1])
-            rating = int(fields[2])
-        except ValueError:
-            skipped += 1
-            log.warning("ml1m ratings line %d: non-integer field", lineno)
-            continue
-        if not 1 <= rating <= 5:
-            skipped += 1
-            log.warning("ml1m ratings line %d: rating %d outside 1-5", lineno, rating)
-            continue
-        triples.append((user, movie, rating))
+
+    def valid_rows():
+        nonlocal skipped
+        for lineno, line in _iter_lines(ratings_stream, "ml1m ratings"):
+            if not line:
+                continue
+            fields = line.split("::")
+            if len(fields) != 4:
+                skipped += 1
+                log.warning("ml1m ratings line %d: expected 4 fields, got %d",
+                            lineno, len(fields))
+                continue
+            try:
+                user, movie, rating = int(fields[0]), int(fields[1]), int(fields[2])
+            except ValueError:
+                skipped += 1
+                log.warning("ml1m ratings line %d: non-integer field", lineno)
+                continue
+            if not 1 <= rating <= 5:
+                skipped += 1
+                log.warning("ml1m ratings line %d: rating %d outside 1-5", lineno, rating)
+                continue
+            yield user, movie, rating
+
+    triples = Triples.from_rows(valid_rows())
 
     attributes: list[UserAttributes] = []
     seen: set = set()
     for lineno, line in _iter_lines(users_stream, "ml1m users"):
-        line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         fields = line.split("::")
@@ -210,8 +196,7 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
             continue
         user_text, gender, age_text, _occupation, _zip = fields
         try:
-            user = int(user_text)
-            age = int(age_text)
+            user, age = int(user_text), int(age_text)
         except ValueError:
             log.warning("ml1m users line %d: non-integer id or age", lineno)
             continue
@@ -236,7 +221,6 @@ def load_gdp_table(stream: Iterable[str]) -> GdpTable:
     """
     table = GdpTable()
     for lineno, line in _iter_lines(stream, "gdp table"):
-        line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         country, _, gdp_text = line.partition(",")
@@ -265,22 +249,23 @@ def cold_start_filter(dataset: RawDataset, max_items: Optional[int] = None) -> R
             max_items = LFM_COLD_START_MAX_ITEMS
         else:
             return dataset
-
-    distinct: dict = {}
-    for user, item, _ in dataset.triples:
-        s = distinct.get(user)
-        if s is None:
-            s = distinct[user] = set()
-        s.add(item)
-    removed = {user for user, items in distinct.items() if len(items) <= max_items}
-    if not removed:
+    t = dataset.triples
+    # distinct (user, item) keys by a sort: np.unique's hash was ~15x slower
+    pairs = np.sort(t.users.astype(np.int64) * len(t.item_ids) + t.items)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    distinct = np.bincount(pairs // len(t.item_ids), minlength=len(t.user_ids))
+    removed = (distinct > 0) & (distinct <= max_items)
+    n_removed = int(np.count_nonzero(removed))
+    if not n_removed:
         return dataset
-    triples = [t for t in dataset.triples if t[0] not in removed]
-    attributes = [a for a in dataset.attributes if a.user_id not in removed]
-    log.info("cold-start filter removed %d of %d users", len(removed), len(distinct))
+    keep = ~removed[t.users]
+    triples = Triples(t.users[keep], t.items[keep], t.strengths[keep], t.user_ids, t.item_ids)
+    removed_ids = {t.user_ids[u] for u in np.flatnonzero(removed).tolist()}
+    attributes = [a for a in dataset.attributes if a.user_id not in removed_ids]
+    log.info("cold-start filter removed %d of %d users", n_removed, np.count_nonzero(distinct))
     return RawDataset(triples, attributes, dataset.provenance,
                       skipped_interactions=dataset.skipped_interactions,
-                      skipped_users=dataset.skipped_users + len(removed))
+                      skipped_users=dataset.skipped_users + n_removed)
 
 
 def _open(path: str | Path, encoding: str, errors: str = "strict"):

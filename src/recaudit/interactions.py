@@ -1,14 +1,17 @@
-"""Sparse interaction matrix, user attribute records, and dataset statistics.
+"""Interaction rows, the sparse interaction matrix, user attribute records,
+and dataset statistics.
 
-The interaction matrix is stored CSR-style (indptr/indices/data) with dense
-contiguous indices assigned in first-seen order, recorded in bidirectional
-id maps.  It is immutable after construction and safe to share across
-parallel readers.
+Parsed rows are ``Triples``, columns of integer codes.  The interaction
+matrix is stored CSR-style (indptr/indices/data) with dense contiguous
+indices assigned in first-seen order, recorded in bidirectional id maps.
+It is immutable after construction and safe to share across parallel
+readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -113,47 +116,80 @@ class InteractionMatrix:
                                  self.indices[keep].copy(), self.data[keep].copy())
 
 
+# rows interned per numpy chunk; bounds the per-row Python ints alive at once
+_CHUNK_ROWS = 1 << 16
+
+
+@dataclass(eq=False)
+class Triples:
+    """Interaction rows as columns: row r is user ``user_ids[users[r]]``,
+    item ``item_ids[items[r]]``, strength ``strengths[r]``.  The id lists
+    hold each id once; a filtered copy keeps them whole."""
+
+    users: np.ndarray  # int32 codes into user_ids
+    items: np.ndarray  # int32 codes into item_ids
+    strengths: np.ndarray  # float64
+    user_ids: list
+    item_ids: list
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[UserId, ItemId, float]]) -> "Triples":
+        """Intern (user_id, item_id, strength) rows, each side's ids coded 0, 1, ...
+        in first-seen order; every row is kept, in order."""
+        user_index: dict = {}
+        item_index: dict = {}
+        chunks: list[tuple] = []
+        rows = iter(rows)
+        while True:
+            users, items, strengths = [], [], []
+            for user_id, item_id, strength in islice(rows, _CHUNK_ROWS):
+                u = user_index.get(user_id)
+                if u is None:
+                    u = user_index[user_id] = len(user_index)
+                i = item_index.get(item_id)
+                if i is None:
+                    i = item_index[item_id] = len(item_index)
+                users.append(u)
+                items.append(i)
+                strengths.append(strength)
+            chunks.append((np.array(users, dtype=np.int32), np.array(items, dtype=np.int32),
+                           np.array(strengths, dtype=np.float64)))
+            if len(users) < _CHUNK_ROWS:
+                break
+        columns = [np.concatenate(column) for column in zip(*chunks)]
+        return cls(*columns, list(user_index), list(item_index))
+
+
+def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, IdMap]:
+    """``codes`` renumbered 0, 1, ... in order of first appearance, and the
+    map of their ids."""
+    seen, first = np.unique(codes, return_index=True)
+    seen = seen[np.argsort(first)]
+    renumber = np.empty(len(ids), dtype=np.int64)
+    renumber[seen] = np.arange(seen.size)
+    seen_ids = tuple(ids[c] for c in seen.tolist())
+    return renumber[codes], IdMap(seen_ids, {id_: k for k, id_ in enumerate(seen_ids)})
+
+
 def from_triples(
-    triples: Iterable[tuple[UserId, ItemId, float]],
+    triples: Triples | Iterable[tuple[UserId, ItemId, float]],
 ) -> tuple[InteractionMatrix, IdMap, IdMap]:
-    """Build an interaction matrix from (user_id, item_id, strength) triples.
+    """Build an interaction matrix from ``Triples`` or (user_id, item_id, strength) rows.
 
-    Tolerant builder: indices are assigned in first-seen order, duplicate
-    (user, item) pairs merge by summing strengths, and non-positive
-    strengths are dropped.
+    Tolerant builder: indices are assigned in first-seen order among the
+    kept rows, duplicate (user, item) pairs merge by summing strengths, and
+    non-positive strengths are dropped.
     """
-    user_index: dict = {}
-    item_index: dict = {}
-    user_ids: list = []
-    item_ids: list = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    for user_id, item_id, strength in triples:
-        strength = float(strength)
-        if strength <= 0.0:
-            continue
-        u = user_index.get(user_id)
-        if u is None:
-            u = user_index[user_id] = len(user_ids)
-            user_ids.append(user_id)
-        i = item_index.get(item_id)
-        if i is None:
-            i = item_index[item_id] = len(item_ids)
-            item_ids.append(item_id)
-        rows.append(u)
-        cols.append(i)
-        vals.append(strength)
-
-    n_users = len(user_ids)
-    n_items = len(item_ids)
-    row_arr = np.asarray(rows, dtype=np.int64)
-    col_arr = np.asarray(cols, dtype=np.int64)
-    val_arr = np.asarray(vals, dtype=np.float64)
-    del rows, cols, vals
-
-    indptr = np.zeros(n_users + 1, dtype=np.int64)
+    if not isinstance(triples, Triples):
+        triples = Triples.from_rows(triples)
+    positive = triples.strengths > 0.0
+    row_arr, umap = _first_seen(triples.users[positive], triples.user_ids)
+    col_arr, imap = _first_seen(triples.items[positive], triples.item_ids)
+    val_arr = triples.strengths[positive]
+    indptr = np.zeros(len(umap) + 1, dtype=np.int64)
     if row_arr.size:
         # sort by (user, item), then merge duplicate cells by summing runs
         order = np.lexsort((col_arr, row_arr))
@@ -170,14 +206,8 @@ def from_triples(
         col_arr = col_arr[starts]
         np.add.at(indptr, row_arr + 1, 1)
         np.cumsum(indptr, out=indptr)
-    else:
-        col_arr = np.empty(0, dtype=np.int64)
-        val_arr = np.empty(0, dtype=np.float64)
 
-    matrix = InteractionMatrix(n_users, n_items, indptr, col_arr, val_arr)
-    umap = IdMap(tuple(user_ids), user_index)
-    imap = IdMap(tuple(item_ids), item_index)
-    return matrix, umap, imap
+    return InteractionMatrix(len(umap), len(imap), indptr, col_arr, val_arr), umap, imap
 
 
 def stats(m: InteractionMatrix) -> DatasetStats:

@@ -111,10 +111,16 @@ def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
     Users absent from the matrix, or with an empty row, keep both fields
     unset.
     """
-    pops = pop_indices(m, item_user_counts(m))
+    pops = pop_indices(m, item_user_counts(m)).tolist()
+    uses = np.diff(m.indptr)
+    if provenance != PROVENANCE_ML1M:
+        # play counts are integers, so every row's sum is exact in any order
+        nonempty = uses > 0
+        uses[nonempty] = np.rint(np.add.reduceat(m.data, m.indptr[:-1][nonempty]))
+    uses = uses.tolist()
     for attr in attributes:
         u = user_index.get(attr.user_id)
         if u is None or pops[u] < 0:
             continue
-        attr.usage = usage(u, m, provenance)
-        attr.pop_index = int(pops[u])
+        attr.usage = uses[u]
+        attr.pop_index = pops[u]

@@ -41,8 +41,8 @@ from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .evaluation import METRICS
 from .ingest import (GdpTable, PROVENANCE_ML1M, RawDataset,
                      cold_start_filter, load_gdp, load_lfm, load_ml1m)
-from .interactions import (GENDER_NA, IdMap, InteractionMatrix, UserAttributes,
-                           from_triples)
+from .interactions import (GENDER_NA, IdMap, InteractionMatrix, Triples,
+                           UserAttributes, from_triples)
 from .interactions import stats as dataset_stats
 from .util import derive_seed, fmt_float
 
@@ -82,8 +82,8 @@ class AuditReport:
 @dataclass
 class Dataset:
     """The cleaned dataset every verb starts from.  ``raw`` keeps the
-    attributes, the provenance and the drop counts; its triples are
-    emptied once ``matrix`` is built."""
+    attributes, the provenance and the drop counts; its ``Triples`` are
+    emptied once ``matrix`` is built, whose rows ``umap`` names."""
 
     raw: RawDataset
     gdp: Optional[GdpTable]
@@ -205,8 +205,8 @@ def load(config: AuditConfig) -> Dataset:
     matrix, umap, _ = from_triples(raw.triples)
     if matrix.nnz == 0:
         raise DataError("no interactions after cleanup")
-    # nothing reads the per-row tuples once the matrix holds them
-    return Dataset(replace(raw, triples=[]), gdp, matrix, umap)
+    # nothing reads the row columns once the matrix holds them
+    return Dataset(replace(raw, triples=Triples.from_rows(())), gdp, matrix, umap)
 
 
 @stage("score")
@@ -421,7 +421,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     """Grouping, significance testing, explainer runs, and cross-tabs from
     a metric frame, whether just scored or read back from a per-user
     metrics CSV."""
-    by_id = data.raw.attribute_index()
+    by_id = {a.user_id: a for a in data.raw.attributes}
     attributes = [by_id.get(uid) or UserAttributes(user_id=uid, gender=GENDER_NA)
                   for uid in data.umap.ids]
     popindex.fill_attributes(attributes, data.matrix, data.umap.index,

@@ -29,6 +29,13 @@ def random_matrix(rng, n_users, n_items, density=0.2, max_strength=9):
     return from_triples(triples)
 
 
+def triple_rows(triples):
+    """``Triples`` as a list of (user_id, item_id, strength) tuples."""
+    return [(triples.user_ids[u], triples.item_ids[i], s) for u, i, s in
+            zip(triples.users.tolist(), triples.items.tolist(),
+                triples.strengths.tolist())]
+
+
 @pytest.fixture
 def small_random_matrix(rng):
     return random_matrix(rng, 50, 80)

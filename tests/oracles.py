@@ -290,3 +290,90 @@ def naive_balanced_sample(by_user, labels, eligible, rng_for):
         picks = rng_for(label).choice(len(members), size=m, replace=False)
         sampled.extend(members[i] for i in sorted(picks))
     return sampled
+
+
+def naive_parse_lfm_rows(lines):
+    """LFM play lines as a list of (user, artist, plays) tuples and the
+    skipped-line count."""
+    rows = []
+    skipped = 0
+    for line in lines:
+        fields = line.rstrip("\n").rstrip("\r").split("\t")
+        if len(fields) != 4:
+            skipped += 1
+            continue
+        user, mbid, name, plays_text = fields
+        artist = mbid if mbid else name
+        try:
+            plays = int(plays_text)
+        except ValueError:
+            plays = 0
+        if not user or not artist or plays <= 0:
+            skipped += 1
+            continue
+        rows.append((user, artist, plays))
+    return rows, skipped
+
+
+def naive_parse_ml1m_rows(lines):
+    """ML1M rating lines as (user, movie, rating) integer tuples and the
+    skipped-line count; blank lines are not counted."""
+    rows = []
+    skipped = 0
+    for line in lines:
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        fields = line.split("::")
+        if len(fields) != 4:
+            skipped += 1
+            continue
+        try:
+            user, movie, rating = int(fields[0]), int(fields[1]), int(fields[2])
+        except ValueError:
+            skipped += 1
+            continue
+        if not 1 <= rating <= 5:
+            skipped += 1
+            continue
+        rows.append((user, movie, rating))
+    return rows, skipped
+
+
+def naive_cold_start(rows, attribute_ids, max_items):
+    """Drop every user with max_items or fewer distinct items (counted over
+    all its rows) from the rows and the attribute ids; also returns the
+    number of users dropped."""
+    distinct = {}
+    for user, item, _ in rows:
+        distinct.setdefault(user, set()).add(item)
+    removed = {user for user, items in distinct.items() if len(items) <= max_items}
+    return ([row for row in rows if row[0] not in removed],
+            [uid for uid in attribute_ids if uid not in removed], len(removed))
+
+
+def naive_csr(rows):
+    """CSR arrays and id maps of (user, item, strength) rows: rows with a
+    strength <= 0 are dropped, ids numbered in first-seen order among the
+    rest, duplicate cells summed in row order.  Returns (indptr, indices,
+    data, user_ids, user_index, item_ids, item_index)."""
+    user_index, item_index = {}, {}
+    cells = {}
+    for user, item, strength in rows:
+        strength = float(strength)
+        if strength <= 0.0:
+            continue
+        u = user_index.setdefault(user, len(user_index))
+        i = item_index.setdefault(item, len(item_index))
+        cells[(u, i)] = cells.get((u, i), 0.0) + strength
+    indptr = [0] * (len(user_index) + 1)
+    indices, data = [], []
+    for (u, i) in sorted(cells):
+        indptr[u + 1] += 1
+        indices.append(i)
+        data.append(cells[(u, i)])
+    for u in range(len(user_index)):
+        indptr[u + 1] += indptr[u]
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64), tuple(user_index), user_index,
+            tuple(item_index), item_index)

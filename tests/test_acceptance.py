@@ -355,18 +355,20 @@ def test_criterion_9_directional_real_data():
     raw = load_lfm(Path(LFM_DIR) / "usersha1-artmbid-artname-plays.tsv",
                    Path(LFM_DIR) / "usersha1-profile.tsv")
     raw = cold_start_filter(raw)
+    t = raw.triples
     rng = np.random.default_rng(derive_seed("acceptance", 9))
-    keep = set(rng.choice(sorted({t[0] for t in raw.triples}), size=30000,
-                          replace=False).tolist())
-    raw.triples = [t for t in raw.triples if t[0] in keep]
+    present = {t.user_ids[u] for u in np.unique(t.users).tolist()}
+    keep = set(rng.choice(sorted(present), size=30000, replace=False).tolist())
+    rows = np.array([uid in keep for uid in t.user_ids])[t.users]
     raw.attributes = [a for a in raw.attributes if a.user_id in keep]
 
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         tsv = Path(tmp) / "interactions.tsv"
         with open(tsv, "w", encoding="utf-8") as fh:
-            for u, a, p in raw.triples:
-                fh.write(f"{u}\t{a}\tx\t{int(p)}\n")
+            for u, a, p in zip(t.users[rows].tolist(), t.items[rows].tolist(),
+                               t.strengths[rows].tolist()):
+                fh.write(f"{t.user_ids[u]}\t{t.item_ids[a]}\tx\t{int(p)}\n")
         prof = Path(tmp) / "profiles.tsv"
         with open(prof, "w", encoding="utf-8") as fh:
             for at in raw.attributes:

@@ -220,13 +220,6 @@ class TestRecommend:
         out = als.recommend(model, 0, 100, exclude={1, 2})
         assert len(out) == 28
 
-    def test_partition_path_matches_full(self, rng):
-        scores = rng.normal(size=5000)
-        scores[rng.choice(5000, 80, replace=False)] = scores[0]  # plant ties
-        for n in (1, 5, 50, 333):
-            assert list(als._top_n_partition(scores, n)) == \
-                list(als._top_n_full(scores, n))
-
     def test_permuting_user_rows_permutes_recommendations(self, rng):
         model = self.make_model(rng, n_users=6)
         perm = rng.permutation(6)

@@ -114,6 +114,19 @@ def test_data_error_exit_code(tmp_path):
     assert main(["audit", "--config", str(ini)]) == 3
 
 
+def test_cold_start_removing_every_user_exits_3(dataset_dir, tmp_path, capsys):
+    ini = tmp_path / "cold.ini"
+    ini.write_text(f"[dataset]\nprovenance = synthetic\n"
+                   f"interactions = {dataset_dir / 'interactions.tsv'}\n"
+                   f"profiles = {dataset_dir / 'profiles.tsv'}\n"
+                   f"cold_start_min_items = 1000\n"
+                   f"[output]\ndir = {tmp_path}/out\n")
+    assert main(["audit", "--config", str(ini)]) == 3
+    err = capsys.readouterr().err
+    assert "stage ingest" in err and "no interactions after cleanup" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_flag_does_not_change_outputs(config_file, tmp_path):
     out = tmp_path / "out_dir"
 

@@ -167,3 +167,19 @@ class TestFillAttributes:
         assert attrs[0].usage is None and attrs[0].pop_index is None
         assert attrs[1].usage == 2
         assert attrs[1].pop_index == pop_index(1, trimmed, item_user_counts(trimmed))
+
+    @pytest.mark.parametrize("provenance", [PROVENANCE_LFM360K, PROVENANCE_ML1M])
+    def test_matches_scalar_usage_and_pop_index(self, rng, provenance):
+        for trial in range(8):
+            m, umap, _ = random_matrix(rng, 30, 20, density=0.3, max_strength=500)
+            emptied = rng.choice(m.n_users, size=trial, replace=False)
+            m = m.drop_entries(np.isin(m.user_index_of_entries(), emptied))
+            attrs = [UserAttributes(uid) for uid in umap.ids]
+            fill_attributes(attrs, m, umap.index, provenance)
+            pop = item_user_counts(m)
+            for u, attr in enumerate(attrs):
+                if u in emptied:
+                    assert attr.usage is None and attr.pop_index is None
+                else:
+                    assert attr.usage == usage(u, m, provenance)
+                    assert attr.pop_index == pop_index(u, m, pop)

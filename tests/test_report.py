@@ -454,7 +454,7 @@ class TestFoldWorkers:
 
     def test_load_drops_the_triples(self, fold_data):
         data = report_mod.load(fold_config(fold_data, "partition", 3))
-        assert data.raw.triples == []
+        assert len(data.raw.triples) == 0
         assert data.matrix.nnz > 0 and data.raw.attributes
 
 
