@@ -10,6 +10,7 @@ readers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Hashable, Iterable, Iterator, Optional
@@ -110,13 +111,12 @@ class InteractionMatrix:
         keep = ~mask
         rows = self.user_index_of_entries()[keep]
         new_indptr = np.zeros(self.n_users + 1, dtype=np.int64)
-        np.add.at(new_indptr, rows + 1, 1)
-        np.cumsum(new_indptr, out=new_indptr)
+        np.cumsum(np.bincount(rows, minlength=self.n_users), out=new_indptr[1:])
         return InteractionMatrix(self.n_users, self.n_items, new_indptr,
                                  self.indices[keep].copy(), self.data[keep].copy())
 
 
-# rows interned per numpy chunk; bounds the per-row Python ints alive at once
+# rows interned per chunk; bounds the per-row Python objects alive at once
 _CHUNK_ROWS = 1 << 16
 
 
@@ -141,7 +141,9 @@ class Triples:
         in first-seen order; every row is kept, in order."""
         user_index: dict = {}
         item_index: dict = {}
-        chunks: list[tuple] = []
+        # each column grows in place, a chunk at a time: no chunk list is
+        # joined at the end, so parsing never holds a column twice
+        columns = (array("i"), array("i"), array("d"))
         rows = iter(rows)
         while True:
             users, items, strengths = [], [], []
@@ -155,12 +157,14 @@ class Triples:
                 users.append(u)
                 items.append(i)
                 strengths.append(strength)
-            chunks.append((np.array(users, dtype=np.int32), np.array(items, dtype=np.int32),
-                           np.array(strengths, dtype=np.float64)))
+            for column, chunk in zip(columns, (users, items, strengths)):
+                column.fromlist(chunk)
             if len(users) < _CHUNK_ROWS:
                 break
-        columns = [np.concatenate(column) for column in zip(*chunks)]
-        return cls(*columns, list(user_index), list(item_index))
+        return cls(np.frombuffer(columns[0], dtype=np.intc).astype(np.int32, copy=False),
+                   np.frombuffer(columns[1], dtype=np.intc).astype(np.int32, copy=False),
+                   np.frombuffer(columns[2], dtype=np.float64),
+                   list(user_index), list(item_index))
 
 
 def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, IdMap]:
@@ -204,8 +208,7 @@ def from_triples(
         val_arr = np.add.reduceat(val_arr, starts)
         row_arr = row_arr[starts]
         col_arr = col_arr[starts]
-        np.add.at(indptr, row_arr + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(row_arr, minlength=len(umap)), out=indptr[1:])
 
     return InteractionMatrix(len(umap), len(imap), indptr, col_arr, val_arr), umap, imap
 

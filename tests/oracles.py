@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from recaudit.errors import NumericalError
+
 
 def naive_ndcg(ranked, relevant):
     if not relevant:
@@ -377,3 +379,27 @@ def naive_csr(rows):
     return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
             np.array(data, dtype=np.float64), tuple(user_index), user_index,
             tuple(item_index), item_index)
+
+
+def naive_sweep(this, other, indptr, indices, data, reg, alpha):
+    """Row-by-row ALS half-sweep in index order: each row's k x k normal
+    equations formed from its own entries and solved on their own.  Raises
+    ``NumericalError`` like the package's sweep."""
+    k = other.shape[1]
+    gram = other.T @ other + reg * np.eye(k)
+    for row in range(this.shape[0]):
+        start, end = indptr[row], indptr[row + 1]
+        if start == end:
+            this[row, :] = 0.0
+            continue
+        cols = indices[start:end]
+        conf_minus_one = alpha * data[start:end]
+        m = other[cols, :]
+        a = gram + m.T @ (conf_minus_one[:, None] * m)
+        b = m.T @ (1.0 + conf_minus_one)
+        try:
+            this[row, :] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular normal equations at row {row}") from exc
+    if not np.isfinite(this).all():
+        raise NumericalError("non-finite factors after half-sweep")

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recaudit.interactions import from_triples, stats
+from recaudit import interactions
+from recaudit.interactions import Triples, from_triples, stats
 
 
 def test_empty_input():
@@ -105,3 +107,20 @@ def test_drop_entries_keeps_shape(small_random_matrix):
     assert dropped.nnz == m.nnz - int(mask.sum())
     kept = {e for e, flag in zip(m.iter_entries(), mask) if not flag}
     assert set(dropped.iter_entries()) == kept
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 6, 7, 8, 14, 15, 50])
+def test_from_rows_columns_across_chunks(monkeypatch, n_rows):
+    monkeypatch.setattr(interactions, "_CHUNK_ROWS", 7)
+    rng = np.random.default_rng(n_rows)
+    users = rng.integers(0, 5, size=n_rows)
+    items = rng.integers(0, 9, size=n_rows)
+    strengths = rng.random(n_rows) * 4 - 1
+    t = Triples.from_rows((f"u{u}", i * 10, s) for u, i, s in
+                          zip(users.tolist(), items.tolist(), strengths.tolist()))
+    assert len(t) == n_rows
+    assert (t.users.dtype, t.items.dtype, t.strengths.dtype) == (np.int32, np.int32, np.float64)
+    assert [t.user_ids[c] for c in t.users.tolist()] == [f"u{u}" for u in users.tolist()]
+    assert [t.item_ids[c] for c in t.items.tolist()] == [i * 10 for i in items.tolist()]
+    assert np.array_equal(t.strengths, strengths)
+    assert t.user_ids == list(dict.fromkeys(f"u{u}" for u in users.tolist()))
