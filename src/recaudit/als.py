@@ -13,6 +13,9 @@ costs O(nnz * k^2) instead of touching every user-item pair.  Rows of equal
 degree are solved together, a block at a time, by stacked matmuls and one
 stacked ``np.linalg.solve``; every slice is the BLAS/LAPACK call the row
 would get on its own, so the factors do not depend on how rows are grouped.
+A sweep can also be restricted to some rows: ``fit(..., users=...)``
+solves only those users in its last user half-sweep, because scoring a
+fold reads no other user's factors, and sets the rest to NaN.
 There is no worker count here: a thread pool over row solves measured
 slower than one thread.  Parallelism is one level up, where ``--threads``
 is the number of processes the folds run in, one fit each.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -79,20 +83,29 @@ def _transpose_csr(m: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _sweep(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
-           indices: np.ndarray, data: np.ndarray, reg: float, alpha: float) -> None:
-    """Solve the normal equations for every row of ``this`` in place.
+           indices: np.ndarray, data: np.ndarray, reg: float, alpha: float,
+           rows: np.ndarray | Sequence[int] | None = None) -> None:
+    """Solve the normal equations for every row of ``this`` in place, or
+    only for ``rows`` (duplicates allowed) when given; other rows are left
+    as they are.
 
     Rows without entries become zero.  The others are taken in (degree,
     index) order and solved in blocks of rows of one degree d: one gather,
     two stacked matmuls and one stacked solve per block, with no padding,
     so each row goes through the same gemm, gemv and gesv calls as it would
-    alone and the factors are bit-identical to a row-by-row solve.  A
-    singular system names the first singular row in that order.
+    alone and the factors are bit-identical to a row-by-row solve, whichever
+    rows are solved.  A singular system names the first singular row in
+    that order, by its index in ``this``.  Only the solved rows are checked
+    for finiteness.
     """
     k = other.shape[1]
     gram = other.T @ other + reg * np.eye(k)
     degrees = np.diff(indptr)
-    order = np.argsort(degrees, kind="stable")
+    if rows is None:
+        order = np.argsort(degrees, kind="stable")
+    else:
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        order = rows[np.argsort(degrees[rows], kind="stable")]
     sorted_degrees = degrees[order]
     bounds = np.append(np.flatnonzero(np.diff(sorted_degrees, prepend=-1)), order.size)
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -102,25 +115,25 @@ def _sweep(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
             continue
         step = max(1, _BLOCK_ELEMENTS // (k * max(d, k)))
         for first in range(lo, hi, step):
-            rows = order[first:min(first + step, hi)]
-            pos = indptr[rows][:, None] + np.arange(d)
+            block = order[first:min(first + step, hi)]
+            pos = indptr[block][:, None] + np.arange(d)
             m = other[indices[pos]]
             cm1 = alpha * data[pos]
             mt = m.transpose(0, 2, 1)
             a = gram + mt @ (cm1[:, :, None] * m)
             b = mt @ (1.0 + cm1)[:, :, None]
             try:
-                this[rows] = np.linalg.solve(a, b)[:, :, 0]
+                this[block] = np.linalg.solve(a, b)[:, :, 0]
             except np.linalg.LinAlgError:
                 # only on failure: find which system of the block is singular
-                for j in range(rows.size):
+                for j in range(block.size):
                     try:
                         np.linalg.solve(a[j], b[j])
                     except np.linalg.LinAlgError as exc:
                         raise NumericalError(
-                            f"singular normal equations at row {rows[j]}") from exc
+                            f"singular normal equations at row {block[j]}") from exc
                 raise
-    if not np.isfinite(this).all():
+    if not np.isfinite(this if rows is None else this[rows]).all():
         raise NumericalError("non-finite factors after half-sweep")
 
 
@@ -144,9 +157,15 @@ def half_sweep(side: str, model: AlsModel, interactions: InteractionMatrix) -> A
     return model
 
 
-def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams) -> AlsModel:
+def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams,
+        users: np.ndarray | Sequence[int] | None = None) -> AlsModel:
     """Train by alternating item-then-user half-sweeps for the configured
     number of iterations.  Deterministic given the seed.
+
+    With ``users`` (indices, in any order, duplicates allowed) the last
+    user half-sweep solves only those rows, and every other user row is
+    set to NaN so that it cannot be read by mistake.  The item factors and
+    the rows of ``users`` are bit-identical to those of a full fit.
     """
     hyperparams.validate()
     if interactions.nnz == 0:
@@ -159,14 +178,19 @@ def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams) -> AlsMode
     item_view = _transpose_csr(interactions)
     hp = hyperparams
     for iteration in range(hp.iterations):
+        last = iteration == hp.iterations - 1
         try:
             _sweep(model.item_factors, model.user_factors, *item_view,
                    hp.regularization, hp.alpha)
             _sweep(model.user_factors, model.item_factors, interactions.indptr,
                    interactions.indices, interactions.data,
-                   hp.regularization, hp.alpha)
+                   hp.regularization, hp.alpha, rows=users if last else None)
         except NumericalError as exc:
             raise NumericalError(f"iteration {iteration}: {exc}") from exc
+    if users is not None:
+        unsolved = np.ones(interactions.n_users, dtype=bool)
+        unsolved[np.asarray(users, dtype=np.int64)] = False
+        model.user_factors[unsolved] = np.nan
     return model
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import als
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .interactions import IdMap, InteractionMatrix, UserId
 from .util import derive_seed, fmt_float
 
@@ -324,8 +324,15 @@ def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,
     By default a user's training items are excluded from their
     recommendation list.  Each user's scores and list length are those of
     ``als.recommend``; the held-out items' positions in that list are
-    counted, not sorted (see the module docstring).
+    counted, not sorted (see the module docstring).  A test user whose
+    factor row is not finite raises ``NumericalError``: NaN scores would
+    rank every held-out item first.
     """
+    finite = np.isfinite(model.user_factors[fold.test_users]).all(axis=1)
+    if not finite.all():
+        u = fold.test_users[int(np.argmin(finite))]
+        raise NumericalError(
+            f"fold {fold.index}: non-finite factors for test user {user_ids[u]}")
     rows = []
     for u in fold.test_users:
         held = fold.holdout[u]

@@ -233,7 +233,8 @@ def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
             alpha=config.model.alpha,
             seed=derive_seed(config.model.seed, "fold", fold.index))
         train_matrix = evaluation.fold_training_matrix(data.matrix, fold)
-        model = als.fit(train_matrix, hp)
+        # scoring reads only the test users' factors
+        model = als.fit(train_matrix, hp, users=fold.test_users)
         return evaluation.evaluate_fold(
             model, fold, data.matrix, data.umap.ids, n=ev.depth,
             persistence=ev.rbp_persistence, filter_train=ev.filter_train)

@@ -381,13 +381,15 @@ def naive_csr(rows):
             tuple(item_index), item_index)
 
 
-def naive_sweep(this, other, indptr, indices, data, reg, alpha):
+def naive_sweep(this, other, indptr, indices, data, reg, alpha, rows=None):
     """Row-by-row ALS half-sweep in index order: each row's k x k normal
-    equations formed from its own entries and solved on their own.  Raises
+    equations formed from its own entries and solved on their own.  With
+    ``rows``, only those rows (each once) are solved and checked.  Raises
     ``NumericalError`` like the package's sweep."""
     k = other.shape[1]
     gram = other.T @ other + reg * np.eye(k)
-    for row in range(this.shape[0]):
+    solved = range(this.shape[0]) if rows is None else sorted(set(int(r) for r in rows))
+    for row in solved:
         start, end = indptr[row], indptr[row + 1]
         if start == end:
             this[row, :] = 0.0
@@ -401,5 +403,5 @@ def naive_sweep(this, other, indptr, indices, data, reg, alpha):
             this[row, :] = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular normal equations at row {row}") from exc
-    if not np.isfinite(this).all():
+    if not all(np.isfinite(this[row]).all() for row in solved):
         raise NumericalError("non-finite factors after half-sweep")

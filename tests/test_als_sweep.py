@@ -77,6 +77,62 @@ def test_fit_matches_row_by_row_fit(monkeypatch, k, blocks):
             assert np.array_equal(got.item_factors, expected.item_factors)
 
 
+@pytest.mark.parametrize("k", FACTORS)
+def test_restricted_sweep_matches_row_by_row(k):
+    rng = np.random.default_rng([k, 13])
+    n_other = 2 * k + 8
+    indptr, indices, data = random_rows(rng, k, n_other)
+    other = rng.standard_normal((n_other, k)) * 0.3
+    start = rng.random((indptr.size - 1, k))
+    # unsorted, with duplicates, across every degree
+    rows = rng.choice(start.shape[0], size=start.shape[0] // 2)
+    start[np.setdiff1d(np.arange(start.shape[0]), rows)[0]] = np.nan
+
+    expected = start.copy()
+    naive_sweep(expected, other, indptr, indices, data, 0.01, 40.0, rows=rows)
+    got = start.copy()
+    als._sweep(got, other, indptr, indices, data, 0.01, 40.0, rows=rows)
+    assert np.array_equal(got, expected, equal_nan=True)
+    full = start.copy()
+    als._sweep(full, other, indptr, indices, data, 0.01, 40.0)
+    assert np.array_equal(got[rows], full[rows])
+    unsolved = np.setdiff1d(np.arange(start.shape[0]), rows)
+    assert np.array_equal(got[unsolved], start[unsolved], equal_nan=True)
+
+
+EMPTY_USER = 3
+USER_SETS = {
+    "empty": [],
+    "single": [17],
+    "all": list(range(30)),
+    "unsorted-duplicates": [21, 4, 29, 4, 0, 21, 11],
+    "degree-0": [8, EMPTY_USER],
+}
+
+
+@pytest.mark.parametrize("users", USER_SETS.values(), ids=USER_SETS.keys())
+@pytest.mark.parametrize("k", [1, 16, 50])
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_fit_restricted_to_users_matches_full_fit(monkeypatch, iterations, k, users):
+    rng = np.random.default_rng([k, iterations, 5])
+    m, _, _ = random_matrix(rng, 30, 40, density=0.25)
+    m = m.drop_entries(m.user_index_of_entries() == EMPTY_USER)
+    hp = als.AlsHyperparams(factors=k, iterations=iterations, seed=k)
+    full = als.fit(m, hp)
+    got = als.fit(m, hp, users)
+    assert np.isfinite(full.user_factors).all()
+    assert np.array_equal(got.item_factors, full.item_factors)
+    assert np.array_equal(got.user_factors[users], full.user_factors[users])
+    unsolved = np.setdiff1d(np.arange(m.n_users), users)
+    assert np.isnan(got.user_factors[unsolved]).all()
+    assert not full.user_factors[EMPTY_USER].any()
+    with monkeypatch.context() as patched:
+        patched.setattr(als, "_sweep", naive_sweep)
+        expected = als.fit(m, hp, users)
+    assert np.array_equal(got.user_factors, expected.user_factors, equal_nan=True)
+    assert np.array_equal(got.item_factors, expected.item_factors)
+
+
 def sweep_rows(rows):
     """CSR arrays of rows given as lists of (column, strength) pairs."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -106,3 +162,19 @@ def test_singular_system_names_its_row(rows, singular_row):
     fixed = data.copy()
     fixed[fixed < 0] = 1.0
     als._sweep(np.zeros((len(rows), 3)), other, indptr, indices, fixed, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("sweep", [als._sweep, naive_sweep], ids=["batched", "oracle"])
+def test_restricted_sweep_names_only_solved_singular_rows(sweep):
+    # rows 2 and 4 are singular (confidence 0 on an observed column)
+    rows = [[], [(0, 1.0)], [(1, -1.0)], [(0, 1.0), (2, 1.0)], [(2, -1.0)], [(0, 2.0)]]
+    other = np.eye(3)
+    indptr, indices, data = sweep_rows(rows)
+    with pytest.raises(NumericalError, match="singular normal equations at row 4$"):
+        sweep(np.zeros((6, 3)), other, indptr, indices, data, 0.0, 1.0, rows=[5, 4, 1])
+    this = np.full((6, 3), 7.0)
+    this[2] = np.nan  # never solved, so never checked
+    sweep(this, other, indptr, indices, data, 0.0, 1.0, rows=[3, 0, 5, 1, 3])
+    assert np.isnan(this[2]).all()
+    assert (this[4] == 7.0).all()
+    assert not this[0].any()

@@ -72,6 +72,9 @@ def test_train_writes_model(config_file, tmp_path, capsys):
     from recaudit.als import load_model
     model = load_model(model_path)
     assert model.user_factors.shape == (120, 6)
+    # train fits every user, not a fold's test users
+    assert np.isfinite(model.user_factors).all()
+    assert np.isfinite(model.item_factors).all()
 
 
 def test_evaluate_writes_metrics(config_file, tmp_path, capsys):
@@ -314,12 +317,29 @@ def fail_fold(monkeypatch, config_file, fold, failure):
     seed = derive_seed(load_config(config_file).model.seed, "fold", fold)
     real_fit = als.fit
 
-    def fit(matrix, hp):
+    def fit(matrix, hp, users=None):
         if hp.seed == seed:
             failure()
-        return real_fit(matrix, hp)
+        return real_fit(matrix, hp, users)
 
     monkeypatch.setattr(als, "fit", fit)
+
+
+def test_non_finite_test_user_factor_exits_4(config_file, tmp_path, monkeypatch, capsys):
+    real_fit = als.fit
+
+    def fit(matrix, hp, users=None):
+        model = real_fit(matrix, hp, users)
+        model.user_factors[:] = np.nan
+        return model
+
+    monkeypatch.setattr(als, "fit", fit)
+    out = tmp_path / "nan"
+    code = main(["evaluate", "--config", str(config_file), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "error: stage score: fold 0: non-finite factors for test user" in err
+    assert not out.exists()
 
 
 def assert_no_children():

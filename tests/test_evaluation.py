@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_fold_drop_mask, naive_mrr, naive_ndcg, naive_rbp
 from recaudit import als
-from recaudit.errors import ConfigError, DataError
+from recaudit.errors import ConfigError, DataError, NumericalError
 from recaudit.evaluation import (Fold, MetricFrame, MetricRow, assign_holdouts,
                                  evaluate_fold, fold_training_matrix,
                                  holdout_split, make_folds, mrr, ndcg, rbp)
@@ -252,6 +252,29 @@ class TestFoldPipeline:
             assert 0.0 <= row.mrr <= 1.0
             assert 0.0 <= row.rbp < 1.0
             assert row.fold == fold.index
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evaluate_fold_rejects_non_finite_test_user_factors(self, rng, bad):
+        matrix, umap, plan = self.build(rng)
+        fold = plan.folds[1]
+        train = fold_training_matrix(matrix, fold)
+        model = als.fit(train, als.AlsHyperparams(factors=4, iterations=2, seed=0))
+        u = fold.test_users[len(fold.test_users) // 2]
+        model.user_factors[u, 1] = bad
+        with pytest.raises(NumericalError,
+                           match=f"^fold 1: non-finite factors for test user {umap.ids[u]}$"):
+            evaluate_fold(model, fold, matrix, umap.ids, n=20)
+
+    def test_evaluate_fold_reads_only_test_user_factors(self, rng):
+        matrix, umap, plan = self.build(rng)
+        for fold in plan.folds:
+            train = fold_training_matrix(matrix, fold)
+            hp = als.AlsHyperparams(factors=4, iterations=2, seed=fold.index)
+            full = als.fit(train, hp)
+            restricted = als.fit(train, hp, users=fold.test_users)
+            assert np.isnan(restricted.user_factors).any()
+            assert evaluate_fold(restricted, fold, matrix, umap.ids, n=20) == \
+                evaluate_fold(full, fold, matrix, umap.ids, n=20)
 
     @staticmethod
     def oracle_rows(model, fold, matrix, n, persistence, filter_train):
