@@ -72,8 +72,14 @@ def confidence(strength: float, alpha: float) -> float:
 
 
 def _transpose_csr(m: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Item-major (indptr, user indices, strengths) view of the matrix."""
-    order = np.argsort(m.indices, kind="stable")
+    """Item-major (indptr, user indices, strengths) view of the matrix.
+
+    The stable sort runs on the narrowest integer type that holds every item
+    index: numpy radix-sorts keys of 16 bits or fewer (up to 65,536 items),
+    and a stable order is the same whatever the key's type.
+    """
+    order = np.argsort(m.indices.astype(np.min_scalar_type(m.n_items - 1)),
+                       kind="stable")
     rows = m.user_index_of_entries()[order]
     cols = m.indices[order]
     vals = m.data[order]

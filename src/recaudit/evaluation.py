@@ -14,9 +14,15 @@ position of held-out item h is
     #(items scoring above s_h) + #(items before h scoring exactly s_h) + 1,
 
 so the held-out items' positions come from counting, not sorting, and the
-hits are the positions within the list length.  NDCG, MRR and RBP are then
-accumulated over the hit positions in rank order, by the same helpers
-``ndcg``, ``mrr`` and ``rbp`` use, so both paths give identical floats.
+hits are the positions within the list length n.  The counts need not
+run over every item: one ``np.partition`` puts the n-th largest score t at
+``kth = max(n_items - n, 0)`` and every score above it after it.  A held-out
+item scoring below t has n items above it and is no hit; for any other,
+every item scoring above it lies among those n - 1 top scores.  Only a
+held-out score that some other item shares counts the lower-indexed equal
+scores over the whole vector.  NDCG, MRR and RBP are then accumulated over
+the hit positions in rank order, by the same helpers ``ndcg``, ``mrr`` and
+``rbp`` use, so both paths give identical floats.
 """
 
 from __future__ import annotations
@@ -303,16 +309,31 @@ def _held_out_ranks(scores: np.ndarray, held: np.ndarray, n: int) -> list[int]:
     """Sorted 1-based positions of the held-out items within the top n of
     ``scores`` ranked by descending score, ties by ascending item index.
 
-    The positions are counted, not sorted (see the module docstring).
-    Exact ties are rare, so the count of lower-indexed equal scores is taken
-    only for held-out items whose score some other item shares.
+    The positions are counted, not sorted (see the module docstring), over
+    the n - 1 scores that one partition puts above the n-th largest score t.
+    A held-out score below t is no hit and is not counted.  Equal scores can
+    straddle the partition only at t, so a held-out score equal to t, or
+    shared within the top scores, counts its lower-indexed ties over the
+    whole vector.  NaN sorts last but compares false, so with a NaN score
+    every held-out item is counted over the whole vector.
     """
-    held_scores = scores[held][:, None]
-    ranks = np.count_nonzero(scores > held_scores, axis=1) + 1
-    tied = np.count_nonzero(scores == held_scores, axis=1) > 1
-    for j in np.flatnonzero(tied):
-        ranks[j] += np.count_nonzero(scores[:held[j]] == held_scores[j])
-    return np.sort(ranks[ranks <= n]).tolist()
+    if n < 1:
+        return []
+    kth = max(len(scores) - n, 0)
+    part = np.partition(scores, kth)
+    threshold, top = part[kth], part[kth + 1:]
+    if np.isnan(part[-1]):
+        threshold, top = -np.inf, scores
+    held_scores = scores[held]
+    ranks = []
+    for j in np.flatnonzero(~(held_scores < threshold)).tolist():
+        s = held_scores[j]
+        rank = np.count_nonzero(top > s) + 1
+        if s == threshold or np.count_nonzero(top == s) > 1:
+            rank += np.count_nonzero(scores[:held[j]] == s)
+        if rank <= n:
+            ranks.append(int(rank))
+    return sorted(ranks)
 
 
 def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,

@@ -380,9 +380,12 @@ def load_gdp_table(stream: Iterable[str]) -> GdpTable:
 
     An optional header row is detected by a non-numeric second field on the
     first line; other rows with non-numeric GDP are skipped with a warning.
+    One leading byte order mark is ignored.
     """
     table = GdpTable()
     for lineno, line in _iter_lines(stream, "gdp table"):
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
         if not line:
             continue
         country, _, gdp_text = line.partition(",")

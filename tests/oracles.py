@@ -134,6 +134,18 @@ def full_sort_top_n(scores, n, exclude=frozenset()):
     return out[:n]
 
 
+def naive_held_out_ranks(scores, held, n):
+    """Sorted 1-based positions within the top n (descending score, ties by
+    ascending index) of the held-out items, each counted against every
+    score: #(scores > s_h) + #(scores[:h] == s_h) + 1."""
+    held_scores = scores[held][:, None]
+    ranks = np.count_nonzero(scores > held_scores, axis=1) + 1
+    tied = np.count_nonzero(scores == held_scores, axis=1) > 1
+    for j in np.flatnonzero(tied):
+        ranks[j] += np.count_nonzero(scores[:held[j]] == held_scores[j])
+    return np.sort(ranks[ranks <= n]).tolist()
+
+
 def ks_distance_from_uniform(p_values):
     """Kolmogorov-Smirnov distance between sorted p-values and U(0,1)."""
     sorted_p = np.sort(np.asarray(p_values))

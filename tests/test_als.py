@@ -4,7 +4,7 @@ import pytest
 from oracles import full_sort_top_n, naive_als_loss
 from recaudit import als
 from recaudit.errors import DataError
-from recaudit.interactions import from_triples
+from recaudit.interactions import InteractionMatrix, from_triples
 
 from conftest import random_matrix
 
@@ -90,6 +90,29 @@ class TestHalfSweep:
         model = als.AlsModel(np.zeros((1, 1)), np.zeros((1, 1)), hp)
         with pytest.raises(ValueError):
             als.half_sweep("sideways", model, m)
+
+
+class TestTransposeCsr:
+    @pytest.mark.parametrize("n_items", [1, 256, 257, 65536, 65537])
+    def test_equals_int32_stable_argsort(self, rng, n_items):
+        # the key narrows to 8, 16 or 32 bits with n_items; the highest item
+        # index and many entries per item are always present
+        n_users = 300
+        rows = [np.union1d(rng.choice(n_items, size=min(n_items, 40), replace=False),
+                           [n_items - 1]) for _ in range(n_users)]
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        indices = np.concatenate(rows).astype(np.int32)
+        data = rng.integers(1, 9, size=indices.shape[0]).astype(np.float64)
+        m = InteractionMatrix(n_users, n_items, indptr, indices, data)
+
+        order = np.argsort(indices.astype(np.int32), kind="stable")
+        expected_indptr = np.zeros(n_items + 1, dtype=np.int64)
+        np.cumsum(np.bincount(indices, minlength=n_items), out=expected_indptr[1:])
+        got_indptr, got_rows, got_vals = als._transpose_csr(m)
+        assert np.array_equal(got_indptr, expected_indptr)
+        assert np.array_equal(got_rows, m.user_index_of_entries()[order])
+        assert np.array_equal(got_vals, data[order])
 
 
 class TestLoss:

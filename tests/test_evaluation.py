@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_fold_drop_mask, naive_mrr, naive_ndcg, naive_rbp
+from oracles import (naive_fold_drop_mask, naive_held_out_ranks, naive_mrr,
+                     naive_ndcg, naive_rbp)
 from recaudit import als
 from recaudit.errors import ConfigError, DataError, NumericalError
-from recaudit.evaluation import (Fold, MetricFrame, MetricRow, assign_holdouts,
-                                 evaluate_fold, fold_training_matrix,
-                                 holdout_split, make_folds, mrr, ndcg, rbp)
+from recaudit.evaluation import (Fold, MetricFrame, MetricRow, _held_out_ranks,
+                                 assign_holdouts, evaluate_fold,
+                                 fold_training_matrix, holdout_split,
+                                 make_folds, mrr, ndcg, rbp)
 from recaudit.interactions import IdMap, from_triples
 
 from conftest import random_matrix
@@ -158,6 +160,83 @@ class TestMetrics:
             assert 0.0 <= ndcg(ranked, relevant) <= 1.0
             assert 0.0 <= mrr(ranked, relevant) <= 1.0
             assert 0.0 <= rbp(ranked, relevant) < 1.0
+
+
+@st.composite
+def ranking_cases(draw):
+    """(scores, held, depth) with many exact ties: scores from a small
+    integer grid, some of them -inf (excluded training items), and in one
+    case of ten a NaN."""
+    n_items = draw(st.integers(1, 40))
+    grid = st.sampled_from([float(v) for v in range(-4, 5)] + [-np.inf] * 2)
+    scores = np.array(draw(st.lists(grid, min_size=n_items, max_size=n_items)))
+    if draw(st.integers(0, 9)) == 0:
+        scores[draw(st.integers(0, n_items - 1))] = np.nan
+    held = np.array(sorted(draw(st.sets(st.integers(0, n_items - 1), max_size=n_items))),
+                    dtype=np.int64)
+    depth = draw(st.one_of(st.sampled_from([1, n_items - 1, n_items, n_items + 3]),
+                           st.integers(1, n_items + 5)))
+    return scores, held, max(depth, 1)
+
+
+def nth_largest(scores, depth):
+    return np.sort(scores)[::-1][min(depth, len(scores)) - 1]
+
+
+class TestHeldOutRanks:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ranking_cases())
+    def test_matches_oracle(self, case):
+        scores, held, depth = case
+        assert _held_out_ranks(scores, held, depth) == \
+            naive_held_out_ranks(scores, held, depth)
+
+    # each case names the situation it builds; the check after it asserts
+    # that the situation holds, so an edit to the data cannot quietly drop it
+    CASES = {
+        # the held-out 3s equal the 3rd largest score, and 3s lie on both
+        # sides of the partition
+        "tie at the threshold": (
+            [5.0, 3.0, 3.0, 3.0, 1.0, 3.0, 0.0], [2, 5], 3,
+            lambda sc, h, d: (sc[h] == nth_largest(sc, d)).all()
+            and np.count_nonzero(sc >= nth_largest(sc, d)) > d),
+        # the held-out 7s lie above the threshold and share their score
+        "ties inside the top": (
+            [9.0, 7.0, 7.0, 2.0, 7.0, 1.0, 0.0, 0.0], [2, 4], 5,
+            lambda sc, h, d: (sc[h] > nth_largest(sc, d)).all()
+            and np.count_nonzero(sc == 7.0) == 3),
+        "depth 1": ([2.0, 4.0, 4.0, 1.0], [1, 2], 1, lambda sc, h, d: d == 1),
+        "depth n_items - 1": ([2.0, 4.0, 4.0, 1.0, 2.0], [0, 3, 4], 4,
+                              lambda sc, h, d: d == len(sc) - 1),
+        "depth n_items": ([2.0, 4.0, 4.0, 1.0, 2.0], [0, 3, 4], 5,
+                          lambda sc, h, d: d == len(sc)),
+        "depth beyond n_items": ([2.0, 4.0, 4.0, 1.0, 2.0], [0, 3, 4], 9,
+                                 lambda sc, h, d: d > len(sc)),
+        "every held item below the threshold": (
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 2], 3,
+            lambda sc, h, d: (sc[h] < nth_largest(sc, d)).all()),
+        # excluded training items fill the list up to the depth
+        "-inf training items at the threshold": (
+            [2.0, -np.inf, -np.inf, 1.0, -np.inf, 0.5], [0, 5], 5,
+            lambda sc, h, d: nth_largest(sc, d) == -np.inf),
+        # NaN compares false: the counting rule ranks it first
+        "a NaN score": ([1.0, np.nan, 3.0, 1.0, 2.0], [1, 3], 2,
+                        lambda sc, h, d: np.isnan(sc).any()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_case(self, name):
+        scores, held, depth, holds = self.CASES[name]
+        scores, held = np.array(scores), np.array(held, dtype=np.int64)
+        assert holds(scores, held, depth)
+        ranks = _held_out_ranks(scores, held, depth)
+        assert ranks == naive_held_out_ranks(scores, held, depth)
+        assert all(type(rank) is int for rank in ranks)
+
+    def test_depth_zero_or_nothing_held(self):
+        scores = np.array([1.0, 2.0, 3.0])
+        assert _held_out_ranks(scores, np.array([0, 2]), 0) == []
+        assert _held_out_ranks(scores, np.array([], dtype=np.int64), 2) == []
 
 
 class TestFoldPipeline:
@@ -334,6 +413,26 @@ class TestFoldPipeline:
                                      filter_train=filter_train)
                 assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
                     model, fold, matrix, depth, 0.85, filter_train)
+
+    def test_evaluate_fold_many_items_shallow_depth(self, rng):
+        # far more items than the depth, so the partition leaves most items
+        # below the threshold; integer factors give exact ties at and above it
+        for trial in range(12):
+            matrix, umap, _ = random_matrix(rng, 12, int(rng.integers(200, 400)),
+                                            density=0.05)
+            plan = make_folds(list(range(matrix.n_users)), 2, "partition", seed=trial)
+            assign_holdouts(plan, matrix, umap.ids, fraction=0.3)
+            k = int(rng.integers(1, 4))
+            model = als.AlsModel(np.round(rng.normal(size=(matrix.n_users, k))),
+                                 np.round(rng.normal(size=(matrix.n_items, k))),
+                                 als.AlsHyperparams(factors=k))
+            depth = int(rng.integers(1, 25))
+            for filter_train in (True, False):
+                for fold in plan.folds:
+                    rows = evaluate_fold(model, fold, matrix, umap.ids, n=depth,
+                                         filter_train=filter_train)
+                    assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
+                        model, fold, matrix, depth, 0.85, filter_train)
 
     def test_full_recovery_gives_ndcg_one(self):
         # deterministic model whose top items are exactly the held-out set

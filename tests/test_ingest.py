@@ -10,7 +10,7 @@ from oracles import (naive_cold_start, naive_csr, naive_parse_lfm_rows,
 from recaudit.errors import DataError
 from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              PROVENANCE_ML1M, PROVENANCE_SYNTHETIC, PROVENANCES,
-                             RawDataset, cold_start_filter, load_gdp_table,
+                             RawDataset, cold_start_filter, load_gdp, load_gdp_table,
                              parse_lfm_interactions, parse_lfm_profiles,
                              parse_ml1m)
 from recaudit.interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, Triples,
@@ -175,6 +175,24 @@ class TestGdpTable:
         table = load_gdp_table(lines("Mexico,9926.4\nNowhere,n/a\n"))
         assert len(table) == 1
         assert "non-numeric" in caplog.text
+
+    def test_byte_order_mark_ignored(self):
+        table = load_gdp_table(lines("\ufeffMexico,9926.4\nBrazil,8917.7\n"))
+        assert table.lookup("Mexico") == 9926.4
+        assert table.lookup("Brazil") == 8917.7
+        # only one mark, and only at the start of the first line
+        table = load_gdp_table(lines("\ufeff\ufeffMexico,1\n\ufeffBrazil,2\n"))
+        assert table.lookup("Mexico") is None
+        assert table.lookup("Brazil") is None
+
+    def test_byte_order_mark_ignored_in_file(self, tmp_path):
+        path = tmp_path / "gdp.csv"
+        path.write_bytes(b"\xef\xbb\xbfcountry,gdp_per_capita\r\nMexico,9926.4\r\n")
+        table = load_gdp(path)
+        assert len(table) == 1
+        assert table.lookup("Mexico") == 9926.4
+        path.write_bytes(b"\xef\xbb\xbfMexico,9926.4\n")
+        assert load_gdp(path).lookup("Mexico") == 9926.4
 
 
 def _dataset(provenance, user_item_counts):
