@@ -9,13 +9,18 @@ carries a data-value attribute so emitted charts are machine-checkable.
 from __future__ import annotations
 
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 PANEL_W = 640
 PANEL_H = 150
 MARGIN = 52
 GAP = 44
 LABEL_SPACE = 34
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` as ``xml.sax.saxutils.escape`` does,
+    without importing it (it loads ``urllib.request`` and ``ssl``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bar_panel(out: list[str], top: int, title: str, labels: Sequence[str],

@@ -200,6 +200,8 @@ def load_config(path: Optional[str | Path] = None) -> AuditConfig:
         raise ConfigError("holdout_fraction must lie in (0, 1)")
     if not 0.0 < evaluation.rbp_persistence < 1.0:
         raise ConfigError("rbp_persistence must lie in (0, 1)")
+    if evaluation.depth < 1:
+        raise ConfigError("depth must be >= 1")
     if evaluation.folds < 2:
         raise ConfigError("need at least 2 folds")
 

@@ -48,21 +48,24 @@ def generate_planted(out_dir: str | Path, n_users: int = 2000, n_items: int = 50
     biased_mask = np.zeros(n_users, dtype=bool)
     biased_mask[rng.permutation(n_users)[: n_users // 2]] = True
 
-    ages = rng.integers(18, 61, size=n_users)
+    ages = rng.integers(18, 61, size=n_users).tolist()
+    # formatting numpy scalars row by row cost more than the draws, so the
+    # item columns are formatted once and a user's rows written in one call
+    item_cols = [f"\titem{i:05d}\tItem {i}\t" for i in range(n_items)]
 
     with open(out_dir / "interactions.tsv", "w", encoding="utf-8") as ifh, \
             open(out_dir / "profiles.tsv", "w", encoding="utf-8") as pfh:
-        for idx, uid in enumerate(user_ids):
+        for idx, biased in enumerate(biased_mask.tolist()):
             n_owned = int(rng.integers(min_items, max_items + 1))
-            if biased_mask[idx]:
+            if biased:
                 items = rng.choice(n_items, size=n_owned, replace=False, p=weights)
             else:
                 items = rng.choice(n_items, size=n_owned, replace=False)
-            plays = 1 + rng.poisson(3.0, size=n_owned)
-            for item, play in zip(items, plays):
-                ifh.write(f"{uid}\titem{item:05d}\tItem {item}\t{play}\n")
-            gender = "m" if biased_mask[idx] else "f"
-            pfh.write(f"{uid}\t{gender}\t{ages[idx]}\t\t\n")
+            plays = (1 + rng.poisson(3.0, size=n_owned)).tolist()
+            uid = str(idx + 1)
+            ifh.write("".join([f"{uid}{item_cols[item]}{play}\n"
+                               for item, play in zip(items.tolist(), plays)]))
+            pfh.write(f"{uid}\t{'m' if biased else 'f'}\t{ages[idx]}\t\t\n")
 
     # ids as strings, matching what the LFM-format parser yields
     return PlantedTruth(

@@ -7,10 +7,13 @@ enumerations) and must stay independent of the package code it checks.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from recaudit.errors import NumericalError
+from recaudit.synthetic import PlantedTruth
+from recaudit.util import derive_seed
 
 
 def naive_ndcg(ranked, relevant):
@@ -418,3 +421,44 @@ def naive_sweep(this, other, indptr, indices, data, reg, alpha, rows=None):
             raise NumericalError(f"singular normal equations at row {row}") from exc
     if not all(np.isfinite(this[row]).all() for row in solved):
         raise NumericalError("non-finite factors after half-sweep")
+
+
+def naive_generate_planted(out_dir, n_users=2000, n_items=500, seed=0,
+                           min_items=30, max_items=70, zipf_exponent=1.0):
+    """The planted-bias corpus written one row at a time from numpy scalars,
+    with the same per-user draws in the same order as
+    ``synthetic.generate_planted``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(derive_seed(seed, "planted"))
+
+    max_items = min(max_items, n_items)
+    min_items = min(min_items, max_items)
+
+    weights = 1.0 / np.arange(1, n_items + 1) ** zipf_exponent
+    weights /= weights.sum()
+
+    user_ids = np.arange(1, n_users + 1)
+    biased_mask = np.zeros(n_users, dtype=bool)
+    biased_mask[rng.permutation(n_users)[: n_users // 2]] = True
+
+    ages = rng.integers(18, 61, size=n_users)
+
+    with open(out_dir / "interactions.tsv", "w", encoding="utf-8") as ifh, \
+            open(out_dir / "profiles.tsv", "w", encoding="utf-8") as pfh:
+        for idx, uid in enumerate(user_ids):
+            n_owned = int(rng.integers(min_items, max_items + 1))
+            if biased_mask[idx]:
+                items = rng.choice(n_items, size=n_owned, replace=False, p=weights)
+            else:
+                items = rng.choice(n_items, size=n_owned, replace=False)
+            plays = 1 + rng.poisson(3.0, size=n_owned)
+            for item, play in zip(items, plays):
+                ifh.write(f"{uid}\titem{item:05d}\tItem {item}\t{play}\n")
+            gender = "m" if biased_mask[idx] else "f"
+            pfh.write(f"{uid}\t{gender}\t{ages[idx]}\t\t\n")
+
+    return PlantedTruth(
+        biased_users=frozenset(str(u) for u in user_ids[biased_mask]),
+        uniform_users=frozenset(str(u) for u in user_ids[~biased_mask]),
+    )

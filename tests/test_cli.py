@@ -456,3 +456,28 @@ def test_failure_in_own_folds_stops_the_workers(config_file, tmp_path, monkeypat
         assert main(argv) == 4
         assert "stage score: planted" in capsys.readouterr().err
     assert_no_children()
+
+
+@pytest.mark.parametrize("depth", [0, -5])
+def test_depth_below_one_exits_2(config_file, tmp_path, capsys, depth):
+    ini = tmp_path / "depth.ini"
+    ini.write_text(config_file.read_text().replace("depth = 30", f"depth = {depth}"))
+    out = tmp_path / "depth-out"
+    assert main(["evaluate", "--config", str(ini), "--out", str(out)]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email;
+    # compare against what the interpreter had loaded before the import
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import recaudit.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(recaudit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    loaded = set(done.stdout.split())
+    assert "recaudit.cli" in loaded
+    assert not loaded & {"urllib.request", "http.client", "ssl", "email"}

@@ -101,6 +101,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=setting.split()[0]):
             load_config(bad)
 
+    @pytest.mark.parametrize("depth", [0, -5])
+    def test_depth_below_one_rejected(self, tmp_path, depth):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[evaluation]\ndepth = {depth}\n")
+        with pytest.raises(ConfigError, match="depth must be >= 1"):
+            load_config(bad)
+        bad.write_text("[evaluation]\ndepth = 1\n")
+        assert load_config(bad).evaluation.depth == 1
+
     def test_seed_override(self):
         config = apply_overrides(load_config(None), seed=100)
         assert config.model.seed == 100
@@ -593,6 +602,23 @@ class TestCharts:
         svg = render_scheme_chart("solo", ["only"], [5], [0.5], [0.0], None,
                                   "not testable")
         assert "<svg" in svg and "solo" in svg
+
+    def test_markup_characters_escaped_as_saxutils(self):
+        from xml.sax.saxutils import escape as sax_escape
+
+        from recaudit.charts import escape, render_scheme_chart
+        label, scheme, note = "a&b <c>", "s<&>", "p > 0 & q < 1"
+        for text in (label, scheme, note, "&amp;", ""):
+            assert escape(text) == sax_escape(text)
+        svg = render_scheme_chart(scheme, [label, "plain"], [3, 4], [0.5, 0.25],
+                                  [0.0, 0.1], [0.2, -0.1], note)
+        for text in (label, scheme, note):
+            assert sax_escape(text) in svg
+        root = ET.fromstring(svg)
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        assert root.find("svg:title", ns).text == f"{scheme} ({note})"
+        assert {r.get("data-label") for r in root.findall(".//svg:rect", ns)} == {label, "plain"}
+        assert label in [t.text for t in root.findall(".//svg:text", ns)]
 
     def test_bar_heights_proportional_to_means(self, small_audit):
         _, config, audit, _ = small_audit
