@@ -6,11 +6,10 @@ how utility varies across demographic and popularity-derived user groups
 via Kruskal-Wallis tests and an additive boosting explainer.
 """
 
-from .als import AlsHyperparams, AlsModel, fit, loss, recommend
+from .als import AlsHyperparams, AlsModel, fit, loss
 from .config import AuditConfig, load_config
-from .evaluation import MetricFrame, make_folds, mrr, ndcg, rbp
+from .evaluation import MetricFrame, make_folds
 from .interactions import DatasetStats, InteractionMatrix, UserAttributes, from_triples
-from .popindex import item_user_counts, pop_index
 from .report import AuditReport, run_audit
 from .stats import KwResult, bonferroni, chi2_sf, kruskal_wallis
 
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlsHyperparams", "AlsModel", "AuditConfig", "AuditReport", "DatasetStats",
     "InteractionMatrix", "KwResult", "MetricFrame", "UserAttributes",
-    "bonferroni", "chi2_sf", "fit", "from_triples", "item_user_counts",
-    "kruskal_wallis", "load_config", "loss", "make_folds", "mrr", "ndcg",
-    "pop_index", "rbp", "recommend", "run_audit",
+    "bonferroni", "chi2_sf", "fit", "from_triples", "kruskal_wallis",
+    "load_config", "loss", "make_folds", "run_audit",
 ]

@@ -66,11 +66,6 @@ def init_factors(n: int, k: int, seed: int) -> np.ndarray:
     return rng.random((n, k)) * INIT_SCALE
 
 
-def confidence(strength: float, alpha: float) -> float:
-    """Confidence weight 1 + alpha * strength of one observation."""
-    return 1.0 + alpha * strength
-
-
 def _transpose_csr(m: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Item-major (indptr, user indices, strengths) view of the matrix.
 
@@ -143,26 +138,6 @@ def _sweep(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
         raise NumericalError("non-finite factors after half-sweep")
 
 
-def half_sweep(side: str, model: AlsModel, interactions: InteractionMatrix) -> AlsModel:
-    """One alternation step: re-solve all factor rows on one side.
-
-    ``side`` is "users" or "items".  The opposite side's factors are left
-    unchanged; the objective never increases.
-    """
-    hp = model.hyperparams
-    if side == "users":
-        _sweep(model.user_factors, model.item_factors, interactions.indptr,
-               interactions.indices, interactions.data,
-               hp.regularization, hp.alpha)
-    elif side == "items":
-        indptr, rows, vals = _transpose_csr(interactions)
-        _sweep(model.item_factors, model.user_factors, indptr, rows, vals,
-               hp.regularization, hp.alpha)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return model
-
-
 def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams,
         users: np.ndarray | Sequence[int] | None = None) -> AlsModel:
     """Train by alternating item-then-user half-sweeps for the configured
@@ -220,34 +195,6 @@ def loss(model: AlsModel, interactions: InteractionMatrix) -> float:
 
     reg_term = hp.regularization * (float(np.sum(x * x)) + float(np.sum(y * y)))
     return full_term + obs_correction + reg_term
-
-
-def _top_n_full(scores: np.ndarray, n: int) -> np.ndarray:
-    """Top-n indices by descending score, ties by ascending index."""
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:n]
-
-
-def recommend(model: AlsModel, user: int, n: int,
-              exclude: np.ndarray | set | None = None) -> list[tuple[int, float]]:
-    """Ranked top-n (item, score) list for one user.
-
-    Items in ``exclude`` are never returned; if fewer than n items remain,
-    all remaining items are returned.  Ties break by ascending item index.
-    """
-    scores = model.item_factors @ model.user_factors[user]
-    available = scores.shape[0]
-    if exclude is not None:
-        excl = np.fromiter(exclude, dtype=np.int64) if not isinstance(exclude, np.ndarray) \
-            else exclude.astype(np.int64, copy=False)
-        if excl.size:
-            scores = scores.copy()
-            scores[excl] = -np.inf
-            available -= np.unique(excl).shape[0]
-    n = min(n, available)
-    if n <= 0:
-        return []
-    return [(int(i), float(scores[i])) for i in _top_n_full(scores, n)]
 
 
 def save_model(model: AlsModel, path: str | Path) -> None:

@@ -18,9 +18,11 @@ LABEL_SPACE = 34
 
 
 def escape(text: str) -> str:
-    """Escape ``&``, ``<`` and ``>`` as ``xml.sax.saxutils.escape`` does,
+    """Escape ``&``, ``<``, ``>`` and ``"`` as ``xml.sax.saxutils.escape(text,
+    {'"': "&quot;"})`` does, for text and double-quoted attribute values,
     without importing it (it loads ``urllib.request`` and ``ssl``)."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;"))
 
 
 def _bar_panel(out: list[str], top: int, title: str, labels: Sequence[str],

@@ -30,8 +30,6 @@ log = logging.getLogger(__name__)
 KIND_NUMERIC = "numeric"
 KIND_CATEGORICAL = "categorical"
 
-MISSING = None  # sentinel in feature rows
-
 
 @dataclass
 class FeatureSpec:
@@ -154,11 +152,6 @@ def _bin_matrix(rows: Sequence[dict], specs: Sequence[FeatureSpec]) -> np.ndarra
     for j, spec in enumerate(specs):
         binned[:, j] = spec.bin_column([row.get(spec.name) for row in rows])
     return binned
-
-
-def _fit_one_bag(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
-                 config: EbmConfig, bag: int) -> tuple[float, list[np.ndarray], list[float]]:
-    return _fit_bags(binned, y, specs, config, [bag])[0]
 
 
 def _fit_bags(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
@@ -309,22 +302,6 @@ def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
         bin_mass[spec.name] = mass
     return EbmModel(intercept=intercept, shapes=shapes, bin_mass=bin_mass,
                     specs=list(specs), config=config)
-
-
-def predict(model: EbmModel, row: dict) -> float:
-    """Intercept plus the shape lookup of every feature."""
-    total = model.intercept
-    for spec in model.specs:
-        total += model.shapes[spec.name][spec.bin_of(row.get(spec.name))]
-    return float(total)
-
-
-def predict_batch(model: EbmModel, rows: Sequence[dict]) -> np.ndarray:
-    binned = _bin_matrix(rows, model.specs)
-    out = np.full(len(rows), model.intercept)
-    for j, spec in enumerate(model.specs):
-        out += model.shapes[spec.name][binned[:, j]]
-    return out
 
 
 def importance(model: EbmModel, rows: Sequence[dict]) -> list[tuple[str, float]]:

@@ -8,8 +8,8 @@ change the splits.
 A fold is scored without building any recommendation list.  A user's
 list is every item ranked by descending score, ties broken by ascending
 item index, with the training items excluded and the length capped at
-the depth (``als.recommend``'s rule).  Under that order the 1-based
-position of held-out item h is
+the depth, as ``tests/oracles.py::full_sort_top_n`` builds it.  Under that
+order the 1-based position of held-out item h is
 
     #(items scoring above s_h) + #(items before h scoring exactly s_h) + 1,
 
@@ -21,8 +21,8 @@ item scoring below t has n items above it and is no hit; for any other,
 every item scoring above it lies among those n - 1 top scores.  Only a
 held-out score that some other item shares counts the lower-indexed equal
 scores over the whole vector.  NDCG, MRR and RBP are then accumulated over
-the hit positions in rank order, by the same helpers ``ndcg``, ``mrr`` and
-``rbp`` use, so both paths give identical floats.
+the hit positions in rank order by ``_ndcg_at``, ``_mrr_at`` and ``_rbp_at``,
+which the tests check against the naive metric oracles.
 """
 
 from __future__ import annotations
@@ -251,12 +251,11 @@ def fold_training_matrix(matrix: InteractionMatrix, fold: Fold) -> InteractionMa
     return matrix.drop_entries(drop)
 
 
-def _hit_positions(ranked: Sequence, relevant) -> list[int]:
-    """1-based positions in ``ranked`` of the items in ``relevant``."""
-    return [pos for pos, item in enumerate(ranked, start=1) if item in relevant]
-
-
 def _ndcg_at(hits: Sequence[int], n_relevant: int, n_ranked: int) -> float:
+    """Binary-gain NDCG of a list of ``n_ranked`` items with hits at the
+    sorted 1-based positions ``hits``.  DCG sums 1/log2(pos + 1) over the
+    hits; the ideal DCG places all relevant items first.  0 when nothing
+    is relevant."""
     if not n_relevant:
         return 0.0
     dcg = 0.0
@@ -271,10 +270,12 @@ def _ndcg_at(hits: Sequence[int], n_relevant: int, n_ranked: int) -> float:
 
 
 def _mrr_at(hits: Sequence[int]) -> float:
+    """Reciprocal rank of the first hit; 0 if there is none."""
     return 1.0 / hits[0] if hits else 0.0
 
 
 def _rbp_at(hits: Sequence[int], persistence: float) -> float:
+    """Rank-biased precision under a geometric patience model."""
     if not 0.0 < persistence < 1.0:
         raise ConfigError("rbp persistence must lie in (0, 1)")
     total = 0.0
@@ -282,27 +283,6 @@ def _rbp_at(hits: Sequence[int], persistence: float) -> float:
         total += persistence ** (pos - 1)
     # rounding can lift a long run of top hits just past 1
     return min(1.0, (1.0 - persistence) * total)
-
-
-def ndcg(ranked: Sequence[int], relevant: set) -> float:
-    """Binary-gain normalized discounted cumulative gain.
-
-    DCG sums 1/log2(rank + 1) over relevant items at their 1-based ranks;
-    the ideal DCG places all relevant items first.  0 when nothing is
-    relevant.
-    """
-    return _ndcg_at(_hit_positions(ranked, relevant), len(relevant), len(ranked))
-
-
-def mrr(ranked: Sequence[int], relevant: set) -> float:
-    """Reciprocal rank of the first relevant item; 0 if none present."""
-    return _mrr_at(_hit_positions(ranked, relevant))
-
-
-def rbp(ranked: Sequence[int], relevant: set,
-        persistence: float = DEFAULT_RBP_PERSISTENCE) -> float:
-    """Rank-biased precision under a geometric patience model."""
-    return _rbp_at(_hit_positions(ranked, relevant), persistence)
 
 
 def _held_out_ranks(scores: np.ndarray, held: np.ndarray, n: int) -> list[int]:
@@ -345,9 +325,9 @@ def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,
     ``matrix`` is the full cleaned matrix (used for each user's training
     items); the model must have been fit on this fold's training matrix.
     By default a user's training items are excluded from their
-    recommendation list.  Each user's scores and list length are those of
-    ``als.recommend``; the held-out items' positions in that list are
-    counted, not sorted (see the module docstring).  A test user whose
+    recommendation list, which follows ``tests/oracles.py::full_sort_top_n``;
+    the held-out items' positions in that list are counted, not sorted (see
+    the module docstring).  A test user whose
     factor row is not finite raises ``NumericalError``: NaN scores would
     rank every held-out item first.
     """

@@ -275,9 +275,10 @@ def _parse_age(text: str) -> Optional[int]:
 def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
     """Parse LFM360K profiles: user-sha1 \\t gender \\t age \\t country \\t signup.
 
-    Empty or unrecognized gender maps to NA; non-integer or out-of-range
-    ages and empty countries become missing.  Duplicate user ids keep the
-    first occurrence with a warning.  One leading byte order mark is ignored.
+    The signup field is not read.  Empty or unrecognized gender maps to NA;
+    non-integer or out-of-range ages and empty countries become missing.
+    Duplicate user ids keep the first occurrence with a warning.  One
+    leading byte order mark is ignored.
     """
     seen: set = set()
     out: list[UserAttributes] = []
@@ -287,9 +288,9 @@ def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
         if not line:
             continue
         fields = line.split("\t")
-        if len(fields) < 5:
-            fields = fields + [""] * (5 - len(fields))
-        user, gender, age_text, country, signup = fields[:5]
+        if len(fields) < 4:
+            fields = fields + [""] * (4 - len(fields))
+        user, gender, age_text, country = fields[:4]
         if not user:
             continue
         if user in seen:
@@ -304,13 +305,8 @@ def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
             gender=gender,
             age=_parse_age(age_text.strip()),
             country=country.strip() or None,
-            signup=signup.strip() or None,
         ))
     return out
-
-
-# ML1M age-bracket codes as published with the dataset
-ML1M_AGE_CODES = (1, 18, 25, 35, 45, 50, 56)
 
 
 def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> RawDataset:

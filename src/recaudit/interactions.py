@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class UserAttributes:
     gender: str = GENDER_NA
     age: Optional[int] = None
     country: Optional[str] = None
-    signup: Optional[str] = None
     usage: Optional[int] = None
     pop_index: Optional[int] = None
 
@@ -85,18 +84,6 @@ class InteractionMatrix:
     def user_items(self, user: int) -> np.ndarray:
         """Item indices of one user's row."""
         return self.indices[self.indptr[user]:self.indptr[user + 1]]
-
-    def user_strengths(self, user: int) -> np.ndarray:
-        return self.data[self.indptr[user]:self.indptr[user + 1]]
-
-    def user_degree(self, user: int) -> int:
-        return int(self.indptr[user + 1] - self.indptr[user])
-
-    def iter_entries(self) -> Iterator[tuple[int, int, float]]:
-        for u in range(self.n_users):
-            lo, hi = self.indptr[u], self.indptr[u + 1]
-            for k in range(lo, hi):
-                yield u, int(self.indices[k]), float(self.data[k])
 
     def user_index_of_entries(self) -> np.ndarray:
         """Row index for every stored entry, aligned with indices/data."""

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from recaudit import als
 from recaudit.interactions import from_triples
 
 
@@ -34,6 +35,37 @@ def triple_rows(triples):
     return [(triples.user_ids[u], triples.item_ids[i], s) for u, i, s in
             zip(triples.users.tolist(), triples.items.tolist(),
                 triples.strengths.tolist())]
+
+
+def entries(matrix):
+    """Every stored (user, item, strength) of a matrix, row by row."""
+    return [(u, int(matrix.indices[k]), float(matrix.data[k]))
+            for u in range(matrix.n_users)
+            for k in range(int(matrix.indptr[u]), int(matrix.indptr[u + 1]))]
+
+
+def hit_positions(ranked, relevant):
+    """1-based positions in ``ranked`` of the items in ``relevant``."""
+    return [pos for pos, item in enumerate(ranked, start=1) if item in relevant]
+
+
+def sweep_side(side, model, matrix):
+    """Re-solve every factor row of one side, "users" or "items", in place."""
+    hp = model.hyperparams
+    if side == "users":
+        als._sweep(model.user_factors, model.item_factors, matrix.indptr,
+                   matrix.indices, matrix.data, hp.regularization, hp.alpha)
+    else:
+        als._sweep(model.item_factors, model.user_factors, *als._transpose_csr(matrix),
+                   hp.regularization, hp.alpha)
+
+
+def ebm_predict(model, row):
+    """Intercept plus the shape lookup of every feature of one row dict."""
+    total = model.intercept
+    for spec in model.specs:
+        total += model.shapes[spec.name][spec.bin_of(row.get(spec.name))]
+    return float(total)
 
 
 @pytest.fixture

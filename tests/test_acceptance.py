@@ -12,22 +12,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (brute_force_pop_index, ks_distance_from_uniform,
+from oracles import (brute_force_pop_index, full_sort_top_n, ks_distance_from_uniform,
                      naive_als_loss, naive_mrr, naive_ndcg, naive_per_user_mean,
                      naive_rbp)
 from recaudit import als, evaluation
 from recaudit.config import apply_overrides, load_config
-from recaudit.ebm import EbmConfig, _bin_matrix, _fit_one_bag, bin_numeric, fit_ebm, importance, predict_batch
+from recaudit.ebm import EbmConfig, _bin_matrix, _fit_bags, bin_numeric, fit_ebm, importance
 from recaudit.ingest import cold_start_filter, load_lfm, load_ml1m
 from recaudit.interactions import from_triples
 from recaudit.interactions import stats as dataset_stats
-from recaudit.popindex import item_user_counts, pop_index
+from recaudit.popindex import pop_indices
 from recaudit.report import run_audit
 from recaudit.stats import chi2_sf, kruskal_wallis
 from recaudit.synthetic import generate_planted
 from recaudit.util import derive_seed
 
-from conftest import random_matrix
+from conftest import ebm_predict, entries, hit_positions, random_matrix, sweep_side
 
 LFM_DIR = os.environ.get("RECAUDIT_LFM360K_DIR")
 ML1M_DIR = os.environ.get("RECAUDIT_ML1M_DIR")
@@ -79,11 +79,12 @@ def test_criterion_2_metric_oracles():
         relevant = set(rng.choice(200, size=int(rng.integers(1, 25)),
                                   replace=False).tolist())
         gamma = float(rng.uniform(0.05, 0.95))
-        assert abs(evaluation.ndcg(ranked, relevant)
+        hits = hit_positions(ranked, relevant)
+        assert abs(evaluation._ndcg_at(hits, len(relevant), n_ranked)
                    - naive_ndcg(ranked, relevant)) <= 1e-12
-        assert abs(evaluation.mrr(ranked, relevant)
+        assert abs(evaluation._mrr_at(hits)
                    - naive_mrr(ranked, relevant)) <= 1e-12
-        assert abs(evaluation.rbp(ranked, relevant, gamma)
+        assert abs(evaluation._rbp_at(hits, gamma)
                    - naive_rbp(ranked, relevant, gamma)) <= 1e-12
     passed(2, "NDCG/MRR/RBP match the naive reference on 1000 instances to 1e-12")
 
@@ -94,15 +95,15 @@ def test_criterion_3_pop_index_oracle():
     rng = np.random.default_rng(derive_seed("acceptance", 3))
     for _ in range(200):
         matrix, _, _ = random_matrix(rng, 50, 80, density=0.08)
-        pop = item_user_counts(matrix)
+        got = pop_indices(matrix)
         item_user_sets = {}
-        for u, i, _ in matrix.iter_entries():
+        for u, i, _ in entries(matrix):
             item_user_sets.setdefault(int(i), set()).add(u)
         for u in range(matrix.n_users):
             expected = brute_force_pop_index(
                 [int(i) for i in matrix.user_items(u)], item_user_sets,
                 matrix.n_users, u)
-            assert pop_index(u, matrix, pop) == expected
+            assert got[u] == expected
     passed(3, "pop-index equals the exhaustive p=100..0 oracle on 200 matrices, exact")
 
 
@@ -120,7 +121,7 @@ def test_criterion_4_als_properties():
                              als.init_factors(matrix.n_items, 5, trial + 1), hp)
         prev = als.loss(model, matrix)
         for side in ("items", "users", "items", "users"):
-            als.half_sweep(side, model, matrix)
+            sweep_side(side, model, matrix)
             current = als.loss(model, matrix)
             assert current <= prev * (1 + 1e-8)
             prev = current
@@ -133,7 +134,7 @@ def test_criterion_4_als_properties():
     hits = 0
     for u in range(matrix.n_users):
         block = int(umap.ids[u][1:]) % 2
-        top = als.recommend(model, u, 1)[0][0]
+        top = full_sort_top_n(model.item_factors @ model.user_factors[u], 1)[0]
         hits += int((0 if int(imap.ids[top][1:]) < 15 else 1) == block)
     share = hits / matrix.n_users
     assert share >= 0.95
@@ -146,7 +147,7 @@ def test_criterion_4_als_properties():
         model = als.AlsModel(rng.normal(size=(10, 4)),
                              rng.normal(size=(matrix.n_items, 4)), hp)
         dense = np.zeros((matrix.n_users, matrix.n_items))
-        for u, i, s in matrix.iter_entries():
+        for u, i, s in entries(matrix):
             dense[u, i] = s
         fast = als.loss(model, matrix)
         slow = naive_als_loss(model.user_factors, model.item_factors, dense,
@@ -208,7 +209,7 @@ def test_criterion_6_ebm():
     # in-bag loss monotone non-increasing
     binned = _bin_matrix(rows, specs)
     for bag in range(3):
-        _, _, losses = _fit_one_bag(binned, np.asarray(ys), specs, config, bag)
+        _, _, losses = _fit_bags(binned, np.asarray(ys), specs, config, [bag])[0]
         assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
 
     # additive signal recovered with held-back R^2 > 0.9
@@ -221,7 +222,7 @@ def test_criterion_6_ebm():
                      bin_numeric("x2", [r["x2"] for r in rows[:1200]], 32)],
                     config)
     held_y = np.asarray(ys[1200:])
-    pred = predict_batch(model, rows[1200:])
+    pred = np.array([ebm_predict(model, r) for r in rows[1200:]])
     r2 = 1 - float(np.sum((held_y - pred) ** 2)) / \
         float(np.sum((held_y - held_y.mean()) ** 2))
     assert r2 > 0.9

@@ -4,14 +4,15 @@ import pytest
 from oracles import full_sort_top_n, naive_als_loss
 from recaudit import als
 from recaudit.errors import DataError
+from recaudit.evaluation import _held_out_ranks
 from recaudit.interactions import InteractionMatrix, from_triples
 
-from conftest import random_matrix
+from conftest import entries, random_matrix, sweep_side
 
 
 def dense_of(matrix):
     dense = np.zeros((matrix.n_users, matrix.n_items))
-    for u, i, s in matrix.iter_entries():
+    for u, i, s in entries(matrix):
         dense[u, i] = s
     return dense
 
@@ -33,13 +34,20 @@ class TestInitFactors:
 
 
 class TestConfidence:
+    """The weight 1 + alpha * strength of an observed pair: with zero
+    factors the objective is that weight alone."""
+
     @pytest.mark.parametrize("strength,alpha,expected", [
         (0, 1.0, 1.0),
         (5, 1.0, 6.0),
         (3, 40.0, 121.0),
     ])
     def test_formula(self, strength, alpha, expected):
-        assert als.confidence(strength, alpha) == expected
+        m = InteractionMatrix(1, 1, np.array([0, 1]), np.array([0]),
+                              np.array([float(strength)]))
+        hp = als.AlsHyperparams(factors=1, alpha=alpha, seed=0)
+        model = als.AlsModel(np.zeros((1, 1)), np.zeros((1, 1)), hp)
+        assert als.loss(model, m) == expected
 
 
 class TestHalfSweep:
@@ -48,7 +56,7 @@ class TestHalfSweep:
         trimmed = m.drop_entries(np.array([False, True]))  # u1 loses its row
         hp = als.AlsHyperparams(factors=3, regularization=0.5, iterations=1, seed=0)
         model = als.AlsModel(np.full((2, 3), 0.7), np.full((1, 3), 0.4), hp)
-        als.half_sweep("users", model, trimmed)
+        sweep_side("users", model, trimmed)
         assert np.array_equal(model.user_factors[1], np.zeros(3))
         assert not np.array_equal(model.user_factors[0], np.zeros(3))
 
@@ -58,7 +66,7 @@ class TestHalfSweep:
         hp = als.AlsHyperparams(factors=1, regularization=0.01, iterations=1,
                                 alpha=1.0, seed=0)
         model = als.AlsModel(np.zeros((1, 1)), np.ones((1, 1)), hp)
-        als.half_sweep("users", model, m)
+        sweep_side("users", model, m)
         assert model.user_factors[0, 0] == pytest.approx(2 / 2.01, abs=1e-12)
 
     def test_objective_non_increasing_random_instances(self, rng):
@@ -70,7 +78,7 @@ class TestHalfSweep:
                                  als.init_factors(m.n_items, 5, trial + 1), hp)
             prev = als.loss(model, m)
             for side in ("items", "users", "items", "users"):
-                als.half_sweep(side, model, m)
+                sweep_side(side, model, m)
                 current = als.loss(model, m)
                 assert current <= prev * (1 + 1e-8)
                 prev = current
@@ -80,16 +88,9 @@ class TestHalfSweep:
         hp = als.AlsHyperparams(factors=2, regularization=0.1, iterations=1, seed=0)
         model = als.AlsModel(np.full((1, 2), 0.3), np.full((1, 2), 0.3), hp)
         before_users = model.user_factors.copy()
-        als.half_sweep("items", model, m)
+        sweep_side("items", model, m)
         assert np.array_equal(model.user_factors, before_users)
         assert not np.array_equal(model.item_factors, np.full((1, 2), 0.3))
-
-    def test_unknown_side_rejected(self):
-        m, _, _ = from_triples([("u", "i", 1.0)])
-        hp = als.AlsHyperparams(factors=1, seed=0)
-        model = als.AlsModel(np.zeros((1, 1)), np.zeros((1, 1)), hp)
-        with pytest.raises(ValueError):
-            als.half_sweep("sideways", model, m)
 
 
 class TestTransposeCsr:
@@ -185,7 +186,7 @@ class TestFit:
         hits = 0
         for u in range(m.n_users):
             block = int(umap.ids[u][1:]) % 2
-            top_item = als.recommend(model, u, 1)[0][0]
+            top_item = full_sort_top_n(model.item_factors @ model.user_factors[u], 1)[0]
             item_block = 0 if int(imap.ids[top_item][1:]) < 15 else 1
             hits += int(item_block == block)
         assert hits / m.n_users >= 0.95
@@ -206,6 +207,10 @@ class TestFit:
 
 
 class TestRecommend:
+    """The recommendation-list rule as ``evaluate_fold`` applies it through
+    ``_held_out_ranks``: descending score, ties by ascending item index,
+    excluded items scored -inf."""
+
     def make_model(self, rng, n_users=4, n_items=30, k=3):
         hp = als.AlsHyperparams(factors=k, seed=0)
         return als.AlsModel(rng.normal(size=(n_users, k)),
@@ -213,35 +218,41 @@ class TestRecommend:
 
     def test_full_depth_is_permutation(self, rng):
         model = self.make_model(rng)
-        out = als.recommend(model, 0, 30)
-        assert sorted(i for i, _ in out) == list(range(30))
+        scores = model.item_factors @ model.user_factors[0]
+        assert _held_out_ranks(scores, np.arange(30), 30) == list(range(1, 31))
 
     def test_zero_user_factor_ascending_ties(self, rng):
         model = self.make_model(rng)
         model.user_factors[1] = 0.0
-        out = als.recommend(model, 1, 10)
-        assert [i for i, _ in out] == list(range(10))
-        assert all(score == 0.0 for _, score in out)
+        scores = model.item_factors @ model.user_factors[1]
+        assert all(score == 0.0 for score in scores)
+        for i in range(30):
+            assert _held_out_ranks(scores, np.array([i]), 10) == ([i + 1] if i < 10 else [])
 
     def test_matches_full_sort_oracle(self, rng):
         for _ in range(20):
             model = self.make_model(rng)
             scores = model.item_factors @ model.user_factors[0]
             expected = full_sort_top_n(list(scores), 10)
-            got = [i for i, _ in als.recommend(model, 0, 10)]
-            assert got == expected
+            held = np.sort(rng.choice(30, size=8, replace=False))
+            assert _held_out_ranks(scores, held, 10) == \
+                [pos for pos, i in enumerate(expected, start=1) if i in set(held.tolist())]
 
     def test_exclusion_never_returned(self, rng):
         model = self.make_model(rng)
-        exclude = {0, 5, 7, 11}
-        out = [i for i, _ in als.recommend(model, 0, 30, exclude)]
-        assert not exclude.intersection(out)
-        assert len(out) == 30 - len(exclude)
+        exclude = [0, 5, 7, 11]
+        scores = model.item_factors @ model.user_factors[0]
+        scores[exclude] = -np.inf
+        kept = np.setdiff1d(np.arange(30), exclude)
+        assert _held_out_ranks(scores, kept, 30) == list(range(1, 30 - len(exclude) + 1))
+        assert _held_out_ranks(scores, np.array(exclude), 30 - len(exclude)) == []
 
     def test_n_clamped_to_available(self, rng):
         model = self.make_model(rng)
-        out = als.recommend(model, 0, 100, exclude={1, 2})
-        assert len(out) == 28
+        scores = model.item_factors @ model.user_factors[0]
+        scores[[1, 2]] = -np.inf
+        kept = np.setdiff1d(np.arange(30), [1, 2])
+        assert _held_out_ranks(scores, kept, 100) == list(range(1, 29))
 
     def test_permuting_user_rows_permutes_recommendations(self, rng):
         model = self.make_model(rng, n_users=6)
@@ -249,8 +260,11 @@ class TestRecommend:
         permuted = als.AlsModel(model.user_factors[perm],
                                 model.item_factors, model.hyperparams)
         for new_idx, old_idx in enumerate(perm):
-            assert als.recommend(permuted, new_idx, 10) == \
-                als.recommend(model, int(old_idx), 10)
+            new = permuted.item_factors @ permuted.user_factors[new_idx]
+            old = model.item_factors @ model.user_factors[int(old_idx)]
+            for i in range(30):
+                assert _held_out_ranks(new, np.array([i]), 10) == \
+                    _held_out_ranks(old, np.array([i]), 10)
 
 
 class TestModelDump:

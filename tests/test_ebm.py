@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from recaudit.ebm import (EbmConfig, EbmModel, FeatureSpec, KIND_CATEGORICAL,
-                          _bin_matrix, _fit_one_bag, bin_numeric,
-                          categorical_spec, fit_ebm, importance, predict,
-                          predict_batch)
+                          _bin_matrix, _fit_bags, bin_numeric,
+                          categorical_spec, fit_ebm, importance)
 from recaudit.errors import NumericalError
+
+from conftest import ebm_predict as predict
 
 FAST = EbmConfig(learning_rate=0.05, max_rounds=400, bags=4, patience=30, seed=3)
 
@@ -99,7 +100,7 @@ class TestFitEbm:
         train_rows, train_ys = rows[:2400], ys[:2400]
         test_rows, test_ys = rows[2400:], np.array(ys[2400:])
         model = fit_ebm(train_rows, train_ys, specs_for(train_rows, 32), FAST)
-        pred = predict_batch(model, test_rows)
+        pred = np.array([predict(model, r) for r in test_rows])
         ss_res = float(np.sum((test_ys - pred) ** 2))
         ss_tot = float(np.sum((test_ys - test_ys.mean()) ** 2))
         assert 1 - ss_res / ss_tot > 0.9
@@ -127,7 +128,7 @@ class TestFitEbm:
         specs = specs_for(rows)
         binned = _bin_matrix(rows, specs)
         for bag in range(3):
-            _, _, losses = _fit_one_bag(binned, np.asarray(ys), specs, FAST, bag)
+            _, _, losses = _fit_bags(binned, np.asarray(ys), specs, FAST, [bag])[0]
             assert all(later <= earlier + 1e-10
                        for earlier, later in zip(losses, losses[1:]))
 
@@ -167,12 +168,6 @@ class TestPredictAndImportance:
         assert predict(model, {"f": "a"}) == 0.75
         assert predict(model, {"f": "b"}) == 0.25
         assert predict(model, {"f": "unseen"}) == 0.5  # missing bin
-
-    def test_batch_equals_per_row(self, rng):
-        rows, ys = make_rows(rng, 100, lambda a, b: a + b)
-        model = fit_ebm(rows, ys, specs_for(rows), FAST)
-        batch = predict_batch(model, rows)
-        assert np.allclose(batch, [predict(model, r) for r in rows], atol=1e-12)
 
     def test_exact_additivity(self, rng):
         rows, ys = make_rows(rng, 200, lambda a, b: a * b)

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import naive_fit_one_bag
 from recaudit.ebm import (KIND_CATEGORICAL, KIND_NUMERIC, EbmConfig, FeatureSpec,
-                          _bin_matrix, _fit_bags, _fit_one_bag, bin_numeric,
+                          _bin_matrix, _fit_bags, bin_numeric,
                           categorical_spec)
 from recaudit.util import derive_seed
 
@@ -53,7 +53,7 @@ class TestBatchedFitMatchesOracle:
                            bags=8, patience=int(rng.integers(1, 30)), seed=case)
         bags = [0] if case % 2 else range(8)
         fit_and_compare(binned, y, specs, config, bags)
-        assert_same_fit(_fit_one_bag(binned, y, specs, config, 5),
+        assert_same_fit(_fit_bags(binned, y, specs, config, [5])[0],
                         naive_fit_one_bag(binned, y, specs, config, 5))
 
     def test_bags_stop_at_different_rounds(self):

@@ -101,7 +101,6 @@ class TestLfmProfiles:
         assert len(attrs) == 1
         a = attrs[0]
         assert (a.user_id, a.gender, a.age, a.country) == ("u", "m", 19, "Mexico")
-        assert a.signup == "Apr 28, 2008"
 
     def test_all_empty_fields(self):
         attrs = parse_lfm_profiles(lines("u\t\t\t\t\n"))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from recaudit import interactions
 from recaudit.interactions import Triples, from_triples, stats
 
+from conftest import entries
+
 
 def test_empty_input():
     m, umap, imap = from_triples([])
@@ -60,7 +62,7 @@ def test_stats_2x2_one_entry():
 
 def test_stats_random_recount(small_random_matrix):
     m, _, _ = small_random_matrix
-    recount = sum(1 for _ in m.iter_entries())
+    recount = sum(1 for _ in entries(m))
     assert stats(m).n_interactions == recount
     assert stats(m).sparsity == 1 - recount / (m.n_users * m.n_items)
 
@@ -69,9 +71,9 @@ def test_row_access_covers_all_entries(small_random_matrix):
     m, _, _ = small_random_matrix
     per_row = []
     for u in range(m.n_users):
-        for i, s in zip(m.user_items(u), m.user_strengths(u)):
+        for i, s in zip(m.user_items(u), m.data[m.indptr[u]:m.indptr[u + 1]]):
             per_row.append((u, int(i), float(s)))
-    assert sorted(per_row) == sorted(m.iter_entries())
+    assert sorted(per_row) == sorted(entries(m))
     assert len(per_row) == m.nnz
 
 
@@ -84,7 +86,7 @@ def test_round_trip_multiset(triples):
     merged = {}
     for uid, iid, s in named:
         merged[(uid, iid)] = merged.get((uid, iid), 0) + s
-    rebuilt = {(umap.ids[u], imap.ids[i]): s for u, i, s in m.iter_entries()}
+    rebuilt = {(umap.ids[u], imap.ids[i]): s for u, i, s in entries(m)}
     assert rebuilt == {k: float(v) for k, v in merged.items()}
 
 
@@ -105,8 +107,8 @@ def test_drop_entries_keeps_shape(small_random_matrix):
     assert dropped.n_users == m.n_users
     assert dropped.n_items == m.n_items
     assert dropped.nnz == m.nnz - int(mask.sum())
-    kept = {e for e, flag in zip(m.iter_entries(), mask) if not flag}
-    assert set(dropped.iter_entries()) == kept
+    kept = {e for e, flag in zip(entries(m), mask) if not flag}
+    assert set(entries(dropped)) == kept
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 6, 7, 8, 14, 15, 50])

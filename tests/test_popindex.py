@@ -1,102 +1,114 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_pop_index
 from recaudit.ingest import PROVENANCE_LFM360K, PROVENANCE_ML1M, PROVENANCE_SYNTHETIC
 from recaudit.interactions import UserAttributes, from_triples
-from recaudit.popindex import (fill_attributes, item_user_counts, pop_index, pop_indices,
-                               usage)
+from recaudit.popindex import fill_attributes, pop_indices
 
-from conftest import random_matrix
+from conftest import entries, random_matrix
 
 
 def oracle_pop(matrix, umap, imap, u):
     item_user_sets = {}
-    for uu, i, _ in matrix.iter_entries():
+    for uu, i, _ in entries(matrix):
         item_user_sets.setdefault(int(i), set()).add(uu)
     return brute_force_pop_index(
         [int(i) for i in matrix.user_items(u)], item_user_sets,
         matrix.n_users, u)
 
 
+def usage_of(plays, provenance):
+    """The usage ``fill_attributes`` gives a user with these play counts."""
+    m, umap, _ = from_triples([("u", f"i{k}", p) for k, p in enumerate(plays)])
+    attrs = [UserAttributes("u")]
+    fill_attributes(attrs, m, umap.index, provenance)
+    return attrs[0].usage
+
+
 class TestItemUserCounts:
+    """An item's count of distinct users, as the pop-index reads it."""
+
     def test_three_users_one_item(self):
+        # the item is shared by every other user: coverage 100
         m, _, _ = from_triples([("a", "x", 1), ("b", "x", 2), ("c", "x", 5)])
-        pop = item_user_counts(m)
-        assert pop.user_counts[0] == 3
-        assert pop.n_users == 3
+        assert pop_indices(m).tolist() == [100, 100, 100]
+        assert m.n_users == 3
 
     def test_empty_matrix(self):
-        m, _, _ = from_triples([])
-        assert item_user_counts(m).user_counts.size == 0
+        m, umap, _ = from_triples([])
+        attrs = [UserAttributes("a")]
+        fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
+        assert attrs[0].usage is None and attrs[0].pop_index is None
 
-    def test_random_matrix_column_recount(self, small_random_matrix):
-        m, _, _ = small_random_matrix
-        pop = item_user_counts(m)
-        for i in range(m.n_items):
-            direct = sum(1 for u in range(m.n_users) if i in m.user_items(u))
-            assert pop.user_counts[i] == direct
+    def test_random_matrix_column_recount(self, rng):
+        # a user with one item has the floor of that item's coverage
+        m, _, _ = random_matrix(rng, 50, 80, density=0.01)
+        got = pop_indices(m)
+        single = [u for u in range(m.n_users) if len(m.user_items(u)) == 1]
+        assert single
+        for u in single:
+            i = int(m.user_items(u)[0])
+            direct = sum(1 for v in range(m.n_users) if i in m.user_items(v))
+            assert got[u] == math.floor(100.0 * (direct - 1) / (m.n_users - 1))
 
 
 class TestPopIndex:
     def test_all_items_shared_by_everyone(self):
         triples = [(f"u{u}", f"i{i}", 1) for u in range(5) for i in range(3)]
         m, _, _ = from_triples(triples)
-        pop = item_user_counts(m)
-        for u in range(5):
-            assert pop_index(u, m, pop) == 100
+        assert pop_indices(m).tolist() == [100] * 5
 
     def test_all_items_unique_to_user(self):
         triples = [("me", "mine1", 1), ("me", "mine2", 1), ("other", "theirs", 1)]
         m, _, _ = from_triples(triples)
-        assert pop_index(0, m, item_user_counts(m)) == 0
+        assert pop_indices(m)[0] == 0
 
     def test_matches_brute_force_oracle(self, rng):
         for trial in range(30):
             m, umap, imap = random_matrix(rng, 50, 80, density=0.1)
-            pop = item_user_counts(m)
+            got = pop_indices(m)
             for u in range(0, m.n_users, 7):
-                assert pop_index(u, m, pop) == oracle_pop(m, umap, imap, u)
+                assert got[u] == oracle_pop(m, umap, imap, u)
 
     def test_user_without_items_rejected(self):
         m, _, _ = from_triples([("a", "x", 1), ("b", "x", 1)])
         trimmed = m.drop_entries(np.array([False, True]))
-        with pytest.raises(ValueError):
-            pop_index(1, trimmed, item_user_counts(trimmed))
+        # a user with an empty row has no pop-index
+        assert pop_indices(trimmed)[1] == -1
 
     def test_monotone_in_added_interactions(self, rng):
         # adding another user's interaction on one of A's items never lowers A's index
         for trial in range(10):
             m, umap, imap = random_matrix(rng, 20, 25, density=0.15)
-            base = pop_index(0, m, item_user_counts(m))
+            base = pop_indices(m)[0]
             target_item = imap.ids[int(m.user_items(0)[0])]
-            triples = [(umap.ids[u], imap.ids[int(i)], s) for u, i, s in m.iter_entries()]
+            triples = [(umap.ids[u], imap.ids[int(i)], s) for u, i, s in entries(m)]
             donor = next((umap.ids[u] for u in range(1, m.n_users)
                           if int(m.user_items(0)[0]) not in m.user_items(u)), None)
             if donor is None:
                 continue
             m2, _, _ = from_triples(triples + [(donor, target_item, 1)])
-            assert pop_index(0, m2, item_user_counts(m2)) >= base
+            assert pop_indices(m2)[0] >= base
 
     def test_invariant_to_strength_magnitude(self, rng):
         m, umap, imap = random_matrix(rng, 25, 30, density=0.2)
         scaled_triples = [(umap.ids[u], imap.ids[int(i)], s * 37.0)
-                          for u, i, s in m.iter_entries()]
+                          for u, i, s in entries(m)]
         m2, _, _ = from_triples(scaled_triples)
-        pop1, pop2 = item_user_counts(m), item_user_counts(m2)
-        for u in range(m.n_users):
-            assert pop_index(u, m, pop1) == pop_index(u, m2, pop2)
+        assert np.array_equal(pop_indices(m), pop_indices(m2))
 
 
 class TestPopIndices:
     def check(self, m):
-        pop = item_user_counts(m)
-        got = pop_indices(m, pop)
+        got = pop_indices(m)
         for u in range(m.n_users):
-            if m.user_degree(u) == 0:
+            if len(m.user_items(u)) == 0:
                 assert got[u] == -1
             else:
-                assert got[u] == oracle_pop(m, None, None, u) == pop_index(u, m, pop)
+                assert got[u] == oracle_pop(m, None, None, u)
 
     def test_matches_brute_force_oracle(self, rng):
         for trial in range(40):
@@ -107,7 +119,7 @@ class TestPopIndices:
 
     def test_single_user(self):
         m, _, _ = from_triples([("only", "x", 1), ("only", "y", 4)])
-        assert pop_indices(m, item_user_counts(m)).tolist() == [0]
+        assert pop_indices(m).tolist() == [0]
         self.check(m)
 
     def test_empty_rows_read_minus_one(self, rng):
@@ -116,36 +128,33 @@ class TestPopIndices:
             rows = m.user_index_of_entries()
             emptied = rng.choice(m.n_users, size=5, replace=False)
             trimmed = m.drop_entries(np.isin(rows, emptied))
-            assert all(trimmed.user_degree(u) == 0 for u in emptied)
+            assert all(len(trimmed.user_items(u)) == 0 for u in emptied)
             self.check(trimmed)
 
     def test_rows_with_equal_coverage(self):
         # every item is shared by the same number of users
         triples = [(f"u{u}", f"i{(u + j) % 6}", 1) for u in range(6) for j in range(3)]
         m, _, _ = from_triples(triples)
-        assert len(set(item_user_counts(m).user_counts.tolist())) == 1
+        assert len(set(np.bincount(m.indices).tolist())) == 1
         self.check(m)
 
     def test_empty_matrix(self):
         m, _, _ = from_triples([])
-        assert pop_indices(m, item_user_counts(m)).size == 0
+        assert pop_indices(m).size == 0
 
 
 class TestUsage:
     def test_play_sum_for_lfm(self):
-        m, _, _ = from_triples([("u", "a", 3), ("u", "b", 5)])
-        assert usage(0, m, PROVENANCE_LFM360K) == 8
-        assert usage(0, m, PROVENANCE_SYNTHETIC) == 8
+        assert usage_of([3, 5], PROVENANCE_LFM360K) == 8
+        assert usage_of([3, 5], PROVENANCE_SYNTHETIC) == 8
 
     def test_item_count_for_ml1m(self):
-        m, _, _ = from_triples([(1, i, 4) for i in range(20)])
-        assert usage(0, m, PROVENANCE_ML1M) == 20
+        assert usage_of([4] * 20, PROVENANCE_ML1M) == 20
 
     def test_fixture_hand_sum(self):
         plays = [7, 2, 9, 1, 14]
-        m, _, _ = from_triples([("u", f"i{k}", p) for k, p in enumerate(plays)])
-        assert usage(0, m, PROVENANCE_LFM360K) == sum(plays)
-        assert usage(0, m, PROVENANCE_ML1M) == len(plays)
+        assert usage_of(plays, PROVENANCE_LFM360K) == sum(plays)
+        assert usage_of(plays, PROVENANCE_ML1M) == len(plays)
 
 
 class TestFillAttributes:
@@ -166,7 +175,7 @@ class TestFillAttributes:
         fill_attributes(attrs, trimmed, umap.index, PROVENANCE_LFM360K)
         assert attrs[0].usage is None and attrs[0].pop_index is None
         assert attrs[1].usage == 2
-        assert attrs[1].pop_index == pop_index(1, trimmed, item_user_counts(trimmed))
+        assert attrs[1].pop_index == oracle_pop(trimmed, None, None, 1)
 
     @pytest.mark.parametrize("provenance", [PROVENANCE_LFM360K, PROVENANCE_ML1M])
     def test_matches_scalar_usage_and_pop_index(self, rng, provenance):
@@ -176,10 +185,12 @@ class TestFillAttributes:
             m = m.drop_entries(np.isin(m.user_index_of_entries(), emptied))
             attrs = [UserAttributes(uid) for uid in umap.ids]
             fill_attributes(attrs, m, umap.index, provenance)
-            pop = item_user_counts(m)
             for u, attr in enumerate(attrs):
                 if u in emptied:
                     assert attr.usage is None and attr.pop_index is None
                 else:
-                    assert attr.usage == usage(u, m, provenance)
-                    assert attr.pop_index == pop_index(u, m, pop)
+                    row = slice(m.indptr[u], m.indptr[u + 1])
+                    plays = round(float(np.sum(m.data[row])))
+                    assert attr.usage == (len(m.indices[row])
+                                          if provenance == PROVENANCE_ML1M else plays)
+                    assert attr.pop_index == oracle_pop(m, None, None, u)

@@ -608,17 +608,20 @@ class TestCharts:
 
         from recaudit.charts import escape, render_scheme_chart
         label, scheme, note = "a&b <c>", "s<&>", "p > 0 & q < 1"
-        for text in (label, scheme, note, "&amp;", ""):
-            assert escape(text) == sax_escape(text)
-        svg = render_scheme_chart(scheme, [label, "plain"], [3, 4], [0.5, 0.25],
-                                  [0.0, 0.1], [0.2, -0.1], note)
-        for text in (label, scheme, note):
-            assert sax_escape(text) in svg
+        quoted = ['say "x"', '"']
+        for text in (label, scheme, note, "&amp;", "", *quoted):
+            assert escape(text) == sax_escape(text, {'"': "&quot;"})
+        labels = [label, "plain", *quoted]
+        svg = render_scheme_chart(scheme, labels, [3, 4, 5, 6], [0.5, 0.25, 0.1, 0.2],
+                                  [0.0, 0.1, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1], note)
+        for text in (label, scheme, note, *quoted):
+            assert sax_escape(text, {'"': "&quot;"}) in svg
         root = ET.fromstring(svg)
         ns = {"svg": "http://www.w3.org/2000/svg"}
         assert root.find("svg:title", ns).text == f"{scheme} ({note})"
-        assert {r.get("data-label") for r in root.findall(".//svg:rect", ns)} == {label, "plain"}
-        assert label in [t.text for t in root.findall(".//svg:text", ns)]
+        assert {r.get("data-label") for r in root.findall(".//svg:rect", ns)} == set(labels)
+        texts = [t.text for t in root.findall(".//svg:text", ns)]
+        assert all(text in texts for text in (label, *quoted))
 
     def test_bar_heights_proportional_to_means(self, small_audit):
         _, config, audit, _ = small_audit
