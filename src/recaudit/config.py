@@ -1,5 +1,8 @@
 """Audit configuration: an INI-style file with sections.
 
+A section is an ``AuditConfig`` field and a key is a field of that
+section, which declares the key's type and default.  Any other section
+or key, and any value that ``_RULES`` rejects, is a ``ConfigError``.
 Every protocol constant has a default, so an empty or minimal file runs
 the standard audit (50 factors, 0.01 regularization, 30 iterations,
 five folds, 20% holdout, 1000 recommendations per user).  All seeds are
@@ -12,7 +15,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .als import AlsHyperparams
 from .ebm import EbmConfig
@@ -101,151 +104,110 @@ class AuditConfig:
         """``section.key=value`` for every setting except ``output.dir``
         and ``output.threads``, which do not change the results."""
         lines = []
-        for section_name, section in (
-            ("dataset", self.dataset), ("model", self.model),
-            ("evaluation", self.evaluation), ("grouping", self.grouping),
-            ("ebm", self.ebm), ("output", self.output),
-        ):
-            for f in fields(section):
-                if section is self.output and f.name in ("dir", "threads"):
-                    continue
-                value = getattr(section, f.name)
+        for section in fields(self):
+            values = getattr(self, section.name)
+            for f in fields(values):
+                value = getattr(values, f.name)
                 if isinstance(value, tuple):
                     value = ",".join(str(v) for v in value)
-                lines.append(f"{section_name}.{f.name}={value}")
+                if f"{section.name}.{f.name}" not in ("output.dir", "output.threads"):
+                    lines.append(f"{section.name}.{f.name}={value}")
         return lines
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+def _parser(annotation):
+    """What parses a raw INI value into a field of this type."""
+    if annotation is bool:  # the words configparser's getboolean reads
+        return lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    if get_origin(annotation) is Union:  # Optional[X]
+        return _parser(get_args(annotation)[0])
+    if get_origin(annotation) is tuple:  # tuple[X, ...], comma-separated
+        part = _parser(get_args(annotation)[0])
+        return lambda raw: tuple(part(p.strip()) for p in raw.split(",") if p.strip())
+    return annotation
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+def _at_least(bound: int):
+    return (lambda value: value >= bound), f"must be >= {bound}"
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+_POSITIVE = (lambda value: value > 0), "must be positive"
+_OPEN_UNIT = (lambda value: 0.0 < value < 1.0), "must lie in (0, 1)"
+_FOLD_SCHEMES = (SCHEME_AUTO, "sample", "partition")
+_GROUPING_SCHEMES = (SCHEME_AUTO,) + ALL_GROUPING_SCHEMES
+
+# Every value the audit cannot run, as (section, key): (test, what it must be).
+_RULES = {
+    ("dataset", "provenance"): (
+        (lambda value: value in PROVENANCES), f"must be one of {', '.join(PROVENANCES)}"),
+    ("model", "factors"): _POSITIVE,
+    ("model", "regularization"): _POSITIVE,
+    ("model", "iterations"): _POSITIVE,
+    ("model", "alpha"): _POSITIVE,
+    # train seeds numpy's generator with it and dumps it as an int64
+    ("model", "seed"): ((lambda value: 0 <= value < 2**63), "must lie in [0, 2**63)"),
+    ("evaluation", "scheme"): (
+        (lambda value: value in _FOLD_SCHEMES), f"must be one of {', '.join(_FOLD_SCHEMES)}"),
+    ("evaluation", "folds"): _at_least(2),
+    ("evaluation", "holdout_fraction"): _OPEN_UNIT,
+    ("evaluation", "depth"): _at_least(1),
+    ("evaluation", "rbp_persistence"): _OPEN_UNIT,
+    ("grouping", "age_brackets"): (bool, "must list at least one bound"),
+    ("grouping", "age_range_width"): _at_least(1),
+    ("grouping", "age_count_bins"): _at_least(2),
+    ("grouping", "usage_bins"): _at_least(2),
+    ("grouping", "country_buckets"): _at_least(1),
+    ("grouping", "schemes"): ((lambda value: set(value) <= set(_GROUPING_SCHEMES)),
+                              f"must each be one of {', '.join(_GROUPING_SCHEMES)}"),
+    ("ebm", "learning_rate"): _POSITIVE,
+    ("ebm", "bags"): _at_least(1),
+    ("ebm", "max_bins"): _at_least(2),
+    ("output", "threads"): _at_least(1),
+}
 
 
-def _str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+def _check(config: AuditConfig, keys=tuple(_RULES)) -> AuditConfig:
+    for section, key in keys:
+        test, rule = _RULES[section, key]
+        value = getattr(getattr(config, section), key)
+        if not test(value):
+            raise ConfigError(f"[{section}] {key} {rule}, not {value!r}")
+    return config
 
 
 def load_config(path: Optional[str | Path] = None) -> AuditConfig:
-    """Load an audit config, falling back to protocol defaults everywhere."""
+    """Load an audit config; a key left out or left empty keeps its default."""
     parser = configparser.ConfigParser()
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
+    base = AuditConfig()
+    names = [f.name for f in fields(base)]
+    sections = {}
+    try:
+        if path is not None:
+            path = Path(path)
+            if not path.exists():
+                raise ConfigError(f"config file not found: {path}")
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-
-    base = AuditConfig()
-    dataset = DatasetConfig(
-        provenance=_get(parser, "dataset", "provenance", str.lower,
-                        base.dataset.provenance),
-        interactions=_get(parser, "dataset", "interactions", str, None),
-        profiles=_get(parser, "dataset", "profiles", str, None),
-        ratings=_get(parser, "dataset", "ratings", str, None),
-        users=_get(parser, "dataset", "users", str, None),
-        gdp_table=_get(parser, "dataset", "gdp_table", str, None),
-        cold_start_min_items=_get(parser, "dataset", "cold_start_min_items", int, None),
-    )
-    if dataset.provenance not in PROVENANCES:
-        raise ConfigError(f"unknown provenance {dataset.provenance!r}")
-
-    model = AlsHyperparams(
-        factors=_get(parser, "model", "factors", int, 50),
-        regularization=_get(parser, "model", "regularization", float, 0.01),
-        iterations=_get(parser, "model", "iterations", int, 30),
-        alpha=_get(parser, "model", "alpha", float, 1.0),
-        seed=_get(parser, "model", "seed", int, 42),
-    )
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    evaluation = EvalConfig(
-        scheme=_get(parser, "evaluation", "scheme", str.lower, SCHEME_AUTO),
-        folds=_get(parser, "evaluation", "folds", int, 5),
-        sample_size=_get(parser, "evaluation", "sample_size", int, 5000),
-        holdout_fraction=_get(parser, "evaluation", "holdout_fraction", float, 0.2),
-        depth=_get(parser, "evaluation", "depth", int, 1000),
-        rbp_persistence=_get(parser, "evaluation", "rbp_persistence", float, 0.85),
-        filter_train=_get(parser, "evaluation", "filter_train", _bool, True),
-        seed=_get(parser, "evaluation", "seed", int, 7),
-    )
-    if evaluation.scheme not in (SCHEME_AUTO, "sample", "partition"):
-        raise ConfigError(f"unknown fold scheme {evaluation.scheme!r}")
-    if not 0.0 < evaluation.holdout_fraction < 1.0:
-        raise ConfigError("holdout_fraction must lie in (0, 1)")
-    if not 0.0 < evaluation.rbp_persistence < 1.0:
-        raise ConfigError("rbp_persistence must lie in (0, 1)")
-    if evaluation.depth < 1:
-        raise ConfigError("depth must be >= 1")
-    if evaluation.folds < 2:
-        raise ConfigError("need at least 2 folds")
-
-    grouping = GroupingConfig(
-        age_brackets=_get(parser, "grouping", "age_brackets", _int_tuple,
-                          base.grouping.age_brackets),
-        age_range_width=_get(parser, "grouping", "age_range_width", int, 15),
-        age_count_bins=_get(parser, "grouping", "age_count_bins", int, 7),
-        usage_bins=_get(parser, "grouping", "usage_bins", int, 7),
-        country_buckets=_get(parser, "grouping", "country_buckets", int, 3),
-        popindex_merge_at=_get(parser, "grouping", "popindex_merge_at", int, 13),
-        schemes=_get(parser, "grouping", "schemes", _str_tuple, (SCHEME_AUTO,)),
-    )
-    for scheme in grouping.schemes:
-        if scheme != SCHEME_AUTO and scheme not in ALL_GROUPING_SCHEMES:
-            raise ConfigError(f"unknown grouping scheme {scheme!r}")
-    if not grouping.age_brackets:
-        raise ConfigError("[grouping] age_brackets must list at least one bound")
-    for key, minimum in (("age_range_width", 1), ("age_count_bins", 2),
-                         ("usage_bins", 2), ("country_buckets", 1)):
-        if getattr(grouping, key) < minimum:
-            raise ConfigError(f"[grouping] {key} must be >= {minimum}")
-
-    ebm_config = EbmConfig(
-        learning_rate=_get(parser, "ebm", "learning_rate", float, 0.01),
-        max_rounds=_get(parser, "ebm", "max_rounds", int, 1000),
-        bags=_get(parser, "ebm", "bags", int, 8),
-        patience=_get(parser, "ebm", "patience", int, 50),
-        max_bins=_get(parser, "ebm", "max_bins", int, 64),
-        seed=_get(parser, "ebm", "seed", int, 11),
-    )
-    if ebm_config.learning_rate <= 0 or ebm_config.bags < 1:
-        raise ConfigError("ebm learning_rate must be positive and bags >= 1")
-
-    output = OutputConfig(
-        dir=_get(parser, "output", "dir", str, "audit-out"),
-        threads=_get(parser, "output", "threads", int, 1),
-        significance=_get(parser, "output", "significance", float, 0.01),
-    )
-    if output.threads < 1:
-        raise ConfigError("threads must be >= 1")
-
-    return AuditConfig(dataset=dataset, model=model, evaluation=evaluation,
-                       grouping=grouping, ebm=ebm_config, output=output)
+        for name in parser.sections() + ([parser.default_section] if parser.defaults() else []):
+            if name not in names:
+                raise ConfigError(f"unknown section [{name}]; the sections are {', '.join(names)}")
+        for name in names:
+            types = get_type_hints(type(getattr(base, name)))
+            values = {}
+            for key, raw in parser.items(name) if parser.has_section(name) else ():
+                if key not in types:
+                    raise ConfigError(f"[{name}] unknown key {key!r}; "
+                                      f"the keys are {', '.join(types)}")
+                raw = raw.strip().lower() if key in ("provenance", "scheme") else raw.strip()
+                if raw:
+                    try:
+                        values[key] = _parser(types[key])(raw)
+                    except (ValueError, TypeError, KeyError) as exc:
+                        raise ConfigError(f"[{name}] {key}: cannot parse {raw!r}") from exc
+            sections[name] = replace(getattr(base, name), **values)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    return _check(AuditConfig(**sections))
 
 
 def apply_overrides(config: AuditConfig, seed: Optional[int] = None,
@@ -266,8 +228,6 @@ def apply_overrides(config: AuditConfig, seed: Optional[int] = None,
     if out is not None:
         config = replace(config, output=replace(config.output, dir=out))
     if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
         config = replace(config, output=replace(config.output, threads=threads))
     if dataset_dir is not None:
         root = Path(dataset_dir)
@@ -283,4 +243,4 @@ def apply_overrides(config: AuditConfig, seed: Optional[int] = None,
             ds = replace(config.dataset, interactions=str(root / "interactions.tsv"),
                          profiles=str(root / "profiles.tsv"))
         config = replace(config, dataset=ds)
-    return config
+    return _check(config, [("model", "seed"), ("output", "threads")])

@@ -128,6 +128,46 @@ def test_train_writes_model(config_file, tmp_path, capsys):
     assert np.isfinite(model.item_factors).all()
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_train_rejects_a_negative_model_seed(config_file, tmp_path, capsys, where):
+    # numpy's generator refuses a negative seed, so train cannot run one
+    argv = ["train", "--config", str(config_file), "--model-out", str(tmp_path / "m.npz")]
+    if where == "config":
+        config_file.write_text(config_file.read_text().replace(
+            "[model]\n", "[model]\nseed = -3\n"))
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "[model] seed must lie in [0, 2**63)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize("verb", ["audit", "report"])
+@pytest.mark.parametrize("section, line, named", [
+    ("ebm", "max_bins = 1", "[ebm] max_bins must be >= 2"),
+    ("modle", "factors = 8", "unknown section [modle]"),
+    ("model", "factor = 8", "[model] unknown key 'factor'"),
+], ids=["max_bins", "modle", "factor"])
+def test_config_the_audit_cannot_run_exits_2(config_file, tmp_path, capsys, verb,
+                                             section, line, named):
+    text = config_file.read_text()
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    else:
+        text += f"\n[{section}]\n{line}\n"
+    config_file.write_text(text)
+    argv = [verb, "--config", str(config_file)]
+    if verb == "report":
+        argv += ["--metrics", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_writes_metrics(config_file, tmp_path, capsys):
     assert main(["evaluate", "--config", str(config_file)]) == 0
     out_dir = config_file.parent / "out"

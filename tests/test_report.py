@@ -1,8 +1,9 @@
 import csv
 import os
+import re
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from oracles import (naive_balanced_sample, naive_crosstab_counts, naive_group_numbers,
                      naive_kw_groups, naive_labels, naive_per_user_mean)
 from recaudit import report as report_mod
-from recaudit.config import apply_overrides, load_config
+from recaudit.config import AuditConfig, apply_overrides, load_config
 from recaudit.errors import ConfigError, DataError
 from recaudit.evaluation import METRICS, MetricFrame, MetricRow
 from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
@@ -21,6 +22,8 @@ from recaudit.report import _largest_remainder, build_crosstab, run_audit
 from recaudit.stats import kruskal_wallis
 from recaudit.synthetic import generate_planted
 from recaudit.util import derive_seed
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -92,14 +95,71 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(bad)
 
-    @pytest.mark.parametrize("setting", ["age_range_width = 0", "age_range_width = -15",
-                                         "age_count_bins = 1", "usage_bins = 1",
-                                         "country_buckets = 0", "age_brackets = ,"])
-    def test_grouping_ranges_rejected(self, tmp_path, setting):
+    RANGES = [("grouping", "age_range_width = 0"), ("grouping", "age_range_width = -15"),
+              ("grouping", "age_count_bins = 1"), ("grouping", "usage_bins = 1"),
+              ("grouping", "country_buckets = 0"), ("grouping", "age_brackets = ,"),
+              ("ebm", "max_bins = 1"), ("model", "seed = -1")]
+
+    @pytest.mark.parametrize("section, setting", RANGES, ids=[s for _, s in RANGES])
+    def test_grouping_ranges_rejected(self, tmp_path, section, setting):
         bad = tmp_path / "bad.ini"
-        bad.write_text(f"[grouping]\n{setting}\n")
+        bad.write_text(f"[{section}]\n{setting}\n")
         with pytest.raises(ConfigError, match=setting.split()[0]):
             load_config(bad)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[modle]\nfactors = 8\n", r"unknown section \[modle\]"),
+        ("[model]\nfactor = 8\n", r"\[model\] unknown key 'factor'"),
+        ("[ebm]\nbag = 3\n", r"\[ebm\] unknown key 'bag'"),
+        ("[DEFAULT]\nseed = 3\n", r"unknown section \[DEFAULT\]"),
+    ], ids=["modle", "factor", "bag", "DEFAULT"])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, named):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=named):
+            load_config(bad)
+
+    def test_uninterpolable_value_is_a_config_error(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[dataset]\ninteractions = data/100%.tsv\n")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(bad)
+
+    # manifest.json holds config_hash(), so a loader or canonical_lines change
+    # that moves one of these changes the bytes of every such audit's manifest
+    PINNED_HASHES = {
+        None: "4b30ca28a6454078da7b520077608224955eae18c2fa93f7e96d292f847a4a7c",
+        "lfm360k.ini": "7b5dfee9d050ae8f85e21e5858b0c82d18bd89e604c570fe197919d629e6e101",
+        "ml1m.ini": "6f70e7812fa1aac567065f5696e55263985e72b712d1f90d777853e2da8ade8a",
+        "synthetic.ini": "496be3fae2ec706378e78c90437671388976426276434461647496527883322e",
+    }
+
+    def test_config_hashes_are_pinned(self, tmp_path):
+        assert sorted(p.name for p in CONFIGS.glob("*.ini")) == sorted(
+            name for name in self.PINNED_HASHES if name)
+        empty = tmp_path / "empty.ini"
+        empty.write_text("")
+        for name, digest in self.PINNED_HASHES.items():
+            path = CONFIGS / name if name else empty
+            assert load_config(path).config_hash() == digest, name
+        assert load_config(None).config_hash() == self.PINNED_HASHES[None]
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        def shown(value):
+            if value is None:
+                return "unset"
+            if isinstance(value, bool):
+                return f"`{str(value).lower()}`"
+            if isinstance(value, tuple):
+                return f"`{','.join(str(v) for v in value)}`"
+            return f"`{value}`"
+
+        base = AuditConfig()
+        schema = [(section.name, f.name, shown(getattr(getattr(base, section.name), f.name)))
+                  for section in fields(base) for f in fields(getattr(base, section.name))]
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]+?) \|", readme, re.M)
+        assert rows == schema
 
     @pytest.mark.parametrize("depth", [0, -5])
     def test_depth_below_one_rejected(self, tmp_path, depth):
