@@ -8,16 +8,19 @@ bagged replicates are fit on seeded bootstrap samples and averaged; the
 out-of-bootstrap rows provide the held-back loss for early stopping.
 The bags are boosted together as one batch, one bincount per feature per
 round for all of them; a bag that stops early leaves the batch, and the
-result is float for float that of fitting the bags one by one.  Features
-are binned a column at a time.
-Shapes are centered to be mass-weighted mean-zero, with the offset folded
-into the intercept, so prediction = intercept + sum of shape lookups.
+result is float for float that of fitting the bags one by one.  Shapes are
+centered to be mass-weighted mean-zero, with the offset folded into the
+intercept, so prediction = intercept + sum of shape lookups.
+
+A fit takes the (rows, features) bin matrix.  ``FeatureSpec`` bins a numeric
+column (float64, NaN where missing) by one searchsorted, and a categorical
+column (codes into a label list; a code past it is missing) by one take.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,7 +47,6 @@ class FeatureSpec:
     kind: str
     bin_edges: Optional[np.ndarray] = None  # numeric
     categories: Optional[list] = None  # categorical
-    _cat_index: Optional[dict] = field(default=None, repr=False)
 
     @property
     def n_bins(self) -> int:
@@ -56,33 +58,20 @@ class FeatureSpec:
     def missing_bin(self) -> int:
         return self.n_bins - 1
 
-    def bin_of(self, value) -> int:
-        if value is None:
-            return self.missing_bin
-        if self.kind == KIND_NUMERIC:
-            v = float(value)
-            if np.isnan(v):
-                return self.missing_bin
-            return int(np.searchsorted(self.bin_edges, v, side="left"))
-        return self._category_index().get(value, self.missing_bin)
+    def bin_values(self, values: np.ndarray) -> np.ndarray:
+        """The bin of every value of a numeric column (float64, NaN where
+        missing), by one searchsorted."""
+        bins = np.searchsorted(self.bin_edges, values, side="left")
+        bins[np.isnan(values)] = self.missing_bin
+        return bins
 
-    def bin_column(self, values: Sequence) -> np.ndarray:
-        """``bin_of`` of every value, one searchsorted or dict pass per column."""
-        missing = self.missing_bin
-        if self.kind == KIND_NUMERIC:
-            v = np.fromiter((np.nan if x is None else float(x) for x in values),
-                            dtype=np.float64, count=len(values))
-            bins = np.searchsorted(self.bin_edges, v, side="left")
-            bins[np.isnan(v)] = missing
-            return bins
-        index = self._category_index()
-        return np.fromiter((missing if x is None else index.get(x, missing)
-                            for x in values), dtype=np.int64, count=len(values))
-
-    def _category_index(self) -> dict:
-        if self._cat_index is None:
-            self._cat_index = {c: i for i, c in enumerate(self.categories)}
-        return self._cat_index
+    def bin_codes(self, codes: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+        """The bin of every code of a categorical column, by one take:
+        ``codes`` index ``labels``, and a code past them is missing."""
+        index = {category: b for b, category in enumerate(self.categories)}
+        lookup = np.array([index.get(label, self.missing_bin) for label in labels]
+                          + [self.missing_bin])
+        return lookup.take(codes, mode="clip")
 
     def bin_labels(self) -> list[str]:
         if self.kind == KIND_CATEGORICAL:
@@ -98,16 +87,16 @@ class FeatureSpec:
         return labels
 
 
-def bin_numeric(name: str, values: Sequence, max_bins: int = 64) -> FeatureSpec:
-    """Quantile-based interior edges over the non-missing values.
+def bin_numeric(name: str, values: Sequence[float], max_bins: int = 64) -> FeatureSpec:
+    """Quantile-based interior edges over the non-missing (non-NaN) values.
 
     Duplicate edges collapse, so constant data yields a single regular bin.
     All-missing data keeps just the missing bin, with a warning.
     """
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
-    present = np.array([float(v) for v in values if v is not None and not
-                        (isinstance(v, float) and np.isnan(v))])
+    values = np.asarray(values, dtype=np.float64)
+    present = values[~np.isnan(values)]
     if present.size == 0:
         log.warning("feature %s has no non-missing values", name)
         return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=np.empty(0))
@@ -118,8 +107,11 @@ def bin_numeric(name: str, values: Sequence, max_bins: int = 64) -> FeatureSpec:
     return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=edges)
 
 
-def categorical_spec(name: str, values: Sequence) -> FeatureSpec:
-    cats = sorted({v for v in values if v is not None}, key=str)
+def categorical_spec(name: str, codes: np.ndarray, labels: Sequence[str]) -> FeatureSpec:
+    """One category per label that ``codes`` use, sorted; a code past
+    ``labels`` is missing (the ``GroupAssignment`` form, N/A last)."""
+    used = np.unique(codes)
+    cats = sorted(labels[code] for code in used[used < len(labels)].tolist())
     return FeatureSpec(name=name, kind=KIND_CATEGORICAL, categories=cats)
 
 
@@ -140,18 +132,6 @@ class EbmModel:
     bin_mass: dict[str, np.ndarray]  # training-row counts per bin
     specs: list[FeatureSpec]
     config: EbmConfig
-
-    def shape_value(self, feature: str, value) -> float:
-        spec = next(s for s in self.specs if s.name == feature)
-        return float(self.shapes[feature][spec.bin_of(value)])
-
-
-def _bin_matrix(rows: Sequence[dict], specs: Sequence[FeatureSpec]) -> np.ndarray:
-    """The (rows, features) bin of every cell, binned one column at a time."""
-    binned = np.empty((len(rows), len(specs)), dtype=np.int64)
-    for j, spec in enumerate(specs):
-        binned[:, j] = spec.bin_column([row.get(spec.name) for row in rows])
-    return binned
 
 
 def _fit_bags(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
@@ -264,17 +244,17 @@ def _bootstraps(binned: np.ndarray, y: np.ndarray, n_bins: list[int], seed: int,
     return intercepts, residual, keys, oob_pos, y[oob_rows], oob_keys
 
 
-def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
+def fit_ebm(binned: np.ndarray, targets: Sequence[float],
             specs: Sequence[FeatureSpec], config: EbmConfig = EbmConfig()) -> EbmModel:
-    """Fit the additive model on (feature dict, target) rows.
+    """Fit the additive model on a (rows, features) bin matrix, column j
+    binned by ``specs[j]``, and one target per row.
 
-    Deterministic given (rows, specs, config): bags derive their bootstrap
-    RNG from the config seed, are boosted together and are averaged in
-    index order.
+    Deterministic given its arguments: bags derive their bootstrap RNG from
+    the config seed, are boosted together and are averaged in index order.
     """
-    if len(rows) != len(targets):
+    if len(binned) != len(targets):
         raise ValueError("rows and targets must have equal length")
-    if len(rows) < 10:
+    if len(binned) < 10:
         raise ValueError("fit_ebm needs at least 10 rows")
     if not specs:
         raise ValueError("fit_ebm needs at least one feature")
@@ -283,7 +263,6 @@ def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
     if bad.size:
         raise NumericalError(f"non-finite target at row {int(bad[0])}")
 
-    binned = _bin_matrix(rows, specs)
     bag_results = _fit_bags(binned, y, specs, config, range(config.bags))
 
     intercept = sum(res[0] for res in bag_results) / config.bags
@@ -304,10 +283,9 @@ def fit_ebm(rows: Sequence[dict], targets: Sequence[float],
                     specs=list(specs), config=config)
 
 
-def importance(model: EbmModel, rows: Sequence[dict]) -> list[tuple[str, float]]:
-    """Mean absolute shape contribution per feature over the given rows,
-    sorted descending (ties by feature name)."""
-    binned = _bin_matrix(rows, model.specs)
+def importance(model: EbmModel, binned: np.ndarray) -> list[tuple[str, float]]:
+    """Mean absolute shape contribution per feature over the rows of the
+    bin matrix, sorted descending (ties by feature name)."""
     scores = []
     for j, spec in enumerate(model.specs):
         contrib = model.shapes[spec.name][binned[:, j]]

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ingest import GdpTable
-from .interactions import UserAttributes, UserId
+from .interactions import UserId
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def _tercile_labels(k: int) -> list[str]:
     return [f"bucket{i + 1}" for i in range(k)]
 
 
-def bucket_countries_by_prevalence(name: str, attributes: Sequence[UserAttributes],
+def bucket_countries_by_prevalence(name: str, countries: Sequence[Optional[str]],
                                    k: int = 3) -> GroupAssignment:
     """Bucket countries by how many users they contribute, low to high.
 
@@ -185,10 +185,7 @@ def bucket_countries_by_prevalence(name: str, attributes: Sequence[UserAttribute
     share of users, always leaving at least one country per later bucket.
     The most-represented countries therefore land in "high".
     """
-    counts: dict[str, int] = {}
-    for attr in attributes:
-        if attr.country is not None:
-            counts[attr.country] = counts.get(attr.country, 0) + 1
+    counts = Counter(c for c in countries if c is not None)
     labels = _tercile_labels(k)
     ordered = sorted(counts, key=lambda c: (counts[c], c))
     country_bucket: dict[str, str] = {}
@@ -218,19 +215,18 @@ def bucket_countries_by_prevalence(name: str, attributes: Sequence[UserAttribute
         for c in chosen:
             country_bucket[c] = labels[j]
 
-    return _from_labels(name, [country_bucket.get(a.country, NA_LABEL)
-                               for a in attributes], labels)
+    return _from_labels(name, [country_bucket.get(c, NA_LABEL) for c in countries],
+                        labels)
 
 
-def bucket_countries_by_gdp(name: str, attributes: Sequence[UserAttributes],
+def bucket_countries_by_gdp(name: str, countries: Sequence[Optional[str]],
                             gdp: GdpTable, k: int = 3) -> GroupAssignment:
     """Bucket countries into GDP-per-capita terciles (by country count).
 
     Users inherit their country's bucket; countries absent from the table
     and users without a country go to N/A.
     """
-    countries = sorted({a.country for a in attributes if a.country is not None})
-    with_gdp = [(gdp.lookup(c), c) for c in countries]
+    with_gdp = [(gdp.lookup(c), c) for c in sorted(set(countries) - {None})]
     with_gdp = [(g, c) for g, c in with_gdp if g is not None]
     with_gdp.sort()
     labels = _tercile_labels(k)
@@ -240,8 +236,8 @@ def bucket_countries_by_gdp(name: str, attributes: Sequence[UserAttributes],
         for j, chunk in enumerate(chunks):
             for idx in chunk:
                 country_bucket[with_gdp[idx][1]] = labels[j]
-    return _from_labels(name, [country_bucket.get(a.country, NA_LABEL) if a.country
-                               else NA_LABEL for a in attributes], labels)
+    return _from_labels(name, [country_bucket.get(c, NA_LABEL) for c in countries],
+                        labels)
 
 
 def control_last_digit(name: str, user_ids: Sequence[UserId]) -> GroupAssignment:

@@ -37,7 +37,7 @@ class UserAttributes:
     gender: str = GENDER_NA
     age: Optional[int] = None
     country: Optional[str] = None
-    usage: Optional[int] = None
+    usage: Optional[float] = None
     pop_index: Optional[int] = None
 
 

@@ -71,18 +71,18 @@ def pop_indices(m: InteractionMatrix) -> np.ndarray:
 
 def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
                     user_index: dict, provenance: str) -> None:
-    """Fill usage (total plays, or for ML1M the number of rated items) and
-    pop_index on every attribute record with a matrix row.
+    """Fill usage (total plays, or for ML1M the number of rated items, as a
+    float) and pop_index on every attribute record with a matrix row.
 
     Users absent from the matrix, or with an empty row, keep both fields
     unset.
     """
     pops = pop_indices(m).tolist()
-    uses = np.diff(m.indptr)
+    uses = np.diff(m.indptr).astype(np.float64)
     if provenance != PROVENANCE_ML1M:
-        # play counts are integers, so every row's sum is exact in any order
+        # play counts are integers: a row's sum is integral, exact in any order below 2**53
         nonempty = uses > 0
-        uses[nonempty] = np.rint(np.add.reduceat(m.data, m.indptr[:-1][nonempty]))
+        uses[nonempty] = np.add.reduceat(m.data, m.indptr[:-1][nonempty])
     uses = uses.tolist()
     for attr in attributes:
         u = user_index.get(attr.user_id)

@@ -329,7 +329,8 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
     gc = config.grouping
     ages = [a.age for a in attributes]
     have_ages = any(v is not None for v in ages)
-    have_countries = any(a.country is not None for a in attributes)
+    countries = [a.country for a in attributes]
+    have_countries = any(c is not None for c in countries)
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
 
     out: dict[str, grouping.GroupAssignment] = {}
@@ -349,9 +350,9 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
             out[scheme] = grouping.bucket_categorical(scheme, genders)
         elif scheme == "country_prevalence" and have_countries:
             out[scheme] = grouping.bucket_countries_by_prevalence(
-                scheme, attributes, gc.country_buckets)
+                scheme, countries, gc.country_buckets)
         elif scheme == "country_gdp" and have_countries and gdp is not None:
-            out[scheme] = grouping.bucket_countries_by_gdp(scheme, attributes, gdp,
+            out[scheme] = grouping.bucket_countries_by_gdp(scheme, countries, gdp,
                                                            gc.country_buckets)
         elif scheme == "usage":
             usages = [a.usage for a in attributes]
@@ -369,43 +370,42 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
     return out
 
 
-def _ebm_feature_rows(attributes: Sequence[UserAttributes],
-                      assignments: dict[str, grouping.GroupAssignment],
-                      users: np.ndarray) -> list[dict]:
-    """Feature dicts for the all-features explainer run, one per user index
-    in ``users``."""
-    countries = [assignments[name] for name in ("country_prevalence", "country_gdp")
-                 if name in assignments]
-    rows = []
-    for i in users.tolist():
-        attr = attributes[i]
-        row = {
-            "age": attr.age,
-            "gender": None if attr.gender == GENDER_NA else attr.gender,
-            "usage": attr.usage,
-            "pop_index": attr.pop_index,
-            "last_digit": str(attr.user_id)[-1].lower(),
-        }
-        for assignment in countries:
-            label = assignment.labels[assignment.codes[i]]
-            row[assignment.name] = None if label == grouping.NA_LABEL else label
-        rows.append(row)
-    return rows
+def _explainer_columns(attributes: Sequence[UserAttributes],
+                       assignments: dict[str, grouping.GroupAssignment],
+                       users: np.ndarray) -> dict:
+    """The all-features explainer's columns, one row per user in ``users``:
+    age, usage and pop-index as float64 (NaN where missing); gender, the
+    last id character and the country schemes in the data as assignments."""
+    rows = [attributes[i] for i in users.tolist()]
+    floats = {field: np.array([getattr(a, field) for a in rows], dtype=np.float64)
+              for field in ("age", "usage", "pop_index")}  # None becomes NaN
+    genders = [None if a.gender == GENDER_NA else a.gender for a in rows]
+    ids = [a.user_id for a in rows]
+    return {"age": floats["age"], "gender": grouping.bucket_categorical("gender", genders),
+            "usage": floats["usage"], "pop_index": floats["pop_index"],
+            "last_digit": grouping.control_last_digit("last_digit", ids),
+            **{name: grouping.GroupAssignment(name, assignments[name].labels,
+                                              assignments[name].codes[users])
+               for name in ("country_prevalence", "country_gdp") if name in assignments}}
 
 
-def _ebm_specs(rows: list[dict], max_bins: int) -> list[ebm.FeatureSpec]:
-    specs: list[ebm.FeatureSpec] = []
-    names = list(rows[0].keys())
-    numeric = {"age", "usage", "pop_index"}
-    for name in names:
-        values = [row[name] for row in rows]
-        if all(v is None for v in values):
-            continue
-        if name in numeric:
-            specs.append(ebm.bin_numeric(name, values, max_bins=max_bins))
-        else:
-            specs.append(ebm.categorical_spec(name, values))
-    return specs
+def _explainer_inputs(columns: dict, max_bins: int
+                      ) -> tuple[list[ebm.FeatureSpec], Optional[np.ndarray]]:
+    """The specs and the (rows, features) bin matrix of the explainer
+    ``columns`` (None if no column is left).  A float64 column gets quantile
+    edges, an assignment one category per label; a column missing in every
+    row is left out."""
+    specs, bins = [], []
+    for name, column in columns.items():
+        if isinstance(column, grouping.GroupAssignment):
+            codes, labels = column.codes, column.non_na_labels()
+            if (codes < len(labels)).any():
+                specs.append(ebm.categorical_spec(name, codes, labels))
+                bins.append(specs[-1].bin_codes(codes, labels))
+        elif not np.isnan(column).all():
+            specs.append(ebm.bin_numeric(name, column, max_bins=max_bins))
+            bins.append(specs[-1].bin_values(column))
+    return specs, np.column_stack(bins) if bins else None
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
@@ -421,7 +421,8 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
                    data: Dataset) -> AuditReport:
     """Grouping, significance testing, explainer runs, and cross-tabs from
     a metric frame, whether just scored or read back from a per-user
-    metrics CSV."""
+    metrics CSV.  The explainers fit on bin matrices of attribute columns
+    and group codes (``_explainer_inputs``)."""
     by_id = {a.user_id: a for a in data.raw.attributes}
     attributes = [by_id.get(uid) or UserAttributes(user_id=uid, gender=GENDER_NA)
                   for uid in data.umap.ids]
@@ -445,15 +446,14 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     tested_users = np.array(
         sorted(np.flatnonzero(~np.isnan(means["ndcg"])).tolist(),
                key=lambda i: str(ids[i])), dtype=np.intp)
-    all_rows = _ebm_feature_rows(attributes, assignments, tested_users)
-    targets = means["ndcg"][tested_users]
     ebm_model = None
     ebm_importance: list[tuple[str, float]] = []
-    if len(all_rows) >= 10:
-        specs = _ebm_specs(all_rows, config.ebm.max_bins)
+    if len(tested_users) >= 10:
+        specs, binned = _explainer_inputs(
+            _explainer_columns(attributes, assignments, tested_users), config.ebm.max_bins)
         if specs:
-            ebm_model = ebm.fit_ebm(all_rows, targets, specs, config.ebm)
-            ebm_importance = ebm.importance(ebm_model, all_rows)
+            ebm_model = ebm.fit_ebm(binned, means["ndcg"][tested_users], specs, config.ebm)
+            ebm_importance = ebm.importance(ebm_model, binned)
     _solo_ebm_runs(config, schemes, tested_users, means["ndcg"])
 
     crosstabs: dict[str, CrossTab] = {}
@@ -504,13 +504,13 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
             continue
         if len(sample) < 10:
             continue
-        rows = [{"group": assignment.labels[code]}
-                for code in assignment.codes[sample].tolist()]
-        spec = ebm.categorical_spec("group", [row["group"] for row in rows])
-        model = ebm.fit_ebm(rows, ndcg_means[sample], [spec], config.ebm)
-        result.ebm_shape = {label: model.shape_value("group", label)
-                            for label in assignment.non_na_labels()}
-        result.solo_importance = ebm.importance(model, rows)[0][1]
+        group = grouping.GroupAssignment("group", assignment.labels, assignment.codes[sample])
+        specs, binned = _explainer_inputs({"group": group}, config.ebm.max_bins)
+        model = ebm.fit_ebm(binned, ndcg_means[sample], specs, config.ebm)
+        labels = assignment.non_na_labels()
+        label_bins = specs[0].bin_codes(np.arange(len(labels)), labels)
+        result.ebm_shape = dict(zip(labels, model.shapes["group"][label_bins].tolist()))
+        result.solo_importance = ebm.importance(model, binned)[0][1]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import naive_bin_of
 from recaudit import als
 from recaudit.interactions import from_triples
 
@@ -61,11 +62,18 @@ def sweep_side(side, model, matrix):
 
 
 def ebm_predict(model, row):
-    """Intercept plus the shape lookup of every feature of one row dict."""
+    """Intercept plus the shape lookup of every feature of one row dict,
+    each value binned by the oracle."""
     total = model.intercept
     for spec in model.specs:
-        total += model.shapes[spec.name][spec.bin_of(row.get(spec.name))]
+        total += model.shapes[spec.name][naive_bin_of(spec, row.get(spec.name))]
     return float(total)
+
+
+def shape_at(model, feature, value):
+    """The shape value of ``feature`` at one value, binned by the oracle."""
+    spec = next(s for s in model.specs if s.name == feature)
+    return float(model.shapes[feature][naive_bin_of(spec, value)])
 
 
 @pytest.fixture

@@ -211,6 +211,95 @@ def naive_fit_one_bag(binned, y, specs, config, bag):
     return intercept, shapes, inbag_losses
 
 
+# ---- explainer inputs from one feature dict per user --------------------------
+# The report once fed the all-features explainer this way: one dict per tested
+# user, specs built from the dict values, and every cell binned on its own.
+
+def naive_ebm_feature_rows(attributes, assignments, users):
+    """Feature dicts for the all-features explainer run, one per user index
+    in ``users``."""
+    from recaudit.interactions import GENDER_NA
+
+    countries = [assignments[name] for name in ("country_prevalence", "country_gdp")
+                 if name in assignments]
+    rows = []
+    for i in users.tolist():
+        attr = attributes[i]
+        row = {
+            "age": attr.age,
+            "gender": None if attr.gender == GENDER_NA else attr.gender,
+            "usage": attr.usage,
+            "pop_index": attr.pop_index,
+            "last_digit": str(attr.user_id)[-1].lower(),
+        }
+        for assignment in countries:
+            label = assignment.labels[assignment.codes[i]]
+            row[assignment.name] = None if label == NA else label
+        rows.append(row)
+    return rows
+
+
+def naive_bin_numeric(name, values, max_bins=64):
+    """Quantile-based interior edges over the non-missing values."""
+    from recaudit.ebm import KIND_NUMERIC, FeatureSpec
+
+    present = np.array([float(v) for v in values if v is not None and not
+                        (isinstance(v, float) and np.isnan(v))])
+    if present.size == 0:
+        return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=np.empty(0))
+    qs = np.arange(1, max_bins) / max_bins
+    edges = np.unique(np.quantile(present, qs))
+    edges = edges[edges < present.max()]
+    return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=edges)
+
+
+def naive_categorical_spec(name, values):
+    from recaudit.ebm import KIND_CATEGORICAL, FeatureSpec
+
+    cats = sorted({v for v in values if v is not None}, key=str)
+    return FeatureSpec(name=name, kind=KIND_CATEGORICAL, categories=cats)
+
+
+def naive_ebm_specs(rows, max_bins):
+    specs = []
+    names = list(rows[0].keys())
+    numeric = {"age", "usage", "pop_index"}
+    for name in names:
+        values = [row[name] for row in rows]
+        if all(v is None for v in values):
+            continue
+        if name in numeric:
+            specs.append(naive_bin_numeric(name, values, max_bins=max_bins))
+        else:
+            specs.append(naive_categorical_spec(name, values))
+    return specs
+
+
+def naive_bin_of(spec, value):
+    """The bin of one value: the missing bin for None, NaN and a category
+    the spec does not list."""
+    from recaudit.ebm import KIND_NUMERIC
+
+    if value is None:
+        return spec.missing_bin
+    if spec.kind == KIND_NUMERIC:
+        v = float(value)
+        if np.isnan(v):
+            return spec.missing_bin
+        return int(np.searchsorted(spec.bin_edges, v, side="left"))
+    return {c: i for i, c in enumerate(spec.categories)}.get(value, spec.missing_bin)
+
+
+def naive_bin_matrix(rows, specs):
+    """The (rows, features) bin of every cell of the row dicts, one cell at a
+    time; a feature a row lacks is missing."""
+    binned = np.empty((len(rows), len(specs)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, spec in enumerate(specs):
+            binned[i, j] = naive_bin_of(spec, row.get(spec.name))
+    return binned
+
+
 # ---- per-group numbers from user_id -> label dicts ---------------------------
 # The report once computed every per-group number this way: one scan of a
 # user_id -> label dict per label.  The dicts are filled in dense user order,

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_pop_index, full_sort_top_n, ks_distance_from_uniform,
-                     naive_als_loss, naive_mrr, naive_ndcg, naive_per_user_mean,
-                     naive_rbp)
+                     naive_als_loss, naive_bin_matrix, naive_mrr, naive_ndcg,
+                     naive_per_user_mean, naive_rbp)
 from recaudit import als, evaluation
 from recaudit.config import apply_overrides, load_config
-from recaudit.ebm import EbmConfig, _bin_matrix, _fit_bags, bin_numeric, fit_ebm, importance
+from recaudit.ebm import EbmConfig, _fit_bags, bin_numeric, fit_ebm, importance
 from recaudit.ingest import cold_start_filter, load_lfm, load_ml1m
 from recaudit.interactions import from_triples
 from recaudit.interactions import stats as dataset_stats
@@ -194,20 +194,21 @@ def test_criterion_6_ebm():
     specs = [bin_numeric("x1", [r["x1"] for r in rows], 16),
              bin_numeric("x2", [r["x2"] for r in rows], 16)]
 
+    binned = naive_bin_matrix(rows, specs)
+
     # constant target
-    model = fit_ebm(rows, [2.5] * len(rows), specs, config)
+    model = fit_ebm(binned, [2.5] * len(rows), specs, config)
     max_shape = max(float(np.max(np.abs(s))) for s in model.shapes.values())
     assert max_shape < 1e-6
 
     # step-function target: signal feature dominates the noise feature
     ys = [(2.0 if r["x1"] > 0.5 else 0.0) - 1.0 + float(rng.normal(0, 0.1))
           for r in rows]
-    model = fit_ebm(rows, ys, specs, config)
-    scores = dict(importance(model, rows))
+    model = fit_ebm(binned, ys, specs, config)
+    scores = dict(importance(model, binned))
     assert scores["x1"] > 10 * scores["x2"]
 
     # in-bag loss monotone non-increasing
-    binned = _bin_matrix(rows, specs)
     for bag in range(3):
         _, _, losses = _fit_bags(binned, np.asarray(ys), specs, config, [bag])[0]
         assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
@@ -217,10 +218,9 @@ def test_criterion_6_ebm():
         return float(np.sin(2 * np.pi * r["x1"])) + 4.0 * (r["x2"] - 0.5) ** 2
 
     ys = [f(r) + float(rng.normal(0, 0.05)) for r in rows]
-    model = fit_ebm(rows[:1200], ys[:1200],
-                    [bin_numeric("x1", [r["x1"] for r in rows[:1200]], 32),
-                     bin_numeric("x2", [r["x2"] for r in rows[:1200]], 32)],
-                    config)
+    specs = [bin_numeric("x1", [r["x1"] for r in rows[:1200]], 32),
+             bin_numeric("x2", [r["x2"] for r in rows[:1200]], 32)]
+    model = fit_ebm(naive_bin_matrix(rows[:1200], specs), ys[:1200], specs, config)
     held_y = np.asarray(ys[1200:])
     pred = np.array([ebm_predict(model, r) for r in rows[1200:]])
     r2 = 1 - float(np.sum((held_y - pred) ** 2)) / \

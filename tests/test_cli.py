@@ -1,4 +1,6 @@
 import codecs
+import csv
+import json
 import os
 import signal
 import subprocess
@@ -91,6 +93,41 @@ def test_play_count_too_large_for_a_float_is_skipped(dataset_dir, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "skipped rows:   1" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+def test_report_keeps_a_play_total_past_int64(config_file, dataset_dir, tmp_path):
+    # a total >= 2**63 once became usage -2**63, in the lowest usage group
+    metrics = tmp_path / "metrics"
+    assert main(["evaluate", "--config", str(config_file), "--out", str(metrics)]) == 0
+    copy = tmp_path / "data"
+    copy.mkdir()
+    (copy / "profiles.tsv").write_bytes((dataset_dir / "profiles.tsv").read_bytes())
+    (copy / "interactions.tsv").write_bytes((dataset_dir / "interactions.tsv").read_bytes()
+                                            + b"1\tbig\tBig\t99999999999999999999\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(recaudit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "recaudit.cli", "report", "--config",
+                           str(_dataset_config(tmp_path, "big", copy)), "--metrics",
+                           str(metrics / "metrics_per_user.csv"), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "invalid value" not in done.stderr
+    usage_groups = [line.split(",")[1] for line in
+                    (tmp_path / "out" / "group_summary.csv").read_text().splitlines()
+                    if line.startswith("usage,")]
+    assert usage_groups and not any(group.startswith("-") for group in usage_groups)
+    assert int(usage_groups[-1].rsplit("-", 1)[-1]) >= 2 ** 63
+
+
+def test_audit_restricted_to_one_scheme_keeps_every_explainer_feature(config_file, tmp_path):
+    restricted = tmp_path / "usage.ini"
+    restricted.write_text(config_file.read_text() + "\n[grouping]\nschemes = usage\n")
+    assert main(["audit", "--config", str(restricted)]) == 0
+    out_dir = tmp_path / "out"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["schemes"] == ["usage"]
+    with open(out_dir / "ebm_shapes.csv", newline="") as fh:
+        features = {row["feature"] for row in csv.DictReader(fh)} - {"__intercept__"}
+    assert features == {"age", "gender", "usage", "pop_index", "last_digit"}
 
 
 def test_byte_order_mark_is_ignored(dataset_dir, tmp_path, capsys):

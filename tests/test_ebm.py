@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import naive_bin_matrix
 from recaudit.ebm import (EbmConfig, EbmModel, FeatureSpec, KIND_CATEGORICAL,
-                          _bin_matrix, _fit_bags, bin_numeric,
-                          categorical_spec, fit_ebm, importance)
+                          _fit_bags, bin_numeric, categorical_spec, fit_ebm,
+                          importance)
 from recaudit.errors import NumericalError
 
 from conftest import ebm_predict as predict
+from conftest import shape_at
 
 FAST = EbmConfig(learning_rate=0.05, max_rounds=400, bags=4, patience=30, seed=3)
 
@@ -26,30 +28,33 @@ class TestBinNumeric:
     def test_skewed_occupancy(self, rng):
         values = rng.exponential(scale=3.0, size=4000).tolist()
         spec = bin_numeric("x", values, max_bins=8)
-        bins = [spec.bin_of(v) for v in values]
+        bins = spec.bin_values(np.asarray(values))
         counts = np.bincount(bins, minlength=spec.n_bins)
         regular = counts[:-1]
         assert all(abs(c - 500) <= 2 for c in regular)  # continuous: no big ties
 
     def test_all_missing_warns(self, caplog):
-        spec = bin_numeric("x", [None, None], max_bins=4)
+        spec = bin_numeric("x", [np.nan, np.nan], max_bins=4)
         assert spec.n_bins == 2
         assert "no non-missing" in caplog.text
 
     def test_missing_routed_to_missing_bin(self):
         spec = bin_numeric("x", [1.0, 2.0, 3.0], max_bins=2)
-        assert spec.bin_of(None) == spec.missing_bin
-        assert spec.bin_of(float("nan")) == spec.missing_bin
-        assert spec.bin_of(1.0) != spec.missing_bin
+        bins = spec.bin_values(np.array([np.nan, float("nan"), 1.0]))
+        assert bins[0] == spec.missing_bin
+        assert bins[1] == spec.missing_bin
+        assert bins[2] != spec.missing_bin
 
 
 class TestCategoricalSpec:
     def test_unseen_category_to_missing(self):
-        spec = categorical_spec("c", ["a", "b", "a", None])
+        labels = ["a", "b", "zzz"]  # code 3, past the labels, is missing
+        spec = categorical_spec("c", np.array([0, 1, 0, 3]), labels)
         assert spec.categories == ["a", "b"]
-        assert spec.bin_of("zzz") == spec.missing_bin
-        assert spec.bin_of(None) == spec.missing_bin
-        assert spec.bin_of("a") == 0
+        zzz, missing, a = spec.bin_codes(np.array([2, 3, 0]), labels)
+        assert zzz == spec.missing_bin
+        assert missing == spec.missing_bin
+        assert a == 0
 
 
 def make_rows(rng, n, gen_y, x2_noise=True):
@@ -71,7 +76,8 @@ class TestFitEbm:
     def test_constant_target(self, rng):
         rows, _ = make_rows(rng, 200, lambda a, b: 0.0)
         ys = [3.25] * 200
-        model = fit_ebm(rows, ys, specs_for(rows), FAST)
+        specs = specs_for(rows)
+        model = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
         assert model.intercept == pytest.approx(3.25, abs=1e-9)
         for shape in model.shapes.values():
             assert np.max(np.abs(shape)) < 1e-6
@@ -80,13 +86,15 @@ class TestFitEbm:
         rows, ys = make_rows(
             rng, 2000, lambda a, b: (2.0 if a > 0.5 else 0.0) - 1.0
             + float(rng.normal(0, 0.1)))
-        model = fit_ebm(rows, ys, specs_for(rows), FAST)
+        specs = specs_for(rows)
+        binned = naive_bin_matrix(rows, specs)
+        model = fit_ebm(binned, ys, specs, FAST)
         # evaluate away from the step so bin straddling cannot blur it
-        low = model.shape_value("x1", 0.25)
-        high = model.shape_value("x1", 0.75)
+        low = shape_at(model, "x1", 0.25)
+        high = shape_at(model, "x1", 0.75)
         assert low == pytest.approx(-1.0, abs=0.1)
         assert high == pytest.approx(1.0, abs=0.1)
-        scores = dict(importance(model, rows))
+        scores = dict(importance(model, binned))
         assert scores["x2"] < 0.1 * scores["x1"]
 
     def test_additive_signal_r2(self, rng):
@@ -99,7 +107,8 @@ class TestFitEbm:
         rows, ys = make_rows(rng, 3000, lambda a, b: f(a, b) + float(rng.normal(0, 0.05)))
         train_rows, train_ys = rows[:2400], ys[:2400]
         test_rows, test_ys = rows[2400:], np.array(ys[2400:])
-        model = fit_ebm(train_rows, train_ys, specs_for(train_rows, 32), FAST)
+        specs = specs_for(train_rows, 32)
+        model = fit_ebm(naive_bin_matrix(train_rows, specs), train_ys, specs, FAST)
         pred = np.array([predict(model, r) for r in test_rows])
         ss_res = float(np.sum((test_ys - pred) ** 2))
         ss_tot = float(np.sum((test_ys - test_ys.mean()) ** 2))
@@ -107,8 +116,9 @@ class TestFitEbm:
 
     def test_shapes_mass_weighted_mean_zero(self, rng):
         rows, ys = make_rows(rng, 500, lambda a, b: a * 3 + b)
-        model = fit_ebm(rows, ys, specs_for(rows), FAST)
-        binned = _bin_matrix(rows, model.specs)
+        specs = specs_for(rows)
+        model = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
+        binned = naive_bin_matrix(rows, model.specs)
         for j, spec in enumerate(model.specs):
             mass = np.bincount(binned[:, j], minlength=spec.n_bins)
             weighted = float(np.dot(mass / mass.sum(), model.shapes[spec.name]))
@@ -117,8 +127,8 @@ class TestFitEbm:
     def test_deterministic_rerun(self, rng):
         rows, ys = make_rows(rng, 300, lambda a, b: a - b)
         specs = specs_for(rows)
-        m1 = fit_ebm(rows, ys, specs, FAST)
-        m2 = fit_ebm(rows, ys, specs, FAST)
+        m1 = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
+        m2 = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
         assert m1.intercept == m2.intercept
         for name in m1.shapes:
             assert np.array_equal(m1.shapes[name], m2.shapes[name])
@@ -126,7 +136,7 @@ class TestFitEbm:
     def test_inbag_loss_monotone_non_increasing(self, rng):
         rows, ys = make_rows(rng, 400, lambda a, b: 2 * a + float(rng.normal(0, 0.2)))
         specs = specs_for(rows)
-        binned = _bin_matrix(rows, specs)
+        binned = naive_bin_matrix(rows, specs)
         for bag in range(3):
             _, _, losses = _fit_bags(binned, np.asarray(ys), specs, FAST, [bag])[0]
             assert all(later <= earlier + 1e-10
@@ -135,18 +145,21 @@ class TestFitEbm:
     def test_non_finite_target_fatal_with_row(self, rng):
         rows, ys = make_rows(rng, 20, lambda a, b: a)
         ys[7] = float("nan")
+        specs = specs_for(rows)
         with pytest.raises(NumericalError, match="row 7"):
-            fit_ebm(rows, ys, specs_for(rows), FAST)
+            fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
 
     def test_preconditions(self, rng):
         rows, ys = make_rows(rng, 5, lambda a, b: a)
+        specs = specs_for(rows)
         with pytest.raises(ValueError):
-            fit_ebm(rows, ys, specs_for(rows), FAST)  # too few rows
+            fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)  # too few rows
         rows, ys = make_rows(rng, 20, lambda a, b: a)
+        specs = specs_for(rows)
         with pytest.raises(ValueError):
-            fit_ebm(rows, ys, [], FAST)  # no features
+            fit_ebm(naive_bin_matrix(rows, []), ys, [], FAST)  # no features
         with pytest.raises(ValueError):
-            fit_ebm(rows, ys[:-1], specs_for(rows), FAST)
+            fit_ebm(naive_bin_matrix(rows, specs), ys[:-1], specs, FAST)
 
 
 def fixed_model():
@@ -171,28 +184,32 @@ class TestPredictAndImportance:
 
     def test_exact_additivity(self, rng):
         rows, ys = make_rows(rng, 200, lambda a, b: a * b)
-        model = fit_ebm(rows, ys, specs_for(rows), FAST)
+        specs = specs_for(rows)
+        model = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
         row = dict(rows[0])
         base = predict(model, row)
         moved = dict(row)
         moved["x1"] = rows[1]["x1"]
-        delta_shape = model.shape_value("x1", moved["x1"]) - \
-            model.shape_value("x1", row["x1"])
+        delta_shape = shape_at(model, "x1", moved["x1"]) - \
+            shape_at(model, "x1", row["x1"])
         assert predict(model, moved) - base == pytest.approx(delta_shape, abs=1e-12)
 
     def test_zero_shape_zero_importance(self):
         model = fixed_model()
         model.shapes["f"] = np.zeros(3)
-        assert importance(model, [{"f": "a"}, {"f": "b"}]) == [("f", 0.0)]
+        assert importance(model, naive_bin_matrix([{"f": "a"}, {"f": "b"}],
+                                                  model.specs)) == [("f", 0.0)]
 
     def test_binary_equal_mass_importance(self):
         model = fixed_model()
         rows = [{"f": "a"}, {"f": "b"}] * 10
-        assert importance(model, rows) == [("f", 0.25)]
+        assert importance(model, naive_bin_matrix(rows, model.specs)) == [("f", 0.25)]
 
     def test_importance_sorted_descending(self, rng):
         rows, ys = make_rows(rng, 1500, lambda a, b: 3.0 * a + float(rng.normal(0, 0.05)))
-        model = fit_ebm(rows, ys, specs_for(rows), FAST)
-        ranked = importance(model, rows)
+        specs = specs_for(rows)
+        binned = naive_bin_matrix(rows, specs)
+        model = fit_ebm(binned, ys, specs, FAST)
+        ranked = importance(model, binned)
         assert ranked[0][0] == "x1"
         assert ranked[0][1] >= ranked[1][1]

@@ -1,13 +1,17 @@
-"""The batched explainer fit against the per-bag oracle, float for float, and
-column binning against ``FeatureSpec.bin_of``, cell by cell."""
+"""The batched explainer fit against the per-bag oracle, float for float;
+column binning against the scalar oracle, cell by cell; and the report's
+explainer specs and bins against the one-dict-per-user oracle."""
 
 import numpy as np
 import pytest
 
-from oracles import naive_fit_one_bag
+from oracles import (naive_bin_matrix, naive_bin_of, naive_ebm_feature_rows,
+                     naive_ebm_specs, naive_fit_one_bag)
+from recaudit import grouping, report
 from recaudit.ebm import (KIND_CATEGORICAL, KIND_NUMERIC, EbmConfig, FeatureSpec,
-                          _bin_matrix, _fit_bags, bin_numeric,
-                          categorical_spec)
+                          _fit_bags, bin_numeric, categorical_spec)
+from recaudit.ingest import GdpTable
+from recaudit.interactions import GENDER_NA, UserAttributes
 from recaudit.util import derive_seed
 
 
@@ -18,10 +22,13 @@ def random_problem(rng, n):
             for _ in range(n)]
     y = np.array([(r["x"] or 0.0) + 0.3 * r["k"] + (r["c"] == "a")
                   + float(rng.normal(0, 0.5)) for r in rows])
-    specs = [bin_numeric("x", [r["x"] for r in rows], int(rng.integers(2, 17))),
+    labels = ["a", "b", "c"]  # a missing category's code is 3, past the labels
+    codes = np.array([3 if r["c"] is None else labels.index(r["c"]) for r in rows])
+    specs = [bin_numeric("x", [np.nan if r["x"] is None else r["x"] for r in rows],
+                         int(rng.integers(2, 17))),
              bin_numeric("k", [r["k"] for r in rows], 4),
-             categorical_spec("c", [r["c"] for r in rows])]
-    return _bin_matrix(rows, specs), y, specs
+             categorical_spec("c", codes, labels)]
+    return naive_bin_matrix(rows, specs), y, specs
 
 
 def assert_same_fit(got, want):
@@ -97,27 +104,129 @@ class TestBatchedFitMatchesOracle:
                 {"f": "a", "g": 1.0}, {"f": None, "g": None}]
         y = np.array([1.0, -0.5, 2.0, 0.25])
         config = EbmConfig(learning_rate=0.3, max_rounds=200, patience=5, seed=seed)
-        fit_and_compare(_bin_matrix(rows, specs), y, specs, config, [other, 0])
+        fit_and_compare(naive_bin_matrix(rows, specs), y, specs, config, [other, 0])
 
 
 class TestBinColumn:
     def test_matches_bin_of_cell_by_cell(self):
         numeric = FeatureSpec(name="x", kind=KIND_NUMERIC,
                               bin_edges=np.array([0.5, 1.0, 2.0]))
-        empty = bin_numeric("none", [None, None], max_bins=4)
-        categorical = categorical_spec("c", ["a", "b", 3, None])
-        specs = [numeric, empty, categorical]
+        empty = bin_numeric("none", [np.nan, np.nan], max_bins=4)
+        labels = ["a", "b", "3", "zzz", "A"]
+        categorical = categorical_spec("c", np.array([0, 1, 2, 5]), labels)
         values = [None, float("nan"), 0, 1, 2, 3, True, -1.5, 0.5, 1.0, 2.0,
                   np.float32(1.5), float("inf"), float("-inf"), 2.0000001]
-        cats = [None, "a", "b", 3, "3", "zzz", 3.0, "A"]
-        rows = [{"x": v, "c": cats[i % len(cats)]} for i, v in enumerate(values)]
+        cats = [None, "a", "b", "3", "zzz", "A"]
+        rows = [{"x": v, "none": v, "c": cats[i % len(cats)]}
+                for i, v in enumerate(values)]
         rows.append({})  # every feature absent
-        binned = _bin_matrix(rows, specs)
+        column = np.array([row.get("x") for row in rows], dtype=np.float64)
+        codes = np.array([labels.index(row["c"]) if row.get("c") else len(labels)
+                          for row in rows])
+        specs = [numeric, empty, categorical]
+        binned = np.column_stack([numeric.bin_values(column), empty.bin_values(column),
+                                  categorical.bin_codes(codes, labels)])
         assert binned.shape == (len(rows), len(specs))
         assert binned.dtype == np.int64
         for i, row in enumerate(rows):
             for j, spec in enumerate(specs):
-                assert binned[i, j] == spec.bin_of(row.get(spec.name)), (i, spec.name)
+                assert binned[i, j] == naive_bin_of(spec, row.get(spec.name)), (i, spec.name)
         # the checks above must reach every kind of bin
         assert set(binned[:, 0]) == set(range(numeric.n_bins))
+        assert set(binned[:, 1]) == set(range(empty.n_bins))
         assert set(binned[:, 2]) == set(range(categorical.n_bins))
+
+
+def random_attributes(rng, case):
+    """A seeded attribute set in dense user order, with the assignments the
+    report would pass, and the tested users in a random order.  The cases
+    rotate through what broke or could: ages all missing, NA genders,
+    integer ids, ids ending in an upper-case hex digit or a quote, N/A
+    countries, a numeric feature missing for every tested user, values on
+    a quantile edge (few distinct values) and infinities."""
+    n = int(rng.integers(12, 90))
+    if case % 4 == 0:
+        ids = [int(u) for u in rng.choice(10_000, size=n, replace=False)]
+    else:
+        ends = list("0123456789abcdefABCDEF\"")
+        ids = [f"{u:08x}{ends[int(rng.integers(0, len(ends)))]}" for u in range(n)]
+
+    def age():
+        if case % 3 == 0 or rng.random() < 0.1:
+            return None
+        if rng.random() < 0.1:
+            return float(rng.choice([np.inf, -np.inf]))
+        return int(rng.choice([18, 25, 25, 35, 50]))
+
+    attributes = [UserAttributes(
+        uid, gender=str(rng.choice(["m", "f", GENDER_NA])), age=age(),
+        country=[None, "Chile", "Ghana", "Peru", "Fiji"][int(rng.integers(0, 5))])
+        for uid in ids]
+    users = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    for u, attr in enumerate(attributes):
+        attr.usage = float(rng.choice([1, 2, 3, 5, 8, 13, 2 ** 64, np.inf, -np.inf])
+                           if case % 2 else rng.integers(1, 5000))
+        attr.pop_index = int(rng.integers(0, 101)) if rng.random() < 0.9 else None
+        if case % 5 == 2 and u in users:
+            attr.pop_index = None
+    countries = [a.country for a in attributes]
+    gdp = GdpTable()
+    for i, country in enumerate(["Chile", "Ghana", "Fiji"]):
+        gdp.add(country, 1000.0 * (3 - i))
+    assignments = {}
+    if case % 3 != 1:
+        assignments["country_prevalence"] = grouping.bucket_countries_by_prevalence(
+            "country_prevalence", countries, int(rng.integers(2, 4)))
+    if case % 4 != 3:
+        assignments["country_gdp"] = grouping.bucket_countries_by_gdp(
+            "country_gdp", countries, gdp, 2)
+    return attributes, assignments, users
+
+
+class TestExplainerInputs:
+    # np.quantile interpolates between infinities to NaN, on both paths
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_specs_and_bins_match_the_dict_row_oracle(self):
+        reached = set()
+        for case in range(60):
+            rng = np.random.default_rng(derive_seed("explainer-inputs", case))
+            attributes, assignments, users = random_attributes(rng, case)
+            max_bins = int(rng.integers(2, 9))
+            specs, binned = report._explainer_inputs(
+                report._explainer_columns(attributes, assignments, users), max_bins)
+            rows = naive_ebm_feature_rows(attributes, assignments, users)
+            want = naive_ebm_specs(rows, max_bins)
+            assert [(s.name, s.kind) for s in specs] == [(s.name, s.kind) for s in want]
+            for got, expected in zip(specs, want):
+                if got.kind == KIND_NUMERIC:
+                    assert got.bin_edges.tobytes() == expected.bin_edges.tobytes(), case
+                else:
+                    assert got.categories == expected.categories, case
+            assert binned.dtype == np.int64
+            assert np.array_equal(binned, naive_bin_matrix(rows, want)), case
+
+            names = {s.name for s in specs}
+            tested = [attributes[u] for u in users.tolist()]
+            reached.update(
+                name for name, hit in [
+                    ("ages all missing", all(a.age is None for a in attributes)),
+                    ("NA gender", any(a.gender == GENDER_NA for a in tested)),
+                    ("integer ids", isinstance(tested[0].user_id, int)),
+                    ("upper-case hex id", any(str(a.user_id)[-1] in "ABCDEF" for a in tested)),
+                    ("quote id", any(str(a.user_id).endswith('"') for a in tested)),
+                    ("N/A country", any(s.name.startswith("country") for s in specs)
+                     and any(a.country is None for a in tested)),
+                    ("numeric feature missing for every tested user",
+                     "pop_index" not in names and any(a.pop_index is not None
+                                                      for a in attributes)),
+                    ("value on an edge", any(
+                        np.isin([float(r[s.name]) for r in rows if r[s.name] is not None],
+                                s.bin_edges).any()
+                        for s in specs if s.kind == KIND_NUMERIC)),
+                    ("infinity", any(r["usage"] in (np.inf, -np.inf)
+                                     or r["age"] in (np.inf, -np.inf) for r in rows)),
+                ] if hit)
+        assert reached == {
+            "ages all missing", "NA gender", "integer ids", "upper-case hex id",
+            "quote id", "N/A country", "numeric feature missing for every tested user",
+            "value on an edge", "infinity"}

@@ -8,7 +8,6 @@ from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
                                bucket_from_brackets, bucket_integer_values,
                                control_last_digit)
 from recaudit.ingest import GdpTable
-from recaudit.interactions import UserAttributes
 
 
 def labels_by_user(assignment, user_ids):
@@ -17,15 +16,10 @@ def labels_by_user(assignment, user_ids):
             for uid, code in zip(user_ids, assignment.codes.tolist())}
 
 
-def attrs_with_countries(spec):
-    """spec: {country: n_users}; None key -> users without a country."""
-    out = []
-    k = 0
-    for country, n in spec.items():
-        for _ in range(n):
-            out.append(UserAttributes(f"u{k}", country=country))
-            k += 1
-    return out
+def users_with_countries(spec):
+    """spec: {country: n_users}; None key -> users without a country.
+    Returns one country per user."""
+    return [country for country, n in spec.items() for _ in range(n)]
 
 
 class TestCategorical:
@@ -140,22 +134,22 @@ class TestBrackets:
 
 class TestCountryPrevalence:
     def test_three_equal_countries(self):
-        attrs = attrs_with_countries({"A": 10, "B": 10, "C": 10})
-        a = bucket_countries_by_prevalence("prev", attrs)
+        countries = users_with_countries({"A": 10, "B": 10, "C": 10})
+        a = bucket_countries_by_prevalence("prev", countries)
         sizes = a.sizes()
         assert sizes == {"low": 10, "medium": 10, "high": 10}
 
     def test_dominant_country_alone_in_high(self):
-        attrs = attrs_with_countries({"A": 10, "B": 15, "C": 15, "D": 60})
-        a = bucket_countries_by_prevalence("prev", attrs)
-        high_countries = {attrs[i].country for i in range(len(attrs))
+        countries = users_with_countries({"A": 10, "B": 15, "C": 15, "D": 60})
+        a = bucket_countries_by_prevalence("prev", countries)
+        high_countries = {countries[i] for i in range(len(countries))
                           if a.labels[a.codes[i]] == "high"}
         assert high_countries == {"D"}
 
     def test_distinct_counts_near_equal_totals(self):
         spec = {chr(65 + i): 5 + 3 * i for i in range(9)}  # 5,8,...,29
-        attrs = attrs_with_countries(spec)
-        a = bucket_countries_by_prevalence("prev", attrs)
+        countries = users_with_countries(spec)
+        a = bucket_countries_by_prevalence("prev", countries)
         total = sum(spec.values())
         sizes = a.sizes()
         largest = max(spec.values())
@@ -163,8 +157,8 @@ class TestCountryPrevalence:
             assert abs(sizes[label] - total / 3) <= largest
 
     def test_missing_country_na(self):
-        attrs = attrs_with_countries({"A": 3, None: 2})
-        a = bucket_countries_by_prevalence("prev", attrs)
+        countries = users_with_countries({"A": 3, None: 2})
+        a = bucket_countries_by_prevalence("prev", countries)
         assert a.sizes()[NA_LABEL] == 2
 
 
@@ -176,31 +170,31 @@ class TestCountryGdp:
         return t
 
     def test_three_countries_one_per_bucket(self):
-        attrs = attrs_with_countries({"Poor": 4, "Mid": 4, "Rich": 4})
+        countries = users_with_countries({"Poor": 4, "Mid": 4, "Rich": 4})
         gdp = self.table({"Poor": 1000.0, "Mid": 10000.0, "Rich": 50000.0})
-        a = bucket_countries_by_gdp("gdp", attrs, gdp)
+        a = bucket_countries_by_gdp("gdp", countries, gdp)
         assert a.labels[a.codes[0]] == "low"
         assert a.labels[a.codes[4]] == "medium"
         assert a.labels[a.codes[8]] == "high"
 
     def test_six_countries_two_per_bucket(self):
         spec = {f"C{i}": 2 for i in range(6)}
-        attrs = attrs_with_countries(spec)
+        countries = users_with_countries(spec)
         gdp = self.table({f"C{i}": 1000.0 * (i + 1) for i in range(6)})
-        a = bucket_countries_by_gdp("gdp", attrs, gdp)
+        a = bucket_countries_by_gdp("gdp", countries, gdp)
         sizes = a.sizes()
         assert sizes == {"low": 4, "medium": 4, "high": 4}
 
     def test_absent_from_table_is_na(self):
-        attrs = attrs_with_countries({"Known": 2, "Unknown": 3, None: 1})
+        countries = users_with_countries({"Known": 2, "Unknown": 3, None: 1})
         gdp = self.table({"Known": 5000.0, "Other": 1.0, "More": 2.0})
-        a = bucket_countries_by_gdp("gdp", attrs, gdp)
+        a = bucket_countries_by_gdp("gdp", countries, gdp)
         assert a.sizes()[NA_LABEL] == 4
 
     def test_fixture_hand_assignment(self):
-        attrs = attrs_with_countries({"A": 1, "B": 2, "C": 3, "D": 4})
+        countries = users_with_countries({"A": 1, "B": 2, "C": 3, "D": 4})
         gdp = self.table({"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0})
-        a = bucket_countries_by_gdp("gdp", attrs, gdp)
+        a = bucket_countries_by_gdp("gdp", countries, gdp)
         # ascending GDP: D, C, B, A -> chunks [D,C], [B], [A]
         sizes = a.sizes()
         assert sizes["low"] == 4 + 3

@@ -177,6 +177,14 @@ class TestFillAttributes:
         assert attrs[1].usage == 2
         assert attrs[1].pop_index == oracle_pop(trimmed, None, None, 1)
 
+    def test_usage_at_or_past_2_pow_63_keeps_its_value(self):
+        # an int64 cast once turned such a total into -2**63, the lowest usage
+        m, umap, _ = from_triples([("a", "x", 1e19), ("a", "y", 1e19), ("b", "x", 3)])
+        attrs = [UserAttributes("a"), UserAttributes("b")]
+        fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
+        assert attrs[0].usage == 2e19
+        assert attrs[1].usage == 3
+
     @pytest.mark.parametrize("provenance", [PROVENANCE_LFM360K, PROVENANCE_ML1M])
     def test_matches_scalar_usage_and_pop_index(self, rng, provenance):
         for trial in range(8):
