@@ -129,7 +129,6 @@ class EbmConfig:
 class EbmModel:
     intercept: float
     shapes: dict[str, np.ndarray]  # per feature, indexed by bin
-    bin_mass: dict[str, np.ndarray]  # training-row counts per bin
     specs: list[FeatureSpec]
     config: EbmConfig
 
@@ -267,7 +266,6 @@ def fit_ebm(binned: np.ndarray, targets: Sequence[float],
 
     intercept = sum(res[0] for res in bag_results) / config.bags
     shapes: dict[str, np.ndarray] = {}
-    bin_mass: dict[str, np.ndarray] = {}
     for j, spec in enumerate(specs):
         avg = np.zeros(spec.n_bins)
         for _, bag_shapes, _ in bag_results:
@@ -278,9 +276,7 @@ def fit_ebm(binned: np.ndarray, targets: Sequence[float],
         avg -= offset
         intercept += offset
         shapes[spec.name] = avg
-        bin_mass[spec.name] = mass
-    return EbmModel(intercept=intercept, shapes=shapes, bin_mass=bin_mass,
-                    specs=list(specs), config=config)
+    return EbmModel(intercept=intercept, shapes=shapes, specs=list(specs), config=config)
 
 
 def importance(model: EbmModel, binned: np.ndarray) -> list[tuple[str, float]]:

@@ -4,9 +4,10 @@ sampling.
 
 Every scheme assigns each user exactly one label; users whose source
 attribute is missing get the distinguished "N/A" label, which significance
-testing later drops.  A scheme takes its attribute values as one sequence
-in dense user order and stores the labels as one integer code per user,
-so every per-group count or statistic is a mask or a ``bincount``.
+testing later drops.  A scheme takes one column in dense user order (a
+numeric scheme float64 values, NaN where missing; the others labels, None
+where missing) and stores the labels as one integer code per user, so
+every per-group count or statistic is a mask or a ``bincount``.
 """
 
 from __future__ import annotations
@@ -69,16 +70,6 @@ def _from_labels(name: str, per_user: Sequence[str],
     return _finish(name, codes, ordered_labels)
 
 
-def _numeric(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of non-missing values, and the values as float64 (0 where
-    missing)."""
-    present = np.fromiter((v is not None for v in values), dtype=bool,
-                          count=len(values))
-    arr = np.fromiter((0.0 if v is None else v for v in values),
-                      dtype=np.float64, count=len(values))
-    return present, arr
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, float) and v.is_integer():
         return str(int(v))
@@ -93,7 +84,7 @@ def bucket_categorical(name: str, values: Sequence[Optional[str]]) -> GroupAssig
     return _from_labels(name, per_user, ordered)
 
 
-def bucket_from_brackets(name: str, values: Sequence[Optional[int]],
+def bucket_from_brackets(name: str, values: np.ndarray,
                          lower_bounds: Sequence[int]) -> GroupAssignment:
     """Bucket by a configured bracket list of lower bounds (e.g. the ML1M
     age codes).  Values below the first bound fall into the first bracket.
@@ -105,31 +96,28 @@ def bucket_from_brackets(name: str, values: Sequence[Optional[int]],
             labels.append(f"{lo}-{bounds[i + 1] - 1}")
         else:
             labels.append(f"{lo}+")
-    present, arr = _numeric(values)
-    idx = np.maximum(np.searchsorted(bounds, arr, side="right") - 1, 0)
-    return _finish(name, np.where(present, idx, len(labels)), labels)
+    idx = np.maximum(np.searchsorted(bounds, values, side="right") - 1, 0)
+    return _finish(name, np.where(np.isnan(values), len(labels), idx), labels)
 
 
-def bucket_equal_range(name: str, values: Sequence[Optional[int]],
+def bucket_equal_range(name: str, values: np.ndarray,
                        width: int, anchor: Optional[int] = None) -> GroupAssignment:
     """Uniform-width bins [lo, lo+width) anchored at ``anchor`` (default:
     the minimum observed value).  Intended for integer attributes like age.
     """
     if width <= 0:
         raise ValueError("bin width must be positive")
-    present = [v for v in values if v is not None]
-    if not present:
+    missing = np.isnan(values)
+    if missing.all():
         return _finish(name, np.zeros(len(values), dtype=np.intp), [])
-    lo0 = min(present) if anchor is None else anchor
-    n_bins = (max(present) - lo0) // width + 1
+    lo0 = int(values[~missing].min()) if anchor is None else anchor
+    n_bins = (int(values[~missing].max()) - lo0) // width + 1
     labels = [f"{lo0 + b * width}-{lo0 + (b + 1) * width - 1}" for b in range(n_bins)]
-    mask, arr = _numeric(values)
-    idx = np.clip((arr - lo0) // width, 0, n_bins - 1).astype(np.intp)
-    return _finish(name, np.where(mask, idx, n_bins), labels)
+    idx = np.clip((values - lo0) // width, 0, n_bins - 1)
+    return _finish(name, np.where(missing, n_bins, idx).astype(np.intp), labels)
 
 
-def bucket_equal_count(name: str, values: Sequence[Optional[float]],
-                       k: int) -> GroupAssignment:
+def bucket_equal_count(name: str, values: np.ndarray, k: int) -> GroupAssignment:
     """Roughly equal-population bins of a numeric attribute.
 
     Boundaries sit at ranks i*n/k; a value is never split across bins
@@ -139,11 +127,11 @@ def bucket_equal_count(name: str, values: Sequence[Optional[float]],
     """
     if k < 2:
         raise ValueError("equal-count bucketing needs k >= 2")
-    present, arr = _numeric(values)
-    n = int(np.count_nonzero(present))
+    missing = np.isnan(values)
+    sorted_vals = np.sort(values[~missing])
+    n = len(sorted_vals)
     if n < k:
         raise ValueError(f"need at least {k} non-missing values, have {n}")
-    sorted_vals = np.sort(arr[present])
 
     boundaries = [0]
     for i in range(1, k):
@@ -163,8 +151,8 @@ def bucket_equal_count(name: str, values: Sequence[Optional[float]],
         lo, hi = sorted_vals[start], sorted_vals[end - 1]
         upper_values.append(hi)
         labels.append(f"{_fmt_value(lo)}-{_fmt_value(hi)}" if lo != hi else _fmt_value(lo))
-    idx = np.minimum(np.searchsorted(upper_values, arr, side="left"), len(labels) - 1)
-    return _finish(name, np.where(present, idx, len(labels)), labels)
+    idx = np.minimum(np.searchsorted(upper_values, values, side="left"), len(labels) - 1)
+    return _finish(name, np.where(missing, len(labels), idx), labels)
 
 
 PREVALENCE_LABELS = ("low", "medium", "high")
@@ -248,16 +236,15 @@ def control_last_digit(name: str, user_ids: Sequence[UserId]) -> GroupAssignment
     return _from_labels(name, per_user, sorted(set(per_user) - {NA_LABEL}))
 
 
-def bucket_integer_values(name: str, values: Sequence[Optional[int]],
+def bucket_integer_values(name: str, values: np.ndarray,
                           merge_at: int = 13) -> GroupAssignment:
     """One group per raw integer value, merging everything >= merge_at
     into a single top group (pop-index presentation).
     """
-    top = f"{merge_at}+"
-    per_user = [NA_LABEL if v is None else top if v >= merge_at else str(int(v))
-                for v in values]
-    seen = sorted({int(v) for v in values if v is not None and v < merge_at})
-    return _from_labels(name, per_user, [str(v) for v in seen] + [top])
+    seen = np.unique(values[values < merge_at])
+    codes = np.where(values >= merge_at, len(seen), np.searchsorted(seen, values))
+    return _finish(name, np.where(np.isnan(values), len(seen) + 1, codes),
+                   [str(int(v)) for v in seen.tolist()] + [f"{merge_at}+"])
 
 
 def balanced_sample(assignment: GroupAssignment, seed: int,

@@ -18,12 +18,15 @@ computes every user's value in one sort over the matrix entries.
 
 from __future__ import annotations
 
+import logging
 from typing import Sequence
 
 import numpy as np
 
 from .ingest import PROVENANCE_ML1M
 from .interactions import InteractionMatrix, UserAttributes
+
+log = logging.getLogger(__name__)
 
 
 def _coverage_floor(counts: np.ndarray, n_users: int) -> np.ndarray:
@@ -75,18 +78,24 @@ def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
     float) and pop_index on every attribute record with a matrix row.
 
     Users absent from the matrix, or with an empty row, keep both fields
-    unset.
+    unset; a total past the float64 range leaves usage unset, with one
+    warning.
     """
     pops = pop_indices(m).tolist()
     uses = np.diff(m.indptr).astype(np.float64)
     if provenance != PROVENANCE_ML1M:
         # play counts are integers: a row's sum is integral, exact in any order below 2**53
         nonempty = uses > 0
-        uses[nonempty] = np.add.reduceat(m.data, m.indptr[:-1][nonempty])
-    uses = uses.tolist()
+        with np.errstate(over="ignore"):
+            uses[nonempty] = np.add.reduceat(m.data, m.indptr[:-1][nonempty])
+    finite = np.isfinite(uses)
+    if not finite.all():
+        log.warning("usage left missing for %d users: play total past the float range",
+                    np.count_nonzero(~finite))
+    uses, finite = uses.tolist(), finite.tolist()
     for attr in attributes:
         u = user_index.get(attr.user_id)
         if u is None or pops[u] < 0:
             continue
-        attr.usage = uses[u]
+        attr.usage = uses[u] if finite[u] else None
         attr.pop_index = pops[u]

@@ -323,13 +323,24 @@ def _fold_worker(run: Callable[[evaluation.Fold], list], folds: list[evaluation.
         os._exit(code)
 
 
-def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
+def _user_columns(attributes: Sequence[UserAttributes]) -> dict:
+    """The records as columns: age, usage and pop_index as float64 (NaN
+    where unset), gender and country as labels (None where missing), user_id."""
+    columns = {name: np.array([getattr(a, name) for a in attributes], dtype=np.float64)
+               for name in ("age", "usage", "pop_index")}  # None becomes NaN
+    columns["gender"] = [None if a.gender == GENDER_NA else a.gender for a in attributes]
+    columns["country"] = [a.country for a in attributes]
+    columns["user_id"] = [a.user_id for a in attributes]
+    return columns
+
+
+def build_assignments(config: AuditConfig, columns: dict,
                       gdp: Optional[GdpTable]) -> dict[str, grouping.GroupAssignment]:
-    """All configured grouping schemes that the data can support."""
+    """All configured grouping schemes that the data can support, from the
+    users' attribute columns (``_user_columns``)."""
     gc = config.grouping
-    ages = [a.age for a in attributes]
-    have_ages = any(v is not None for v in ages)
-    countries = [a.country for a in attributes]
+    ages, countries = columns["age"], columns["country"]
+    have_ages = not np.isnan(ages).all()
     have_countries = any(c is not None for c in countries)
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
 
@@ -346,8 +357,7 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
             except ValueError as exc:
                 log.warning("skipping age_equal_count scheme: %s", exc)
         elif scheme == "gender":
-            genders = [a.gender if a.gender != GENDER_NA else None for a in attributes]
-            out[scheme] = grouping.bucket_categorical(scheme, genders)
+            out[scheme] = grouping.bucket_categorical(scheme, columns["gender"])
         elif scheme == "country_prevalence" and have_countries:
             out[scheme] = grouping.bucket_countries_by_prevalence(
                 scheme, countries, gc.country_buckets)
@@ -355,35 +365,31 @@ def build_assignments(config: AuditConfig, attributes: Sequence[UserAttributes],
             out[scheme] = grouping.bucket_countries_by_gdp(scheme, countries, gdp,
                                                            gc.country_buckets)
         elif scheme == "usage":
-            usages = [a.usage for a in attributes]
             try:
-                out[scheme] = grouping.bucket_equal_count(scheme, usages, gc.usage_bins)
+                out[scheme] = grouping.bucket_equal_count(scheme, columns["usage"],
+                                                          gc.usage_bins)
             except ValueError as exc:
                 log.warning("skipping usage scheme: %s", exc)
         elif scheme == "popindex":
-            pops = [a.pop_index for a in attributes]
-            out[scheme] = grouping.bucket_integer_values(scheme, pops,
+            out[scheme] = grouping.bucket_integer_values(scheme, columns["pop_index"],
                                                          gc.popindex_merge_at)
         elif scheme == "last_digit":
-            out[scheme] = grouping.control_last_digit(
-                scheme, [a.user_id for a in attributes])
+            out[scheme] = grouping.control_last_digit(scheme, columns["user_id"])
     return out
 
 
-def _explainer_columns(attributes: Sequence[UserAttributes],
-                       assignments: dict[str, grouping.GroupAssignment],
+def _explainer_columns(columns: dict, assignments: dict[str, grouping.GroupAssignment],
                        users: np.ndarray) -> dict:
     """The all-features explainer's columns, one row per user in ``users``:
     age, usage and pop-index as float64 (NaN where missing); gender, the
     last id character and the country schemes in the data as assignments."""
-    rows = [attributes[i] for i in users.tolist()]
-    floats = {field: np.array([getattr(a, field) for a in rows], dtype=np.float64)
-              for field in ("age", "usage", "pop_index")}  # None becomes NaN
-    genders = [None if a.gender == GENDER_NA else a.gender for a in rows]
-    ids = [a.user_id for a in rows]
-    return {"age": floats["age"], "gender": grouping.bucket_categorical("gender", genders),
-            "usage": floats["usage"], "pop_index": floats["pop_index"],
-            "last_digit": grouping.control_last_digit("last_digit", ids),
+    rows = users.tolist()
+    return {"age": columns["age"][users],
+            "gender": grouping.bucket_categorical(
+                "gender", [columns["gender"][i] for i in rows]),
+            "usage": columns["usage"][users], "pop_index": columns["pop_index"][users],
+            "last_digit": grouping.control_last_digit(
+                "last_digit", [columns["user_id"][i] for i in rows]),
             **{name: grouping.GroupAssignment(name, assignments[name].labels,
                                               assignments[name].codes[users])
                for name in ("country_prevalence", "country_gdp") if name in assignments}}
@@ -424,11 +430,11 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     metrics CSV.  The explainers fit on bin matrices of attribute columns
     and group codes (``_explainer_inputs``)."""
     by_id = {a.user_id: a for a in data.raw.attributes}
-    attributes = [by_id.get(uid) or UserAttributes(user_id=uid, gender=GENDER_NA)
-                  for uid in data.umap.ids]
+    attributes = [by_id.get(uid) or UserAttributes(user_id=uid) for uid in data.umap.ids]
     popindex.fill_attributes(attributes, data.matrix, data.umap.index,
                              data.raw.provenance)
-    assignments = build_assignments(config, attributes, data.gdp)
+    columns = _user_columns(attributes)
+    assignments = build_assignments(config, columns, data.gdp)
 
     means = frame.user_means(data.umap)
     schemes = {name: scheme_result(assignment, means)
@@ -450,7 +456,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     ebm_importance: list[tuple[str, float]] = []
     if len(tested_users) >= 10:
         specs, binned = _explainer_inputs(
-            _explainer_columns(attributes, assignments, tested_users), config.ebm.max_bins)
+            _explainer_columns(columns, assignments, tested_users), config.ebm.max_bins)
         if specs:
             ebm_model = ebm.fit_ebm(binned, means["ndcg"][tested_users], specs, config.ebm)
             ebm_importance = ebm.importance(ebm_model, binned)

@@ -6,12 +6,16 @@ enumerations) and must stay independent of the package code it checks.
 
 from __future__ import annotations
 
+import logging
 import math
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
 from recaudit.errors import NumericalError
+from recaudit.grouping import (NA_LABEL, GroupAssignment, _finish, _fmt_value,
+                               _from_labels)
 from recaudit.synthetic import PlantedTruth
 from recaudit.util import derive_seed
 
@@ -298,6 +302,115 @@ def naive_bin_matrix(rows, specs):
         for j, spec in enumerate(specs):
             binned[i, j] = naive_bin_of(spec, row.get(spec.name))
     return binned
+
+
+# ---- numeric grouping schemes over lists with None holes ---------------------
+# The numeric bucket functions as they were when every scheme read a list of
+# values with None for a missing one, kept to check that the float64 columns
+# (NaN where missing) give the same labels and codes.
+
+log = logging.getLogger(__name__)
+
+
+def nan_column(values):
+    """A float64 attribute column, NaN where a value is None."""
+    return np.array([np.nan if v is None else v for v in values], dtype=np.float64)
+
+
+def naive_numeric(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of non-missing values, and the values as float64 (0 where
+    missing)."""
+    present = np.fromiter((v is not None for v in values), dtype=bool,
+                          count=len(values))
+    arr = np.fromiter((0.0 if v is None else v for v in values),
+                      dtype=np.float64, count=len(values))
+    return present, arr
+
+
+def naive_bucket_from_brackets(name: str, values: Sequence[Optional[int]],
+                         lower_bounds: Sequence[int]) -> GroupAssignment:
+    """Bucket by a configured bracket list of lower bounds (e.g. the ML1M
+    age codes).  Values below the first bound fall into the first bracket.
+    """
+    bounds = sorted(lower_bounds)
+    labels = []
+    for i, lo in enumerate(bounds):
+        if i + 1 < len(bounds):
+            labels.append(f"{lo}-{bounds[i + 1] - 1}")
+        else:
+            labels.append(f"{lo}+")
+    present, arr = naive_numeric(values)
+    idx = np.maximum(np.searchsorted(bounds, arr, side="right") - 1, 0)
+    return _finish(name, np.where(present, idx, len(labels)), labels)
+
+
+def naive_bucket_equal_range(name: str, values: Sequence[Optional[int]],
+                       width: int, anchor: Optional[int] = None) -> GroupAssignment:
+    """Uniform-width bins [lo, lo+width) anchored at ``anchor`` (default:
+    the minimum observed value).  Intended for integer attributes like age.
+    """
+    if width <= 0:
+        raise ValueError("bin width must be positive")
+    present = [v for v in values if v is not None]
+    if not present:
+        return _finish(name, np.zeros(len(values), dtype=np.intp), [])
+    lo0 = min(present) if anchor is None else anchor
+    n_bins = (max(present) - lo0) // width + 1
+    labels = [f"{lo0 + b * width}-{lo0 + (b + 1) * width - 1}" for b in range(n_bins)]
+    mask, arr = naive_numeric(values)
+    idx = np.clip((arr - lo0) // width, 0, n_bins - 1).astype(np.intp)
+    return _finish(name, np.where(mask, idx, n_bins), labels)
+
+
+def naive_bucket_equal_count(name: str, values: Sequence[Optional[float]],
+                       k: int) -> GroupAssignment:
+    """Roughly equal-population bins of a numeric attribute.
+
+    Boundaries sit at ranks i*n/k; a value is never split across bins
+    (whole tie classes are pushed into the lower bin), so sizes are only
+    approximately equal.  If fewer than k distinct values exist the result
+    has fewer bins, with a warning.
+    """
+    if k < 2:
+        raise ValueError("equal-count bucketing needs k >= 2")
+    present, arr = naive_numeric(values)
+    n = int(np.count_nonzero(present))
+    if n < k:
+        raise ValueError(f"need at least {k} non-missing values, have {n}")
+    sorted_vals = np.sort(arr[present])
+
+    boundaries = [0]
+    for i in range(1, k):
+        b = (i * n) // k
+        if 0 < b < n and sorted_vals[b - 1] == sorted_vals[b]:
+            b = int(np.searchsorted(sorted_vals, sorted_vals[b - 1], side="right"))
+        if boundaries[-1] < b < n:
+            boundaries.append(b)
+    boundaries.append(n)
+    if len(boundaries) - 1 < k:
+        log.warning("%s: ties reduce %d requested bins to %d", name, k,
+                    len(boundaries) - 1)
+
+    upper_values = []
+    labels = []
+    for start, end in zip(boundaries[:-1], boundaries[1:]):
+        lo, hi = sorted_vals[start], sorted_vals[end - 1]
+        upper_values.append(hi)
+        labels.append(f"{_fmt_value(lo)}-{_fmt_value(hi)}" if lo != hi else _fmt_value(lo))
+    idx = np.minimum(np.searchsorted(upper_values, arr, side="left"), len(labels) - 1)
+    return _finish(name, np.where(present, idx, len(labels)), labels)
+
+
+def naive_bucket_integer_values(name: str, values: Sequence[Optional[int]],
+                          merge_at: int = 13) -> GroupAssignment:
+    """One group per raw integer value, merging everything >= merge_at
+    into a single top group (pop-index presentation).
+    """
+    top = f"{merge_at}+"
+    per_user = [NA_LABEL if v is None else top if v >= merge_at else str(int(v))
+                for v in values]
+    seen = sorted({int(v) for v in values if v is not None and v < merge_at})
+    return _from_labels(name, per_user, [str(v) for v in seen] + [top])
 
 
 # ---- per-group numbers from user_id -> label dicts ---------------------------

@@ -95,27 +95,52 @@ def test_play_count_too_large_for_a_float_is_skipped(dataset_dir, tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def test_report_keeps_a_play_total_past_int64(config_file, dataset_dir, tmp_path):
-    # a total >= 2**63 once became usage -2**63, in the lowest usage group
+def _report_with_extra_plays(config_file, dataset_dir, tmp_path, extra: bytes):
+    """Run ``report`` as a subprocess on the dataset with ``extra`` lines
+    appended to its interactions; return the process and the usage rows of
+    group_summary.csv as (group, n_users)."""
     metrics = tmp_path / "metrics"
     assert main(["evaluate", "--config", str(config_file), "--out", str(metrics)]) == 0
     copy = tmp_path / "data"
     copy.mkdir()
     (copy / "profiles.tsv").write_bytes((dataset_dir / "profiles.tsv").read_bytes())
     (copy / "interactions.tsv").write_bytes((dataset_dir / "interactions.tsv").read_bytes()
-                                            + b"1\tbig\tBig\t99999999999999999999\n")
+                                            + extra)
     env = dict(os.environ, PYTHONPATH=str(Path(recaudit.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "recaudit.cli", "report", "--config",
                            str(_dataset_config(tmp_path, "big", copy)), "--metrics",
                            str(metrics / "metrics_per_user.csv"), "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env)
+    usage_rows = [line.split(",")[1:3] for line in
+                  (tmp_path / "out" / "group_summary.csv").read_text().splitlines()
+                  if line.startswith("usage,")] if done.returncode == 0 else []
+    return done, usage_rows
+
+
+def test_report_keeps_a_play_total_past_int64(config_file, dataset_dir, tmp_path):
+    # a total >= 2**63 once became usage -2**63, in the lowest usage group
+    done, usage_rows = _report_with_extra_plays(config_file, dataset_dir, tmp_path,
+                                                b"1\tbig\tBig\t99999999999999999999\n")
     assert done.returncode == 0, done.stderr
     assert "invalid value" not in done.stderr
-    usage_groups = [line.split(",")[1] for line in
-                    (tmp_path / "out" / "group_summary.csv").read_text().splitlines()
-                    if line.startswith("usage,")]
+    usage_groups = [group for group, _ in usage_rows]
     assert usage_groups and not any(group.startswith("-") for group in usage_groups)
     assert int(usage_groups[-1].rsplit("-", 1)[-1]) >= 2 ** 63
+
+
+def test_report_leaves_a_play_total_past_the_float_range_missing(config_file, dataset_dir,
+                                                                 tmp_path):
+    # two plays of 1.7e308 once summed to inf, with an overflow warning, and
+    # put the user in a usage group ending in "inf"
+    play = str(int(1.7e308)).encode()
+    done, usage_rows = _report_with_extra_plays(
+        config_file, dataset_dir, tmp_path,
+        b"1\tbig\tBig\t" + play + b"\n1\thuge\tHuge\t" + play + b"\n")
+    assert done.returncode == 0, done.stderr
+    assert "overflow" not in done.stderr
+    assert "usage left missing for 1 users" in done.stderr
+    assert usage_rows and not any("inf" in group for group, _ in usage_rows)
+    assert ["N/A", "1"] in usage_rows
 
 
 def test_audit_restricted_to_one_scheme_keeps_every_explainer_feature(config_file, tmp_path):

@@ -193,7 +193,8 @@ class TestExplainerInputs:
             attributes, assignments, users = random_attributes(rng, case)
             max_bins = int(rng.integers(2, 9))
             specs, binned = report._explainer_inputs(
-                report._explainer_columns(attributes, assignments, users), max_bins)
+                report._explainer_columns(report._user_columns(attributes), assignments,
+                                           users), max_bins)
             rows = naive_ebm_feature_rows(attributes, assignments, users)
             want = naive_ebm_specs(rows, max_bins)
             assert [(s.name, s.kind) for s in specs] == [(s.name, s.kind) for s in want]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import (naive_bucket_equal_count, naive_bucket_equal_range,
+                     naive_bucket_from_brackets, naive_bucket_integer_values,
+                     nan_column)
 from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
                                bucket_countries_by_gdp,
                                bucket_countries_by_prevalence,
@@ -8,6 +11,7 @@ from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
                                bucket_from_brackets, bucket_integer_values,
                                control_last_digit)
 from recaudit.ingest import GdpTable
+from recaudit.util import derive_seed
 
 
 def labels_by_user(assignment, user_ids):
@@ -50,7 +54,7 @@ class TestCategorical:
 class TestEqualRange:
     def test_age_15_year_bins(self):
         values = {f"u{age}": age for age in range(1, 91)}
-        a = bucket_equal_range("age", list(values.values()), width=15, anchor=1)
+        a = bucket_equal_range("age", nan_column(values.values()), width=15, anchor=1)
         assert a.labels == ["1-15", "16-30", "31-45", "46-60", "61-75", "76-90"]
         labels = labels_by_user(a, values)
         assert labels["u15"] == "1-15"
@@ -58,17 +62,17 @@ class TestEqualRange:
         assert labels["u90"] == "76-90"
 
     def test_single_value(self):
-        a = bucket_equal_range("age", [42], width=15)
+        a = bucket_equal_range("age", nan_column([42]), width=15)
         assert a.labels == ["42-56"]
 
     def test_uniform_fixture_tally(self):
         values = {f"u{i}": 1 + (i % 45) for i in range(450)}
-        a = bucket_equal_range("age", list(values.values()), width=15, anchor=1)
+        a = bucket_equal_range("age", nan_column(values.values()), width=15, anchor=1)
         sizes = a.sizes()
         assert sizes == {"1-15": 150, "16-30": 150, "31-45": 150}
 
     def test_missing_to_na(self):
-        a = bucket_equal_range("age", [10, None], width=5)
+        a = bucket_equal_range("age", nan_column([10, None]), width=5)
         assert a.labels[a.codes[1]] == NA_LABEL
         assert a.labels[-1] == NA_LABEL
 
@@ -76,7 +80,7 @@ class TestEqualRange:
 class TestEqualCount:
     def test_exact_terciles(self):
         values = {f"u{v}": v for v in range(1, 10)}
-        a = bucket_equal_count("v", list(values.values()), k=3)
+        a = bucket_equal_count("v", nan_column(values.values()), k=3)
         assert a.labels == ["1-3", "4-6", "7-9"]
         assert all(size == 3 for size in a.sizes().values())
 
@@ -86,7 +90,7 @@ class TestEqualCount:
             values[f"a{i}"] = 1
         for i in range(2):
             values[f"b{i}"] = 2
-        a = bucket_equal_count("v", list(values.values()), k=3)
+        a = bucket_equal_count("v", nan_column(values.values()), k=3)
         by_value = {}
         for uid, label in labels_by_user(a, values).items():
             v = values[uid]
@@ -98,7 +102,7 @@ class TestEqualCount:
         # ideal n/k by the largest tie-class size
         values = {f"u{i}": int(v) for i, v in
                   enumerate(rng.integers(0, 12, size=300))}
-        a = bucket_equal_count("v", list(values.values()), k=7)
+        a = bucket_equal_count("v", nan_column(values.values()), k=7)
         sizes = [s for lab, s in a.sizes().items() if lab != NA_LABEL]
         largest_tie = max(np.bincount(list(values.values())))
         assert len(sizes) == 7  # no bins collapsed for this fixture
@@ -106,11 +110,11 @@ class TestEqualCount:
 
     def test_too_few_values_rejected(self):
         with pytest.raises(ValueError):
-            bucket_equal_count("v", [1, 2], k=3)
+            bucket_equal_count("v", nan_column([1, 2]), k=3)
 
     def test_fewer_distinct_than_k_warns(self, caplog):
         values = {f"u{i}": i % 2 for i in range(20)}
-        a = bucket_equal_count("v", list(values.values()), k=5)
+        a = bucket_equal_count("v", nan_column(values.values()), k=5)
         assert len(a.non_na_labels()) == 2
         assert "ties reduce" in caplog.text
 
@@ -128,7 +132,7 @@ class TestBrackets:
         assert labels["u56"] == "56+"
 
     def test_interior_ages(self):
-        a = bucket_from_brackets("age", [30, 57, None], (1, 18, 25, 35, 45, 50, 56))
+        a = bucket_from_brackets("age", nan_column([30, 57, None]), (1, 18, 25, 35, 45, 50, 56))
         assert [a.labels[code] for code in a.codes] == ["25-34", "56+", NA_LABEL]
 
 
@@ -222,7 +226,7 @@ class TestLastDigit:
 class TestIntegerValues:
     def test_merge_at_thirteen(self):
         values = {f"u{i}": v for i, v in enumerate([1, 2, 12, 13, 14, 40, None])}
-        a = bucket_integer_values("pop", list(values.values()), merge_at=13)
+        a = bucket_integer_values("pop", nan_column(values.values()), merge_at=13)
         assert a.labels == ["1", "2", "12", "13+", NA_LABEL]
         labels = labels_by_user(a, values)
         assert labels["u3"] == "13+"
@@ -268,3 +272,62 @@ class TestBalancedSample:
         sample = self.sample(a, seed=0)
         assert 2 not in sample
         assert len(sample) == 4
+
+
+def random_numeric_values(rng, case):
+    """A seeded integer attribute list with None holes.  The cases rotate
+    through all missing, a single value, few values (ties on equal-count
+    boundaries), negative values, totals past 2**53 (even, so exact in
+    float64) and values around a merge_at."""
+    n = int(rng.integers(1, 60))
+    kind = case % 6
+    if kind == 0:
+        return [None] * n
+    if kind == 1:
+        values = [int(rng.integers(-5, 90))] * n
+    elif kind == 2:
+        values = rng.integers(0, 4, n).tolist()
+    elif kind == 3:
+        values = rng.integers(-60, 10, n).tolist()
+    elif kind == 4:
+        values = (2 ** 53 + 2 * rng.integers(0, 40, n)).tolist()
+    else:
+        values = rng.integers(10, 17, n).tolist()
+    return [None if rng.random() < 0.2 else v for v in values]
+
+
+def outcome(bucket, *args, **kwargs):
+    """(labels, codes) of an assignment, or the type of the error raised."""
+    try:
+        a = bucket(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+    return a.labels, a.codes.tolist()
+
+
+class TestNumericColumnsMatchListOracle:
+    """The numeric schemes over a float64 column with NaN give the labels
+    and codes of the list-with-None functions in tests/oracles.py."""
+
+    def test_random_columns(self):
+        for case in range(120):
+            rng = np.random.default_rng(derive_seed("numeric-columns", case))
+            values = random_numeric_values(rng, case)
+            column = nan_column(values)
+            bounds = sorted(rng.choice(np.arange(-20, 60), size=int(rng.integers(1, 6)),
+                                       replace=False).tolist())
+            width = int(rng.integers(1, 20))
+            # anchor 1 below a total past 2**53 would ask for ~2**53 / width bins
+            anchor = None if case % 6 == 4 or case % 2 else 1
+            k = int(rng.integers(2, 6))
+            merge_at = int(rng.integers(10, 17))
+            for bucket, naive, kwargs in (
+                    (bucket_from_brackets, naive_bucket_from_brackets,
+                     {"lower_bounds": bounds}),
+                    (bucket_equal_range, naive_bucket_equal_range,
+                     {"width": width, "anchor": anchor}),
+                    (bucket_equal_count, naive_bucket_equal_count, {"k": k}),
+                    (bucket_integer_values, naive_bucket_integer_values,
+                     {"merge_at": merge_at})):
+                assert outcome(bucket, "v", column, **kwargs) == \
+                    outcome(naive, "v", values, **kwargs), (case, bucket.__name__)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ class TestFillAttributes:
         fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
         assert attrs[0].usage == 2e19
         assert attrs[1].usage == 3
+
+    def test_total_past_the_float_range_leaves_usage_unset(self, caplog):
+        # such a total once became usage inf, with an overflow warning
+        m, umap, _ = from_triples([("a", "x", 1.7e308), ("a", "y", 1.7e308), ("b", "x", 3)])
+        attrs = [UserAttributes("a"), UserAttributes("b")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
+        assert attrs[0].usage is None and attrs[0].pop_index is not None
+        assert attrs[1].usage == 3
+        assert "usage left missing for 1 users" in caplog.text
 
     @pytest.mark.parametrize("provenance", [PROVENANCE_LFM360K, PROVENANCE_ML1M])
     def test_matches_scalar_usage_and_pop_index(self, rng, provenance):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (naive_balanced_sample, naive_crosstab_counts, naive_group_numbers,
-                     naive_kw_groups, naive_labels, naive_per_user_mean)
+                     naive_kw_groups, naive_labels, naive_per_user_mean, nan_column)
 from recaudit import report as report_mod
 from recaudit.config import AuditConfig, apply_overrides, load_config
 from recaudit.errors import ConfigError, DataError
@@ -193,14 +193,16 @@ class TestConfig:
 
 class TestCrossTab:
     def test_columns_sum_to_100(self):
-        rows = bucket_integer_values("pop", [i % 5 for i in range(40)], merge_at=13)
+        rows = bucket_integer_values("pop", nan_column([i % 5 for i in range(40)]),
+                                     merge_at=13)
         cols = bucket_categorical("g", ["a" if i < 25 else "b" for i in range(40)])
         tab = build_crosstab(rows, cols)
         for col in tab.col_labels:
             assert sum(tab.percentages[col].values()) == 100
 
     def test_uneven_shares_still_sum_100(self, rng):
-        rows = bucket_integer_values("pop", rng.integers(0, 7, 97).tolist(), merge_at=13)
+        rows = bucket_integer_values("pop", rng.integers(0, 7, 97).astype(np.float64),
+                                     merge_at=13)
         cols = bucket_categorical("g", [str(v) for v in rng.integers(0, 3, 97)])
         tab = build_crosstab(rows, cols)
         for col in tab.col_labels:
@@ -208,7 +210,7 @@ class TestCrossTab:
 
     def test_empty_column_no_division_error(self):
         # ghost has no pop bucket, so the N/A gender column counts nobody
-        rows = bucket_integer_values("pop", [1, 2, None], merge_at=13)
+        rows = bucket_integer_values("pop", nan_column([1, 2, None]), merge_at=13)
         cols = bucket_categorical("g", ["a", "a", None])
         tab = build_crosstab(rows, cols)
         assert tab.col_totals["N/A"] == 0
@@ -268,7 +270,7 @@ class TestGroupNumbersMatchOracle:
             cat_of = {uid: NA_LABEL if c is None else c for uid, c in zip(ids, cats)}
             cat_counts = {c: cats.count(c) for c in set(cats) - {None}}
             cat_order = sorted(cat_counts, key=lambda c: (-cat_counts[c], c))
-            brackets = bucket_from_brackets("br", values, BRACKETS)
+            brackets = bucket_from_brackets("br", nan_column(values), BRACKETS)
             categories = bucket_categorical("cat", cats)
             for assignment, by_user, ordered in ((brackets, bracket_of, BRACKET_LABELS),
                                                  (categories, cat_of, cat_order)):
