@@ -113,7 +113,7 @@ class MetricFrame:
         [0, 1] or a second row for one (user, fold) raises DataError naming
         the file and line."""
         frame = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["user_id", "fold", "ndcg", "mrr", "rbp"]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import DataError
 from .interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, Triples,
                            UserAttributes)
-from .interner import PAD, ByteInterner
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +86,19 @@ _COLUMN_ROWS = 1 << 18
 # the longest play count parsed arithmetically: 18 digits fit an int64
 _MAX_DIGITS = 18
 
+# the widest id prefix, in little-endian 8-byte words, that is hashed
+_HASH_WORDS = 8
+
+# readable bytes a chunk needs past its last field
+PAD = 8 * _HASH_WORDS
+
+# _TAIL[r] keeps the first r bytes of a little-endian word
+_TAIL = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
+
+# word j of a field weighs the j-th odd multiple of the golden-ratio increment
+_WEIGHTS = (2 * np.arange(_HASH_WORDS, dtype=np.uint64) + np.uint64(1)) * np.uint64(
+    0x9E3779B97F4A7C15)
+
 
 def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
     """Parse LFM360K play records: user-sha1 \\t artist-mbid \\t artist-name \\t plays.
@@ -100,7 +113,9 @@ def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
 
     Returns (triples, skipped_row_count).
     """
-    users, items = ByteInterner(), ByteInterner()
+    # per side, field bytes -> code, in order of first position
+    users: dict[bytes, int] = {}
+    items: dict[bytes, int] = {}
     # each column grows in place, a chunk at a time
     columns = (_Column(np.int32), _Column(np.int32), _Column(np.float64))
     skipped = lines = 0
@@ -134,12 +149,15 @@ def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
             lines += n_lines
             skipped += n_lines - kept
     codes = []
-    for column, interner in zip(columns, (users, items)):
-        ids, remap = interner.decoded()
+    for column, keys in zip(columns, (users, items)):
+        # keys that decode alike are one id
+        index: dict[str, int] = {}
+        remap = np.array([index.setdefault(key.decode("utf-8", "replace"), len(index))
+                          for key in keys], dtype=np.int64)
         column = column.finish()
-        if remap is not None:
+        if len(index) < len(keys):
             column[:] = remap[column]
-        codes.append((column, ids))
+        codes.append((column, list(index)))
     (user_codes, user_ids), (item_codes, item_ids) = codes
     return Triples(user_codes, item_codes, columns[2].finish(), user_ids, item_ids), skipped
 
@@ -168,7 +186,7 @@ class _Column:
         return self.data
 
 
-def _parse_chunk(buf: np.ndarray, size: int, users: ByteInterner, items: ByteInterner,
+def _parse_chunk(buf: np.ndarray, size: int, users: dict, items: dict,
                  columns: tuple[_Column, _Column, _Column]) -> tuple[int, int]:
     """Append the valid rows of the lines in ``buf[:size]`` to ``columns``;
     return the number of lines and of rows kept."""
@@ -189,12 +207,51 @@ def _parse_chunk(buf: np.ndarray, size: int, users: ByteInterner, items: ByteInt
     strengths = strengths[keep]
     del bounds, plays, plain
 
-    first = columns[2].size
-    for column, interner, starts, lengths in ((columns[0], users, user_start, user_len),
-                                              (columns[1], items, artist_start, artist_len)):
-        column.extend(interner.codes(buf, starts, lengths, first))
+    columns[0].extend(_codes(users, buf, user_start, user_len))
+    columns[1].extend(_codes(items, buf, artist_start, artist_len))
     columns[2].extend(strengths)
     return n_lines, strengths.size
+
+
+def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The code in ``keys`` of each field ``buf[s:s + n]`` (n >= 1), adding
+    the unseen ones in position order.  ``buf`` has ``PAD`` readable bytes
+    past its last field.
+
+    A field whose words and length equal those of the first field of its
+    hash group takes that field's code; any other field (a group's first,
+    one longer than ``PAD`` bytes, one sharing a hash with a different
+    field) is looked up by its bytes.  So the hash only decides which
+    fields are compared, and Python runs once per distinct field of the
+    chunk."""
+    if not starts.size:
+        return np.empty(0, dtype=np.int64)
+    width = min(int(lengths.max() + 7) >> 3, _HASH_WORDS)
+    rows = np.ndarray((buf.size - 8 * width + 1, 8 * width), dtype=np.uint8, buffer=buf,
+                      strides=(1, 1))
+    # each field as a row of words, zero past its end
+    words = rows[starts].view("<u8")
+    words &= _TAIL[np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8)]
+    _, first, group = np.unique(_hash(words, lengths), return_index=True,
+                                return_inverse=True)
+    head = first[group]
+    alone = ((lengths > PAD) | (lengths != lengths[head])
+             | (words != words[head]).any(axis=1))
+    alone[first] = True
+    del words
+    looked = np.flatnonzero(alone)
+    data = buf.data
+    code = np.empty(starts.size, dtype=np.int64)
+    code[looked] = [keys.setdefault(data[s:s + n].tobytes(), len(keys))
+                    for s, n in zip(starts[looked].tolist(), lengths[looked].tolist())]
+    return np.where(alone, code, code[head])
+
+
+def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A weighted sum of each row of words, xor its field's length."""
+    h = (words * _WEIGHTS[:words.shape[1]]).sum(axis=1, dtype=np.uint64)
+    h ^= lengths.astype(np.uint64)
+    return h
 
 
 def _four_field_lines(buf: np.ndarray, size: int) -> tuple[int, np.ndarray]:
@@ -376,7 +433,8 @@ def load_gdp_table(stream: Iterable[str]) -> GdpTable:
 
     An optional header row is detected by a non-numeric second field on the
     first line; other rows with non-numeric GDP are skipped with a warning.
-    One leading byte order mark is ignored.
+    A value that is not finite, such as ``nan`` or ``inf``, counts as
+    non-numeric.  One leading byte order mark is ignored.
     """
     table = GdpTable()
     for lineno, line in _iter_lines(stream, "gdp table"):
@@ -388,6 +446,8 @@ def load_gdp_table(stream: Iterable[str]) -> GdpTable:
         country = country.strip()
         try:
             gdp = float(gdp_text.strip())
+            if not math.isfinite(gdp):
+                raise ValueError
         except ValueError:
             if lineno > 1:
                 log.warning("gdp table line %d: non-numeric value %r, skipped", lineno, gdp_text)

@@ -420,6 +420,22 @@ def test_unusable_charts_destination_exits_2(config_file, tmp_path, capsys):
         assert sorted(p.name for p in bad.iterdir()) == ["charts"], argv
 
 
+def test_report_ignores_a_byte_order_mark_in_the_metrics(config_file, tmp_path):
+    assert main(["evaluate", "--config", str(config_file), "--out", str(tmp_path / "eval")]) == 0
+    metrics = tmp_path / "eval" / "metrics_per_user.csv"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + metrics.read_bytes())
+    for source, out in ((metrics, "plain"), (marked, "marked")):
+        assert main(["report", "--config", str(config_file), "--metrics", str(source),
+                     "--out", str(tmp_path / out)]) == 0
+    plain = sorted(p.relative_to(tmp_path / "plain")
+                   for p in (tmp_path / "plain").rglob("*") if p.is_file())
+    assert plain
+    for name in plain:
+        assert (tmp_path / "marked" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes(), name
+
+
 def test_report_missing_metrics_exits_2(config_file, tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     code = main(["report", "--config", str(config_file), "--metrics", str(missing)])

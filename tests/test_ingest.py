@@ -8,6 +8,7 @@ import pytest
 from oracles import (naive_cold_start, naive_csr, naive_parse_lfm_rows,
                      naive_parse_ml1m_rows)
 from recaudit.errors import DataError
+from recaudit.grouping import NA_LABEL, bucket_countries_by_gdp
 from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              PROVENANCE_ML1M, PROVENANCE_SYNTHETIC, PROVENANCES,
                              RawDataset, cold_start_filter, load_gdp, load_gdp_table,
@@ -174,6 +175,15 @@ class TestGdpTable:
         table = load_gdp_table(lines("Mexico,9926.4\nNowhere,n/a\n"))
         assert len(table) == 1
         assert "non-numeric" in caplog.text
+
+    def test_non_finite_gdp_skipped(self, caplog):
+        table = load_gdp_table(lines("A,1000\nB,nan\nC,3000\nD,500\nE,inf\nF,2000\n"))
+        assert sorted(table.values) == ["A", "C", "D", "F"]
+        assert caplog.text.count("non-numeric") == 2
+        countries = ["A", "B", "C", "D", "E", "F"]
+        a = bucket_countries_by_gdp("gdp", countries, table)
+        assert [a.labels[c] for c in a.codes] == ["low", NA_LABEL, "high", "low", NA_LABEL,
+                                                  "medium"]
 
     def test_byte_order_mark_ignored(self):
         table = load_gdp_table(lines("\ufeffMexico,9926.4\nBrazil,8917.7\n"))

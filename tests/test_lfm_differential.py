@@ -17,15 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_csr, naive_parse_lfm_rows
-from recaudit import ingest, interner
+from recaudit import ingest
 from recaudit.interactions import from_triples
 
 from conftest import triple_rows
 
+# ids that zero padding or a hashed prefix alone would confuse: a trailing
+# NUL, and ids that share their first 8 or 64 bytes (the hashed prefix)
+LOOKALIKES = [b"\x00", b"a\x00", b"12345678", b"123456789", b"p" * 64, b"p" * 64 + b"q",
+              b"p" * 64 + b"r"]
 USERS = [b"u1", b"u2", b"", b"\xff7", b"\xfe7", b"\xc3\xa9t\xc3\xa9", b"\xe2\x82",
-         b"0123456789abcdef0123456789abcdef01234567", b"x" * 130, b"\xef\xbb\xbfu1"]
+         b"0123456789abcdef0123456789abcdef01234567", b"x" * 130, b"\xef\xbb\xbfu1",
+         b"a", *LOOKALIKES]
 MBIDS = [b"", b"m1", b"m2", b"\xffm", b"\xfem", b"4ec4f078-20ef-3318-311c-5899e1cc8d32",
-         b"y" * 75, b"\xe6\x97\xa5\xe6\x9c\xac"]
+         b"y" * 75, b"\xe6\x97\xa5\xe6\x9c\xac", b"a", *LOOKALIKES]
 NAMES = [b"", b"Name", b"m1", b"Bj\xc3\xb6rk", b"\xff", b"z" * 66]
 PLAYS = [b"1", b"42", b"007", b"0", b"-3", b" 5", b"5 ", b"+7", b"1_000", b"1__0",
          "\u0663".encode(), "\uff17".encode(), b"", b"x", b"1.5", b"\xff", b"9" * 18,
@@ -105,15 +110,31 @@ def test_seeded_files_match_oracle(seed, chunk_bytes):
     assert_parse_matches_oracle(_seeded_file(seed, 400), chunk_bytes)
 
 
+def one_hash(words, lengths):
+    return np.full(lengths.size, 12345, dtype=np.uint64)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("chunk_bytes", [97, 1 << 20])
 def test_every_hash_colliding(seed, chunk_bytes):
-    """With one hash for every field, codes come from byte comparison alone."""
-    def one_hash(words, lengths):
-        return np.full(lengths.size, 12345, dtype=np.uint64)
-
-    with mock.patch.object(interner, "_hash_rows", one_hash):
+    """With one hash for every field, each field after a chunk's first is
+    looked up by its bytes alone."""
+    with mock.patch.object(ingest, "_hash", one_hash):
         assert_parse_matches_oracle(_seeded_file(seed, 300), chunk_bytes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 7, 1 << 20])
+def test_lookalike_ids_under_one_hash(chunk_bytes):
+    """Ids whose zero-padded words or first 64 bytes are equal stay apart
+    when every field shares one hash: the length is compared too."""
+    ids = [b"a", *LOOKALIKES]
+    data = b"".join(user + b"\t" + artist + b"\tN\t1\n"
+                    for user in ids for artist in reversed(ids))
+    with mock.patch.object(ingest, "_hash", one_hash):
+        assert_parse_matches_oracle(data, chunk_bytes)
+        triples, _ = ingest.parse_lfm_interactions(io.BytesIO(data))
+    assert triples.user_ids == [i.decode() for i in ids]
+    assert triples.item_ids == [i.decode() for i in reversed(ids)]
 
 
 def test_invalid_bytes_that_decode_alike_are_one_id():
