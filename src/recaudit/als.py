@@ -75,7 +75,7 @@ def _transpose_csr(m: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     order = np.argsort(m.indices.astype(np.min_scalar_type(m.n_items - 1)),
                        kind="stable")
-    rows = m.user_index_of_entries()[order]
+    rows = m.entry_rows()[order]
     cols = m.indices[order]
     vals = m.data[order]
     indptr = np.zeros(m.n_items + 1, dtype=np.int64)
@@ -188,7 +188,7 @@ def loss(model: AlsModel, interactions: InteractionMatrix) -> float:
     gram_y = y.T @ y
     full_term = float(np.sum((x @ gram_y) * x))
 
-    rows = interactions.user_index_of_entries()
+    rows = interactions.entry_rows()
     scores = np.sum(x[rows] * y[interactions.indices], axis=1)
     conf = 1.0 + hp.alpha * interactions.data
     obs_correction = float(np.sum(conf * (1.0 - scores) ** 2 - scores ** 2))

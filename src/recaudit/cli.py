@@ -102,10 +102,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(config.output.dir)
     with report.stage("emit"), report.staging(out_dir) as tmp:
         frame.to_csv(tmp / "metrics_per_user.csv")
-    ndcg = frame.user_means(data.umap)["ndcg"]
-    means = ndcg[~np.isnan(ndcg)].tolist()
-    overall = sum(means) / len(means) if means else 0.0
-    print(f"metrics for {len(means)} users written to {out_dir / 'metrics_per_user.csv'}")
+    ndcg = frame.user_means(data.user_ids)["ndcg"]
+    tested = ndcg[~np.isnan(ndcg)]
+    # np.mean, not sum(): since Python 3.12 sum() over floats is compensated
+    # and would print a different mean
+    overall = tested.mean() if tested.size else 0.0
+    print(f"metrics for {tested.size} users written to {out_dir / 'metrics_per_user.csv'}")
     print(f"mean NDCG: {fmt_float(overall)}")
     return 0
 
@@ -131,10 +133,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = _load(args)
     with report.stage("metrics"):
         frame = evaluation.MetricFrame.from_csv(args.metrics)
-    data = report.load(config)
-    with report.stage("metrics"):
-        frame = frame.with_dataset_ids(data.umap)
-    report.emit(report.rebuild_report(config, frame, data), config.output.dir)
+    report.emit(report.rebuild_report(config, frame, report.load(config)),
+                config.output.dir)
     print(f"re-rendered report into {config.output.dir}")
     return 0
 

@@ -160,9 +160,11 @@ _RULES = {
     ("grouping", "schemes"): ((lambda value: set(value) <= set(_GROUPING_SCHEMES)),
                               f"must each be one of {', '.join(_GROUPING_SCHEMES)}"),
     ("ebm", "learning_rate"): _POSITIVE,
+    ("ebm", "max_rounds"): _at_least(1),
     ("ebm", "bags"): _at_least(1),
     ("ebm", "max_bins"): _at_least(2),
     ("output", "threads"): _at_least(1),
+    ("output", "significance"): _OPEN_UNIT,
 }
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import als
 from .errors import ConfigError, DataError, NumericalError
-from .interactions import IdMap, InteractionMatrix, UserId
+from .interactions import InteractionMatrix, UserId
 from .util import derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
@@ -82,20 +82,29 @@ class MetricFrame:
 
     rows: list[MetricRow] = field(default_factory=list)
 
-    def user_means(self, umap: IdMap) -> dict[str, np.ndarray]:
+    def user_means(self, user_ids: Sequence) -> dict[str, np.ndarray]:
         """Per metric, each user's mean across the folds they were tested
-        in, as an ``(n_users,)`` array in dense user order; NaN where a user
-        was not tested.  A user's sum runs in row order."""
-        users = np.fromiter((umap.index[row.user_id] for row in self.rows),
-                            dtype=np.intp, count=len(self.rows))
-        counts = np.bincount(users, minlength=len(umap))
+        in, as an ``(n_users,)`` array in the order of ``user_ids``; NaN
+        where a user was not tested.  A user's sum runs in row order.
+
+        A row names its user by the id's text, as a metrics CSV holds it
+        (ML1M ids are integers); one that names no user raises DataError.
+        """
+        row_of = {str(uid): u for u, uid in enumerate(user_ids)}
+        try:
+            users = np.fromiter((row_of[str(row.user_id)] for row in self.rows),
+                                dtype=np.intp, count=len(self.rows))
+        except KeyError as exc:
+            raise DataError(f"metrics user id {exc.args[0]!r} is not a user "
+                            f"of the dataset") from None
+        counts = np.bincount(users, minlength=len(user_ids))
         tested = counts > 0
         means = {}
         for metric in METRICS:
             values = np.fromiter((getattr(row, metric) for row in self.rows),
                                  dtype=np.float64, count=len(self.rows))
-            sums = np.bincount(users, weights=values, minlength=len(umap))
-            means[metric] = np.full(len(umap), np.nan)
+            sums = np.bincount(users, weights=values, minlength=len(user_ids))
+            means[metric] = np.full(len(user_ids), np.nan)
             means[metric][tested] = sums[tested] / counts[tested]
         return means
 
@@ -135,24 +144,6 @@ class MetricFrame:
                 seen.add((user_id, row.fold))
                 frame.rows.append(row)
         return frame
-
-    def with_dataset_ids(self, umap: IdMap) -> "MetricFrame":
-        """The frame with each user id replaced by the dataset id it spells.
-
-        A CSV holds ids as text, while ML1M ids are integers; an id that
-        names no user of the dataset raises DataError.
-        """
-        by_text = {str(uid): uid for uid in umap.ids}
-        rows = []
-        for row in self.rows:
-            uid = by_text.get(str(row.user_id))
-            if uid is None:
-                raise DataError(f"metrics user id {row.user_id!r} is not a user "
-                                f"of the dataset")
-            if uid != row.user_id:
-                row = MetricRow(uid, row.fold, row.ndcg, row.mrr, row.rbp)
-            rows.append(row)
-        return MetricFrame(rows)
 
 
 def make_folds(users: Sequence[int], k: int, scheme: str, seed: int,
@@ -240,7 +231,7 @@ def fold_training_matrix(matrix: InteractionMatrix, fold: Fold) -> InteractionMa
     held = [np.asarray(h, dtype=np.int64) for h in fold.holdout.values()]
     held_keys = (np.repeat(users, [h.shape[0] for h in held]) * matrix.n_items
                  + np.concatenate(held or [np.empty(0, dtype=np.int64)]))
-    entry_keys = (matrix.user_index_of_entries().astype(np.int64, copy=False)
+    entry_keys = (matrix.entry_rows().astype(np.int64, copy=False)
                   * matrix.n_items + matrix.indices)
     pos = np.searchsorted(entry_keys, held_keys)
     found = pos < matrix.nnz

@@ -31,7 +31,7 @@ NA_LABEL = "N/A"
 @dataclass
 class GroupAssignment:
     """One label per user: ``codes[i]`` indexes ``labels`` for the user at
-    dense index i (the order of ``IdMap.ids``)."""
+    dense index i, matrix row i."""
 
     name: str
     labels: list[str]  # presentation order; N/A last when present

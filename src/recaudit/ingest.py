@@ -11,7 +11,7 @@ from __future__ import annotations
 import codecs
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional
 
@@ -463,7 +463,8 @@ def cold_start_filter(dataset: RawDataset, max_items: Optional[int] = None) -> R
     For LFM360K provenance the threshold is "40 or fewer distinct items";
     ML1M needs no filtering (every user has at least 20 ratings) and
     synthetic data is left alone unless ``max_items`` overrides the default.
-    Items' interactions from other users are untouched.
+    Items' interactions from other users are untouched, and so are the
+    attribute records: only the matrix users' records are ever read.
     """
     if max_items is None:
         if dataset.provenance == PROVENANCE_LFM360K:
@@ -481,12 +482,8 @@ def cold_start_filter(dataset: RawDataset, max_items: Optional[int] = None) -> R
         return dataset
     keep = ~removed[t.users]
     triples = Triples(t.users[keep], t.items[keep], t.strengths[keep], t.user_ids, t.item_ids)
-    removed_ids = {t.user_ids[u] for u in np.flatnonzero(removed).tolist()}
-    attributes = [a for a in dataset.attributes if a.user_id not in removed_ids]
     log.info("cold-start filter removed %d of %d users", n_removed, np.count_nonzero(distinct))
-    return RawDataset(triples, attributes, dataset.provenance,
-                      skipped_interactions=dataset.skipped_interactions,
-                      skipped_users=dataset.skipped_users + n_removed)
+    return replace(dataset, triples=triples, skipped_users=dataset.skipped_users + n_removed)
 
 
 def _open(path: str | Path, encoding: Optional[str], errors: Optional[str] = None):

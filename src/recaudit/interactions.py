@@ -3,9 +3,9 @@ and dataset statistics.
 
 Parsed rows are ``Triples``, columns of integer codes.  The interaction
 matrix is stored CSR-style (indptr/indices/data) with dense contiguous
-indices assigned in first-seen order, recorded in bidirectional id maps.
-It is immutable after construction and safe to share across parallel
-readers.
+indices assigned in first-seen order; a tuple of ids in that order names
+each side's rows or columns.  It is immutable after construction and safe
+to share across parallel readers.
 """
 
 from __future__ import annotations
@@ -49,17 +49,6 @@ class DatasetStats:
     sparsity: float
 
 
-@dataclass(frozen=True)
-class IdMap:
-    """Bidirectional map between original ids and dense indices."""
-
-    ids: tuple  # index -> original id
-    index: dict  # original id -> index
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 class InteractionMatrix:
     """Sparse user x item matrix of positive interaction strengths.
 
@@ -85,7 +74,7 @@ class InteractionMatrix:
         """Item indices of one user's row."""
         return self.indices[self.indptr[user]:self.indptr[user + 1]]
 
-    def user_index_of_entries(self) -> np.ndarray:
+    def entry_rows(self) -> np.ndarray:
         """Row index for every stored entry, aligned with indices/data."""
         return np.repeat(np.arange(self.n_users), np.diff(self.indptr))
 
@@ -96,7 +85,7 @@ class InteractionMatrix:
         their dimensions.
         """
         keep = ~mask
-        rows = self.user_index_of_entries()[keep]
+        rows = self.entry_rows()[keep]
         new_indptr = np.zeros(self.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n_users), out=new_indptr[1:])
         return InteractionMatrix(self.n_users, self.n_items, new_indptr,
@@ -126,8 +115,8 @@ class Triples:
     def from_rows(cls, rows: Iterable[tuple[UserId, ItemId, float]]) -> "Triples":
         """Intern (user_id, item_id, strength) rows, each side's ids coded 0, 1, ...
         in first-seen order; every row is kept, in order."""
-        user_index: dict = {}
-        item_index: dict = {}
+        user_codes: dict = {}
+        item_codes: dict = {}
         # each column grows in place, a chunk at a time: no chunk list is
         # joined at the end, so parsing never holds a column twice
         columns = (array("i"), array("i"), array("d"))
@@ -135,12 +124,12 @@ class Triples:
         while True:
             users, items, strengths = [], [], []
             for user_id, item_id, strength in islice(rows, _CHUNK_ROWS):
-                u = user_index.get(user_id)
+                u = user_codes.get(user_id)
                 if u is None:
-                    u = user_index[user_id] = len(user_index)
-                i = item_index.get(item_id)
+                    u = user_codes[user_id] = len(user_codes)
+                i = item_codes.get(item_id)
                 if i is None:
-                    i = item_index[item_id] = len(item_index)
+                    i = item_codes[item_id] = len(item_codes)
                 users.append(u)
                 items.append(i)
                 strengths.append(strength)
@@ -151,12 +140,12 @@ class Triples:
         return cls(np.frombuffer(columns[0], dtype=np.intc).astype(np.int32, copy=False),
                    np.frombuffer(columns[1], dtype=np.intc).astype(np.int32, copy=False),
                    np.frombuffer(columns[2], dtype=np.float64),
-                   list(user_index), list(item_index))
+                   list(user_codes), list(item_codes))
 
 
-def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, IdMap]:
-    """``codes`` renumbered 0, 1, ... in order of first appearance, and the
-    map of their ids."""
+def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, tuple]:
+    """``codes`` renumbered 0, 1, ... in order of first appearance, and
+    their ids in that order."""
     if _numbered_in_first_seen_order(codes, len(ids)):
         seen_ids = tuple(ids)
     else:
@@ -166,7 +155,7 @@ def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, IdMap]:
         renumber[seen] = np.arange(seen.size)
         codes = renumber[codes]
         seen_ids = tuple(ids[c] for c in seen.tolist())
-    return codes, IdMap(seen_ids, {id_: k for k, id_ in enumerate(seen_ids)})
+    return codes, seen_ids
 
 
 def _numbered_in_first_seen_order(codes: np.ndarray, n_ids: int) -> bool:
@@ -181,8 +170,9 @@ def _numbered_in_first_seen_order(codes: np.ndarray, n_ids: int) -> bool:
 
 def from_triples(
     triples: Triples | Iterable[tuple[UserId, ItemId, float]],
-) -> tuple[InteractionMatrix, IdMap, IdMap]:
-    """Build an interaction matrix from ``Triples`` or (user_id, item_id, strength) rows.
+) -> tuple[InteractionMatrix, tuple, tuple]:
+    """Build an interaction matrix from ``Triples`` or (user_id, item_id, strength)
+    rows; returns it with the ids of its rows and of its columns.
 
     Tolerant builder: indices are assigned in first-seen order among the
     kept rows, duplicate (user, item) pairs merge by summing strengths, and
@@ -194,14 +184,14 @@ def from_triples(
     positive = values > 0.0
     if not positive.all():
         users, items, values = users[positive], items[positive], values[positive]
-    users, umap = _first_seen(users, triples.user_ids)
-    items, imap = _first_seen(items, triples.item_ids)
-    indptr = np.zeros(len(umap) + 1, dtype=np.int64)
+    users, user_ids = _first_seen(users, triples.user_ids)
+    items, item_ids = _first_seen(items, triples.item_ids)
+    indptr = np.zeros(len(user_ids) + 1, dtype=np.int64)
     if users.size:
         # sort by the (user, item) key, stably, then merge duplicate cells
         # by summing runs in row order
         keys = users.astype(np.int64)
-        keys *= len(imap)
+        keys *= len(item_ids)
         keys += items
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -215,13 +205,14 @@ def from_triples(
         # split the merged keys in place: one array fewer at a time
         items = keys[starts]
         del keys, first, starts
-        users = items // len(imap)
-        items -= users * len(imap)
-        np.cumsum(np.bincount(users, minlength=len(umap)), out=indptr[1:])
+        users = items // len(item_ids)
+        items -= users * len(item_ids)
+        np.cumsum(np.bincount(users, minlength=len(user_ids)), out=indptr[1:])
     else:
         items = np.empty(0, dtype=np.int64)
 
-    return InteractionMatrix(len(umap), len(imap), indptr, items, values), umap, imap
+    matrix = InteractionMatrix(len(user_ids), len(item_ids), indptr, items, values)
+    return matrix, user_ids, item_ids
 
 
 def stats(m: InteractionMatrix) -> DatasetStats:

@@ -73,13 +73,13 @@ def pop_indices(m: InteractionMatrix) -> np.ndarray:
 
 
 def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
-                    user_index: dict, provenance: str) -> None:
+                    provenance: str) -> None:
     """Fill usage (total plays, or for ML1M the number of rated items, as a
-    float) and pop_index on every attribute record with a matrix row.
+    float) and pop_index on the attribute records, one per matrix row in
+    row order.
 
-    Users absent from the matrix, or with an empty row, keep both fields
-    unset; a total past the float64 range leaves usage unset, with one
-    warning.
+    A user with an empty row keeps both fields unset; a total past the
+    float64 range leaves usage unset, with one warning.
     """
     pops = pop_indices(m).tolist()
     uses = np.diff(m.indptr).astype(np.float64)
@@ -92,10 +92,8 @@ def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
     if not finite.all():
         log.warning("usage left missing for %d users: play total past the float range",
                     np.count_nonzero(~finite))
-    uses, finite = uses.tolist(), finite.tolist()
-    for attr in attributes:
-        u = user_index.get(attr.user_id)
-        if u is None or pops[u] < 0:
-            continue
-        attr.usage = uses[u] if finite[u] else None
-        attr.pop_index = pops[u]
+    for attr, pop, use, use_finite in zip(attributes, pops, uses.tolist(), finite.tolist(),
+                                          strict=True):
+        if pop >= 0:
+            attr.usage = use if use_finite else None
+            attr.pop_index = pop

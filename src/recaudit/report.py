@@ -28,7 +28,7 @@ import sys
 import tempfile
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
@@ -39,10 +39,9 @@ from .charts import render_scheme_chart
 from .config import AuditConfig
 from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .evaluation import METRICS
-from .ingest import (GdpTable, PROVENANCE_ML1M, RawDataset,
-                     cold_start_filter, load_gdp, load_lfm, load_ml1m)
-from .interactions import (GENDER_NA, IdMap, InteractionMatrix, Triples,
-                           UserAttributes, from_triples)
+from .ingest import (GdpTable, PROVENANCE_ML1M, cold_start_filter, load_gdp,
+                     load_lfm, load_ml1m)
+from .interactions import GENDER_NA, InteractionMatrix, UserAttributes, from_triples
 from .interactions import stats as dataset_stats
 from .util import derive_seed, fmt_float
 
@@ -81,24 +80,27 @@ class AuditReport:
 
 @dataclass
 class Dataset:
-    """The cleaned dataset every verb starts from.  ``raw`` keeps the
-    attributes, the provenance and the drop counts; its ``Triples`` are
-    emptied once ``matrix`` is built, whose rows ``umap`` names."""
+    """The cleaned dataset every verb starts from: user u is row u of
+    ``matrix`` and has id ``user_ids[u]``.  ``attributes`` holds the
+    parsed profile records, in file order; ``skipped_rows`` and
+    ``removed_users`` count what ingest and cold start dropped."""
 
-    raw: RawDataset
+    provenance: str
+    attributes: list[UserAttributes]
     gdp: Optional[GdpTable]
     matrix: InteractionMatrix
-    umap: IdMap
+    user_ids: tuple
+    skipped_rows: int
+    removed_users: int
 
     def summary(self) -> dict:
         """Dataset statistics, as ``ingest-stats`` prints them and the
         manifest records them."""
         ds = dataset_stats(self.matrix)
-        return {"provenance": self.raw.provenance, "n_users": ds.n_users,
+        return {"provenance": self.provenance, "n_users": ds.n_users,
                 "n_items": ds.n_items, "n_interactions": ds.n_interactions,
-                "sparsity": ds.sparsity,
-                "skipped_rows": self.raw.skipped_interactions,
-                "removed_users": self.raw.skipped_users}
+                "sparsity": ds.sparsity, "skipped_rows": self.skipped_rows,
+                "removed_users": self.removed_users}
 
 
 @dataclass
@@ -190,7 +192,8 @@ def stage(name: str):
 
 @stage("ingest")
 def load(config: AuditConfig) -> Dataset:
-    """Parse the configured files, drop cold-start users, build the matrix."""
+    """Parse the configured files, drop cold-start users, build the matrix;
+    the parsed rows are freed on return."""
     ds = config.dataset
     if ds.provenance == PROVENANCE_ML1M:
         if not ds.ratings or not ds.users:
@@ -202,11 +205,11 @@ def load(config: AuditConfig) -> Dataset:
         raw = load_lfm(ds.interactions, ds.profiles, provenance=ds.provenance)
     gdp = load_gdp(ds.gdp_table) if ds.gdp_table else None
     raw = cold_start_filter(raw, ds.cold_start_min_items)
-    matrix, umap, _ = from_triples(raw.triples)
+    matrix, user_ids, _ = from_triples(raw.triples)
     if matrix.nnz == 0:
         raise DataError("no interactions after cleanup")
-    # nothing reads the row columns once the matrix holds them
-    return Dataset(replace(raw, triples=Triples.from_rows(())), gdp, matrix, umap)
+    return Dataset(raw.provenance, raw.attributes, gdp, matrix, user_ids,
+                   raw.skipped_interactions, raw.skipped_users)
 
 
 @stage("score")
@@ -223,7 +226,7 @@ def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
     plan = evaluation.make_folds(
         list(range(data.matrix.n_users)), ev.folds, fold_scheme, ev.seed,
         sample_size=ev.sample_size if fold_scheme == "sample" else None)
-    evaluation.assign_holdouts(plan, data.matrix, data.umap.ids, ev.holdout_fraction)
+    evaluation.assign_holdouts(plan, data.matrix, data.user_ids, ev.holdout_fraction)
 
     def run(fold: evaluation.Fold) -> list[evaluation.MetricRow]:
         hp = als.AlsHyperparams(
@@ -236,7 +239,7 @@ def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
         # scoring reads only the test users' factors
         model = als.fit(train_matrix, hp, users=fold.test_users)
         return evaluation.evaluate_fold(
-            model, fold, data.matrix, data.umap.ids, n=ev.depth,
+            model, fold, data.matrix, data.user_ids, n=ev.depth,
             persistence=ev.rbp_persistence, filter_train=ev.filter_train)
 
     workers = min(config.output.threads, len(plan.folds)) if hasattr(os, "fork") else 1
@@ -428,15 +431,15 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     """Grouping, significance testing, explainer runs, and cross-tabs from
     a metric frame, whether just scored or read back from a per-user
     metrics CSV.  The explainers fit on bin matrices of attribute columns
-    and group codes (``_explainer_inputs``)."""
-    by_id = {a.user_id: a for a in data.raw.attributes}
-    attributes = [by_id.get(uid) or UserAttributes(user_id=uid) for uid in data.umap.ids]
-    popindex.fill_attributes(attributes, data.matrix, data.umap.index,
-                             data.raw.provenance)
+    and group codes (``_explainer_inputs``).  A metrics row naming no user
+    of the dataset raises DataError before anything is grouped."""
+    means = frame.user_means(data.user_ids)
+    by_id = {a.user_id: a for a in data.attributes}
+    attributes = [by_id.get(uid) or UserAttributes(user_id=uid) for uid in data.user_ids]
+    popindex.fill_attributes(attributes, data.matrix, data.provenance)
     columns = _user_columns(attributes)
     assignments = build_assignments(config, columns, data.gdp)
 
-    means = frame.user_means(data.umap)
     schemes = {name: scheme_result(assignment, means)
                for name, assignment in assignments.items()}
     family = [(name, metric) for name, result in schemes.items()
@@ -448,10 +451,9 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
 
     # the explainers' bootstrap draws depend on row order, so the rows follow
     # the id texts, not the order the dataset lists the users in
-    ids = data.umap.ids
     tested_users = np.array(
         sorted(np.flatnonzero(~np.isnan(means["ndcg"])).tolist(),
-               key=lambda i: str(ids[i])), dtype=np.intp)
+               key=lambda i: str(data.user_ids[i])), dtype=np.intp)
     ebm_model = None
     ebm_importance: list[tuple[str, float]] = []
     if len(tested_users) >= 10:

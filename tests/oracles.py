@@ -560,23 +560,21 @@ def naive_parse_ml1m_rows(lines):
     return rows, skipped
 
 
-def naive_cold_start(rows, attribute_ids, max_items):
-    """Drop every user with max_items or fewer distinct items (counted over
-    all its rows) from the rows and the attribute ids; also returns the
-    number of users dropped."""
+def naive_cold_start(rows, max_items):
+    """Drop the rows of every user with max_items or fewer distinct items
+    (counted over all its rows); also returns the number of users dropped."""
     distinct = {}
     for user, item, _ in rows:
         distinct.setdefault(user, set()).add(item)
     removed = {user for user, items in distinct.items() if len(items) <= max_items}
-    return ([row for row in rows if row[0] not in removed],
-            [uid for uid in attribute_ids if uid not in removed], len(removed))
+    return [row for row in rows if row[0] not in removed], len(removed)
 
 
 def naive_csr(rows):
-    """CSR arrays and id maps of (user, item, strength) rows: rows with a
+    """CSR arrays and ids of (user, item, strength) rows: rows with a
     strength <= 0 are dropped, ids numbered in first-seen order among the
     rest, duplicate cells summed in row order.  Returns (indptr, indices,
-    data, user_ids, user_index, item_ids, item_index)."""
+    data, user_ids, item_ids)."""
     user_index, item_index = {}, {}
     cells = {}
     for user, item, strength in rows:
@@ -595,8 +593,7 @@ def naive_csr(rows):
     for u in range(len(user_index)):
         indptr[u + 1] += indptr[u]
     return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
-            np.array(data, dtype=np.float64), tuple(user_index), user_index,
-            tuple(item_index), item_index)
+            np.array(data, dtype=np.float64), tuple(user_index), tuple(item_index))
 
 
 def naive_sweep(this, other, indptr, indices, data, reg, alpha, rows=None):

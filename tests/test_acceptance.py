@@ -128,14 +128,14 @@ def test_criterion_4_als_properties():
 
     # planted two-block structure: >= 95% of top-1 picks inside own block
     from test_als import two_block_matrix
-    matrix, umap, imap = two_block_matrix(rng, n_users=60, n_items=30)
+    matrix, user_ids, item_ids = two_block_matrix(rng, n_users=60, n_items=30)
     model = als.fit(matrix, als.AlsHyperparams(factors=8, regularization=0.01,
                                                iterations=15, seed=5))
     hits = 0
     for u in range(matrix.n_users):
-        block = int(umap.ids[u][1:]) % 2
+        block = int(user_ids[u][1:]) % 2
         top = full_sort_top_n(model.item_factors @ model.user_factors[u], 1)[0]
-        hits += int((0 if int(imap.ids[top][1:]) < 15 else 1) == block)
+        hits += int((0 if int(item_ids[top][1:]) < 15 else 1) == block)
     share = hits / matrix.n_users
     assert share >= 0.95
 

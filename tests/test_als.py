@@ -112,7 +112,7 @@ class TestTransposeCsr:
         np.cumsum(np.bincount(indices, minlength=n_items), out=expected_indptr[1:])
         got_indptr, got_rows, got_vals = als._transpose_csr(m)
         assert np.array_equal(got_indptr, expected_indptr)
-        assert np.array_equal(got_rows, m.user_index_of_entries()[order])
+        assert np.array_equal(got_rows, m.entry_rows()[order])
         assert np.array_equal(got_vals, data[order])
 
 
@@ -179,15 +179,15 @@ class TestFit:
             assert als.loss(fitted, m) <= als.loss(init, m)
 
     def test_planted_two_block_structure(self, rng):
-        m, umap, imap = two_block_matrix(rng)
+        m, user_ids, item_ids = two_block_matrix(rng)
         hp = als.AlsHyperparams(factors=8, regularization=0.01, iterations=15, seed=1)
         model = als.fit(m, hp)
         half = m.n_items // 2
         hits = 0
         for u in range(m.n_users):
-            block = int(umap.ids[u][1:]) % 2
+            block = int(user_ids[u][1:]) % 2
             top_item = full_sort_top_n(model.item_factors @ model.user_factors[u], 1)[0]
-            item_block = 0 if int(imap.ids[top_item][1:]) < 15 else 1
+            item_block = 0 if int(item_ids[top_item][1:]) < 15 else 1
             hits += int(item_block == block)
         assert hits / m.n_users >= 0.95
 

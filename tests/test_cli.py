@@ -10,14 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import naive_per_user_mean
 import recaudit
 from recaudit import als
 from recaudit.cli import main
 from recaudit.ingest import load_lfm
 from recaudit.config import load_config
 from recaudit.errors import NumericalError
+from recaudit.evaluation import MetricFrame
+from recaudit.report import load
 from recaudit.synthetic import generate_planted
-from recaudit.util import derive_seed
+from recaudit.util import derive_seed, fmt_float
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +214,15 @@ def test_train_rejects_a_negative_model_seed(config_file, tmp_path, capsys, wher
     ("ebm", "max_bins = 1", "[ebm] max_bins must be >= 2"),
     ("modle", "factors = 8", "unknown section [modle]"),
     ("model", "factor = 8", "[model] unknown key 'factor'"),
-], ids=["max_bins", "modle", "factor"])
+    ("ebm", "max_rounds = 0", "[ebm] max_rounds must be >= 1"),
+    ("output", "significance = 5", "[output] significance must lie in (0, 1)"),
+], ids=["max_bins", "modle", "factor", "max_rounds", "significance"])
 def test_config_the_audit_cannot_run_exits_2(config_file, tmp_path, capsys, verb,
                                              section, line, named):
-    text = config_file.read_text()
+    key = line.split(" = ")[0]
+    # the line replaces any setting of its key
+    text = "".join(kept for kept in config_file.read_text().splitlines(keepends=True)
+                   if not kept.startswith(f"{key} = "))
     if f"[{section}]\n" in text:
         text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
     else:
@@ -233,22 +241,41 @@ def test_config_the_audit_cannot_run_exits_2(config_file, tmp_path, capsys, verb
 def test_evaluate_writes_metrics(config_file, tmp_path, capsys):
     assert main(["evaluate", "--config", str(config_file)]) == 0
     out_dir = config_file.parent / "out"
-    assert (out_dir / "metrics_per_user.csv").exists()
-    assert "mean NDCG" in capsys.readouterr().out
+    means = naive_per_user_mean(MetricFrame.from_csv(out_dir / "metrics_per_user.csv").rows,
+                                "ndcg")
+    # one np.mean over the tested users in dataset order, the same on every
+    # Python version: sum() rounds differently from 3.12 on
+    tested = [means[str(uid)] for uid in load(load_config(config_file)).user_ids
+              if str(uid) in means]
+    out = capsys.readouterr().out
+    assert f"metrics for {len(tested)} users written" in out
+    assert f"mean NDCG: {fmt_float(np.mean(tested))}\n" in out
+
+
+def assert_report_reproduces_audit(config_file, out_dir, rerender):
+    """``report`` over the audit's metrics CSV writes every file the audit
+    wrote but the manifest, byte for byte."""
+    code = main(["report", "--config", str(config_file),
+                 "--metrics", str(out_dir / "metrics_per_user.csv"),
+                 "--out", str(rerender)])
+    assert code == 0
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    audited = [rel for rel in files(out_dir) if rel != Path("manifest.json")]
+    assert Path("metrics_per_user.csv") in audited
+    assert any(rel.suffix == ".svg" for rel in audited)
+    assert files(rerender) == audited
+    for rel in audited:
+        assert (rerender / rel).read_bytes() == (out_dir / rel).read_bytes(), rel
 
 
 def test_audit_and_report_round_trip(config_file, tmp_path, capsys):
     assert main(["audit", "--config", str(config_file)]) == 0
     out_dir = config_file.parent / "out"
     assert (out_dir / "manifest.json").exists()
-    first_summary = (out_dir / "group_summary.csv").read_bytes()
-
-    rerender = tmp_path / "rerender"
-    code = main(["report", "--config", str(config_file),
-                 "--metrics", str(out_dir / "metrics_per_user.csv"),
-                 "--out", str(rerender)])
-    assert code == 0
-    assert (rerender / "group_summary.csv").read_bytes() == first_summary
+    assert_report_reproduces_audit(config_file, out_dir, tmp_path / "rerender")
 
 
 def test_audit_prints_significance_lines(config_file, capsys):
@@ -355,16 +382,9 @@ dir = {tmp_path / 'out'}
 
 
 def test_ml1m_audit_and_report_round_trip(ml1m_config, tmp_path):
+    # the integer ids stay as text from the metrics CSV through report
     assert main(["audit", "--config", str(ml1m_config)]) == 0
-    out_dir = tmp_path / "out"
-    first_summary = (out_dir / "group_summary.csv").read_bytes()
-
-    rerender = tmp_path / "rerender"
-    code = main(["report", "--config", str(ml1m_config),
-                 "--metrics", str(out_dir / "metrics_per_user.csv"),
-                 "--out", str(rerender)])
-    assert code == 0
-    assert (rerender / "group_summary.csv").read_bytes() == first_summary
+    assert_report_reproduces_audit(ml1m_config, tmp_path / "out", tmp_path / "rerender")
 
 
 def test_report_rejects_unknown_user_id(ml1m_config, tmp_path, capsys):
@@ -374,6 +394,7 @@ def test_report_rejects_unknown_user_id(ml1m_config, tmp_path, capsys):
                  "--out", str(tmp_path / "rerender")])
     assert code == 3
     assert "'9999'" in capsys.readouterr().err
+    assert not (tmp_path / "rerender").exists()
 
 
 @pytest.mark.parametrize("bad_row", ["2,0,nan,0.5,0.5", "2,0,0.5,7.5,0.5",

@@ -11,7 +11,7 @@ from recaudit.evaluation import (Fold, MetricFrame, MetricRow, _held_out_ranks,
                                  _mrr_at, _ndcg_at, _rbp_at,
                                  assign_holdouts, evaluate_fold,
                                  fold_training_matrix, holdout_split, make_folds)
-from recaudit.interactions import IdMap, from_triples
+from recaudit.interactions import from_triples
 
 from conftest import entries, hit_positions, random_matrix
 
@@ -244,10 +244,10 @@ class TestHeldOutRanks:
 
 class TestFoldPipeline:
     def build(self, rng, n_users=30, n_items=40):
-        matrix, umap, _ = random_matrix(rng, n_users, n_items, density=0.3)
+        matrix, user_ids, _ = random_matrix(rng, n_users, n_items, density=0.3)
         plan = make_folds(list(range(matrix.n_users)), 3, "partition", seed=11)
-        assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
-        return matrix, umap, plan
+        assign_holdouts(plan, matrix, user_ids, fraction=0.2)
+        return matrix, user_ids, plan
 
     def test_holdouts_nonempty_subsets(self, rng):
         matrix, _, plan = self.build(rng)
@@ -303,31 +303,31 @@ class TestFoldPipeline:
             assert np.array_equal(train.data, expected.data)
 
     def test_holdout_determinism_per_user_id(self, rng):
-        matrix, umap, _ = random_matrix(rng, 30, 40, density=0.3)
+        matrix, user_ids, _ = random_matrix(rng, 30, 40, density=0.3)
         p1 = make_folds(list(range(matrix.n_users)), 3, "partition", seed=11)
-        assign_holdouts(p1, matrix, umap.ids, fraction=0.2)
+        assign_holdouts(p1, matrix, user_ids, fraction=0.2)
         p2 = make_folds(list(range(matrix.n_users)), 3, "partition", seed=11)
-        assign_holdouts(p2, matrix, umap.ids, fraction=0.2)
+        assign_holdouts(p2, matrix, user_ids, fraction=0.2)
         for f1, f2 in zip(p1.folds, p2.folds):
             assert f1.test_users == f2.test_users
             for u in f1.test_users:
                 assert np.array_equal(f1.holdout[u], f2.holdout[u])
 
     def test_user_with_single_item_skipped(self, rng, caplog):
-        matrix, umap, _ = from_triples([("solo", "i0", 1),
+        matrix, user_ids, _ = from_triples([("solo", "i0", 1),
                                         ("multi", "i0", 1), ("multi", "i1", 1),
                                         ("multi2", "i0", 1), ("multi2", "i1", 2)])
         plan = make_folds([0, 1, 2], 1, "partition", seed=0)
-        assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
+        assign_holdouts(plan, matrix, user_ids, fraction=0.2)
         assert 0 not in plan.folds[0].test_users
         assert "skipped" in caplog.text
 
     def test_evaluate_fold_ranges_and_shape(self, rng):
-        matrix, umap, plan = self.build(rng)
+        matrix, user_ids, plan = self.build(rng)
         fold = plan.folds[0]
         train = fold_training_matrix(matrix, fold)
         model = als.fit(train, als.AlsHyperparams(factors=4, iterations=3, seed=0))
-        rows = evaluate_fold(model, fold, matrix, umap.ids, n=20)
+        rows = evaluate_fold(model, fold, matrix, user_ids, n=20)
         assert len(rows) == len(fold.test_users)
         for row in rows:
             assert 0.0 <= row.ndcg <= 1.0
@@ -337,26 +337,26 @@ class TestFoldPipeline:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_evaluate_fold_rejects_non_finite_test_user_factors(self, rng, bad):
-        matrix, umap, plan = self.build(rng)
+        matrix, user_ids, plan = self.build(rng)
         fold = plan.folds[1]
         train = fold_training_matrix(matrix, fold)
         model = als.fit(train, als.AlsHyperparams(factors=4, iterations=2, seed=0))
         u = fold.test_users[len(fold.test_users) // 2]
         model.user_factors[u, 1] = bad
         with pytest.raises(NumericalError,
-                           match=f"^fold 1: non-finite factors for test user {umap.ids[u]}$"):
-            evaluate_fold(model, fold, matrix, umap.ids, n=20)
+                           match=f"^fold 1: non-finite factors for test user {user_ids[u]}$"):
+            evaluate_fold(model, fold, matrix, user_ids, n=20)
 
     def test_evaluate_fold_reads_only_test_user_factors(self, rng):
-        matrix, umap, plan = self.build(rng)
+        matrix, user_ids, plan = self.build(rng)
         for fold in plan.folds:
             train = fold_training_matrix(matrix, fold)
             hp = als.AlsHyperparams(factors=4, iterations=2, seed=fold.index)
             full = als.fit(train, hp)
             restricted = als.fit(train, hp, users=fold.test_users)
             assert np.isnan(restricted.user_factors).any()
-            assert evaluate_fold(restricted, fold, matrix, umap.ids, n=20) == \
-                evaluate_fold(full, fold, matrix, umap.ids, n=20)
+            assert evaluate_fold(restricted, fold, matrix, user_ids, n=20) == \
+                evaluate_fold(full, fold, matrix, user_ids, n=20)
 
     @staticmethod
     def oracle_rows(model, fold, matrix, n, persistence, filter_train):
@@ -379,10 +379,10 @@ class TestFoldPipeline:
         # the number of items
         for trial in range(60):
             n_users, n_items = int(rng.integers(4, 25)), int(rng.integers(3, 50))
-            matrix, umap, _ = random_matrix(rng, n_users, n_items,
+            matrix, user_ids, _ = random_matrix(rng, n_users, n_items,
                                             density=float(rng.uniform(0.1, 0.8)))
             plan = make_folds(list(range(matrix.n_users)), 2, "partition", seed=trial)
-            assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
+            assign_holdouts(plan, matrix, user_ids, fraction=0.2)
             k = int(rng.integers(1, 4))
             items = rng.normal(size=(matrix.n_items, k))
             items[rng.random(matrix.n_items) < 0.3] = 0.0
@@ -394,7 +394,7 @@ class TestFoldPipeline:
             persistence = float(rng.uniform(0.1, 0.95))
             for filter_train in (True, False):
                 for fold in plan.folds:
-                    rows = evaluate_fold(model, fold, matrix, umap.ids, n=depth,
+                    rows = evaluate_fold(model, fold, matrix, user_ids, n=depth,
                                          persistence=persistence,
                                          filter_train=filter_train)
                     assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
@@ -403,9 +403,9 @@ class TestFoldPipeline:
     def test_evaluate_fold_single_held_out_item_and_deep_lists(self, rng):
         # every user of 2-4 items holds out exactly one; depth exceeds the
         # items left after excluding the training items
-        matrix, umap, _ = random_matrix(rng, 30, 12, density=0.15)
+        matrix, user_ids, _ = random_matrix(rng, 30, 12, density=0.15)
         plan = make_folds(list(range(matrix.n_users)), 1, "partition", seed=5)
-        assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
+        assign_holdouts(plan, matrix, user_ids, fraction=0.2)
         fold = plan.folds[0]
         assert any(len(fold.holdout[u]) == 1 for u in fold.test_users)
         model = als.AlsModel(rng.normal(size=(matrix.n_users, 2)),
@@ -413,7 +413,7 @@ class TestFoldPipeline:
                              als.AlsHyperparams(factors=2))
         for depth in (1, matrix.n_items, matrix.n_items + 10):
             for filter_train in (True, False):
-                rows = evaluate_fold(model, fold, matrix, umap.ids, n=depth,
+                rows = evaluate_fold(model, fold, matrix, user_ids, n=depth,
                                      filter_train=filter_train)
                 assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
                     model, fold, matrix, depth, 0.85, filter_train)
@@ -422,10 +422,10 @@ class TestFoldPipeline:
         # far more items than the depth, so the partition leaves most items
         # below the threshold; integer factors give exact ties at and above it
         for trial in range(12):
-            matrix, umap, _ = random_matrix(rng, 12, int(rng.integers(200, 400)),
+            matrix, user_ids, _ = random_matrix(rng, 12, int(rng.integers(200, 400)),
                                             density=0.05)
             plan = make_folds(list(range(matrix.n_users)), 2, "partition", seed=trial)
-            assign_holdouts(plan, matrix, umap.ids, fraction=0.3)
+            assign_holdouts(plan, matrix, user_ids, fraction=0.3)
             k = int(rng.integers(1, 4))
             model = als.AlsModel(np.round(rng.normal(size=(matrix.n_users, k))),
                                  np.round(rng.normal(size=(matrix.n_items, k))),
@@ -433,26 +433,26 @@ class TestFoldPipeline:
             depth = int(rng.integers(1, 25))
             for filter_train in (True, False):
                 for fold in plan.folds:
-                    rows = evaluate_fold(model, fold, matrix, umap.ids, n=depth,
+                    rows = evaluate_fold(model, fold, matrix, user_ids, n=depth,
                                          filter_train=filter_train)
                     assert [(r.ndcg, r.mrr, r.rbp) for r in rows] == self.oracle_rows(
                         model, fold, matrix, depth, 0.85, filter_train)
 
     def test_full_recovery_gives_ndcg_one(self):
         # deterministic model whose top items are exactly the held-out set
-        matrix, umap, _ = from_triples(
+        matrix, user_ids, _ = from_triples(
             [("u", f"i{i}", 1) for i in range(10)] + [("v", "i0", 1), ("v", "i1", 1)])
         fold = Fold(index=0, test_users=[0],
                     holdout={0: np.array([0, 1])})
         hp = als.AlsHyperparams(factors=1, seed=0)
         item_factors = np.linspace(1.0, 0.1, matrix.n_items).reshape(-1, 1)
         model = als.AlsModel(np.ones((matrix.n_users, 1)), item_factors, hp)
-        rows = evaluate_fold(model, fold, matrix, umap.ids, n=10, filter_train=False)
+        rows = evaluate_fold(model, fold, matrix, user_ids, n=10, filter_train=False)
         assert rows[0].ndcg == 1.0
         assert rows[0].mrr == 1.0
 
     def test_filter_train_excludes_training_items(self, rng):
-        matrix, umap, plan = self.build(rng)
+        matrix, user_ids, plan = self.build(rng)
         fold = plan.folds[0]
         u = fold.test_users[0]
         train_items = set(int(i) for i in matrix.user_items(u)) - \
@@ -465,9 +465,9 @@ class TestFoldPipeline:
 
     def test_two_block_beats_random_model(self, rng):
         from test_als import two_block_matrix
-        matrix, umap, _ = two_block_matrix(rng, n_users=40, n_items=30)
+        matrix, user_ids, _ = two_block_matrix(rng, n_users=40, n_items=30)
         plan = make_folds(list(range(matrix.n_users)), 2, "partition", seed=2)
-        assign_holdouts(plan, matrix, umap.ids, fraction=0.2)
+        assign_holdouts(plan, matrix, user_ids, fraction=0.2)
         fold = plan.folds[0]
         train = fold_training_matrix(matrix, fold)
         fitted = als.fit(train, als.AlsHyperparams(factors=6, iterations=10, seed=3))
@@ -475,8 +475,8 @@ class TestFoldPipeline:
             np.random.default_rng(0).normal(size=fitted.user_factors.shape),
             np.random.default_rng(1).normal(size=fitted.item_factors.shape),
             fitted.hyperparams)
-        fit_rows = evaluate_fold(fitted, fold, matrix, umap.ids, n=30)
-        rnd_rows = evaluate_fold(random_model, fold, matrix, umap.ids, n=30)
+        fit_rows = evaluate_fold(fitted, fold, matrix, user_ids, n=30)
+        rnd_rows = evaluate_fold(random_model, fold, matrix, user_ids, n=30)
         assert np.mean([r.ndcg for r in fit_rows]) > np.mean([r.ndcg for r in rnd_rows])
 
 
@@ -499,8 +499,7 @@ class TestMetricFrame:
             MetricRow("u", 1, 0.6, 0.0, 0.0),
             MetricRow("v", 0, 1.0, 0.0, 0.0),
         ])
-        umap = IdMap(("w", "v", "u"), {"w": 0, "v": 1, "u": 2})
-        means = frame.user_means(umap)["ndcg"]
+        means = frame.user_means(("w", "v", "u"))["ndcg"]
         assert np.isnan(means[0])
         assert means[1:].tolist() == [1.0, pytest.approx(0.4)]
 

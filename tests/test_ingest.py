@@ -271,25 +271,25 @@ class TestColdStartFilter:
 
 def _assert_ingest_matches_tuple_path(triples, rows, attribute_ids, provenance, max_items):
     """Cold start and matrix from ``triples`` equal the tuple, dict-of-sets
-    and dict-loop path over the same ``rows``."""
+    and dict-loop path over the same ``rows``; the attribute records stay
+    as they were."""
     raw = RawDataset(triples, [UserAttributes(uid) for uid in attribute_ids], provenance)
     filtered = cold_start_filter(raw, max_items)
-    m, umap, imap = from_triples(filtered.triples)
+    m, m_user_ids, m_item_ids = from_triples(filtered.triples)
 
     if max_items is None and provenance == PROVENANCE_LFM360K:
         max_items = LFM_COLD_START_MAX_ITEMS
     removed = 0
     if max_items is not None:
-        rows, attribute_ids, removed = naive_cold_start(rows, attribute_ids, max_items)
-    indptr, indices, data, user_ids, user_index, item_ids, item_index = naive_csr(rows)
+        rows, removed = naive_cold_start(rows, max_items)
+    indptr, indices, data, user_ids, item_ids = naive_csr(rows)
 
     assert filtered.skipped_users == removed
-    assert [a.user_id for a in filtered.attributes] == attribute_ids
+    assert filtered.attributes is raw.attributes
     for got, want in ((m.indptr, indptr), (m.indices, indices), (m.data, data)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert (m.n_users, m.n_items) == (len(user_ids), len(item_ids))
-    assert umap.ids == user_ids and list(umap.index.items()) == list(user_index.items())
-    assert imap.ids == item_ids and list(imap.index.items()) == list(item_index.items())
+    assert m_user_ids == user_ids and m_item_ids == item_ids
 
 
 def _random_rows(rng, integer_ids):

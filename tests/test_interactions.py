@@ -10,11 +10,11 @@ from conftest import entries
 
 
 def test_empty_input():
-    m, umap, imap = from_triples([])
+    m, user_ids, item_ids = from_triples([])
     assert m.n_users == 0
     assert m.n_items == 0
     assert m.nnz == 0
-    assert len(umap) == 0
+    assert user_ids == () and item_ids == ()
     assert stats(m).sparsity == 0.0
 
 
@@ -25,19 +25,17 @@ def test_duplicate_pairs_merge_by_sum():
 
 
 def test_zero_strength_dropped():
-    m, _, imap = from_triples([("u1", "a1", 0), ("u1", "a2", 1)])
+    m, _, item_ids = from_triples([("u1", "a1", 0), ("u1", "a2", 1)])
     assert m.nnz == 1
     assert m.n_items == 1  # a1 never materializes: its only triple was dropped
-    assert imap.ids == ("a2",)
+    assert item_ids == ("a2",)
     assert list(m.user_items(0)) == [0]
 
 
 def test_first_seen_index_order():
-    m, umap, imap = from_triples([("b", "y", 1), ("a", "x", 1), ("b", "x", 2)])
-    assert umap.ids == ("b", "a")
-    assert imap.ids == ("y", "x")
-    assert umap.index["a"] == 1
-    assert imap.index["x"] == 1
+    m, user_ids, item_ids = from_triples([("b", "y", 1), ("a", "x", 1), ("b", "x", 2)])
+    assert user_ids == ("b", "a")
+    assert item_ids == ("y", "x")
 
 
 def test_stats_direct_formula():
@@ -82,11 +80,11 @@ def test_row_access_covers_all_entries(small_random_matrix):
                           st.integers(1, 9)), max_size=40))
 def test_round_trip_multiset(triples):
     named = [(f"u{u}", f"i{i}", s) for u, i, s in triples]
-    m, umap, imap = from_triples(named)
+    m, user_ids, item_ids = from_triples(named)
     merged = {}
     for uid, iid, s in named:
         merged[(uid, iid)] = merged.get((uid, iid), 0) + s
-    rebuilt = {(umap.ids[u], imap.ids[i]): s for u, i, s in entries(m)}
+    rebuilt = {(user_ids[u], item_ids[i]): s for u, i, s in entries(m)}
     assert rebuilt == {k: float(v) for k, v in merged.items()}
 
 
@@ -95,7 +93,7 @@ def test_indices_in_range(small_random_matrix):
     assert (m.indices >= 0).all() and (m.indices < m.n_items).all()
     assert (m.data > 0).all()
     # no duplicate (user, item) pairs
-    pairs = list(zip(m.user_index_of_entries(), m.indices))
+    pairs = list(zip(m.entry_rows(), m.indices))
     assert len(pairs) == len(set(pairs))
 
 

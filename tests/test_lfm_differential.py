@@ -57,11 +57,11 @@ def assert_parse_matches_oracle(data: bytes, chunk_bytes: int):
     assert (triples.users.dtype, triples.items.dtype, triples.strengths.dtype) == (
         np.int32, np.int32, np.float64)
 
-    m, umap, imap = from_triples(triples)
-    indptr, indices, values, user_ids, _, item_ids, _ = naive_csr(rows)
+    m, m_user_ids, m_item_ids = from_triples(triples)
+    indptr, indices, values, user_ids, item_ids = naive_csr(rows)
     for got, want in ((m.indptr, indptr), (m.indices, indices), (m.data, values)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert umap.ids == user_ids and imap.ids == item_ids
+    assert m_user_ids == user_ids and m_item_ids == item_ids
 
 
 @st.composite

@@ -12,7 +12,7 @@ from recaudit.popindex import fill_attributes, pop_indices
 from conftest import entries, random_matrix
 
 
-def oracle_pop(matrix, umap, imap, u):
+def oracle_pop(matrix, user_ids, item_ids, u):
     item_user_sets = {}
     for uu, i, _ in entries(matrix):
         item_user_sets.setdefault(int(i), set()).add(uu)
@@ -23,9 +23,9 @@ def oracle_pop(matrix, umap, imap, u):
 
 def usage_of(plays, provenance):
     """The usage ``fill_attributes`` gives a user with these play counts."""
-    m, umap, _ = from_triples([("u", f"i{k}", p) for k, p in enumerate(plays)])
+    m, _, _ = from_triples([("u", f"i{k}", p) for k, p in enumerate(plays)])
     attrs = [UserAttributes("u")]
-    fill_attributes(attrs, m, umap.index, provenance)
+    fill_attributes(attrs, m, provenance)
     return attrs[0].usage
 
 
@@ -39,10 +39,11 @@ class TestItemUserCounts:
         assert m.n_users == 3
 
     def test_empty_matrix(self):
-        m, umap, _ = from_triples([])
-        attrs = [UserAttributes("a")]
-        fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
-        assert attrs[0].usage is None and attrs[0].pop_index is None
+        m, _, _ = from_triples([])
+        fill_attributes([], m, PROVENANCE_LFM360K)
+        # one record per matrix row, so a record past the rows is an error
+        with pytest.raises(ValueError):
+            fill_attributes([UserAttributes("a")], m, PROVENANCE_LFM360K)
 
     def test_random_matrix_column_recount(self, rng):
         # a user with one item has the floor of that item's coverage
@@ -69,10 +70,10 @@ class TestPopIndex:
 
     def test_matches_brute_force_oracle(self, rng):
         for trial in range(30):
-            m, umap, imap = random_matrix(rng, 50, 80, density=0.1)
+            m, user_ids, item_ids = random_matrix(rng, 50, 80, density=0.1)
             got = pop_indices(m)
             for u in range(0, m.n_users, 7):
-                assert got[u] == oracle_pop(m, umap, imap, u)
+                assert got[u] == oracle_pop(m, user_ids, item_ids, u)
 
     def test_user_without_items_rejected(self):
         m, _, _ = from_triples([("a", "x", 1), ("b", "x", 1)])
@@ -83,11 +84,11 @@ class TestPopIndex:
     def test_monotone_in_added_interactions(self, rng):
         # adding another user's interaction on one of A's items never lowers A's index
         for trial in range(10):
-            m, umap, imap = random_matrix(rng, 20, 25, density=0.15)
+            m, user_ids, item_ids = random_matrix(rng, 20, 25, density=0.15)
             base = pop_indices(m)[0]
-            target_item = imap.ids[int(m.user_items(0)[0])]
-            triples = [(umap.ids[u], imap.ids[int(i)], s) for u, i, s in entries(m)]
-            donor = next((umap.ids[u] for u in range(1, m.n_users)
+            target_item = item_ids[int(m.user_items(0)[0])]
+            triples = [(user_ids[u], item_ids[int(i)], s) for u, i, s in entries(m)]
+            donor = next((user_ids[u] for u in range(1, m.n_users)
                           if int(m.user_items(0)[0]) not in m.user_items(u)), None)
             if donor is None:
                 continue
@@ -95,8 +96,8 @@ class TestPopIndex:
             assert pop_indices(m2)[0] >= base
 
     def test_invariant_to_strength_magnitude(self, rng):
-        m, umap, imap = random_matrix(rng, 25, 30, density=0.2)
-        scaled_triples = [(umap.ids[u], imap.ids[int(i)], s * 37.0)
+        m, user_ids, item_ids = random_matrix(rng, 25, 30, density=0.2)
+        scaled_triples = [(user_ids[u], item_ids[int(i)], s * 37.0)
                           for u, i, s in entries(m)]
         m2, _, _ = from_triples(scaled_triples)
         assert np.array_equal(pop_indices(m), pop_indices(m2))
@@ -126,7 +127,7 @@ class TestPopIndices:
     def test_empty_rows_read_minus_one(self, rng):
         for trial in range(10):
             m, _, _ = random_matrix(rng, 20, 15, density=0.3)
-            rows = m.user_index_of_entries()
+            rows = m.entry_rows()
             emptied = rng.choice(m.n_users, size=5, replace=False)
             trimmed = m.drop_entries(np.isin(rows, emptied))
             assert all(len(trimmed.user_items(u)) == 0 for u in emptied)
@@ -160,39 +161,41 @@ class TestUsage:
 
 class TestFillAttributes:
     def test_fills_only_users_with_rows(self):
-        m, umap, _ = from_triples([("a", "x", 2), ("a", "y", 3), ("b", "x", 1)])
-        attrs = [UserAttributes("a"), UserAttributes("b"), UserAttributes("ghost")]
-        fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
+        m, _, _ = from_triples([("a", "x", 2), ("a", "y", 3), ("b", "x", 1)])
+        attrs = [UserAttributes("a"), UserAttributes("b")]
+        fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage == 5
         assert attrs[1].usage == 1
         assert attrs[0].pop_index is not None
-        assert attrs[2].usage is None
-        assert attrs[2].pop_index is None
+        # records are matched to rows by position: one too many or too few raises
+        for records in (attrs + [UserAttributes("ghost")], attrs[:1]):
+            with pytest.raises(ValueError):
+                fill_attributes(records, m, PROVENANCE_LFM360K)
 
     def test_empty_row_left_unset(self):
-        m, umap, _ = from_triples([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)])
+        m, _, _ = from_triples([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)])
         trimmed = m.drop_entries(np.array([True, False, False]))
         attrs = [UserAttributes("a"), UserAttributes("b")]
-        fill_attributes(attrs, trimmed, umap.index, PROVENANCE_LFM360K)
+        fill_attributes(attrs, trimmed, PROVENANCE_LFM360K)
         assert attrs[0].usage is None and attrs[0].pop_index is None
         assert attrs[1].usage == 2
         assert attrs[1].pop_index == oracle_pop(trimmed, None, None, 1)
 
     def test_usage_at_or_past_2_pow_63_keeps_its_value(self):
         # an int64 cast once turned such a total into -2**63, the lowest usage
-        m, umap, _ = from_triples([("a", "x", 1e19), ("a", "y", 1e19), ("b", "x", 3)])
+        m, _, _ = from_triples([("a", "x", 1e19), ("a", "y", 1e19), ("b", "x", 3)])
         attrs = [UserAttributes("a"), UserAttributes("b")]
-        fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
+        fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage == 2e19
         assert attrs[1].usage == 3
 
     def test_total_past_the_float_range_leaves_usage_unset(self, caplog):
         # such a total once became usage inf, with an overflow warning
-        m, umap, _ = from_triples([("a", "x", 1.7e308), ("a", "y", 1.7e308), ("b", "x", 3)])
+        m, _, _ = from_triples([("a", "x", 1.7e308), ("a", "y", 1.7e308), ("b", "x", 3)])
         attrs = [UserAttributes("a"), UserAttributes("b")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fill_attributes(attrs, m, umap.index, PROVENANCE_LFM360K)
+            fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage is None and attrs[0].pop_index is not None
         assert attrs[1].usage == 3
         assert "usage left missing for 1 users" in caplog.text
@@ -200,11 +203,11 @@ class TestFillAttributes:
     @pytest.mark.parametrize("provenance", [PROVENANCE_LFM360K, PROVENANCE_ML1M])
     def test_matches_scalar_usage_and_pop_index(self, rng, provenance):
         for trial in range(8):
-            m, umap, _ = random_matrix(rng, 30, 20, density=0.3, max_strength=500)
+            m, user_ids, _ = random_matrix(rng, 30, 20, density=0.3, max_strength=500)
             emptied = rng.choice(m.n_users, size=trial, replace=False)
-            m = m.drop_entries(np.isin(m.user_index_of_entries(), emptied))
-            attrs = [UserAttributes(uid) for uid in umap.ids]
-            fill_attributes(attrs, m, umap.index, provenance)
+            m = m.drop_entries(np.isin(m.entry_rows(), emptied))
+            attrs = [UserAttributes(uid) for uid in user_ids]
+            fill_attributes(attrs, m, provenance)
             for u, attr in enumerate(attrs):
                 if u in emptied:
                     assert attr.usage is None and attr.pop_index is None

@@ -17,7 +17,8 @@ from recaudit.errors import ConfigError, DataError
 from recaudit.evaluation import METRICS, MetricFrame, MetricRow
 from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
                                bucket_from_brackets, bucket_integer_values)
-from recaudit.interactions import IdMap
+from recaudit.ingest import RawDataset
+from recaudit.interactions import Triples
 from recaudit.report import _largest_remainder, build_crosstab, run_audit
 from recaudit.stats import kruskal_wallis
 from recaudit.synthetic import generate_planted
@@ -254,8 +255,7 @@ class TestGroupNumbersMatchOracle:
         seen = set()
         for case in range(150):
             ids, values, cats, rows = random_case(rng)
-            umap = IdMap(tuple(ids), {uid: i for i, uid in enumerate(ids)})
-            means = MetricFrame(rows=rows).user_means(umap)
+            means = MetricFrame(rows=rows).user_means(ids)
             oracle_means = {m: naive_per_user_mean(rows, m) for m in METRICS}
             for m in METRICS:
                 np.testing.assert_array_equal(
@@ -362,7 +362,7 @@ class TestAuditEndToEnd:
             rows = [r for r in csv.DictReader(fh)
                     if r["scheme"] == "gender" and r["group"] == "m"]
         assert len(rows) == 1
-        ids = report_mod.load(config).umap.ids
+        ids = report_mod.load(config).user_ids
         m = gender.assignment.labels.index("m")
         members = [ids[i] for i in np.flatnonzero(gender.assignment.codes == m)
                    if ids[i] in means]
@@ -525,8 +525,10 @@ class TestFoldWorkers:
 
     def test_load_drops_the_triples(self, fold_data):
         data = report_mod.load(fold_config(fold_data, "partition", 3))
-        assert len(data.raw.triples) == 0
-        assert data.matrix.nnz > 0 and data.raw.attributes
+        assert not any(isinstance(getattr(data, f.name), (Triples, RawDataset))
+                       for f in fields(data))
+        assert data.matrix.nnz > 0 and data.attributes
+        assert len(data.user_ids) == data.matrix.n_users
 
 
 class TestFailureHandling:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import ks_distance_from_uniform, naive_kruskal_h, naive_rank_mid
 from recaudit.evaluation import MetricFrame, MetricRow
 from recaudit.grouping import bucket_categorical
-from recaudit.interactions import IdMap
 from recaudit.stats import bonferroni, chi2_sf, kruskal_wallis, rank_mid
 from recaudit.stats import test_grouping as kw_test_grouping  # avoid pytest collection
 
@@ -138,8 +137,7 @@ class TestBonferroni:
 
 def ndcg_means(rows, user_ids):
     """The per-user NDCG means of ``rows`` in the order of ``user_ids``."""
-    umap = IdMap(tuple(user_ids), {uid: i for i, uid in enumerate(user_ids)})
-    return MetricFrame(rows=rows).user_means(umap)["ndcg"]
+    return MetricFrame(rows=rows).user_means(user_ids)["ndcg"]
 
 
 def means_of(means, user_ids):
