@@ -22,8 +22,9 @@ from recaudit.ingest import cold_start_filter, load_lfm, load_ml1m
 from recaudit.interactions import from_triples
 from recaudit.interactions import stats as dataset_stats
 from recaudit.popindex import pop_indices
-from recaudit.report import run_audit
+from recaudit.report import load, run_audit
 from recaudit.stats import chi2_sf, kruskal_wallis
+from recaudit.stats import test_grouping as kw_test_grouping  # avoid pytest collection
 from recaudit.synthetic import generate_planted
 from recaudit.util import derive_seed
 
@@ -303,6 +304,41 @@ def test_criterion_7_planted_bias_detection(planted_audit):
     passed(7, f"planted gap flagged (p={p_planted:.2e}, m>f), control quiet "
               f"(p={p_control:.2f}, importance rank {control_rank}/{len(ranking)}), "
               f"permutations quiet {quiet}/20")
+
+
+def test_criterion_7_null_calibration_with_ties(planted_audit):
+    # the band is fixed before the run: at 200 permutations x every testable
+    # scheme and metric, a calibrated test reads near 5% below 0.05
+    band = (0.03, 0.07)
+    config, report, _ = planted_audit
+    means = report.frame.user_means(load(config).user_ids)
+    tested = np.flatnonzero(~np.isnan(means["ndcg"]))
+    # MRR is the tie-heavy metric: few distinct values, one of them common
+    _, mrr_ties = np.unique(means["mrr"][tested], return_counts=True)
+    assert mrr_ties.max() > 0.1 * len(tested)
+
+    cells = [(name, metric) for name, result in report.schemes.items()
+             for metric in evaluation.METRICS if result.kw[metric] is not None]
+    rng = np.random.default_rng(derive_seed("acceptance", 7, "null"))
+    p_values = []
+    for _ in range(200):
+        # one permutation of the tested users for all three metrics
+        order = rng.permutation(tested)
+        permuted = {}
+        for metric in evaluation.METRICS:
+            permuted[metric] = means[metric].copy()
+            permuted[metric][tested] = means[metric][order]
+        for name, metric in cells:
+            result = kw_test_grouping(permuted[metric], report.schemes[name].assignment)
+            p_values.append(result.p_value)
+    p_values = np.array(p_values)
+    below_05 = float(np.mean(p_values < 0.05))
+    below_01 = float(np.mean(p_values < 0.01))
+    assert band[0] <= below_05 <= band[1]
+
+    passed(7, f"null with ties calibrated: {len(p_values)} tests over "
+              f"{len(cells)} scheme x metric cells, {100 * below_05:.2f}% below 0.05, "
+              f"{100 * below_01:.2f}% below 0.01")
 
 
 # -- criterion 8: determinism across thread counts ---------------------------

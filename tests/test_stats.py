@@ -54,6 +54,26 @@ class TestChi2Sf:
                 assert chi2_sf(x, df) == pytest.approx(
                     scipy_stats.chi2.sf(x, df), abs=1e-10)
 
+    def test_far_tail_relative_error_against_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        xs = np.concatenate([np.geomspace(1e-6, 1.0, 60), np.linspace(1.0, 1480.0, 1480)])
+        for df in range(1, 31):
+            expected = scipy_stats.chi2.sf(xs, df)
+            for x, want in zip(xs, expected):
+                if want >= 1e-290:
+                    assert abs(chi2_sf(float(x), df) - want) <= 1e-12 * want, (df, x)
+
+    def test_df1_and_df2_closed_forms_exact(self):
+        for x in np.concatenate([np.geomspace(1e-9, 1.0, 50), np.linspace(1.0, 1480.0, 300)]):
+            x = float(x)
+            assert chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+            assert chi2_sf(x, 2) == math.exp(-x / 2)
+
+    def test_at_most_one(self):
+        for x in np.geomspace(1e-12, 1.0, 400):
+            for df in range(1, 31):
+                assert chi2_sf(float(x), df) <= 1.0
+
     def test_monotone_decreasing(self):
         xs = np.linspace(0.0, 40.0, 400)
         for df in (1, 3, 9):
@@ -65,6 +85,14 @@ class TestChi2Sf:
             chi2_sf(-1.0, 2)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                chi2_sf(x, 2)
+
+    def test_non_integer_df_rejected(self):
+        for df in (2.5, 2.0, True, False):
+            with pytest.raises(ValueError):
+                chi2_sf(3.0, df)
 
 
 class TestKruskalWallis:
@@ -110,6 +138,12 @@ class TestKruskalWallis:
             groups = [rng.normal(size=25).tolist() for _ in range(3)]
             p_values.append(kruskal_wallis(groups).p_value)
         assert ks_distance_from_uniform(p_values) < 0.05
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError):
+            kruskal_wallis([[math.nan, math.nan, 1], [3, 4, math.inf]])
+        with pytest.raises(ValueError):
+            kruskal_wallis([[1, 2, 3], [4, 5, -math.inf]])
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
