@@ -198,16 +198,18 @@ def loss(model: AlsModel, interactions: InteractionMatrix) -> float:
 
 
 def save_model(model: AlsModel, path: str | Path) -> None:
-    """Dump factor matrices with a small header (see README for the layout)."""
+    """Dump factor matrices with a small header (see README for the layout)
+    at exactly ``path``: given a path, ``np.savez`` would add ``.npz``."""
     hp = model.hyperparams
-    np.savez(
-        path,
-        user_factors=model.user_factors,
-        item_factors=model.item_factors,
-        header=np.array([model.user_factors.shape[0], model.item_factors.shape[0],
-                         hp.factors, hp.seed], dtype=np.int64),
-        hyperparams=np.array([hp.regularization, hp.alpha, float(hp.iterations)]),
-    )
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            user_factors=model.user_factors,
+            item_factors=model.item_factors,
+            header=np.array([model.user_factors.shape[0], model.item_factors.shape[0],
+                             hp.factors, hp.seed], dtype=np.int64),
+            hyperparams=np.array([hp.regularization, hp.alpha, float(hp.iterations)]),
+        )
 
 
 def load_model(path: str | Path) -> AlsModel:

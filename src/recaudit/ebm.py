@@ -130,7 +130,6 @@ class EbmModel:
     intercept: float
     shapes: dict[str, np.ndarray]  # per feature, indexed by bin
     specs: list[FeatureSpec]
-    config: EbmConfig
 
 
 def _fit_bags(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
@@ -276,7 +275,7 @@ def fit_ebm(binned: np.ndarray, targets: Sequence[float],
         avg -= offset
         intercept += offset
         shapes[spec.name] = avg
-    return EbmModel(intercept=intercept, shapes=shapes, specs=list(specs), config=config)
+    return EbmModel(intercept=intercept, shapes=shapes, specs=list(specs))
 
 
 def importance(model: EbmModel, binned: np.ndarray) -> list[tuple[str, float]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import codecs
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional
@@ -30,6 +31,9 @@ PROVENANCES = (PROVENANCE_LFM360K, PROVENANCE_ML1M, PROVENANCE_SYNTHETIC)
 
 # ages outside this window are treated as missing
 AGE_MIN, AGE_MAX = 1, 120
+
+# a UTF-8 byte order mark as the ML1M files' latin-1 decoding reads it
+_LATIN1_BOM = codecs.BOM_UTF8.decode("latin-1")
 
 # LFM360K cold-start rule: drop users with <= 40 distinct items
 LFM_COLD_START_MAX_ITEMS = 40
@@ -80,9 +84,6 @@ def _iter_lines(stream: Iterable[str], what: str):
 # temporaries of a small multiple of it, whatever the field lengths
 _CHUNK_BYTES = 1 << 19
 
-# rows a column has room for before it first grows
-_COLUMN_ROWS = 1 << 18
-
 # the longest play count parsed arithmetically: 18 digits fit an int64
 _MAX_DIGITS = 18
 
@@ -116,8 +117,8 @@ def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
     # per side, field bytes -> code, in order of first position
     users: dict[bytes, int] = {}
     items: dict[bytes, int] = {}
-    # each column grows in place, a chunk at a time
-    columns = (_Column(np.int32), _Column(np.int32), _Column(np.float64))
+    # user codes, item codes and strengths, each grown a chunk at a time
+    columns = (array("i"), array("i"), array("d"))
     skipped = lines = 0
     text = bytearray()  # what is read and not yet parsed
     at_start, at_end = True, False
@@ -154,40 +155,17 @@ def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
         index: dict[str, int] = {}
         remap = np.array([index.setdefault(key.decode("utf-8", "replace"), len(index))
                           for key in keys], dtype=np.int64)
-        column = column.finish()
+        column = np.frombuffer(column, dtype=np.int32)
         if len(index) < len(keys):
             column[:] = remap[column]
         codes.append((column, list(index)))
     (user_codes, user_ids), (item_codes, item_ids) = codes
-    return Triples(user_codes, item_codes, columns[2].finish(), user_ids, item_ids), skipped
-
-
-class _Column:
-    """A column that grows in place.  Its buffer starts at 1-2 MiB of
-    address space, above the allocator's threshold for mapping a block on
-    its own, so it never sits in the heap among the chunk temporaries; its
-    pages are touched only as rows arrive, and it grows by an eighth at a
-    time."""
-
-    def __init__(self, dtype) -> None:
-        self.data = np.empty(_COLUMN_ROWS, dtype=dtype)
-        self.size = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        end = self.size + values.size
-        if end > self.data.size:
-            self.data.resize(max(end, self.data.size + (self.data.size >> 3)), refcheck=False)
-        self.data[self.size:end] = values
-        self.size = end
-
-    def finish(self) -> np.ndarray:
-        """The column, trimmed to its rows."""
-        self.data.resize(self.size, refcheck=False)
-        return self.data
+    strengths = np.frombuffer(columns[2], dtype=np.float64)
+    return Triples(user_codes, item_codes, strengths, user_ids, item_ids), skipped
 
 
 def _parse_chunk(buf: np.ndarray, size: int, users: dict, items: dict,
-                 columns: tuple[_Column, _Column, _Column]) -> tuple[int, int]:
+                 columns: tuple[array, array, array]) -> tuple[int, int]:
     """Append the valid rows of the lines in ``buf[:size]`` to ``columns``;
     return the number of lines and of rows kept."""
     n_lines, bounds = _four_field_lines(buf, size)
@@ -207,14 +185,15 @@ def _parse_chunk(buf: np.ndarray, size: int, users: dict, items: dict,
     strengths = strengths[keep]
     del bounds, plays, plain
 
-    columns[0].extend(_codes(users, buf, user_start, user_len))
-    columns[1].extend(_codes(items, buf, artist_start, artist_len))
-    columns[2].extend(strengths)
+    # frombytes takes only a buffer of 1-byte items
+    columns[0].frombytes(_codes(users, buf, user_start, user_len).view(np.uint8))
+    columns[1].frombytes(_codes(items, buf, artist_start, artist_len).view(np.uint8))
+    columns[2].frombytes(strengths.view(np.uint8))
     return n_lines, strengths.size
 
 
 def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The code in ``keys`` of each field ``buf[s:s + n]`` (n >= 1), adding
+    """The int32 code in ``keys`` of each field ``buf[s:s + n]`` (n >= 1), adding
     the unseen ones in position order.  ``buf`` has ``PAD`` readable bytes
     past its last field.
 
@@ -225,7 +204,7 @@ def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray)
     fields are compared, and Python runs once per distinct field of the
     chunk."""
     if not starts.size:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     width = min(int(lengths.max() + 7) >> 3, _HASH_WORDS)
     rows = np.ndarray((buf.size - 8 * width + 1, 8 * width), dtype=np.uint8, buffer=buf,
                       strides=(1, 1))
@@ -241,7 +220,7 @@ def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray)
     del words
     looked = np.flatnonzero(alone)
     data = buf.data
-    code = np.empty(starts.size, dtype=np.int64)
+    code = np.empty(starts.size, dtype=np.int32)
     code[looked] = [keys.setdefault(data[s:s + n].tobytes(), len(keys))
                     for s, n in zip(starts[looked].tolist(), lengths[looked].tolist())]
     return np.where(alone, code, code[head])
@@ -371,13 +350,16 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
 
     Ratings become strengths 1-5; records with a rating outside that range
     are skipped with a warning.  The users file's occupation and zip fields
-    are parsed but not carried into the attribute table.
+    are parsed but not carried into the attribute table.  One leading UTF-8
+    byte order mark, read as latin-1, is ignored in each file.
     """
     skipped = 0
 
     def valid_rows():
         nonlocal skipped
         for lineno, line in _iter_lines(ratings_stream, "ml1m ratings"):
+            if lineno == 1:
+                line = line.removeprefix(_LATIN1_BOM)
             if not line:
                 continue
             fields = line.split("::")
@@ -403,6 +385,8 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
     attributes: list[UserAttributes] = []
     seen: set = set()
     for lineno, line in _iter_lines(users_stream, "ml1m users"):
+        if lineno == 1:
+            line = line.removeprefix(_LATIN1_BOM)
         if not line:
             continue
         fields = line.split("::")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 from typing import Hashable, Iterable, Optional
 
 import numpy as np
@@ -92,10 +91,6 @@ class InteractionMatrix:
                                  self.indices[keep].copy(), self.data[keep].copy())
 
 
-# rows interned per chunk; bounds the per-row Python objects alive at once
-_CHUNK_ROWS = 1 << 16
-
-
 @dataclass(eq=False)
 class Triples:
     """Interaction rows as columns: row r is user ``user_ids[users[r]]``,
@@ -117,29 +112,13 @@ class Triples:
         in first-seen order; every row is kept, in order."""
         user_codes: dict = {}
         item_codes: dict = {}
-        # each column grows in place, a chunk at a time: no chunk list is
-        # joined at the end, so parsing never holds a column twice
-        columns = (array("i"), array("i"), array("d"))
-        rows = iter(rows)
-        while True:
-            users, items, strengths = [], [], []
-            for user_id, item_id, strength in islice(rows, _CHUNK_ROWS):
-                u = user_codes.get(user_id)
-                if u is None:
-                    u = user_codes[user_id] = len(user_codes)
-                i = item_codes.get(item_id)
-                if i is None:
-                    i = item_codes[item_id] = len(item_codes)
-                users.append(u)
-                items.append(i)
-                strengths.append(strength)
-            for column, chunk in zip(columns, (users, items, strengths)):
-                column.fromlist(chunk)
-            if len(users) < _CHUNK_ROWS:
-                break
-        return cls(np.frombuffer(columns[0], dtype=np.intc).astype(np.int32, copy=False),
-                   np.frombuffer(columns[1], dtype=np.intc).astype(np.int32, copy=False),
-                   np.frombuffer(columns[2], dtype=np.float64),
+        users, items, strengths = array("i"), array("i"), array("d")
+        for user_id, item_id, strength in rows:
+            users.append(user_codes.setdefault(user_id, len(user_codes)))
+            items.append(item_codes.setdefault(item_id, len(item_codes)))
+            strengths.append(strength)
+        return cls(np.frombuffer(users, dtype=np.int32), np.frombuffer(items, dtype=np.int32),
+                   np.frombuffer(strengths, dtype=np.float64),
                    list(user_codes), list(item_codes))
 
 

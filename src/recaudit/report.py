@@ -28,7 +28,7 @@ import sys
 import tempfile
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
@@ -229,12 +229,7 @@ def score(config: AuditConfig, data: Dataset) -> evaluation.MetricFrame:
     evaluation.assign_holdouts(plan, data.matrix, data.user_ids, ev.holdout_fraction)
 
     def run(fold: evaluation.Fold) -> list[evaluation.MetricRow]:
-        hp = als.AlsHyperparams(
-            factors=config.model.factors,
-            regularization=config.model.regularization,
-            iterations=config.model.iterations,
-            alpha=config.model.alpha,
-            seed=derive_seed(config.model.seed, "fold", fold.index))
+        hp = replace(config.model, seed=derive_seed(config.model.seed, "fold", fold.index))
         train_matrix = evaluation.fold_training_matrix(data.matrix, fold)
         # scoring reads only the test users' factors
         model = als.fit(train_matrix, hp, users=fold.test_users)
@@ -263,8 +258,6 @@ def _map_folds(run: Callable[[evaluation.Fold], list], folds: list[evaluation.Fo
     function is left, every worker it forked has been killed and reaped.
     The pipeline starts no threads of its own before this point.
     """
-    if workers == 1:
-        return {fold.index: run(fold) for fold in folds}
     sys.stdout.flush()
     sys.stderr.flush()
     children: dict[int, tuple] = {}  # pid -> (pipe read end, its folds)

@@ -193,6 +193,25 @@ def test_train_writes_model(config_file, tmp_path, capsys):
     assert np.isfinite(model.item_factors).all()
 
 
+def test_train_writes_exactly_the_model_out_path(config_file, tmp_path, capsys):
+    model_path = tmp_path / "factors.bin"
+    assert main(["train", "--config", str(config_file),
+                 "--model-out", str(model_path)]) == 0
+    assert f"model written to {model_path} " in capsys.readouterr().out
+    assert model_path.exists()
+    assert not (tmp_path / "factors.bin.npz").exists()
+    assert als.load_model(model_path).user_factors.shape == (120, 6)
+
+
+def test_train_unwritable_model_out_exits_2(config_file, tmp_path, capsys):
+    model_path = tmp_path / "missing" / "factors.bin"
+    assert main(["train", "--config", str(config_file),
+                 "--model-out", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stage emit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_train_rejects_a_negative_model_seed(config_file, tmp_path, capsys, where):
     # numpy's generator refuses a negative seed, so train cannot run one

@@ -165,7 +165,7 @@ class TestFitEbm:
 def fixed_model():
     spec = FeatureSpec(name="f", kind=KIND_CATEGORICAL, categories=["a", "b"])
     shapes = {"f": np.array([0.25, -0.25, 0.0])}
-    return EbmModel(intercept=0.5, shapes=shapes, specs=[spec], config=EbmConfig())
+    return EbmModel(intercept=0.5, shapes=shapes, specs=[spec])
 
 
 class TestPredictAndImportance:

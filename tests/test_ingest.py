@@ -1,3 +1,4 @@
+import codecs
 import gc
 import io
 import sys
@@ -12,7 +13,7 @@ from recaudit.grouping import NA_LABEL, bucket_countries_by_gdp
 from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              PROVENANCE_ML1M, PROVENANCE_SYNTHETIC, PROVENANCES,
                              RawDataset, cold_start_filter, load_gdp, load_gdp_table,
-                             parse_lfm_interactions, parse_lfm_profiles,
+                             load_ml1m, parse_lfm_interactions, parse_lfm_profiles,
                              parse_ml1m)
 from recaudit.interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, Triples,
                                    UserAttributes, from_triples)
@@ -146,6 +147,27 @@ class TestMl1m:
         assert raw.attributes[0].gender == GENDER_MALE
         assert raw.attributes[1].gender == GENDER_FEMALE
         assert raw.attributes[1].age == 35
+
+    def test_leading_byte_order_marks_ignored(self, tmp_path, caplog):
+        ratings = b"1::10::5::0\n2::10::9::0\n2::11::3::0\n"
+        users = b"1::F::25::0::11111\n2::M::35::1::22222\n"
+        loaded = []
+        for name, mark in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            (tmp_path / f"{name}-ratings.dat").write_bytes(mark + ratings)
+            (tmp_path / f"{name}-users.dat").write_bytes(mark + users)
+            loaded.append(load_ml1m(tmp_path / f"{name}-ratings.dat",
+                                    tmp_path / f"{name}-users.dat"))
+        plain, marked = loaded
+        assert triple_rows(marked.triples) == triple_rows(plain.triples) == [
+            (1, 10, 5), (2, 11, 3)]
+        for column in ("users", "items", "strengths", "user_ids", "item_ids"):
+            assert np.array_equal(getattr(marked.triples, column),
+                                  getattr(plain.triples, column))
+        assert marked.skipped_interactions == plain.skipped_interactions == 1
+        assert marked.attributes == plain.attributes
+        assert [(a.user_id, a.gender, a.age) for a in marked.attributes] == [
+            (1, GENDER_FEMALE, 25), (2, GENDER_MALE, 35)]
+        assert "non-integer" not in caplog.text
 
 
 class TestGdpTable:

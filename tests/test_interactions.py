@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recaudit import interactions
 from recaudit.interactions import Triples, from_triples, stats
 
 from conftest import entries
@@ -110,8 +109,7 @@ def test_drop_entries_keeps_shape(small_random_matrix):
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 6, 7, 8, 14, 15, 50])
-def test_from_rows_columns_across_chunks(monkeypatch, n_rows):
-    monkeypatch.setattr(interactions, "_CHUNK_ROWS", 7)
+def test_from_rows_columns_across_chunks(n_rows):
     rng = np.random.default_rng(n_rows)
     users = rng.integers(0, 5, size=n_rows)
     items = rng.integers(0, 9, size=n_rows)
