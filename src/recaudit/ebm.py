@@ -7,8 +7,9 @@ function, which is the exact greedy depth-1 step on binned data.  Several
 bagged replicates are fit on seeded bootstrap samples and averaged; the
 out-of-bootstrap rows provide the held-back loss for early stopping.
 The bags are boosted together as one batch, one bincount per feature per
-round for all of them; a bag that stops early leaves the batch, and the
-result is float for float that of fitting the bags one by one.  Shapes are
+round for all of them.  Each bag keeps its keys b * n_bins + bin for the
+whole fit; a bag that stops early has its rows dropped, and the result is
+float for float that of fitting the bags one by one.  Shapes are
 centered to be mass-weighted mean-zero, with the offset folded into the
 intercept, so prediction = intercept + sum of shape lookups.
 
@@ -139,45 +140,36 @@ def _fit_bags(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
     per bag, in order.
 
     Every bootstrap has exactly n rows, so the in-bag state is a (bags, n)
-    residual array, and one bincount over the keys position * n_bins + bin
-    gives every bag's per-bin sums.  Bincount adds in row order within each key,
-    and both losses are per-bag means over contiguous rows (pairwise sums,
-    as for one bag alone), so every float equals that of boosting the bag
-    by itself.  A bag that stops early leaves the batch.
+    residual array, and one bincount over the keys b * n_bins + bin, b the
+    bag's index in the batch, gives every bag's per-bin sums.  Bincount adds
+    in row order within each key, and both losses are per-bag means over
+    contiguous rows (pairwise sums, as for one bag alone), so every float
+    equals that of boosting the bag by itself.  The keys never change: a bag
+    that stops early has its in-bag and out-of-bag rows dropped, so its bins
+    sum to 0.0 and its shape stays as it was.
     """
     n = y.shape[0]
     lr = config.learning_rate
     n_bins = [spec.n_bins for spec in specs]
-    intercepts, residual, keys, oob_pos, y_oob, oob_keys = _bootstraps(
+    intercepts, residual, keys, oob_bag, y_oob, oob_keys = _bootstraps(
         binned, y, n_bins, config.seed, bags)
-    oob_pred = np.array(intercepts)[oob_pos]
+    oob_pred = np.array(intercepts)[oob_bag]
     shapes = [np.zeros((len(bags), nb)) for nb in n_bins]
+    flat_shapes = [shape.reshape(-1) for shape in shapes]
+    # an empty bin's sum is exactly 0.0, so dividing it by 1 keeps its step 0.0
+    divisors = [np.maximum(np.bincount(key, minlength=shape.size), 1).astype(np.float64)
+                for key, shape in zip(keys, flat_shapes)]
 
-    ids = np.arange(len(bags))  # the bag at each batch position
+    live = np.arange(len(bags))  # the boosting bags, one residual row each
     history: list[list[float]] = [[] for _ in bags]
-    best = np.full(len(bags), np.inf)
-    stale = np.zeros(len(bags), dtype=np.int64)
-    results: list = [None] * len(bags)
-
-    def finish(p: int) -> None:
-        bag = ids[p]
-        results[bag] = (intercepts[bag], [shape[p].copy() for shape in shapes], history[p])
-
-    batch_changed = True
+    best, stale = np.full(len(bags), np.inf), np.zeros(len(bags), dtype=np.int64)
+    bounds = np.searchsorted(oob_bag, np.arange(len(bags) + 1)).tolist()
     for _ in range(config.max_rounds):
-        if batch_changed:
-            k = ids.size
-            # an empty bin's sum is exactly 0.0, so dividing it by 1 keeps its step 0.0
-            divisors = [np.maximum(np.bincount(key, minlength=k * nb), 1).astype(np.float64)
-                        for key, nb in zip(keys, n_bins)]
-            bounds = np.searchsorted(oob_pos, np.arange(k + 1)).tolist()
-            flat = residual.reshape(-1)
-            flat_shapes = [shape.reshape(-1) for shape in shapes]
-            batch_changed = False
-        for j, nb in enumerate(n_bins):
-            sums = np.bincount(keys[j], weights=flat, minlength=k * nb)
+        flat = residual.reshape(-1)
+        for j, flat_shape in enumerate(flat_shapes):
+            sums = np.bincount(keys[j], weights=flat, minlength=flat_shape.size)
             step = lr * sums / divisors[j]
-            flat_shapes[j] += step
+            flat_shape += step
             flat -= step[keys[j]]
             oob_pred += step[oob_keys[j]]
         # np.mean's pairwise sum and division per bag; a reduceat would sum
@@ -186,42 +178,34 @@ def _fit_bags(binned: np.ndarray, y: np.ndarray, specs: Sequence[FeatureSpec],
         sq = (y_oob - oob_pred) ** 2
         held = np.array([float(np.add.reduce(sq[lo:hi])) / (hi - lo) if hi > lo
                          else loss for lo, hi, loss in zip(bounds, bounds[1:], losses)])
-        for past, loss in zip(history, losses):
-            past.append(loss)
+        for bag, loss in zip(live.tolist(), losses):
+            history[bag].append(loss)
         improved = held < best - 1e-15
         best = np.where(improved, held, best)
         stale = np.where(improved, 0, stale + 1)
-        stop = ~improved & (stale >= config.patience)
-        if stop.any():
-            for p in np.flatnonzero(stop):
-                finish(p)
-            keep = ~stop
-            if not keep.any():
-                return results
-            position = np.cumsum(keep) - 1
-            in_kept = keep[oob_pos]
-            oob_pos = position[oob_pos[in_kept]]
-            y_oob, oob_pred = y_oob[in_kept], oob_pred[in_kept]
-            # key % n_bins is the bin: re-key the kept bags by their new positions
-            keys = [(key.reshape(k, n)[keep] % nb + position[keep][:, None] * nb).ravel()
-                    for key, nb in zip(keys, n_bins)]
-            oob_keys = [key[in_kept] % nb + oob_pos * nb for key, nb in zip(oob_keys, n_bins)]
+        keep = improved | (stale < config.patience)
+        if not keep.all():
+            live = live[keep]
+            if not live.size:
+                break
+            in_kept = np.isin(oob_bag, live)
             residual = residual[keep]
-            shapes = [shape[keep] for shape in shapes]
-            history = [past for past, kept in zip(history, keep) if kept]
-            ids, best, stale = ids[keep], best[keep], stale[keep]
-            batch_changed = True
-    for p in range(ids.size):
-        finish(p)
-    return results
+            keys = [key.reshape(-1, n)[keep].ravel() for key in keys]
+            oob_bag, y_oob, oob_pred = oob_bag[in_kept], y_oob[in_kept], oob_pred[in_kept]
+            oob_keys = [key[in_kept] for key in oob_keys]
+            best, stale = best[keep], stale[keep]
+            # the live bags' out-of-bag rows stay contiguous, in bag order
+            bounds = np.searchsorted(oob_bag, np.append(live, len(bags))).tolist()
+    return [(intercepts[b], [shape[b] for shape in shapes], history[b])
+            for b in range(len(bags))]
 
 
 def _bootstraps(binned: np.ndarray, y: np.ndarray, n_bins: list[int], seed: int,
                 bags: Sequence[int]):
     """Each bag's seeded bootstrap as batch state: intercepts, the (bags, n)
-    residual, and per feature the bin keys position * n_bins + bin of the
-    in-bag rows and of the out-of-bag rows (all bags' out-of-bag rows,
-    concatenated in bag order, with their batch positions and targets)."""
+    residual, and per feature the bin keys b * n_bins + bin of the in-bag
+    rows and of the out-of-bag rows (all bags' out-of-bag rows, concatenated
+    in bag order, with their bag indices b and targets)."""
     n = y.shape[0]
     boots, oobs = [], []
     for bag in bags:
@@ -237,9 +221,9 @@ def _bootstraps(binned: np.ndarray, y: np.ndarray, n_bins: list[int], seed: int,
     keys = [(binned[:, j][boot] + np.arange(len(bags))[:, None] * nb).ravel()
             for j, nb in enumerate(n_bins)]
     oob_rows = np.concatenate(oobs)
-    oob_pos = np.repeat(np.arange(len(bags)), [rows.size for rows in oobs])
-    oob_keys = [oob_pos * nb + binned[oob_rows, j] for j, nb in enumerate(n_bins)]
-    return intercepts, residual, keys, oob_pos, y[oob_rows], oob_keys
+    oob_bag = np.repeat(np.arange(len(bags)), [rows.size for rows in oobs])
+    oob_keys = [oob_bag * nb + binned[oob_rows, j] for j, nb in enumerate(n_bins)]
+    return intercepts, residual, keys, oob_bag, y[oob_rows], oob_keys
 
 
 def fit_ebm(binned: np.ndarray, targets: Sequence[float],

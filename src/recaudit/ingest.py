@@ -349,9 +349,11 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
     """Parse ML1M "::"-separated ratings and user files.
 
     Ratings become strengths 1-5; records with a rating outside that range
-    are skipped with a warning.  The users file's occupation and zip fields
-    are parsed but not carried into the attribute table.  One leading UTF-8
-    byte order mark, read as latin-1, is ignored in each file.
+    are skipped with a warning.  A users row whose id or age is not an
+    integer is skipped; an age outside 1-120 becomes missing, as in the LFM
+    profiles.  The users file's occupation and zip fields are parsed but not
+    carried into the attribute table.  One leading UTF-8 byte order mark,
+    read as latin-1, is ignored in each file.
     """
     skipped = 0
 
@@ -407,7 +409,7 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
         attributes.append(UserAttributes(
             user_id=user,
             gender={"M": GENDER_MALE, "F": GENDER_FEMALE}.get(gender, GENDER_NA),
-            age=age,
+            age=age if AGE_MIN <= age <= AGE_MAX else None,
         ))
     return RawDataset(triples, attributes, PROVENANCE_ML1M, skipped_interactions=skipped)
 

@@ -71,6 +71,19 @@ class TestBatchedFitMatchesOracle:
         assert len(set(rounds)) > 1
         assert max(rounds) < config.max_rounds
 
+    def test_first_and_last_bags_stop_in_the_round_a_middle_one_boosts_on(self):
+        rng = np.random.default_rng(7)
+        binned, y, specs = random_problem(rng, 150)
+        config = EbmConfig(learning_rate=0.5, max_rounds=300, bags=8, patience=3, seed=1)
+        first, middle, last = fit_and_compare(binned, y, specs, config, [0, 5, 1])
+        assert first == last < middle < config.max_rounds
+
+    def test_one_round(self):
+        rng = np.random.default_rng(9)
+        binned, y, specs = random_problem(rng, 60)
+        config = EbmConfig(learning_rate=0.3, max_rounds=1, bags=8, patience=1, seed=3)
+        assert fit_and_compare(binned, y, specs, config, range(8)) == [1] * 8
+
     def test_patience_at_least_max_rounds_runs_every_round(self):
         rng = np.random.default_rng(8)
         binned, y, specs = random_problem(rng, 120)

@@ -136,6 +136,13 @@ class TestMl1m:
         assert (a.user_id, a.gender, a.age) == (1, GENDER_FEMALE, 1)
         assert raw.provenance == PROVENANCE_ML1M
 
+    def test_age_outside_1_to_120_is_missing_and_the_user_kept(self, caplog):
+        raw = parse_ml1m(lines(""), lines("1::M::-5::0::1\n2::F::999::0::1\n"
+                                          "3::F::120::0::1\n4::M::x::0::1\n"))
+        assert [(a.user_id, a.gender, a.age) for a in raw.attributes] == [
+            (1, GENDER_MALE, None), (2, GENDER_FEMALE, None), (3, GENDER_FEMALE, 120)]
+        assert "non-integer id or age" in caplog.text  # user 4's row is skipped
+
     def test_rating_outside_range_skipped(self, caplog):
         raw = parse_ml1m(lines("1::10::7::0\n2::10::3::0\n"), lines(""))
         assert triple_rows(raw.triples) == [(2, 10, 3)]
