@@ -255,7 +255,7 @@ def fit_ebm(binned: np.ndarray, targets: Sequence[float],
             avg += bag_shapes[j]
         avg /= config.bags
         mass = np.bincount(binned[:, j], minlength=spec.n_bins).astype(np.float64)
-        offset = float(np.dot(mass, avg) / mass.sum())
+        offset = float((mass * avg).sum() / mass.sum())
         avg -= offset
         intercept += offset
         shapes[spec.name] = avg
