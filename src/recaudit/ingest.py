@@ -32,7 +32,7 @@ PROVENANCES = (PROVENANCE_LFM360K, PROVENANCE_ML1M, PROVENANCE_SYNTHETIC)
 # ages outside this window are treated as missing
 AGE_MIN, AGE_MAX = 1, 120
 
-# a UTF-8 byte order mark as the ML1M files' latin-1 decoding reads it
+# a UTF-8 byte order mark as the ML1M users file's latin-1 decoding reads it
 _LATIN1_BOM = codecs.BOM_UTF8.decode("latin-1")
 
 # LFM360K cold-start rule: drop users with <= 40 distinct items
@@ -80,11 +80,11 @@ def _iter_lines(stream: Iterable[str], what: str):
         raise DataError(f"{what}: unreadable input at line {lineno + 1}: {exc}") from exc
 
 
-# bytes read from the interactions file at a time; a chunk's parse holds
-# temporaries of a small multiple of it, whatever the field lengths
+# bytes read from an interactions or ratings file at a time; a chunk's parse
+# holds temporaries of a small multiple of it, whatever the field lengths
 _CHUNK_BYTES = 1 << 19
 
-# the longest play count parsed arithmetically: 18 digits fit an int64
+# the longest number parsed arithmetically: 18 digits fit an int64
 _MAX_DIGITS = 18
 
 # the widest id prefix, in little-endian 8-byte words, that is hashed
@@ -101,33 +101,29 @@ _WEIGHTS = (2 * np.arange(_HASH_WORDS, dtype=np.uint64) + np.uint64(1)) * np.uin
     0x9E3779B97F4A7C15)
 
 
-def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
-    """Parse LFM360K play records: user-sha1 \\t artist-mbid \\t artist-name \\t plays.
+def _read_rows(stream: BinaryIO, what: str, parse, id_of) -> tuple[Triples, int]:
+    """The rows that ``parse`` finds in ``stream``, read a chunk of whole lines
+    at a time, and the number of lines.  Lines end at \\n, \\r\\n or \\r, and
+    one leading UTF-8 byte order mark is ignored.
 
-    The stream is binary and read in chunks, each cut after its last line
-    end.  Lines end at \\n, \\r\\n or \\r; text is UTF-8 with invalid bytes
-    replaced, and one leading byte order mark is ignored.  Rows with a wrong
-    field count, an empty user, no artist identity, or a play count that is
-    not a positive integer (by ``int``) that a float can hold are skipped
-    and counted.  Artist identity is the mbid, falling back to the artist
-    name when the mbid is empty.
-
-    Returns (triples, skipped_row_count).
-    """
+    ``parse(buf, size, before)`` reads the lines in ``buf[:size]``, which
+    ``before`` lines precede and ``PAD`` readable bytes follow.  It returns
+    their number, the rows user start, user length, item start and item
+    length of the valid rows, and their strengths.  Fields whose bytes give
+    one ``id_of`` are one id."""
     # per side, field bytes -> code, in order of first position
     users: dict[bytes, int] = {}
     items: dict[bytes, int] = {}
     # user codes, item codes and strengths, each grown a chunk at a time
     columns = (array("i"), array("i"), array("d"))
-    skipped = lines = 0
+    lines = 0
     text = bytearray()  # what is read and not yet parsed
     at_start, at_end = True, False
     while not at_end:
         try:
             data = stream.read(_CHUNK_BYTES)
         except OSError as exc:
-            raise DataError(f"lfm interactions: unreadable input at line {lines + 1}: "
-                            f"{exc}") from exc
+            raise DataError(f"{what}: unreadable input at line {lines + 1}: {exc}") from exc
         at_end = not data
         text += data
         del data
@@ -144,33 +140,53 @@ def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
             cut = max(text.rfind(b"\n"), text.rfind(b"\r", 0, len(text) - 1)) + 1
         if cut:
             text += bytes(PAD)  # read past the last field, never parsed
-            n_lines, kept = _parse_chunk(np.frombuffer(text, dtype=np.uint8), cut,
-                                         users, items, columns)
-            del text[-PAD:], text[:cut]
+            buf = np.frombuffer(text, dtype=np.uint8)
+            n_lines, bounds, strengths = parse(buf, cut, lines)
+            # frombytes takes only a buffer of 1-byte items
+            columns[0].frombytes(_codes(users, buf, *bounds[:2]).view(np.uint8))
+            columns[1].frombytes(_codes(items, buf, *bounds[2:]).view(np.uint8))
+            columns[2].frombytes(strengths.view(np.uint8))
+            del buf, bounds, strengths, text[-PAD:], text[:cut]  # a view of text pins it
             lines += n_lines
-            skipped += n_lines - kept
     codes = []
     for column, keys in zip(columns, (users, items)):
-        # keys that decode alike are one id
-        index: dict[str, int] = {}
-        remap = np.array([index.setdefault(key.decode("utf-8", "replace"), len(index))
-                          for key in keys], dtype=np.int64)
+        index: dict = {}
+        remap = np.array([index.setdefault(id_of(key), len(index)) for key in keys],
+                         dtype=np.int64)
         column = np.frombuffer(column, dtype=np.int32)
         if len(index) < len(keys):
             column[:] = remap[column]
         codes.append((column, list(index)))
     (user_codes, user_ids), (item_codes, item_ids) = codes
     strengths = np.frombuffer(columns[2], dtype=np.float64)
-    return Triples(user_codes, item_codes, strengths, user_ids, item_ids), skipped
+    return Triples(user_codes, item_codes, strengths, user_ids, item_ids), lines
 
 
-def _parse_chunk(buf: np.ndarray, size: int, users: dict, items: dict,
-                 columns: tuple[array, array, array]) -> tuple[int, int]:
-    """Append the valid rows of the lines in ``buf[:size]`` to ``columns``;
-    return the number of lines and of rows kept."""
-    n_lines, bounds = _four_field_lines(buf, size)
-    bounds = bounds[:, (bounds[1] > 0) & (bounds[3] > 0)]
-    plays_start, plays_len = bounds[4], bounds[5]
+def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
+    """Parse LFM360K play records: user-sha1 \\t artist-mbid \\t artist-name \\t plays.
+
+    The stream is binary and read as ``_read_rows`` reads it; text is UTF-8
+    with invalid bytes replaced, and ids that decode alike are one id.  Rows
+    with a wrong field count, an empty user, no artist identity, or a play
+    count that is not a positive integer (by ``int``) that a float can hold
+    are skipped and counted.  Artist identity is the mbid, falling back to
+    the artist name when the mbid is empty.
+
+    Returns (triples, skipped_row_count).
+    """
+    triples, lines = _read_rows(stream, "lfm interactions", _parse_chunk,
+                                lambda key: key.decode("utf-8", "replace"))
+    return triples, lines - len(triples)
+
+
+def _parse_chunk(buf: np.ndarray, size: int, _before: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The LFM lines in ``buf[:size]`` as ``_read_rows`` asks for them."""
+    n_lines, _, bounds = _four_field_lines(buf, size, b"\t")
+    # an empty mbid falls back to the name
+    name = bounds[4] == 0
+    bounds[3:5, name] = bounds[5:7, name]
+    bounds = bounds[:, (bounds[2] > 0) & (bounds[4] > 0)]
+    plays_start, plays_len = bounds[7], bounds[8]
     plays, plain = _plain_counts(buf, plays_start, plays_len)
     strengths = plays.astype(np.float64)
     for k in np.flatnonzero(~plain).tolist():
@@ -181,15 +197,7 @@ def _parse_chunk(buf: np.ndarray, size: int, users: dict, items: dict,
         except (ValueError, OverflowError):
             strengths[k] = 0.0
     keep = strengths > 0.0
-    user_start, user_len, artist_start, artist_len = bounds[:4, keep]
-    strengths = strengths[keep]
-    del bounds, plays, plain
-
-    # frombytes takes only a buffer of 1-byte items
-    columns[0].frombytes(_codes(users, buf, user_start, user_len).view(np.uint8))
-    columns[1].frombytes(_codes(items, buf, artist_start, artist_len).view(np.uint8))
-    columns[2].frombytes(strengths.view(np.uint8))
-    return n_lines, strengths.size
+    return n_lines, bounds[1:5, keep], strengths[keep]
 
 
 def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -233,51 +241,57 @@ def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return h
 
 
-def _four_field_lines(buf: np.ndarray, size: int) -> tuple[int, np.ndarray]:
-    """The number of lines in ``buf[:size]``, and for each line of four
-    fields the rows user start, user length, artist start, artist length,
-    play-count start and play-count length.  The artist is the mbid, or
-    the name when the mbid is empty."""
+def _four_field_lines(buf: np.ndarray, size: int,
+                      sep: bytes) -> tuple[int, np.ndarray, np.ndarray]:
+    """The number of lines in ``buf[:size]``; the indices of its lines that
+    are neither blank nor of four fields; and for each line of four fields
+    the rows line index, then start and length of each field.
+
+    Fields are split at ``sep``, one byte or one byte twice.  A run of a
+    twice byte splits as ``str.split`` splits it: at each pair from the
+    run's left, with an odd last byte left in a field."""
     text = buf[:size]
     # positions as int32 where they fit, which halves the per-row temporaries
     index = np.int32 if size < np.iinfo(np.int32).max else np.int64
-    # tabs and line ends in order, found among the bytes up to \r
-    marks = np.flatnonzero(text <= 13).astype(index)
+    byte = sep[0]
+    # separators and line ends in order, found among the bytes up to \r and sep's
+    marks = np.flatnonzero(((text <= 13) | (text == byte)) if byte > 13
+                           else text <= 13).astype(index)
     kind = text[marks]
-    mark = (kind == 9) | (kind == 10) | (kind == 13)
+    mark = (kind == byte) | (kind == 10) | (kind == 13)
     # a \r\n ends one line, at its \r
     mark[1:] &= (kind[1:] != 10) | (kind[:-1] != 13) | (marks[1:] != marks[:-1] + 1)
+    if len(sep) == 2:
+        # a pair starts at an even offset into its run and has a second byte
+        at = kind == byte
+        pos = marks[at]
+        run = np.arange(pos.size, dtype=index)
+        first = np.maximum.accumulate(np.where(np.diff(pos, prepend=-2) != 1, run, 0))
+        mark[at] = ((run - first) % 2 == 0) & (np.diff(pos, append=-1) == 1)
     if not mark.all():
         marks, kind = marks[mark], kind[mark]
     del mark
-    line_ends = np.flatnonzero(kind != 9).astype(index)
+    line_ends = np.flatnonzero(kind != byte).astype(index)
     del kind
     # a last line without an end gets one
     if text[-1] not in (10, 13):
         marks = np.append(marks, index(size))
         line_ends = np.append(line_ends, index(marks.size - 1))
+    ends = marks[line_ends]
+    # a line starts past the previous line's end, and past a \r\n's \n
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1 + ((buf[ends[:-1]] == 13) & (buf[ends[:-1] + 1] == 10))
 
-    # a four-field line's end is the fourth mark after the previous line's
-    four = line_ends[np.diff(line_ends, prepend=-1) == 4]
-    bounds = np.zeros((6, four.size), dtype=index)
-    user_start, user_len, artist_start, artist_len, plays_start, plays_len = bounds
-    later = four > 3
-    previous = marks[four[later] - 4]
-    user_start[later] = previous + 1 + ((buf[previous] == 13) & (buf[previous + 1] == 10))
-    del previous, later
-    tab1 = marks[four - 3]
-    np.subtract(tab1, user_start, out=user_len)
-    np.add(tab1, 1, out=artist_start)  # the mbid
-    del tab1
-    tab2, tab3 = marks[four - 2], marks[four - 1]
-    np.subtract(tab2, artist_start, out=artist_len)
-    np.add(tab3, 1, out=plays_start)
-    np.subtract(marks[four], plays_start, out=plays_len)
-    # an empty mbid falls back to the name
-    name = np.flatnonzero(artist_len == 0)
-    artist_start[name] = tab2[name] + 1
-    artist_len[name] = tab3[name] - artist_start[name]
-    return line_ends.size, bounds
+    fields = np.diff(line_ends, prepend=-1)
+    odd = np.flatnonzero((fields != 4) & ((fields != 1) | (ends != starts)))
+    line = np.flatnonzero(fields == 4)
+    bounds = np.empty((9, line.size), dtype=index)
+    bounds[0], bounds[1] = line, starts[line]
+    # field f of a line ends at the line's (f + 1)-th mark
+    field_ends = marks[line_ends[line] + np.arange(-3, 1, dtype=index)[:, None]]
+    bounds[3::2] = field_ends[:3] + len(sep)
+    np.subtract(field_ends, bounds[1::2], out=bounds[2::2])
+    return line_ends.size, odd, bounds
 
 
 def _plain_counts(buf: np.ndarray, starts: np.ndarray,
@@ -296,6 +310,30 @@ def _plain_counts(buf: np.ndarray, starts: np.ndarray,
         plain &= digit < 10
         value = value * 10 + digit
     return value, plain
+
+
+def _parse_ml1m_chunk(buf: np.ndarray, size: int, before: int,
+                      skips: dict) -> tuple[int, np.ndarray, np.ndarray]:
+    """The ML1M rating lines in ``buf[:size]`` as ``_read_rows`` asks for
+    them; each skipped line is noted in ``skips``."""
+    n_lines, odd, bounds = _four_field_lines(buf, size, b"::")
+    integer = np.ones(bounds.shape[1], dtype=bool)
+    for start, length in zip(bounds[1:7:2], bounds[2:7:2]):  # user, movie, rating
+        value, plain = _plain_counts(buf, start, length)
+        for k in np.flatnonzero(~plain).tolist():
+            # int()'s rule for an unusual field, clipped: only a rating's 1-5 matters
+            try:
+                text = buf[start[k]:start[k] + length[k]].tobytes().decode("latin-1")
+                value[k] = min(max(int(text), 0), 6)
+            except ValueError:
+                integer[k] = False
+    rated = integer & (value >= 1) & (value <= 5)  # the rating's value
+    for reason, lines in (("with other than 4 fields", odd),
+                          ("with a non-integer field", bounds[0, ~integer]),
+                          ("with a rating outside 1-5", bounds[0, integer & ~rated])):
+        if lines.size:
+            skips.setdefault(reason, [0, before + 1 + int(lines[0])])[0] += lines.size
+    return n_lines, bounds[1:5, rated], value[rated].astype(np.float64)
 
 
 def _parse_age(text: str) -> Optional[int]:
@@ -345,44 +383,26 @@ def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
     return out
 
 
-def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> RawDataset:
+def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawDataset:
     """Parse ML1M "::"-separated ratings and user files.
 
-    Ratings become strengths 1-5; records with a rating outside that range
-    are skipped with a warning.  A users row whose id or age is not an
-    integer is skipped; an age outside 1-120 becomes missing, as in the LFM
-    profiles.  The users file's occupation and zip fields are parsed but not
-    carried into the attribute table.  One leading UTF-8 byte order mark,
-    read as latin-1, is ignored in each file.
+    The ratings stream is binary and read as ``_read_rows`` reads it; text
+    is latin-1, and ids of one integer value are one id.  Ratings become
+    strengths 1-5.  A ratings line with other than 4 fields, a user, movie
+    or rating that is not an integer (by ``int``), or a rating outside 1-5
+    is skipped and counted, and each reason is logged once with its count
+    and first line; blank lines are not counted.  The timestamp is not
+    read.  A users row whose id or age is not an integer is skipped; an
+    age outside 1-120 becomes missing, as in the LFM profiles.  The users
+    file's occupation and zip fields are not carried into the attribute
+    table.  One leading byte order mark is ignored in each file.
     """
-    skipped = 0
-
-    def valid_rows():
-        nonlocal skipped
-        for lineno, line in _iter_lines(ratings_stream, "ml1m ratings"):
-            if lineno == 1:
-                line = line.removeprefix(_LATIN1_BOM)
-            if not line:
-                continue
-            fields = line.split("::")
-            if len(fields) != 4:
-                skipped += 1
-                log.warning("ml1m ratings line %d: expected 4 fields, got %d",
-                            lineno, len(fields))
-                continue
-            try:
-                user, movie, rating = int(fields[0]), int(fields[1]), int(fields[2])
-            except ValueError:
-                skipped += 1
-                log.warning("ml1m ratings line %d: non-integer field", lineno)
-                continue
-            if not 1 <= rating <= 5:
-                skipped += 1
-                log.warning("ml1m ratings line %d: rating %d outside 1-5", lineno, rating)
-                continue
-            yield user, movie, rating
-
-    triples = Triples.from_rows(valid_rows())
+    skips: dict[str, list[int]] = {}  # reason -> count, first line
+    triples, _ = _read_rows(ratings_stream, "ml1m ratings",
+                            lambda buf, size, before: _parse_ml1m_chunk(buf, size, before, skips),
+                            lambda key: int(key.decode("latin-1")))
+    for reason, (count, first) in skips.items():
+        log.warning("ml1m ratings: %d lines %s, the first at line %d", count, reason, first)
 
     attributes: list[UserAttributes] = []
     seen: set = set()
@@ -411,7 +431,8 @@ def parse_ml1m(ratings_stream: Iterable[str], users_stream: Iterable[str]) -> Ra
             gender={"M": GENDER_MALE, "F": GENDER_FEMALE}.get(gender, GENDER_NA),
             age=age if AGE_MIN <= age <= AGE_MAX else None,
         ))
-    return RawDataset(triples, attributes, PROVENANCE_ML1M, skipped_interactions=skipped)
+    return RawDataset(triples, attributes, PROVENANCE_ML1M,
+                      skipped_interactions=sum(count for count, _ in skips.values()))
 
 
 def load_gdp_table(stream: Iterable[str]) -> GdpTable:
@@ -494,8 +515,8 @@ def load_lfm(interactions_path: str | Path, profiles_path: Optional[str | Path],
 
 
 def load_ml1m(ratings_path: str | Path, users_path: str | Path) -> RawDataset:
-    """Load ML1M files from disk with Latin-1 tolerant decoding."""
-    with _open(ratings_path, "latin-1") as rfh, _open(users_path, "latin-1") as ufh:
+    """Load ML1M files from disk; text is latin-1."""
+    with _open(ratings_path, None) as rfh, _open(users_path, "latin-1") as ufh:
         return parse_ml1m(rfh, ufh)
 
 

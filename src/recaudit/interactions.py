@@ -10,14 +10,12 @@ to share across parallel readers.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
 import numpy as np
 
 UserId = Hashable
-ItemId = Hashable
 
 GENDER_MALE = "m"
 GENDER_FEMALE = "f"
@@ -106,21 +104,6 @@ class Triples:
     def __len__(self) -> int:
         return len(self.users)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[UserId, ItemId, float]]) -> "Triples":
-        """Intern (user_id, item_id, strength) rows, each side's ids coded 0, 1, ...
-        in first-seen order; every row is kept, in order."""
-        user_codes: dict = {}
-        item_codes: dict = {}
-        users, items, strengths = array("i"), array("i"), array("d")
-        for user_id, item_id, strength in rows:
-            users.append(user_codes.setdefault(user_id, len(user_codes)))
-            items.append(item_codes.setdefault(item_id, len(item_codes)))
-            strengths.append(strength)
-        return cls(np.frombuffer(users, dtype=np.int32), np.frombuffer(items, dtype=np.int32),
-                   np.frombuffer(strengths, dtype=np.float64),
-                   list(user_codes), list(item_codes))
-
 
 def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, tuple]:
     """``codes`` renumbered 0, 1, ... in order of first appearance, and
@@ -147,18 +130,14 @@ def _numbered_in_first_seen_order(codes: np.ndarray, n_ids: int) -> bool:
     return bool(codes[0] == 0 and top[-1] == n_ids - 1 and np.all(np.diff(top) <= 1))
 
 
-def from_triples(
-    triples: Triples | Iterable[tuple[UserId, ItemId, float]],
-) -> tuple[InteractionMatrix, tuple, tuple]:
-    """Build an interaction matrix from ``Triples`` or (user_id, item_id, strength)
-    rows; returns it with the ids of its rows and of its columns.
+def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
+    """Build an interaction matrix from ``Triples``; returns it with the ids
+    of its rows and of its columns.
 
     Tolerant builder: indices are assigned in first-seen order among the
     kept rows, duplicate (user, item) pairs merge by summing strengths, and
     non-positive strengths are dropped.
     """
-    if not isinstance(triples, Triples):
-        triples = Triples.from_rows(triples)
     users, items, values = triples.users, triples.items, triples.strengths
     positive = values > 0.0
     if not positive.all():

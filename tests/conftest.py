@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import naive_bin_of
+from oracles import from_rows, naive_bin_of
 from recaudit import als
 from recaudit.interactions import from_triples
 
@@ -28,7 +28,7 @@ def random_matrix(rng, n_users, n_items, density=0.2, max_strength=9):
     for i in range(n_items):
         triples.append((f"u{rng.integers(0, n_users)}", f"i{i}",
                         int(rng.integers(1, max_strength + 1))))
-    return from_triples(triples)
+    return from_triples(from_rows(triples))
 
 
 def triple_rows(triples):

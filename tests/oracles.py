@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from recaudit.errors import NumericalError
 from recaudit.grouping import (NA_LABEL, GroupAssignment, _finish, _fmt_value,
                                _from_labels)
+from recaudit.interactions import Triples
 from recaudit.synthetic import PlantedTruth
 from recaudit.util import derive_seed
 
@@ -558,6 +560,21 @@ def naive_parse_ml1m_rows(lines):
             continue
         rows.append((user, movie, rating))
     return rows, skipped
+
+
+def from_rows(rows) -> Triples:
+    """Intern (user_id, item_id, strength) rows, each side's ids coded 0, 1, ...
+    in first-seen order; every row is kept, in order."""
+    user_codes: dict = {}
+    item_codes: dict = {}
+    users, items, strengths = array("i"), array("i"), array("d")
+    for user_id, item_id, strength in rows:
+        users.append(user_codes.setdefault(user_id, len(user_codes)))
+        items.append(item_codes.setdefault(item_id, len(item_codes)))
+        strengths.append(strength)
+    return Triples(np.frombuffer(users, dtype=np.int32), np.frombuffer(items, dtype=np.int32),
+                   np.frombuffer(strengths, dtype=np.float64),
+                   list(user_codes), list(item_codes))
 
 
 def naive_cold_start(rows, max_items):

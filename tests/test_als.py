@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import full_sort_top_n, naive_als_loss
+from oracles import from_rows, full_sort_top_n, naive_als_loss
 from recaudit import als
 from recaudit.errors import DataError
 from recaudit.evaluation import _held_out_ranks
@@ -52,7 +52,7 @@ class TestConfidence:
 
 class TestHalfSweep:
     def test_user_without_interactions_gets_zero_row(self):
-        m, _, _ = from_triples([("u0", "i0", 2), ("u1", "i0", 3)])
+        m, _, _ = from_triples(from_rows([("u0", "i0", 2), ("u1", "i0", 3)]))
         trimmed = m.drop_entries(np.array([False, True]))  # u1 loses its row
         hp = als.AlsHyperparams(factors=3, regularization=0.5, iterations=1, seed=0)
         model = als.AlsModel(np.full((2, 3), 0.7), np.full((1, 3), 0.4), hp)
@@ -62,7 +62,7 @@ class TestHalfSweep:
 
     def test_scalar_normal_equation(self):
         # k=1, y=1, r=1, alpha=1, reg=0.01: x = c*p / (c*y^2 + reg) = 2 / 2.01
-        m, _, _ = from_triples([("u", "i", 1.0)])
+        m, _, _ = from_triples(from_rows([("u", "i", 1.0)]))
         hp = als.AlsHyperparams(factors=1, regularization=0.01, iterations=1,
                                 alpha=1.0, seed=0)
         model = als.AlsModel(np.zeros((1, 1)), np.ones((1, 1)), hp)
@@ -84,7 +84,7 @@ class TestHalfSweep:
                 prev = current
 
     def test_items_side_updates_only_items(self):
-        m, _, _ = from_triples([("u", "i", 2.0)])
+        m, _, _ = from_triples(from_rows([("u", "i", 2.0)]))
         hp = als.AlsHyperparams(factors=2, regularization=0.1, iterations=1, seed=0)
         model = als.AlsModel(np.full((1, 2), 0.3), np.full((1, 2), 0.3), hp)
         before_users = model.user_factors.copy()
@@ -118,13 +118,13 @@ class TestTransposeCsr:
 
 class TestLoss:
     def test_zero_factors_single_entry(self):
-        m, _, _ = from_triples([("u", "i", 4.0)])
+        m, _, _ = from_triples(from_rows([("u", "i", 4.0)]))
         hp = als.AlsHyperparams(factors=2, regularization=0.01, alpha=1.0, seed=0)
         model = als.AlsModel(np.zeros((1, 2)), np.zeros((1, 2)), hp)
         assert als.loss(model, m) == 5.0  # confidence 1 + 1*4 over one observed pair
 
     def test_regularization_term_with_forced_factors(self):
-        m, _, _ = from_triples([("u", "i", 1.0)])
+        m, _, _ = from_triples(from_rows([("u", "i", 1.0)]))
         hp = als.AlsHyperparams(factors=1, regularization=0.5, alpha=1.0, seed=0)
         x, y = 0.6, 0.8
         model = als.AlsModel(np.array([[x]]), np.array([[y]]), hp)
@@ -159,12 +159,12 @@ def two_block_matrix(rng, n_users=40, n_items=30):
     for i in range(n_items):
         owner = 0 if i < n_items // 2 else 1
         triples.append((f"u{owner}", f"i{i}", 1))
-    return from_triples(triples)
+    return from_triples(from_rows(triples))
 
 
 class TestFit:
     def test_empty_matrix_rejected(self):
-        m, _, _ = from_triples([])
+        m, _, _ = from_triples(from_rows([]))
         with pytest.raises(DataError):
             als.fit(m, als.AlsHyperparams(factors=2, seed=0))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (full_sort_top_n, naive_fold_drop_mask, naive_held_out_ranks,
+from oracles import (from_rows, full_sort_top_n, naive_fold_drop_mask, naive_held_out_ranks,
                      naive_mrr, naive_ndcg, naive_rbp)
 from recaudit import als
 from recaudit.errors import ConfigError, DataError, NumericalError
@@ -314,9 +314,9 @@ class TestFoldPipeline:
                 assert np.array_equal(f1.holdout[u], f2.holdout[u])
 
     def test_user_with_single_item_skipped(self, rng, caplog):
-        matrix, user_ids, _ = from_triples([("solo", "i0", 1),
-                                        ("multi", "i0", 1), ("multi", "i1", 1),
-                                        ("multi2", "i0", 1), ("multi2", "i1", 2)])
+        matrix, user_ids, _ = from_triples(from_rows([("solo", "i0", 1),
+                                                      ("multi", "i0", 1), ("multi", "i1", 1),
+                                                      ("multi2", "i0", 1), ("multi2", "i1", 2)]))
         plan = make_folds([0, 1, 2], 1, "partition", seed=0)
         assign_holdouts(plan, matrix, user_ids, fraction=0.2)
         assert 0 not in plan.folds[0].test_users
@@ -440,8 +440,8 @@ class TestFoldPipeline:
 
     def test_full_recovery_gives_ndcg_one(self):
         # deterministic model whose top items are exactly the held-out set
-        matrix, user_ids, _ = from_triples(
-            [("u", f"i{i}", 1) for i in range(10)] + [("v", "i0", 1), ("v", "i1", 1)])
+        matrix, user_ids, _ = from_triples(from_rows(
+            [("u", f"i{i}", 1) for i in range(10)] + [("v", "i0", 1), ("v", "i1", 1)]))
         fold = Fold(index=0, test_users=[0],
                     holdout={0: np.array([0, 1])})
         hp = als.AlsHyperparams(factors=1, seed=0)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import (naive_cold_start, naive_csr, naive_parse_lfm_rows,
+from oracles import (from_rows, naive_cold_start, naive_csr, naive_parse_lfm_rows,
                      naive_parse_ml1m_rows)
 from recaudit.errors import DataError
 from recaudit.grouping import NA_LABEL, bucket_countries_by_gdp
@@ -15,8 +15,8 @@ from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              RawDataset, cold_start_filter, load_gdp, load_gdp_table,
                              load_ml1m, parse_lfm_interactions, parse_lfm_profiles,
                              parse_ml1m)
-from recaudit.interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, Triples,
-                                   UserAttributes, from_triples)
+from recaudit.interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, UserAttributes,
+                                   from_triples)
 
 from conftest import triple_rows
 
@@ -28,6 +28,11 @@ def lines(text):
 def data(text):
     """``text`` as the binary stream the LFM interactions parser reads."""
     return io.BytesIO(text.encode("utf-8"))
+
+
+def ratings(text):
+    """``text`` as the binary stream the ML1M ratings parser reads."""
+    return io.BytesIO(text.encode("latin-1"))
 
 
 class TestLfmInteractions:
@@ -90,7 +95,7 @@ def test_parsed_rows_hold_no_per_row_objects():
             for u in range(200) for i in range(100)]
     gc.collect()
     before = sys.getallocatedblocks()
-    held = [parse_lfm_interactions(data("".join(lfm))), parse_ml1m(ml1m, [])]
+    held = [parse_lfm_interactions(data("".join(lfm))), parse_ml1m(ratings("".join(ml1m)), [])]
     gc.collect()
     grown = sys.getallocatedblocks() - before
     assert grown < 0.1 * (len(lfm) + len(ml1m)), grown
@@ -129,7 +134,7 @@ class TestLfmProfiles:
 
 class TestMl1m:
     def test_documented_row_formats(self):
-        raw = parse_ml1m(lines("1::1193::5::978300760\n"),
+        raw = parse_ml1m(ratings("1::1193::5::978300760\n"),
                          lines("1::F::1::10::48067\n"))
         assert triple_rows(raw.triples) == [(1, 1193, 5)]
         a = raw.attributes[0]
@@ -137,20 +142,20 @@ class TestMl1m:
         assert raw.provenance == PROVENANCE_ML1M
 
     def test_age_outside_1_to_120_is_missing_and_the_user_kept(self, caplog):
-        raw = parse_ml1m(lines(""), lines("1::M::-5::0::1\n2::F::999::0::1\n"
-                                          "3::F::120::0::1\n4::M::x::0::1\n"))
+        raw = parse_ml1m(ratings(""), lines("1::M::-5::0::1\n2::F::999::0::1\n"
+                                            "3::F::120::0::1\n4::M::x::0::1\n"))
         assert [(a.user_id, a.gender, a.age) for a in raw.attributes] == [
             (1, GENDER_MALE, None), (2, GENDER_FEMALE, None), (3, GENDER_FEMALE, 120)]
         assert "non-integer id or age" in caplog.text  # user 4's row is skipped
 
     def test_rating_outside_range_skipped(self, caplog):
-        raw = parse_ml1m(lines("1::10::7::0\n2::10::3::0\n"), lines(""))
+        raw = parse_ml1m(ratings("1::10::7::0\n2::10::3::0\n"), lines(""))
         assert triple_rows(raw.triples) == [(2, 10, 3)]
         assert raw.skipped_interactions == 1
         assert "outside 1-5" in caplog.text
 
     def test_gender_mapping(self):
-        raw = parse_ml1m(lines(""), lines("1::M::25::0::11111\n2::F::35::1::22222\n"))
+        raw = parse_ml1m(ratings(""), lines("1::M::25::0::11111\n2::F::35::1::22222\n"))
         assert raw.attributes[0].gender == GENDER_MALE
         assert raw.attributes[1].gender == GENDER_FEMALE
         assert raw.attributes[1].age == 35
@@ -236,7 +241,7 @@ class TestGdpTable:
 def _dataset(provenance, user_item_counts):
     rows = [(user, f"i{i}", 1) for user, count in user_item_counts.items()
             for i in range(count)]
-    return RawDataset(Triples.from_rows(rows), [], provenance)
+    return RawDataset(from_rows(rows), [], provenance)
 
 
 class TestColdStartFilter:
@@ -274,7 +279,7 @@ class TestColdStartFilter:
     def test_duplicate_items_count_distinct(self):
         # 41 triples over 40 distinct items: still removed
         rows = [("u", f"i{i}", 1) for i in range(40)] + [("u", "i0", 2)]
-        raw = RawDataset(Triples.from_rows(rows), [], PROVENANCE_LFM360K)
+        raw = RawDataset(from_rows(rows), [], PROVENANCE_LFM360K)
         assert triple_rows(cold_start_filter(raw).triples) == []
 
     def test_second_pass_removes_nothing(self):
@@ -346,13 +351,13 @@ class TestColumnarIngestMatchesTuplePath:
         rows, attribute_ids = _random_rows(rng, integer_ids=seed % 2 == 1)
         provenance = PROVENANCES[seed % 3]
         max_items = (None, 0, 1, 2, 4)[seed % 5]
-        _assert_ingest_matches_tuple_path(Triples.from_rows(rows), rows, attribute_ids,
+        _assert_ingest_matches_tuple_path(from_rows(rows), rows, attribute_ids,
                                           provenance, max_items)
 
     @pytest.mark.parametrize("provenance", PROVENANCES)
     @pytest.mark.parametrize("max_items", [None, 0, 3])
     def test_zero_rows(self, provenance, max_items):
-        _assert_ingest_matches_tuple_path(Triples.from_rows([]), [], ["u"],
+        _assert_ingest_matches_tuple_path(from_rows([]), [], ["u"],
                                           provenance, max_items)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -384,7 +389,7 @@ class TestColumnarIngestMatchesTuplePath:
             lines.append(rng.choice([f"{user}::{movie}::{rating}::978300760\n",
                                      f"{user}::{movie}\n", "\n",
                                      f"{user}::x::{rating}::0\n"], p=[0.8, 0.1, 0.05, 0.05]))
-        raw = parse_ml1m(lines, [f"{3000 + k}::M::25::0::1\n" for k in range(9)])
+        raw = parse_ml1m(ratings("".join(lines)), [f"{3000 + k}::M::25::0::1\n" for k in range(9)])
         rows, want_skipped = naive_parse_ml1m_rows(lines)
         assert triple_rows(raw.triples) == rows
         assert raw.skipped_interactions == want_skipped

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recaudit.interactions import Triples, from_triples, stats
+from oracles import from_rows
+from recaudit.interactions import from_triples, stats
 
 from conftest import entries
 
 
 def test_empty_input():
-    m, user_ids, item_ids = from_triples([])
+    m, user_ids, item_ids = from_triples(from_rows([]))
     assert m.n_users == 0
     assert m.n_items == 0
     assert m.nnz == 0
@@ -18,13 +19,13 @@ def test_empty_input():
 
 
 def test_duplicate_pairs_merge_by_sum():
-    m, _, _ = from_triples([("u1", "a1", 3), ("u1", "a1", 2)])
+    m, _, _ = from_triples(from_rows([("u1", "a1", 3), ("u1", "a1", 2)]))
     assert m.nnz == 1
     assert m.data[0] == 5.0
 
 
 def test_zero_strength_dropped():
-    m, _, item_ids = from_triples([("u1", "a1", 0), ("u1", "a2", 1)])
+    m, _, item_ids = from_triples(from_rows([("u1", "a1", 0), ("u1", "a2", 1)]))
     assert m.nnz == 1
     assert m.n_items == 1  # a1 never materializes: its only triple was dropped
     assert item_ids == ("a2",)
@@ -32,13 +33,13 @@ def test_zero_strength_dropped():
 
 
 def test_first_seen_index_order():
-    m, user_ids, item_ids = from_triples([("b", "y", 1), ("a", "x", 1), ("b", "x", 2)])
+    m, user_ids, item_ids = from_triples(from_rows([("b", "y", 1), ("a", "x", 1), ("b", "x", 2)]))
     assert user_ids == ("b", "a")
     assert item_ids == ("y", "x")
 
 
 def test_stats_direct_formula():
-    m, _, _ = from_triples([("u1", "i1", 1), ("u1", "i2", 1), ("u2", "i1", 1)])
+    m, _, _ = from_triples(from_rows([("u1", "i1", 1), ("u1", "i2", 1), ("u2", "i1", 1)]))
     # force a 2x2 shape with exactly one cell unfilled -> drop one entry
     m2 = m.drop_entries(np.array([False, True, False]))
     ds = stats(m2)
@@ -46,13 +47,13 @@ def test_stats_direct_formula():
     assert ds.n_interactions == 2
     assert ds.sparsity == 0.5
 
-    single, _, _ = from_triples([("u1", "i1", 1)])
+    single, _, _ = from_triples(from_rows([("u1", "i1", 1)]))
     assert stats(single).sparsity == 0.0  # 1x1 fully dense
 
 
 def test_stats_2x2_one_entry():
-    base, _, _ = from_triples([("u1", "i1", 1), ("u1", "i2", 1),
-                               ("u2", "i1", 1), ("u2", "i2", 1)])
+    base, _, _ = from_triples(from_rows([("u1", "i1", 1), ("u1", "i2", 1),
+                                         ("u2", "i1", 1), ("u2", "i2", 1)]))
     m = base.drop_entries(np.array([True, True, True, False]))
     assert stats(m).sparsity == 0.75
 
@@ -79,7 +80,7 @@ def test_row_access_covers_all_entries(small_random_matrix):
                           st.integers(1, 9)), max_size=40))
 def test_round_trip_multiset(triples):
     named = [(f"u{u}", f"i{i}", s) for u, i, s in triples]
-    m, user_ids, item_ids = from_triples(named)
+    m, user_ids, item_ids = from_triples(from_rows(named))
     merged = {}
     for uid, iid, s in named:
         merged[(uid, iid)] = merged.get((uid, iid), 0) + s
@@ -114,8 +115,8 @@ def test_from_rows_columns_across_chunks(n_rows):
     users = rng.integers(0, 5, size=n_rows)
     items = rng.integers(0, 9, size=n_rows)
     strengths = rng.random(n_rows) * 4 - 1
-    t = Triples.from_rows((f"u{u}", i * 10, s) for u, i, s in
-                          zip(users.tolist(), items.tolist(), strengths.tolist()))
+    t = from_rows((f"u{u}", i * 10, s) for u, i, s in
+                  zip(users.tolist(), items.tolist(), strengths.tolist()))
     assert len(t) == n_rows
     assert (t.users.dtype, t.items.dtype, t.strengths.dtype) == (np.int32, np.int32, np.float64)
     assert [t.user_ids[c] for c in t.users.tolist()] == [f"u{u}" for u in users.tolist()]

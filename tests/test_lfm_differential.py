@@ -1,10 +1,11 @@
-"""The binary LFM interactions parser against the line-by-line oracle.
+"""The binary LFM interactions and ML1M ratings parsers against their
+line-by-line oracles.
 
-The oracle reads the text that ``open(path, encoding="utf-8",
-errors="replace")`` yields, after one leading byte order mark is removed.
-The parser reads the bytes in chunks; the chunk size is patched down to a
-few bytes so that rows, ``\\r\\n`` pairs and multi-byte characters straddle
-chunk edges.
+An oracle reads the text that ``open(path, encoding=...)`` yields, UTF-8
+with invalid bytes replaced for LFM and latin-1 for ML1M, after one leading
+byte order mark is removed.  The parsers read the bytes in chunks; the chunk
+size is patched down to a few bytes so that rows, ``\\r\\n`` pairs,
+separators and multi-byte characters straddle chunk edges.
 """
 
 import codecs
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_csr, naive_parse_lfm_rows
+from oracles import naive_csr, naive_parse_lfm_rows, naive_parse_ml1m_rows
 from recaudit import ingest
 from recaudit.interactions import from_triples
 
@@ -108,6 +109,84 @@ def _seeded_file(seed: int, n_lines: int) -> bytes:
 @pytest.mark.parametrize("chunk_bytes", [1, 7, 100, 4096])
 def test_seeded_files_match_oracle(seed, chunk_bytes):
     assert_parse_matches_oracle(_seeded_file(seed, 400), chunk_bytes)
+
+
+# ML1M fields: ids that int() reads as another's value, ids past an int64,
+# colons that make runs with the "::" next to them, and bytes past ASCII
+ML1M_IDS = [b"1", b"7", b"42", b"007", b"+7", b" 7", b"7 ", b"1_0", b"\xa07", b"-7", b"",
+            b"x", b"\xff", b"\xb2", b"1\xe9", b":", b"1:", b":2", b"9" * 19,
+            b"9223372036854775807", b"9223372036854775808", b"-9223372036854775809",
+            b"1" + b"0" * 19, b"12345678901234567890123", b"0" * 24 + b"7", b"-" + b"9" * 25]
+RATINGS = [b"1", b"2", b"3", b"4", b"5", b"0", b"6", b"5 ", b"x", b"05", b"+3", b"\xa04", b"",
+           b"-1", b"9" * 20, b"3:"]
+TIMES = [b"978300760", b"0", b"", b":", b"::", b"x\xff"]
+
+
+def assert_ml1m_matches_oracle(data: bytes, chunk_bytes: int):
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+        raw = ingest.parse_ml1m(io.BytesIO(data), [])
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").read()
+    rows, skipped = naive_parse_ml1m_rows(
+        io.StringIO(text.removeprefix(codecs.BOM_UTF8.decode("latin-1"))))
+    assert raw.skipped_interactions == skipped
+    assert triple_rows(raw.triples) == rows
+    t = raw.triples
+    assert t.user_ids == list(dict.fromkeys(user for user, _, _ in rows))
+    assert t.item_ids == list(dict.fromkeys(movie for _, movie, _ in rows))
+    assert all(type(i) is int for i in t.user_ids + t.item_ids)
+    assert (t.users.dtype, t.items.dtype, t.strengths.dtype) == (np.int32, np.int32, np.float64)
+
+
+@st.composite
+def ml1m_files(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank", "colons"]))
+        fields = [draw(st.sampled_from(ML1M_IDS)), draw(st.sampled_from(ML1M_IDS)),
+                  draw(st.sampled_from(RATINGS)), draw(st.sampled_from(TIMES))]
+        if kind == "short":
+            fields = fields[:3]
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(TIMES)))
+        sep = draw(st.sampled_from([b":::", b"::::"])) if kind == "colons" else b"::"
+        line = b"" if kind == "blank" else sep.join(fields)
+        lines.append(line + draw(st.sampled_from(ENDS)))
+    data = b"".join(lines)
+    if lines and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")  # no final line end
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ml1m_files(), st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 20]))
+def test_ml1m_parse_matches_oracle(data, chunk_bytes):
+    assert_ml1m_matches_oracle(data, chunk_bytes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 7, 1 << 20])
+def test_ml1m_colon_runs_split_as_str_split(chunk_bytes):
+    data = (b"1::2::3:::\n1:::2::3::0\n1::::2::3::0\n1::2::3::::\n1::2::3::0::\n"
+            b"1::2:::3::0\r\n:::1::2::3\r1::2::3:::::\n")
+    assert_ml1m_matches_oracle(data, chunk_bytes)
+    raw = ingest.parse_ml1m(io.BytesIO(data), [])
+    assert triple_rows(raw.triples) == [(1, 2, 3)]  # the first line, timestamp ":"
+
+
+def test_ml1m_ids_past_int64_stay_apart():
+    """Ids past an int64 keep their own codes, and one value written
+    differently is one id, with the code of its first appearance."""
+    ids = [b"9223372036854775807", b"9223372036854775808", b"1" + b"0" * 19, b"+7", b"7",
+           b"-9223372036854775808", b"-9223372036854775809", b"00009223372036854775808"]
+    data = b"".join(user + b"::" + movie + b"::3::0\n" for user in ids for movie in ids)
+    for chunk_bytes in (5, 1 << 20):
+        assert_ml1m_matches_oracle(data, chunk_bytes)
+    raw = ingest.parse_ml1m(io.BytesIO(data), [])
+    want = [2 ** 63 - 1, 2 ** 63, 10 ** 19, 7, -2 ** 63, -2 ** 63 - 1]
+    assert raw.triples.user_ids == raw.triples.item_ids == want
+    assert raw.triples.users.tolist() == [code for code in (0, 1, 2, 3, 3, 4, 5, 1)
+                                          for _ in ids]
 
 
 def one_hash(words, lengths):

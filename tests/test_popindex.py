@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import brute_force_pop_index
+from oracles import brute_force_pop_index, from_rows
 from recaudit.ingest import PROVENANCE_LFM360K, PROVENANCE_ML1M, PROVENANCE_SYNTHETIC
 from recaudit.interactions import UserAttributes, from_triples
 from recaudit.popindex import fill_attributes, pop_indices
@@ -23,7 +23,7 @@ def oracle_pop(matrix, user_ids, item_ids, u):
 
 def usage_of(plays, provenance):
     """The usage ``fill_attributes`` gives a user with these play counts."""
-    m, _, _ = from_triples([("u", f"i{k}", p) for k, p in enumerate(plays)])
+    m, _, _ = from_triples(from_rows([("u", f"i{k}", p) for k, p in enumerate(plays)]))
     attrs = [UserAttributes("u")]
     fill_attributes(attrs, m, provenance)
     return attrs[0].usage
@@ -34,12 +34,12 @@ class TestItemUserCounts:
 
     def test_three_users_one_item(self):
         # the item is shared by every other user: coverage 100
-        m, _, _ = from_triples([("a", "x", 1), ("b", "x", 2), ("c", "x", 5)])
+        m, _, _ = from_triples(from_rows([("a", "x", 1), ("b", "x", 2), ("c", "x", 5)]))
         assert pop_indices(m).tolist() == [100, 100, 100]
         assert m.n_users == 3
 
     def test_empty_matrix(self):
-        m, _, _ = from_triples([])
+        m, _, _ = from_triples(from_rows([]))
         fill_attributes([], m, PROVENANCE_LFM360K)
         # one record per matrix row, so a record past the rows is an error
         with pytest.raises(ValueError):
@@ -60,12 +60,12 @@ class TestItemUserCounts:
 class TestPopIndex:
     def test_all_items_shared_by_everyone(self):
         triples = [(f"u{u}", f"i{i}", 1) for u in range(5) for i in range(3)]
-        m, _, _ = from_triples(triples)
+        m, _, _ = from_triples(from_rows(triples))
         assert pop_indices(m).tolist() == [100] * 5
 
     def test_all_items_unique_to_user(self):
         triples = [("me", "mine1", 1), ("me", "mine2", 1), ("other", "theirs", 1)]
-        m, _, _ = from_triples(triples)
+        m, _, _ = from_triples(from_rows(triples))
         assert pop_indices(m)[0] == 0
 
     def test_matches_brute_force_oracle(self, rng):
@@ -76,7 +76,7 @@ class TestPopIndex:
                 assert got[u] == oracle_pop(m, user_ids, item_ids, u)
 
     def test_user_without_items_rejected(self):
-        m, _, _ = from_triples([("a", "x", 1), ("b", "x", 1)])
+        m, _, _ = from_triples(from_rows([("a", "x", 1), ("b", "x", 1)]))
         trimmed = m.drop_entries(np.array([False, True]))
         # a user with an empty row has no pop-index
         assert pop_indices(trimmed)[1] == -1
@@ -92,14 +92,14 @@ class TestPopIndex:
                           if int(m.user_items(0)[0]) not in m.user_items(u)), None)
             if donor is None:
                 continue
-            m2, _, _ = from_triples(triples + [(donor, target_item, 1)])
+            m2, _, _ = from_triples(from_rows(triples + [(donor, target_item, 1)]))
             assert pop_indices(m2)[0] >= base
 
     def test_invariant_to_strength_magnitude(self, rng):
         m, user_ids, item_ids = random_matrix(rng, 25, 30, density=0.2)
         scaled_triples = [(user_ids[u], item_ids[int(i)], s * 37.0)
                           for u, i, s in entries(m)]
-        m2, _, _ = from_triples(scaled_triples)
+        m2, _, _ = from_triples(from_rows(scaled_triples))
         assert np.array_equal(pop_indices(m), pop_indices(m2))
 
 
@@ -120,7 +120,7 @@ class TestPopIndices:
             self.check(m)
 
     def test_single_user(self):
-        m, _, _ = from_triples([("only", "x", 1), ("only", "y", 4)])
+        m, _, _ = from_triples(from_rows([("only", "x", 1), ("only", "y", 4)]))
         assert pop_indices(m).tolist() == [0]
         self.check(m)
 
@@ -136,12 +136,12 @@ class TestPopIndices:
     def test_rows_with_equal_coverage(self):
         # every item is shared by the same number of users
         triples = [(f"u{u}", f"i{(u + j) % 6}", 1) for u in range(6) for j in range(3)]
-        m, _, _ = from_triples(triples)
+        m, _, _ = from_triples(from_rows(triples))
         assert len(set(np.bincount(m.indices).tolist())) == 1
         self.check(m)
 
     def test_empty_matrix(self):
-        m, _, _ = from_triples([])
+        m, _, _ = from_triples(from_rows([]))
         assert pop_indices(m).size == 0
 
 
@@ -161,7 +161,7 @@ class TestUsage:
 
 class TestFillAttributes:
     def test_fills_only_users_with_rows(self):
-        m, _, _ = from_triples([("a", "x", 2), ("a", "y", 3), ("b", "x", 1)])
+        m, _, _ = from_triples(from_rows([("a", "x", 2), ("a", "y", 3), ("b", "x", 1)]))
         attrs = [UserAttributes("a"), UserAttributes("b")]
         fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage == 5
@@ -173,7 +173,7 @@ class TestFillAttributes:
                 fill_attributes(records, m, PROVENANCE_LFM360K)
 
     def test_empty_row_left_unset(self):
-        m, _, _ = from_triples([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)])
+        m, _, _ = from_triples(from_rows([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)]))
         trimmed = m.drop_entries(np.array([True, False, False]))
         attrs = [UserAttributes("a"), UserAttributes("b")]
         fill_attributes(attrs, trimmed, PROVENANCE_LFM360K)
@@ -183,7 +183,7 @@ class TestFillAttributes:
 
     def test_usage_at_or_past_2_pow_63_keeps_its_value(self):
         # an int64 cast once turned such a total into -2**63, the lowest usage
-        m, _, _ = from_triples([("a", "x", 1e19), ("a", "y", 1e19), ("b", "x", 3)])
+        m, _, _ = from_triples(from_rows([("a", "x", 1e19), ("a", "y", 1e19), ("b", "x", 3)]))
         attrs = [UserAttributes("a"), UserAttributes("b")]
         fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage == 2e19
@@ -191,7 +191,8 @@ class TestFillAttributes:
 
     def test_total_past_the_float_range_leaves_usage_unset(self, caplog):
         # such a total once became usage inf, with an overflow warning
-        m, _, _ = from_triples([("a", "x", 1.7e308), ("a", "y", 1.7e308), ("b", "x", 3)])
+        m, _, _ = from_triples(from_rows([("a", "x", 1.7e308), ("a", "y", 1.7e308),
+                                          ("b", "x", 3)]))
         attrs = [UserAttributes("a"), UserAttributes("b")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
