@@ -1,7 +1,7 @@
 """One 300 x 150 synthetic corpus, with ``configs/synthetic.ini``'s model and
 explainer settings, run end to end through the verbs in variants.
 
-The corpus and its audit are written once per session.
+The corpus, its ML1M-format copy and its audit are written once per session.
 """
 
 import os
@@ -10,7 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import recaudit
 from recaudit.cli import main
@@ -58,6 +62,49 @@ def synthetic_audit(corpus):
                         "profiles": corpus / "synthetic" / "profiles.tsv"}, out)
     assert main(["audit", "--config", str(ini), "--threads", "1"]) == 0
     return ini, out
+
+
+@pytest.fixture(scope="session")
+def ml1m_corpus(corpus):
+    """The corpus in the ML1M file format, with the first user's age 999."""
+    data = corpus / "ml1m"
+    data.mkdir()
+    with open(corpus / "synthetic" / "interactions.tsv", encoding="utf-8") as fh, \
+            open(data / "ratings.dat", "w", encoding="latin-1") as out:
+        for line in fh:
+            user, item, _name, plays = line.rstrip("\n").split("\t")
+            out.write(f"{user}::{int(item.removeprefix('item'))}::{min(int(plays), 5)}::0\n")
+    with open(corpus / "synthetic" / "profiles.tsv", encoding="utf-8") as fh, \
+            open(data / "users.dat", "w", encoding="latin-1") as out:
+        for i, line in enumerate(fh):
+            user, gender, age = line.split("\t")[:3]
+            # the first user's age lies outside 1-120, so it is missing
+            out.write(f"{user}::{gender.upper()}::{999 if i == 0 else age}::0::00000\n")
+    return data
+
+
+def test_ml1m_copy_audits_alike_at_any_threads(ml1m_corpus, tmp_path):
+    """The ML1M-format copy audits byte-identically at ``--threads`` 1 and 2,
+    its age of 999 is missing, and ``report`` reproduces its tables and
+    charts."""
+    written = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        ini = write_config(tmp_path / "ml1m.ini", "ml1m",
+                           {"ratings": ml1m_corpus / "ratings.dat",
+                            "users": ml1m_corpus / "users.dat"}, out)
+        assert main(["audit", "--config", str(ini), "--threads", str(threads)]) == 0
+        written.append(output_files(out))
+    assert written[0] == written[1]
+    summary = written[0]["group_summary.csv"].decode().splitlines()
+    assert any(line.startswith("age_original,N/A,1,") for line in summary)
+
+    assert main(["report", "--config", str(ini), "--metrics",
+                 str(tmp_path / "t1" / "metrics_per_user.csv"),
+                 "--out", str(tmp_path / "rerender")]) == 0
+    audited = {path: data for path, data in written[0].items() if path != "manifest.json"}
+    assert any(path.endswith(".svg") for path in audited)
+    assert output_files(tmp_path / "rerender") == audited
 
 
 def kernel_variants() -> dict:
