@@ -185,9 +185,12 @@ def test_train_writes_model(config_file, tmp_path, capsys):
     assert main(["train", "--config", str(config_file),
                  "--model-out", str(model_path)]) == 0
     assert model_path.exists()
-    from recaudit.als import load_model
-    model = load_model(model_path)
-    assert model.user_factors.shape == (120, 6)
+    capsys.readouterr()
+    assert main(["ingest-stats", "--config", str(config_file)]) == 0
+    stats = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    model = als.load_model(model_path)
+    assert model.user_factors.shape == (int(stats["users"]), 6) == (120, 6)
+    assert model.item_factors.shape == (int(stats["items"]), 6)
     # train fits every user, not a fold's test users
     assert np.isfinite(model.user_factors).all()
     assert np.isfinite(model.item_factors).all()

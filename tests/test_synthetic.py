@@ -33,6 +33,11 @@ def test_benchmark_shapes(tmp_path, n_users, n_items):
     assert_same_corpus(tmp_path, n_users=n_users, n_items=n_items, seed=1)
 
 
+def test_variants_corpus(tmp_path):
+    # the corpus that tests/test_variants.py audits in variants
+    assert_same_corpus(tmp_path, n_users=300, n_items=150, seed=0)
+
+
 @pytest.mark.parametrize("n_items", [40, 20])
 def test_fewer_items_than_max_items(tmp_path, n_items):
     # max_items is clamped to n_items, and min_items to the clamped max
