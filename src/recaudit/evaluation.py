@@ -54,16 +54,20 @@ METRICS = ("ndcg", "mrr", "rbp")
 
 @dataclass
 class Fold:
+    """One fold's test users and, once ``assign_holdouts`` has run, their
+    held-out entries: positions in the full matrix's entries, grouped by
+    test user in ``test_users`` order and ascending within a user.  Test
+    user j's are ``held[held_ptr[j]:held_ptr[j + 1]]``."""
+
     index: int
     test_users: list[int]
-    # user index -> held-out item indices; filled by assign_holdouts
-    holdout: dict[int, np.ndarray] = field(default_factory=dict)
+    held: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    held_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
 
 @dataclass
 class FoldPlan:
     folds: list[Fold]
-    scheme: str
     seed: int
 
 
@@ -175,70 +179,42 @@ def make_folds(users: Sequence[int], k: int, scheme: str, seed: int,
         chunks = np.split(shuffled[: k * sample_size], k)
     folds = [Fold(index=i, test_users=sorted(int(u) for u in chunk))
              for i, chunk in enumerate(chunks)]
-    return FoldPlan(folds=folds, scheme=scheme, seed=seed)
-
-
-def holdout_split(user_items: np.ndarray, fraction: float,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split one user's items into (train, held-out) by seeded shuffle.
-
-    The held-out size is max(1, floor(fraction * n)); callers must ensure
-    n >= 2 so both sides are non-empty.
-    """
-    n = len(user_items)
-    if n < 2:
-        raise ValueError("holdout_split needs at least 2 items")
-    n_held = max(1, floor(fraction * n))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    held = user_items[perm[:n_held]]
-    train = user_items[perm[n_held:]]
-    return train, held
+    return FoldPlan(folds=folds, seed=seed)
 
 
 def assign_holdouts(plan: FoldPlan, matrix: InteractionMatrix,
                     user_ids: Sequence, fraction: float = DEFAULT_HOLDOUT_FRACTION) -> FoldPlan:
-    """Fill each fold's per-user held-out item sets.
+    """Fill each fold's held-out entries (see ``Fold``).
 
-    The per-user RNG is derived from (plan seed, fold index, original user
-    id).  Users with fewer than 2 items cannot be both trained and tested;
-    they are dropped from the fold with a warning.
+    A test user of n items holds out ``max(1, floor(fraction * n))`` of
+    them: the first entries of a permutation of their row, drawn from an
+    RNG seeded by (plan seed, fold index, original user id).  Users with
+    fewer than 2 items cannot be both trained and tested; they are dropped
+    from the fold with a warning.
     """
     for fold in plan.folds:
         kept: list[int] = []
+        held: list[np.ndarray] = []
         for u in fold.test_users:
-            items = matrix.user_items(u)
-            if len(items) < 2:
+            start, stop = int(matrix.indptr[u]), int(matrix.indptr[u + 1])
+            n = stop - start
+            if n < 2:
                 log.warning("user %s has %d item(s); skipped in fold %d",
-                            user_ids[u], len(items), fold.index)
+                            user_ids[u], n, fold.index)
                 continue
-            seed = derive_seed(plan.seed, fold.index, user_ids[u])
-            _, held = holdout_split(items, fraction, seed)
-            fold.holdout[u] = np.sort(held)
+            rng = np.random.default_rng(derive_seed(plan.seed, fold.index, user_ids[u]))
+            held.append(start + np.sort(rng.permutation(n)[:max(1, floor(fraction * n))]))
             kept.append(u)
         fold.test_users = kept
+        fold.held = np.concatenate(held) if held else np.empty(0, dtype=np.int64)
+        fold.held_ptr = np.cumsum([0] + [len(h) for h in held], dtype=np.int64)
     return plan
 
 
 def fold_training_matrix(matrix: InteractionMatrix, fold: Fold) -> InteractionMatrix:
-    """Training matrix for one fold: everything except held-out pairs.
-
-    Entries are sorted by row, then item, so their keys ``row * n_items +
-    item`` increase, and one binary search over them finds every held-out
-    pair at once.
-    """
-    users = np.fromiter(fold.holdout, dtype=np.int64, count=len(fold.holdout))
-    held = [np.asarray(h, dtype=np.int64) for h in fold.holdout.values()]
-    held_keys = (np.repeat(users, [h.shape[0] for h in held]) * matrix.n_items
-                 + np.concatenate(held or [np.empty(0, dtype=np.int64)]))
-    entry_keys = (matrix.entry_rows().astype(np.int64, copy=False)
-                  * matrix.n_items + matrix.indices)
-    pos = np.searchsorted(entry_keys, held_keys)
-    found = pos < matrix.nnz
-    found[found] = entry_keys[pos[found]] == held_keys[found]
-    del entry_keys  # before drop_entries allocates its own copies
+    """Training matrix for one fold: everything except its held-out entries."""
     drop = np.zeros(matrix.nnz, dtype=bool)
-    drop[pos[found]] = True
+    drop[fold.held] = True
     return matrix.drop_entries(drop)
 
 
@@ -313,8 +289,8 @@ def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,
                   filter_train: bool = True) -> list[MetricRow]:
     """Metrics for every test user of one fold, in user-index order.
 
-    ``matrix`` is the full cleaned matrix (used for each user's training
-    items); the model must have been fit on this fold's training matrix.
+    ``matrix`` is the full cleaned matrix, whose entries ``fold.held``
+    names; the model must have been fit on this fold's training matrix.
     By default a user's training items are excluded from their
     recommendation list, which follows ``tests/oracles.py::full_sort_top_n``;
     the held-out items' positions in that list are counted, not sorted (see
@@ -328,8 +304,8 @@ def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,
         raise NumericalError(
             f"fold {fold.index}: non-finite factors for test user {user_ids[u]}")
     rows = []
-    for u in fold.test_users:
-        held = fold.holdout[u]
+    for j, u in enumerate(fold.test_users):
+        held = matrix.indices[fold.held[fold.held_ptr[j]:fold.held_ptr[j + 1]]]
         scores = model.item_factors @ model.user_factors[u]
         if filter_train:
             # exclude the user's items other than the held-out ones

@@ -9,6 +9,7 @@ aborts ingestion.
 from __future__ import annotations
 
 import codecs
+import csv
 import logging
 import math
 from array import array
@@ -436,31 +437,42 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
 
 
 def load_gdp_table(stream: Iterable[str]) -> GdpTable:
-    """Load a two-column CSV "country,gdp_per_capita".
+    """Load a two-column CSV "country,gdp_per_capita", with standard CSV
+    quoting (as in World Bank exports: ``"Korea, Rep.",33000``).
 
     An optional header row is detected by a non-numeric second field on the
-    first line; other rows with non-numeric GDP are skipped with a warning.
-    A value that is not finite, such as ``nan`` or ``inf``, counts as
-    non-numeric.  One leading byte order mark is ignored.
+    first line; other rows with non-numeric GDP, or with other than two
+    fields, are skipped with a warning.  A value that is not finite, such
+    as ``nan`` or ``inf``, counts as non-numeric.  One leading byte order
+    mark is ignored.  A row the CSV reader rejects raises DataError.
     """
     table = GdpTable()
-    for lineno, line in _iter_lines(stream, "gdp table"):
-        if lineno == 1:
-            line = line.removeprefix("\ufeff")
-        if not line:
-            continue
-        country, _, gdp_text = line.partition(",")
-        country = country.strip()
-        try:
-            gdp = float(gdp_text.strip())
-            if not math.isfinite(gdp):
-                raise ValueError
-        except ValueError:
-            if lineno > 1:
-                log.warning("gdp table line %d: non-numeric value %r, skipped", lineno, gdp_text)
-            continue
-        if country:
-            table.add(country, gdp)
+    reader = csv.reader(line.removeprefix("\ufeff") if lineno == 1 else line
+                        for lineno, line in _iter_lines(stream, "gdp table"))
+    try:
+        for fields in reader:
+            if not fields:
+                continue
+            lineno = reader.line_num
+            if len(fields) != 2:
+                if lineno > 1:
+                    log.warning("gdp table line %d: %d fields, not 2, skipped",
+                                lineno, len(fields))
+                continue
+            country, gdp_text = fields[0].strip(), fields[1]
+            try:
+                gdp = float(gdp_text.strip())
+                if not math.isfinite(gdp):
+                    raise ValueError
+            except ValueError:
+                if lineno > 1:
+                    log.warning("gdp table line %d: non-numeric value %r, skipped",
+                                lineno, gdp_text)
+                continue
+            if country:
+                table.add(country, gdp)
+    except csv.Error as exc:
+        raise DataError(f"gdp table line {reader.line_num}: {exc}") from exc
     return table
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import als, ebm, evaluation, grouping, popindex, stats
 from .charts import render_scheme_chart
-from .config import AuditConfig
+from .config import ALL_GROUPING_SCHEMES, AuditConfig
 from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .evaluation import METRICS
 from .ingest import (GdpTable, PROVENANCE_ML1M, cold_start_filter, load_gdp,
@@ -332,8 +332,10 @@ def _user_columns(attributes: Sequence[UserAttributes]) -> dict:
 
 def build_assignments(config: AuditConfig, columns: dict,
                       gdp: Optional[GdpTable]) -> dict[str, grouping.GroupAssignment]:
-    """All configured grouping schemes that the data can support, from the
-    users' attribute columns (``_user_columns``)."""
+    """Every grouping scheme that the data can support, from the users'
+    attribute columns (``_user_columns``).  The report tests the configured
+    ones; the all-features explainer reads gender, last_digit and the
+    country schemes whichever are configured."""
     gc = config.grouping
     ages, countries = columns["age"], columns["country"]
     have_ages = not np.isnan(ages).all()
@@ -341,7 +343,7 @@ def build_assignments(config: AuditConfig, columns: dict,
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
 
     out: dict[str, grouping.GroupAssignment] = {}
-    for scheme in config.resolved_schemes():
+    for scheme in ALL_GROUPING_SCHEMES:
         if scheme == "age_original" and have_ages:
             out[scheme] = grouping.bucket_from_brackets(scheme, ages, gc.age_brackets)
         elif scheme == "age_equal_range" and raw_ages:
@@ -374,39 +376,22 @@ def build_assignments(config: AuditConfig, columns: dict,
     return out
 
 
-def _explainer_columns(columns: dict, assignments: dict[str, grouping.GroupAssignment],
-                       users: np.ndarray) -> dict:
-    """The all-features explainer's columns, one row per user in ``users``:
-    age, usage and pop-index as float64 (NaN where missing); gender, the
-    last id character and the country schemes in the data as assignments."""
-    rows = users.tolist()
-    return {"age": columns["age"][users],
-            "gender": grouping.bucket_categorical(
-                "gender", [columns["gender"][i] for i in rows]),
-            "usage": columns["usage"][users], "pop_index": columns["pop_index"][users],
-            "last_digit": grouping.control_last_digit(
-                "last_digit", [columns["user_id"][i] for i in rows]),
-            **{name: grouping.GroupAssignment(name, assignments[name].labels,
-                                              assignments[name].codes[users])
-               for name in ("country_prevalence", "country_gdp") if name in assignments}}
-
-
-def _explainer_inputs(columns: dict, max_bins: int
+def _explainer_inputs(columns: dict, users: np.ndarray, max_bins: int
                       ) -> tuple[list[ebm.FeatureSpec], Optional[np.ndarray]]:
     """The specs and the (rows, features) bin matrix of the explainer
-    ``columns`` (None if no column is left).  A float64 column gets quantile
-    edges, an assignment one category per label; a column missing in every
-    row is left out."""
+    ``columns``, one row per user in ``users`` (None if no column is left).
+    A float64 column gets quantile edges, an assignment one category per
+    label it uses; a column missing in every row is left out."""
     specs, bins = [], []
     for name, column in columns.items():
         if isinstance(column, grouping.GroupAssignment):
-            codes, labels = column.codes, column.non_na_labels()
+            codes, labels = column.codes[users], column.non_na_labels()
             if (codes < len(labels)).any():
                 specs.append(ebm.categorical_spec(name, codes, labels))
                 bins.append(specs[-1].bin_codes(codes, labels))
-        elif not np.isnan(column).all():
-            specs.append(ebm.bin_numeric(name, column, max_bins=max_bins))
-            bins.append(specs[-1].bin_values(column))
+        elif not np.isnan(values := column[users]).all():
+            specs.append(ebm.bin_numeric(name, values, max_bins=max_bins))
+            bins.append(specs[-1].bin_values(values))
     return specs, np.column_stack(bins) if bins else None
 
 
@@ -433,8 +418,8 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     columns = _user_columns(attributes)
     assignments = build_assignments(config, columns, data.gdp)
 
-    schemes = {name: scheme_result(assignment, means)
-               for name, assignment in assignments.items()}
+    schemes = {name: scheme_result(assignments[name], means)
+               for name in config.resolved_schemes() if name in assignments}
     family = [(name, metric) for name, result in schemes.items()
               for metric in METRICS if result.kw[metric] is not None]
     p_values = [schemes[n].kw[m].p_value for n, m in family]
@@ -450,8 +435,12 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     ebm_model = None
     ebm_importance: list[tuple[str, float]] = []
     if len(tested_users) >= 10:
-        specs, binned = _explainer_inputs(
-            _explainer_columns(columns, assignments, tested_users), config.ebm.max_bins)
+        features = {"age": columns["age"], "gender": assignments["gender"],
+                    "usage": columns["usage"], "pop_index": columns["pop_index"],
+                    "last_digit": assignments["last_digit"],
+                    **{name: assignments[name] for name in
+                       ("country_prevalence", "country_gdp") if name in assignments}}
+        specs, binned = _explainer_inputs(features, tested_users, config.ebm.max_bins)
         if specs:
             ebm_model = ebm.fit_ebm(binned, means["ndcg"][tested_users], specs, config.ebm)
             ebm_importance = ebm.importance(ebm_model, binned)
@@ -459,13 +448,12 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
 
     crosstabs: dict[str, CrossTab] = {}
     for base in ("usage", "popindex"):
-        rows_assignment = assignments.get(base)
-        if rows_assignment is None:
+        if base not in schemes:
             continue
         for name in DEMOGRAPHIC_SCHEMES:
-            cols = assignments.get(name)
-            if cols is not None:
-                crosstabs[f"{base}_by_{name}"] = build_crosstab(rows_assignment, cols)
+            if name in schemes:
+                crosstabs[f"{base}_by_{name}"] = build_crosstab(
+                    schemes[base].assignment, schemes[name].assignment)
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -479,7 +467,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
                                for i in range(config.evaluation.folds)},
         },
         "fold_scheme": config.resolved_fold_scheme(),
-        "schemes": sorted(assignments),
+        "schemes": sorted(schemes),
         "n_tested_users": len(tested_users),
         "bonferroni_family_size": len(family),
     }
@@ -505,8 +493,7 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
             continue
         if len(sample) < 10:
             continue
-        group = grouping.GroupAssignment("group", assignment.labels, assignment.codes[sample])
-        specs, binned = _explainer_inputs({"group": group}, config.ebm.max_bins)
+        specs, binned = _explainer_inputs({"group": assignment}, sample, config.ebm.max_bins)
         model = ebm.fit_ebm(binned, ndcg_means[sample], specs, config.ebm)
         labels = assignment.non_na_labels()
         label_bins = specs[0].bin_codes(np.arange(len(labels)), labels)
@@ -643,7 +630,8 @@ def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
 
 
 def emit_charts(report: AuditReport, out_dir: str | Path) -> list[Path]:
-    """Write one SVG per scheme.  Chart failures warn instead of aborting."""
+    """Write one SVG per scheme.  A chart that cannot be rendered or written
+    fails the emit stage, which keeps the previous outputs (``staging``)."""
     out_dir = Path(out_dir) / "charts"
     out_dir.mkdir(parents=True, exist_ok=True)
     significance = report.config.output.significance
@@ -658,19 +646,16 @@ def emit_charts(report: AuditReport, out_dir: str | Path) -> list[Path]:
             annotation = f"p < {significance:g}"
         else:
             annotation = f"p = {kw.p_value:.3g}"
-        try:
-            svg = render_scheme_chart(
-                scheme=name,
-                labels=labels,
-                counts=[result.counts.get(lab, 0) for lab in labels],
-                means=[result.means["ndcg"].get(lab, 0.0) for lab in labels],
-                ses=[result.ses["ndcg"].get(lab, 0.0) for lab in labels],
-                ebm_scores=[result.ebm_shape.get(lab, 0.0) for lab in labels]
-                if result.ebm_shape else None,
-                p_annotation=annotation)
-            path = out_dir / f"{name}.svg"
-            path.write_text(svg, encoding="utf-8")
-            written.append(path)
-        except Exception as exc:  # charts are best-effort
-            log.warning("chart for %s failed: %s", name, exc)
+        svg = render_scheme_chart(
+            scheme=name,
+            labels=labels,
+            counts=[result.counts.get(lab, 0) for lab in labels],
+            means=[result.means["ndcg"].get(lab, 0.0) for lab in labels],
+            ses=[result.ses["ndcg"].get(lab, 0.0) for lab in labels],
+            ebm_scores=[result.ebm_shape.get(lab, 0.0) for lab in labels]
+            if result.ebm_shape else None,
+            p_annotation=annotation)
+        path = out_dir / f"{name}.svg"
+        path.write_text(svg, encoding="utf-8")
+        written.append(path)
     return written

@@ -45,6 +45,13 @@ def entries(matrix):
             for k in range(int(matrix.indptr[u]), int(matrix.indptr[u + 1]))]
 
 
+def held_items(matrix, fold):
+    """``{test user: held-out item indices}`` of a fold, read through the
+    entry positions that ``assign_holdouts`` records."""
+    return {u: matrix.indices[fold.held[fold.held_ptr[j]:fold.held_ptr[j + 1]]]
+            for j, u in enumerate(fold.test_users)}
+
+
 def hit_positions(ranked, relevant):
     """1-based positions in ``ranked`` of the items in ``relevant``."""
     return [pos for pos, item in enumerate(ranked, start=1) if item in relevant]

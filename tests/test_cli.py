@@ -146,16 +146,43 @@ def test_report_leaves_a_play_total_past_the_float_range_missing(config_file, da
     assert ["N/A", "1"] in usage_rows
 
 
-def test_audit_restricted_to_one_scheme_keeps_every_explainer_feature(config_file, tmp_path):
-    restricted = tmp_path / "usage.ini"
-    restricted.write_text(config_file.read_text() + "\n[grouping]\nschemes = usage\n")
-    assert main(["audit", "--config", str(restricted)]) == 0
-    out_dir = tmp_path / "out"
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["schemes"] == ["usage"]
-    with open(out_dir / "ebm_shapes.csv", newline="") as fh:
-        features = {row["feature"] for row in csv.DictReader(fh)} - {"__intercept__"}
-    assert features == {"age", "gender", "usage", "pop_index", "last_digit"}
+def test_audit_restricted_to_one_scheme_keeps_every_explainer_feature(config_file, dataset_dir,
+                                                                     tmp_path):
+    # the same users with countries and a GDP table: the restricted run's
+    # explainer reads both country schemes, as the auto run's does
+    countries = tmp_path / "countries"
+    countries.mkdir()
+    (countries / "interactions.tsv").write_bytes((dataset_dir / "interactions.tsv").read_bytes())
+    with open(dataset_dir / "profiles.tsv") as src, \
+            open(countries / "profiles.tsv", "w") as dst:
+        for n, line in enumerate(src):
+            fields = line.rstrip("\n").split("\t")
+            fields[3] = ["Aland", "Aland", "Borduria", "Cascadia", "Dorne"][n % 5]
+            dst.write("\t".join(fields) + "\n")
+    (countries / "gdp.csv").write_text("Aland,50000\nBorduria,2000\nCascadia,30000\n")
+    with_countries = config_file.read_text().replace(
+        str(dataset_dir), str(countries)).replace(
+        "[model]", f"gdp_table = {countries / 'gdp.csv'}\n\n[model]")
+    base_features = {"age", "gender", "usage", "pop_index", "last_digit"}
+    for name, text, features in [
+            ("plain", config_file.read_text(), base_features),
+            ("countries", with_countries,
+             base_features | {"country_prevalence", "country_gdp"})]:
+        outputs = {}
+        for schemes in ("usage", "auto"):
+            out_dir = tmp_path / f"out-{name}-{schemes}"
+            ini = tmp_path / f"{name}-{schemes}.ini"
+            ini.write_text(text.replace(str(tmp_path / "out"), str(out_dir))
+                           + f"\n[grouping]\nschemes = {schemes}\n")
+            assert main(["audit", "--config", str(ini)]) == 0
+            outputs[schemes] = [(out_dir / file).read_bytes()
+                                for file in ("ebm_importance.csv", "ebm_shapes.csv")]
+        manifest = json.loads((tmp_path / f"out-{name}-usage" / "manifest.json").read_text())
+        assert manifest["schemes"] == ["usage"]
+        with open(tmp_path / f"out-{name}-usage" / "ebm_shapes.csv", newline="") as fh:
+            shaped = {row["feature"] for row in csv.DictReader(fh)} - {"__intercept__"}
+        assert shaped == features, name
+        assert outputs["usage"] == outputs["auto"], name
 
 
 def test_byte_order_mark_is_ignored(dataset_dir, tmp_path, capsys):

@@ -205,9 +205,14 @@ class TestExplainerInputs:
             rng = np.random.default_rng(derive_seed("explainer-inputs", case))
             attributes, assignments, users = random_attributes(rng, case)
             max_bins = int(rng.integers(2, 9))
-            specs, binned = report._explainer_inputs(
-                report._explainer_columns(report._user_columns(attributes), assignments,
-                                           users), max_bins)
+            columns = report._user_columns(attributes)
+            features = {"age": columns["age"],
+                        "gender": grouping.bucket_categorical("gender", columns["gender"]),
+                        "usage": columns["usage"], "pop_index": columns["pop_index"],
+                        "last_digit": grouping.control_last_digit("last_digit",
+                                                                  columns["user_id"]),
+                        **assignments}
+            specs, binned = report._explainer_inputs(features, users, max_bins)
             rows = naive_ebm_feature_rows(attributes, assignments, users)
             want = naive_ebm_specs(rows, max_bins)
             assert [(s.name, s.kind) for s in specs] == [(s.name, s.kind) for s in want]

@@ -10,10 +10,11 @@ from recaudit.errors import ConfigError, DataError, NumericalError
 from recaudit.evaluation import (Fold, MetricFrame, MetricRow, _held_out_ranks,
                                  _mrr_at, _ndcg_at, _rbp_at,
                                  assign_holdouts, evaluate_fold,
-                                 fold_training_matrix, holdout_split, make_folds)
+                                 fold_training_matrix, make_folds)
 from recaudit.interactions import from_triples
+from recaudit.util import derive_seed
 
-from conftest import entries, hit_positions, random_matrix
+from conftest import entries, held_items, hit_positions, random_matrix
 
 
 class TestMakeFolds:
@@ -58,33 +59,53 @@ class TestMakeFolds:
 
 
 class TestHoldoutSplit:
+    """The per-user split that ``assign_holdouts`` draws, on real folds."""
+
+    @staticmethod
+    def one_user(n_items, seed=5):
+        matrix, user_ids, _ = from_triples(from_rows(
+            [("u", f"i{i}", 1) for i in range(n_items)]))
+        plan = assign_holdouts(make_folds([0], 1, "partition", seed=seed),
+                               matrix, user_ids, fraction=0.2)
+        return matrix, plan.folds[0]
+
     def test_41_items_holds_8(self):
-        items = np.arange(41)
-        train, held = holdout_split(items, 0.2, seed=5)
-        assert len(held) == 8
-        assert len(train) == 33
+        matrix, fold = self.one_user(41)
+        assert len(held_items(matrix, fold)[0]) == 8
+        assert len(fold_training_matrix(matrix, fold).user_items(0)) == 33
 
     def test_minimum_one_held(self):
-        train, held = holdout_split(np.arange(4), 0.2, seed=5)
-        assert len(held) == 1
-        assert len(train) == 3
+        matrix, fold = self.one_user(4)
+        assert len(held_items(matrix, fold)[0]) == 1
+        assert len(fold_training_matrix(matrix, fold).user_items(0)) == 3
 
-    def test_partition_of_input(self):
-        items = np.arange(20) * 3
-        train, held = holdout_split(items, 0.2, seed=6)
-        assert sorted(list(train) + list(held)) == sorted(items)
+    def test_partition_of_input(self, rng):
+        matrix, user_ids, _ = random_matrix(rng, 20, 30, density=0.3)
+        plan = assign_holdouts(make_folds(list(range(20)), 2, "partition", seed=6),
+                               matrix, user_ids, fraction=0.2)
+        for fold in plan.folds:
+            train = fold_training_matrix(matrix, fold)
+            for u, held in held_items(matrix, fold).items():
+                assert sorted(train.user_items(u).tolist() + held.tolist()) == \
+                    matrix.user_items(u).tolist()
 
     def test_determinism_and_seed_sensitivity(self):
-        items = np.arange(100)
-        a = holdout_split(items, 0.2, seed=7)
-        b = holdout_split(items, 0.2, seed=7)
-        c = holdout_split(items, 0.2, seed=8)
-        assert np.array_equal(a[1], b[1])
-        assert not np.array_equal(a[1], c[1])
+        matrix, a = self.one_user(100, seed=7)
+        _, b = self.one_user(100, seed=7)
+        _, c = self.one_user(100, seed=8)
+        assert np.array_equal(a.held, b.held)
+        assert not np.array_equal(a.held, c.held)
+        # the first 20 of a permutation of the row, seeded by (plan seed,
+        # fold index, user id)
+        perm = np.random.default_rng(derive_seed(7, 0, "u")).permutation(100)
+        assert np.array_equal(held_items(matrix, a)[0],
+                              np.sort(matrix.user_items(0)[perm[:20]]))
 
     def test_too_few_items_rejected(self):
-        with pytest.raises(ValueError):
-            holdout_split(np.array([3]), 0.2, seed=0)
+        matrix, fold = self.one_user(1)
+        assert fold.test_users == []
+        assert fold.held.size == 0 and fold.held_ptr.tolist() == [0]
+        assert fold_training_matrix(matrix, fold).nnz == 1
 
 
 class TestMetrics:
@@ -252,8 +273,7 @@ class TestFoldPipeline:
     def test_holdouts_nonempty_subsets(self, rng):
         matrix, _, plan = self.build(rng)
         for fold in plan.folds:
-            for u in fold.test_users:
-                held = fold.holdout[u]
+            for u, held in held_items(matrix, fold).items():
                 assert len(held) >= 1
                 assert set(held) <= set(matrix.user_items(u))
                 assert len(held) < len(matrix.user_items(u))
@@ -263,7 +283,7 @@ class TestFoldPipeline:
         for fold in plan.folds:
             train = fold_training_matrix(matrix, fold)
             train_pairs = {(u, i) for u, i, _ in entries(train)}
-            for u, held in fold.holdout.items():
+            for u, held in held_items(matrix, fold).items():
                 for item in held:
                     assert (u, int(item)) not in train_pairs
 
@@ -271,7 +291,8 @@ class TestFoldPipeline:
         matrix, _, plan = self.build(rng)
         fold = plan.folds[0]
         train = fold_training_matrix(matrix, fold)
-        held_pairs = {(u, int(i)) for u, items in fold.holdout.items() for i in items}
+        held_pairs = {(u, int(i)) for u, items in held_items(matrix, fold).items()
+                      for i in items}
         assert train.nnz == matrix.nnz - len(held_pairs)
 
     def test_training_matrix_matches_per_user_mask(self, rng):
@@ -281,20 +302,21 @@ class TestFoldPipeline:
             matrix, _, _ = random_matrix(rng, n_users, n_items,
                                          density=float(rng.uniform(0.05, 0.6)))
             fold = Fold(index=0, test_users=[])
+            held = []
             # some users get no holdout at all, and trial 0 holds nothing out
             for u in range(matrix.n_users):
-                items = matrix.user_items(u)
+                start, stop = int(matrix.indptr[u]), int(matrix.indptr[u + 1])
                 if trial == 0 or rng.random() < 0.3:
                     continue
-                size = int(rng.integers(1, len(items) + 1))
-                held = rng.choice(items, size=size, replace=False)
-                if rng.random() < 0.2:
-                    # an item the user never had is ignored, as in the loop
-                    absent = np.setdiff1d(np.arange(matrix.n_items), items)
-                    held = np.append(held, absent[:1])
-                fold.holdout[u] = np.sort(held)
+                size = int(rng.integers(1, stop - start + 1))
+                held.append(np.sort(rng.choice(np.arange(start, stop), size=size,
+                                               replace=False)))
                 fold.test_users.append(u)
-            drop = naive_fold_drop_mask(matrix.indptr, matrix.indices, fold.holdout)
+            if held:
+                fold.held = np.concatenate(held)
+            fold.held_ptr = np.cumsum([0] + [len(h) for h in held])
+            drop = naive_fold_drop_mask(matrix.indptr, matrix.indices,
+                                        held_items(matrix, fold))
             expected = matrix.drop_entries(drop)
             train = fold_training_matrix(matrix, fold)
             assert (train.n_users, train.n_items) == (matrix.n_users, matrix.n_items)
@@ -310,8 +332,8 @@ class TestFoldPipeline:
         assign_holdouts(p2, matrix, user_ids, fraction=0.2)
         for f1, f2 in zip(p1.folds, p2.folds):
             assert f1.test_users == f2.test_users
-            for u in f1.test_users:
-                assert np.array_equal(f1.holdout[u], f2.holdout[u])
+            assert np.array_equal(f1.held, f2.held)
+            assert np.array_equal(f1.held_ptr, f2.held_ptr)
 
     def test_user_with_single_item_skipped(self, rng, caplog):
         matrix, user_ids, _ = from_triples(from_rows([("solo", "i0", 1),
@@ -363,8 +385,7 @@ class TestFoldPipeline:
         """Per test user: the whole list from full_sort_top_n, scored by the
         naive metric oracles."""
         out = []
-        for u in fold.test_users:
-            held = fold.holdout[u]
+        for u, held in held_items(matrix, fold).items():
             exclude = (set(np.setdiff1d(matrix.user_items(u), held).tolist())
                        if filter_train else frozenset())
             ranked = full_sort_top_n(model.item_factors @ model.user_factors[u], n, exclude)
@@ -407,7 +428,7 @@ class TestFoldPipeline:
         plan = make_folds(list(range(matrix.n_users)), 1, "partition", seed=5)
         assign_holdouts(plan, matrix, user_ids, fraction=0.2)
         fold = plan.folds[0]
-        assert any(len(fold.holdout[u]) == 1 for u in fold.test_users)
+        assert any(len(held) == 1 for held in held_items(matrix, fold).values())
         model = als.AlsModel(rng.normal(size=(matrix.n_users, 2)),
                              rng.normal(size=(matrix.n_items, 2)),
                              als.AlsHyperparams(factors=2))
@@ -442,8 +463,9 @@ class TestFoldPipeline:
         # deterministic model whose top items are exactly the held-out set
         matrix, user_ids, _ = from_triples(from_rows(
             [("u", f"i{i}", 1) for i in range(10)] + [("v", "i0", 1), ("v", "i1", 1)]))
-        fold = Fold(index=0, test_users=[0],
-                    holdout={0: np.array([0, 1])})
+        # user 0's first two entries, items 0 and 1
+        fold = Fold(index=0, test_users=[0], held=np.array([0, 1]),
+                    held_ptr=np.array([0, 2]))
         hp = als.AlsHyperparams(factors=1, seed=0)
         item_factors = np.linspace(1.0, 0.1, matrix.n_items).reshape(-1, 1)
         model = als.AlsModel(np.ones((matrix.n_users, 1)), item_factors, hp)
@@ -456,7 +478,7 @@ class TestFoldPipeline:
         fold = plan.folds[0]
         u = fold.test_users[0]
         train_items = set(int(i) for i in matrix.user_items(u)) - \
-            set(int(i) for i in fold.holdout[u])
+            set(int(i) for i in held_items(matrix, fold)[u])
         train = fold_training_matrix(matrix, fold)
         model = als.fit(train, als.AlsHyperparams(factors=4, iterations=2, seed=1))
         ranked = full_sort_top_n(model.item_factors @ model.user_factors[u],

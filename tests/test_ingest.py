@@ -219,6 +219,17 @@ class TestGdpTable:
         assert [a.labels[c] for c in a.codes] == ["low", NA_LABEL, "high", "low", NA_LABEL,
                                                   "medium"]
 
+    def test_quoted_fields(self, caplog):
+        # World Bank exports quote their fields; an unquoted comma makes a
+        # third field, and that row is skipped with a warning
+        table = load_gdp_table(lines('"country","gdp"\nAland,50000\n"Korea, Rep.",33000\n'
+                                     '"Borduria","2000"\nCongo, Dem. Rep.,600\n'))
+        assert table.values == {"Aland": 50000.0, "Korea, Rep.": 33000.0,
+                                "Borduria": 2000.0}
+        assert "gdp table line 5: 3 fields, not 2, skipped" in caplog.text
+        with pytest.raises(DataError, match="^gdp table line 2: "):
+            load_gdp_table(lines("Aland,50000\n" + "9" * (1 << 18) + ",1\n"))
+
     def test_byte_order_mark_ignored(self):
         table = load_gdp_table(lines("\ufeffMexico,9926.4\nBrazil,8917.7\n"))
         assert table.lookup("Mexico") == 9926.4

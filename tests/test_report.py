@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import re
 import shutil
@@ -604,11 +605,24 @@ dir = {tmp_path / 'out'}
         def boom(*args, **kwargs):
             raise DataError("chart stage exploded")
 
-        monkeypatch.setattr(report_mod, "emit_charts", boom)
-        with pytest.raises(DataError, match="stage emit"):
-            run_audit(config)
-        # same files, same bytes, and no staging directory left behind
-        assert snapshot() == before
+        render = report_mod.render_scheme_chart
+
+        def no_space_for_gender(**kwargs):
+            if kwargs["scheme"] == "gender":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return render(**kwargs)
+
+        # a rerun under another seed, so that any file it wrote would differ
+        rerun = apply_overrides(config, seed=config.model.seed + 1)
+        for name, replacement, error in [("emit_charts", boom, DataError),
+                                         ("render_scheme_chart", no_space_for_gender,
+                                          ConfigError)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(report_mod, name, replacement)
+                with pytest.raises(error, match="stage emit"):
+                    run_audit(rerun)
+            # same files, same bytes, and no staging directory left behind
+            assert snapshot() == before, name
 
     def test_manifest_moves_last(self, tmp_path, monkeypatch):
         config = self.small_config(tmp_path)
