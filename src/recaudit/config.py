@@ -207,7 +207,7 @@ def load_config(path: Optional[str | Path] = None) -> AuditConfig:
                     except (ValueError, TypeError, KeyError) as exc:
                         raise ConfigError(f"[{name}] {key}: cannot parse {raw!r}") from exc
             sections[name] = replace(getattr(base, name), **values)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return _check(AuditConfig(**sections))
 

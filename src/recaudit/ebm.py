@@ -13,16 +13,17 @@ float for float that of fitting the bags one by one.  Shapes are
 centered to be mass-weighted mean-zero, with the offset folded into the
 intercept, so prediction = intercept + sum of shape lookups.
 
-A fit takes the (rows, features) bin matrix.  ``FeatureSpec`` bins a numeric
-column (float64, NaN where missing) by one searchsorted, and a categorical
-column (codes into a label list; a code past it is missing) by one take.
+A fit takes the (rows, features) bin matrix and one ``FeatureSpec``, a name
+and bin labels, per column.  ``bin_numeric`` bins a numeric column at
+quantile edges and ``bin_categorical`` a coded one by its labels; each
+returns the spec and the bins, and keeps its edges or categories to itself.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,89 +32,56 @@ from .util import derive_seed
 
 log = logging.getLogger(__name__)
 
-KIND_NUMERIC = "numeric"
-KIND_CATEGORICAL = "categorical"
-
 
 @dataclass
 class FeatureSpec:
-    """Binning recipe for one feature.
-
-    Numeric features use strictly increasing interior edges; categorical
-    ones enumerate their categories.  The last bin is always the missing
-    bin, which also absorbs categories unseen at fit time.
-    """
+    """One binned feature: bin b is named ``labels[b]``, and the last bin,
+    ``missing``, holds the missing values."""
 
     name: str
-    kind: str
-    bin_edges: Optional[np.ndarray] = None  # numeric
-    categories: Optional[list] = None  # categorical
+    labels: list[str]
 
     @property
     def n_bins(self) -> int:
-        if self.kind == KIND_NUMERIC:
-            return len(self.bin_edges) + 2  # interior edges + missing bin
-        return len(self.categories) + 1
-
-    @property
-    def missing_bin(self) -> int:
-        return self.n_bins - 1
-
-    def bin_values(self, values: np.ndarray) -> np.ndarray:
-        """The bin of every value of a numeric column (float64, NaN where
-        missing), by one searchsorted."""
-        bins = np.searchsorted(self.bin_edges, values, side="left")
-        bins[np.isnan(values)] = self.missing_bin
-        return bins
-
-    def bin_codes(self, codes: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-        """The bin of every code of a categorical column, by one take:
-        ``codes`` index ``labels``, and a code past them is missing."""
-        index = {category: b for b, category in enumerate(self.categories)}
-        lookup = np.array([index.get(label, self.missing_bin) for label in labels]
-                          + [self.missing_bin])
-        return lookup.take(codes, mode="clip")
-
-    def bin_labels(self) -> list[str]:
-        if self.kind == KIND_CATEGORICAL:
-            return [str(c) for c in self.categories] + ["missing"]
-        edges = [f"{e:g}" for e in self.bin_edges]
-        labels = []
-        prev = "-inf"
-        for e in edges:
-            labels.append(f"({prev}, {e}]")
-            prev = e
-        labels.append(f"({prev}, inf)")
-        labels.append("missing")
-        return labels
+        return len(self.labels)
 
 
-def bin_numeric(name: str, values: Sequence[float], max_bins: int = 64) -> FeatureSpec:
-    """Quantile-based interior edges over the non-missing (non-NaN) values.
-
-    Duplicate edges collapse, so constant data yields a single regular bin.
-    All-missing data keeps just the missing bin, with a warning.
-    """
+def bin_numeric(name: str, values: Sequence[float],
+                max_bins: int = 64) -> tuple[FeatureSpec, np.ndarray]:
+    """The spec and the bin of every value of a numeric column (NaN where
+    missing), at quantile edges over the non-missing values.  Duplicate edges
+    collapse, so constant or all-missing data (which warns) gets one bin."""
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
     values = np.asarray(values, dtype=np.float64)
-    present = values[~np.isnan(values)]
+    missing = np.isnan(values)
+    present = values[~missing]
     if present.size == 0:
         log.warning("feature %s has no non-missing values", name)
-        return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=np.empty(0))
-    qs = np.arange(1, max_bins) / max_bins
-    edges = np.unique(np.quantile(present, qs))
-    # an edge at the maximum would leave the top bin empty
-    edges = edges[edges < present.max()]
-    return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=edges)
+        edges = np.empty(0)
+    else:
+        qs = np.arange(1, max_bins) / max_bins
+        edges = np.unique(np.quantile(present, qs))
+        # an edge at the maximum would leave the top bin empty
+        edges = edges[edges < present.max()]
+    bins = np.searchsorted(edges, values, side="left")
+    bins[missing] = len(edges) + 1
+    cuts = ["-inf"] + [f"{e:g}" for e in edges]
+    labels = [f"({lo}, {hi}]" for lo, hi in zip(cuts, cuts[1:])]
+    return FeatureSpec(name, labels + [f"({cuts[-1]}, inf)", "missing"]), bins
 
 
-def categorical_spec(name: str, codes: np.ndarray, labels: Sequence[str]) -> FeatureSpec:
-    """One category per label that ``codes`` use, sorted; a code past
-    ``labels`` is missing (the ``GroupAssignment`` form, N/A last)."""
+def bin_categorical(name: str, codes: np.ndarray,
+                    labels: Sequence[str]) -> tuple[FeatureSpec, np.ndarray]:
+    """The spec and the bin of every code of a categorical column: one bin
+    per label that ``codes`` use, sorted, and a code past ``labels`` is
+    missing (the ``GroupAssignment`` form, N/A last)."""
     used = np.unique(codes)
-    cats = sorted(labels[code] for code in used[used < len(labels)].tolist())
-    return FeatureSpec(name=name, kind=KIND_CATEGORICAL, categories=cats)
+    categories = sorted(labels[code] for code in used[used < len(labels)].tolist())
+    index = {category: b for b, category in enumerate(categories)}
+    lookup = np.array([index.get(label, len(categories)) for label in labels]
+                      + [len(categories)])
+    return FeatureSpec(name, categories + ["missing"]), lookup.take(codes, mode="clip")
 
 
 @dataclass(frozen=True)

@@ -124,29 +124,32 @@ class MetricFrame:
     def from_csv(cls, path: str | Path) -> "MetricFrame":
         """Read a per-user metrics CSV.  A malformed row, a metric outside
         [0, 1] or a second row for one (user, fold) raises DataError naming
-        the file and line."""
+        the file and line; a file that is not UTF-8 text, naming the file."""
         frame = cls()
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["user_id", "fold", "ndcg", "mrr", "rbp"]:
-                raise ConfigError(f"unexpected metrics CSV header in {path}")
-            seen: set[tuple[str, int]] = set()
-            for rec in reader:
-                where = f"{path} line {reader.line_num}"
-                try:
-                    user_id, fold, ndcg, mrr, rbp = rec
-                    row = MetricRow(user_id, int(fold), float(ndcg), float(mrr),
-                                    float(rbp))
-                except ValueError as exc:
-                    raise DataError(f"malformed metrics row in {where}: {exc}") from exc
-                if not all(0.0 <= v <= 1.0 for v in (row.ndcg, row.mrr, row.rbp)):
-                    raise DataError(f"metric value outside [0, 1] in {where}")
-                if (user_id, row.fold) in seen:
-                    raise DataError(f"second row for user {user_id!r} in fold "
-                                    f"{row.fold} in {where}")
-                seen.add((user_id, row.fold))
-                frame.rows.append(row)
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != ["user_id", "fold", "ndcg", "mrr", "rbp"]:
+                    raise ConfigError(f"unexpected metrics CSV header in {path}")
+                seen: set[tuple[str, int]] = set()
+                for rec in reader:
+                    where = f"{path} line {reader.line_num}"
+                    try:
+                        user_id, fold, ndcg, mrr, rbp = rec
+                        row = MetricRow(user_id, int(fold), float(ndcg), float(mrr),
+                                        float(rbp))
+                    except ValueError as exc:
+                        raise DataError(f"malformed metrics row in {where}: {exc}") from exc
+                    if not all(0.0 <= v <= 1.0 for v in (row.ndcg, row.mrr, row.rbp)):
+                        raise DataError(f"metric value outside [0, 1] in {where}")
+                    if (user_id, row.fold) in seen:
+                        raise DataError(f"second row for user {user_id!r} in fold "
+                                        f"{row.fold} in {where}")
+                    seen.add((user_id, row.fold))
+                    frame.rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"metrics CSV {path} is not UTF-8 text: {exc}") from exc
         return frame
 
 

@@ -86,7 +86,7 @@ class InteractionMatrix:
         new_indptr = np.zeros(self.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n_users), out=new_indptr[1:])
         return InteractionMatrix(self.n_users, self.n_items, new_indptr,
-                                 self.indices[keep].copy(), self.data[keep].copy())
+                                 self.indices[keep], self.data[keep])
 
 
 @dataclass(eq=False)

@@ -11,7 +11,8 @@ A failure names the stage it happened in.  Outputs are written into a
 staging directory and moved into place only once all of them are written,
 so a run that fails before the moves leaves the previous outputs as they
 were; ``manifest.json`` moves last, so one that fails during them leaves
-the previous manifest in place.
+the previous manifest in place.  Before it moves, any output of an earlier
+run that this run did not write is removed.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ MANIFEST = Path("manifest.json")
 # schemes whose buckets describe who the user is, rather than how they consume
 DEMOGRAPHIC_SCHEMES = ("age_original", "age_equal_range", "age_equal_count",
                        "gender", "country_prevalence", "country_gdp")
+
+# every file the emit stage can write but the manifest; a run removes those
+# it did not write, so that no earlier run's output is left beside its own
+EMIT_FILES = tuple(map(Path, [
+    "metrics_per_user.csv", "group_summary.csv", "stats_summary.csv",
+    "ebm_importance.csv", "ebm_solo_importance.csv", "ebm_shapes.csv",
+    *(f"crosstab_{base}_by_{name}.csv" for base in ("usage", "popindex")
+      for name in DEMOGRAPHIC_SCHEMES),
+    *(f"charts/{name}.svg" for name in ALL_GROUPING_SCHEMES)]))
 
 
 @dataclass
@@ -380,19 +390,18 @@ def _explainer_inputs(columns: dict, users: np.ndarray, max_bins: int
                       ) -> tuple[list[ebm.FeatureSpec], Optional[np.ndarray]]:
     """The specs and the (rows, features) bin matrix of the explainer
     ``columns``, one row per user in ``users`` (None if no column is left).
-    A float64 column gets quantile edges, an assignment one category per
-    label it uses; a column missing in every row is left out."""
-    specs, bins = [], []
+    A float64 column is binned at quantile edges, an assignment by the
+    labels it uses; a column missing in every row is left out."""
+    binned = []
     for name, column in columns.items():
         if isinstance(column, grouping.GroupAssignment):
             codes, labels = column.codes[users], column.non_na_labels()
             if (codes < len(labels)).any():
-                specs.append(ebm.categorical_spec(name, codes, labels))
-                bins.append(specs[-1].bin_codes(codes, labels))
+                binned.append(ebm.bin_categorical(name, codes, labels))
         elif not np.isnan(values := column[users]).all():
-            specs.append(ebm.bin_numeric(name, values, max_bins=max_bins))
-            bins.append(specs[-1].bin_values(values))
-    return specs, np.column_stack(bins) if bins else None
+            binned.append(ebm.bin_numeric(name, values, max_bins=max_bins))
+    return ([spec for spec, _ in binned],
+            np.column_stack([bins for _, bins in binned]) if binned else None)
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
@@ -495,9 +504,11 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
             continue
         specs, binned = _explainer_inputs({"group": assignment}, sample, config.ebm.max_bins)
         model = ebm.fit_ebm(binned, ndcg_means[sample], specs, config.ebm)
-        labels = assignment.non_na_labels()
-        label_bins = specs[0].bin_codes(np.arange(len(labels)), labels)
-        result.ebm_shape = dict(zip(labels, model.shapes["group"][label_bins].tolist()))
+        # a label the sample lacks reads the missing bin, the last
+        label_bins = {label: b for b, label in enumerate(specs[0].labels[:-1])}
+        shape = model.shapes["group"].tolist()
+        result.ebm_shape = {label: shape[label_bins.get(label, -1)]
+                            for label in assignment.non_na_labels()}
         result.solo_importance = ebm.importance(model, binned)[0][1]
 
 
@@ -509,28 +520,34 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 @contextmanager
-def staging(out_dir: str | Path):
+def staging(out_dir: str | Path, outputs: Sequence[Path] = ()):
     """A new directory inside ``out_dir`` to write outputs into.
 
     When the block succeeds, each file written there replaces its namesake
-    in ``out_dir``, one ``os.replace`` at a time, and ``manifest.json``
-    moves last: if any move fails, the previous manifest stays, so a
-    current manifest means every file beside it is current.  The
-    directories the files go to are made before any file moves, so an
-    unusable destination fails while the previous outputs are still whole.
-    The staging directory is removed either way.
+    in ``out_dir``, one ``os.replace`` at a time.  Then each file named in
+    ``outputs`` (paths relative to ``out_dir``) that the block did not
+    write is removed, and ``manifest.json`` moves last: if any move or
+    removal fails, the previous manifest stays, so a current manifest means
+    every file beside it is current.  The directories the files go to are
+    made before any file moves, so an unusable destination fails while the
+    previous outputs are still whole.  The staging directory is removed
+    either way.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
         yield tmp
-        files = sorted((p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file()),
-                       key=lambda rel: (rel == MANIFEST, rel))
+        files = sorted(p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file())
         for rel in files:
             (out_dir / rel).parent.mkdir(exist_ok=True)
         for rel in files:
-            os.replace(tmp / rel, out_dir / rel)
+            if rel != MANIFEST:
+                os.replace(tmp / rel, out_dir / rel)
+        for rel in sorted(set(outputs) - set(files)):
+            (out_dir / rel).unlink(missing_ok=True)
+        if MANIFEST in files:
+            os.replace(tmp / MANIFEST, out_dir / MANIFEST)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -538,8 +555,9 @@ def staging(out_dir: str | Path):
 @stage("emit")
 def emit(report: AuditReport, out_dir: str | Path, with_manifest: bool = False) -> None:
     """Write the tables, the charts and optionally ``manifest.json`` into
-    ``out_dir``, through a staging directory."""
-    with staging(out_dir) as tmp:
+    ``out_dir``, through a staging directory; an ``EMIT_FILES`` file that
+    this run does not write is removed."""
+    with staging(out_dir, EMIT_FILES) as tmp:
         emit_tables(report, tmp)
         emit_charts(report, tmp)
         if with_manifest:
@@ -610,9 +628,8 @@ def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
     if report.ebm_model is not None:
         shape_rows = [["__intercept__", "", fmt_float(report.ebm_model.intercept)]]
         for spec in report.ebm_model.specs:
-            labels = spec.bin_labels()
-            for b, score in enumerate(report.ebm_model.shapes[spec.name]):
-                shape_rows.append([spec.name, labels[b], fmt_float(score)])
+            for label, score in zip(spec.labels, report.ebm_model.shapes[spec.name]):
+                shape_rows.append([spec.name, label, fmt_float(score)])
         path = out_dir / "ebm_shapes.csv"
         _write_csv(path, ["feature", "bin", "score"], shape_rows)
         written.append(path)

@@ -68,18 +68,20 @@ def sweep_side(side, model, matrix):
                    hp.regularization, hp.alpha)
 
 
-def ebm_predict(model, row):
+def ebm_predict(model, specs, row):
     """Intercept plus the shape lookup of every feature of one row dict,
-    each value binned by the oracle."""
+    each value binned by the oracle's ``specs``, one per model feature."""
+    assert [s.name for s in specs] == [s.name for s in model.specs]
     total = model.intercept
-    for spec in model.specs:
+    for spec in specs:
         total += model.shapes[spec.name][naive_bin_of(spec, row.get(spec.name))]
     return float(total)
 
 
-def shape_at(model, feature, value):
-    """The shape value of ``feature`` at one value, binned by the oracle."""
-    spec = next(s for s in model.specs if s.name == feature)
+def shape_at(model, specs, feature, value):
+    """The shape value of ``feature`` at one value, binned by the oracle's
+    spec of that name among ``specs``."""
+    spec = next(s for s in specs if s.name == feature)
     return float(model.shapes[feature][naive_bin_of(spec, value)])
 
 

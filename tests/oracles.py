@@ -245,25 +245,46 @@ def naive_ebm_feature_rows(attributes, assignments, users):
     return rows
 
 
+class NaiveSpec:
+    """The oracle's binning of one feature: interior ``edges`` (numeric)
+    or ``categories`` (categorical), then the missing bin."""
+
+    def __init__(self, name, edges=None, categories=None):
+        self.name, self.edges, self.categories = name, edges, categories
+
+    @property
+    def missing_bin(self):
+        return len(self.edges) + 1 if self.edges is not None else len(self.categories)
+
+    @property
+    def labels(self):
+        """The bin names: ``(lo, hi]`` per interval (``(lo, inf)`` last)
+        or the categories as text, then ``missing``."""
+        if self.edges is None:
+            return [str(c) for c in self.categories] + ["missing"]
+        names = []
+        lo = "-inf"
+        for e in self.edges:
+            names.append(f"({lo}, {e:g}]")
+            lo = f"{e:g}"
+        return names + [f"({lo}, inf)", "missing"]
+
+
 def naive_bin_numeric(name, values, max_bins=64):
     """Quantile-based interior edges over the non-missing values."""
-    from recaudit.ebm import KIND_NUMERIC, FeatureSpec
-
     present = np.array([float(v) for v in values if v is not None and not
                         (isinstance(v, float) and np.isnan(v))])
     if present.size == 0:
-        return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=np.empty(0))
+        return NaiveSpec(name, edges=np.empty(0))
     qs = np.arange(1, max_bins) / max_bins
     edges = np.unique(np.quantile(present, qs))
     edges = edges[edges < present.max()]
-    return FeatureSpec(name=name, kind=KIND_NUMERIC, bin_edges=edges)
+    return NaiveSpec(name, edges=edges)
 
 
 def naive_categorical_spec(name, values):
-    from recaudit.ebm import KIND_CATEGORICAL, FeatureSpec
-
     cats = sorted({v for v in values if v is not None}, key=str)
-    return FeatureSpec(name=name, kind=KIND_CATEGORICAL, categories=cats)
+    return NaiveSpec(name, categories=cats)
 
 
 def naive_ebm_specs(rows, max_bins):
@@ -282,17 +303,15 @@ def naive_ebm_specs(rows, max_bins):
 
 
 def naive_bin_of(spec, value):
-    """The bin of one value: the missing bin for None, NaN and a category
-    the spec does not list."""
-    from recaudit.ebm import KIND_NUMERIC
-
+    """The bin of one value under an oracle spec: the missing bin for None,
+    NaN and a category the spec does not list."""
     if value is None:
         return spec.missing_bin
-    if spec.kind == KIND_NUMERIC:
+    if spec.edges is not None:
         v = float(value)
         if np.isnan(v):
             return spec.missing_bin
-        return int(np.searchsorted(spec.bin_edges, v, side="left"))
+        return int(np.searchsorted(spec.edges, v, side="left"))
     return {c: i for i, c in enumerate(spec.categories)}.get(value, spec.missing_bin)
 
 

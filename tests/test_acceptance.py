@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_pop_index, full_sort_top_n, ks_distance_from_uniform,
-                     naive_als_loss, naive_bin_matrix, naive_mrr, naive_ndcg,
-                     naive_per_user_mean, naive_rbp)
+                     naive_als_loss, naive_bin_matrix, naive_bin_numeric, naive_mrr,
+                     naive_ndcg, naive_per_user_mean, naive_rbp)
 from recaudit import als, evaluation
 from recaudit.config import apply_overrides, load_config
 from recaudit.ebm import EbmConfig, _fit_bags, bin_numeric, fit_ebm, importance
@@ -192,10 +192,10 @@ def test_criterion_6_ebm():
 
     rows = [{"x1": float(rng.random()), "x2": float(rng.random())}
             for _ in range(1500)]
-    specs = [bin_numeric("x1", [r["x1"] for r in rows], 16),
-             bin_numeric("x2", [r["x2"] for r in rows], 16)]
-
-    binned = naive_bin_matrix(rows, specs)
+    pairs = [bin_numeric(name, [r[name] for r in rows], 16) for name in ("x1", "x2")]
+    specs, binned = [spec for spec, _ in pairs], np.column_stack([b for _, b in pairs])
+    naive = [naive_bin_numeric(name, [r[name] for r in rows], 16) for name in ("x1", "x2")]
+    assert np.array_equal(binned, naive_bin_matrix(rows, naive))
 
     # constant target
     model = fit_ebm(binned, [2.5] * len(rows), specs, config)
@@ -219,11 +219,14 @@ def test_criterion_6_ebm():
         return float(np.sin(2 * np.pi * r["x1"])) + 4.0 * (r["x2"] - 0.5) ** 2
 
     ys = [f(r) + float(rng.normal(0, 0.05)) for r in rows]
-    specs = [bin_numeric("x1", [r["x1"] for r in rows[:1200]], 32),
-             bin_numeric("x2", [r["x2"] for r in rows[:1200]], 32)]
-    model = fit_ebm(naive_bin_matrix(rows[:1200], specs), ys[:1200], specs, config)
+    pairs = [bin_numeric(name, [r[name] for r in rows[:1200]], 32) for name in ("x1", "x2")]
+    specs = [spec for spec, _ in pairs]
+    model = fit_ebm(np.column_stack([b for _, b in pairs]), ys[:1200], specs, config)
+    # the held-back rows are binned by the oracle at the same edges
+    naive = [naive_bin_numeric(name, [r[name] for r in rows[:1200]], 32)
+             for name in ("x1", "x2")]
     held_y = np.asarray(ys[1200:])
-    pred = np.array([ebm_predict(model, r) for r in rows[1200:]])
+    pred = np.array([ebm_predict(model, naive, r) for r in rows[1200:]])
     r2 = 1 - float(np.sum((held_y - pred) ** 2)) / \
         float(np.sum((held_y - held_y.mean()) ** 2))
     assert r2 > 0.9

@@ -543,6 +543,33 @@ def test_report_malformed_metrics_row_exits_3(config_file, tmp_path, capsys, bad
     assert not out.exists()
 
 
+def run_cli(*argv):
+    """The CLI in a child interpreter, as a user runs it: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(recaudit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "recaudit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stderr
+
+
+def test_report_metrics_not_utf8_exits_3(config_file, tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_bytes(b"user_id,fold,ndcg,mrr,rbp\n1,0,0.5,0.5,0.5\n\xff,0,0.5,0.5,0.5\n")
+    code, err = run_cli("report", "--config", str(config_file), "--metrics", str(metrics),
+                        "--out", str(tmp_path / "rerender"))
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"metrics CSV {metrics} is not UTF-8" in err
+
+
+def test_config_not_utf8_exits_2(config_file, tmp_path):
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("# café\n".encode("latin-1") + config_file.read_bytes())
+    code, err = run_cli("audit", "--config", str(latin1))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert f"cannot parse config {latin1}" in err
+
+
 def test_report_empty_metrics_file_exits_2(config_file, tmp_path, capsys):
     metrics = tmp_path / "metrics.csv"
     metrics.write_text("")

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import naive_bin_matrix
-from recaudit.ebm import (EbmConfig, EbmModel, FeatureSpec, KIND_CATEGORICAL,
-                          _fit_bags, bin_numeric, categorical_spec, fit_ebm,
-                          importance)
+from oracles import naive_bin_matrix, naive_bin_numeric, naive_categorical_spec
+from recaudit.ebm import (EbmConfig, EbmModel, FeatureSpec, _fit_bags, bin_categorical,
+                          bin_numeric, fit_ebm, importance)
 from recaudit.errors import NumericalError
 
 from conftest import ebm_predict as predict
@@ -15,45 +14,50 @@ FAST = EbmConfig(learning_rate=0.05, max_rounds=400, bags=4, patience=30, seed=3
 
 class TestBinNumeric:
     def test_quartile_edges(self):
-        spec = bin_numeric("x", list(range(1, 101)), max_bins=4)
-        expected = np.quantile(np.arange(1, 101), [0.25, 0.5, 0.75])
-        assert np.allclose(spec.bin_edges, expected)
+        values = np.arange(1, 101)
+        spec, bins = bin_numeric("x", values.tolist(), max_bins=4)
+        expected = np.quantile(values, [0.25, 0.5, 0.75])  # 25.75, 50.5, 75.25
+        assert np.array_equal(bins, np.searchsorted(expected, values, side="left"))
+        assert spec.labels == ["(-inf, 25.75]", "(25.75, 50.5]", "(50.5, 75.25]",
+                               "(75.25, inf)", "missing"]
         assert spec.n_bins == 5  # 4 regular + missing
 
     def test_constant_values_single_bin(self):
-        spec = bin_numeric("x", [7.0] * 50, max_bins=8)
-        assert len(spec.bin_edges) == 0
+        spec, bins = bin_numeric("x", [7.0] * 50, max_bins=8)
+        assert spec.labels == ["(-inf, inf)", "missing"]
+        assert not bins.any()
         assert spec.n_bins == 2
 
     def test_skewed_occupancy(self, rng):
         values = rng.exponential(scale=3.0, size=4000).tolist()
-        spec = bin_numeric("x", values, max_bins=8)
-        bins = spec.bin_values(np.asarray(values))
+        spec, bins = bin_numeric("x", values, max_bins=8)
         counts = np.bincount(bins, minlength=spec.n_bins)
         regular = counts[:-1]
         assert all(abs(c - 500) <= 2 for c in regular)  # continuous: no big ties
 
     def test_all_missing_warns(self, caplog):
-        spec = bin_numeric("x", [np.nan, np.nan], max_bins=4)
+        spec, bins = bin_numeric("x", [np.nan, np.nan], max_bins=4)
         assert spec.n_bins == 2
+        assert spec.labels == ["(-inf, inf)", "missing"]
+        assert bins.tolist() == [1, 1]
         assert "no non-missing" in caplog.text
 
     def test_missing_routed_to_missing_bin(self):
-        spec = bin_numeric("x", [1.0, 2.0, 3.0], max_bins=2)
-        bins = spec.bin_values(np.array([np.nan, float("nan"), 1.0]))
-        assert bins[0] == spec.missing_bin
-        assert bins[1] == spec.missing_bin
-        assert bins[2] != spec.missing_bin
+        spec, bins = bin_numeric("x", [np.nan, float("nan"), 1.0, 2.0, 3.0], max_bins=2)
+        assert spec.labels == ["(-inf, 2]", "(2, inf)", "missing"]
+        assert bins[0] == spec.n_bins - 1
+        assert bins[1] == spec.n_bins - 1
+        assert bins[2] != spec.n_bins - 1
 
 
 class TestCategoricalSpec:
     def test_unseen_category_to_missing(self):
         labels = ["a", "b", "zzz"]  # code 3, past the labels, is missing
-        spec = categorical_spec("c", np.array([0, 1, 0, 3]), labels)
-        assert spec.categories == ["a", "b"]
-        zzz, missing, a = spec.bin_codes(np.array([2, 3, 0]), labels)
-        assert zzz == spec.missing_bin
-        assert missing == spec.missing_bin
+        spec, bins = bin_categorical("c", np.array([0, 1, 0, 3]), labels)
+        assert spec.labels == ["a", "b", "missing"]  # zzz, unused, gets no bin
+        assert bins.tolist() == [0, 1, 0, 2]
+        missing, a = bins[3], bins[0]
+        assert missing == spec.n_bins - 1
         assert a == 0
 
 
@@ -68,16 +72,22 @@ def make_rows(rng, n, gen_y, x2_noise=True):
 
 
 def specs_for(rows, max_bins=16):
-    return [bin_numeric("x1", [r["x1"] for r in rows], max_bins),
-            bin_numeric("x2", [r["x2"] for r in rows], max_bins)]
+    """The specs and the bin matrix of x1 and x2 over ``rows``, and the
+    oracle's specs, which bin new values the same way."""
+    naive = [naive_bin_numeric(name, [r[name] for r in rows], max_bins)
+             for name in ("x1", "x2")]
+    pairs = [bin_numeric(name, [r[name] for r in rows], max_bins) for name in ("x1", "x2")]
+    specs, binned = [spec for spec, _ in pairs], np.column_stack([b for _, b in pairs])
+    assert np.array_equal(binned, naive_bin_matrix(rows, naive))
+    return specs, binned, naive
 
 
 class TestFitEbm:
     def test_constant_target(self, rng):
         rows, _ = make_rows(rng, 200, lambda a, b: 0.0)
         ys = [3.25] * 200
-        specs = specs_for(rows)
-        model = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
+        specs, binned, _ = specs_for(rows)
+        model = fit_ebm(binned, ys, specs, FAST)
         assert model.intercept == pytest.approx(3.25, abs=1e-9)
         for shape in model.shapes.values():
             assert np.max(np.abs(shape)) < 1e-6
@@ -86,12 +96,11 @@ class TestFitEbm:
         rows, ys = make_rows(
             rng, 2000, lambda a, b: (2.0 if a > 0.5 else 0.0) - 1.0
             + float(rng.normal(0, 0.1)))
-        specs = specs_for(rows)
-        binned = naive_bin_matrix(rows, specs)
+        specs, binned, naive = specs_for(rows)
         model = fit_ebm(binned, ys, specs, FAST)
         # evaluate away from the step so bin straddling cannot blur it
-        low = shape_at(model, "x1", 0.25)
-        high = shape_at(model, "x1", 0.75)
+        low = shape_at(model, naive, "x1", 0.25)
+        high = shape_at(model, naive, "x1", 0.75)
         assert low == pytest.approx(-1.0, abs=0.1)
         assert high == pytest.approx(1.0, abs=0.1)
         scores = dict(importance(model, binned))
@@ -107,18 +116,17 @@ class TestFitEbm:
         rows, ys = make_rows(rng, 3000, lambda a, b: f(a, b) + float(rng.normal(0, 0.05)))
         train_rows, train_ys = rows[:2400], ys[:2400]
         test_rows, test_ys = rows[2400:], np.array(ys[2400:])
-        specs = specs_for(train_rows, 32)
-        model = fit_ebm(naive_bin_matrix(train_rows, specs), train_ys, specs, FAST)
-        pred = np.array([predict(model, r) for r in test_rows])
+        specs, binned, naive = specs_for(train_rows, 32)
+        model = fit_ebm(binned, train_ys, specs, FAST)
+        pred = np.array([predict(model, naive, r) for r in test_rows])
         ss_res = float(np.sum((test_ys - pred) ** 2))
         ss_tot = float(np.sum((test_ys - test_ys.mean()) ** 2))
         assert 1 - ss_res / ss_tot > 0.9
 
     def test_shapes_mass_weighted_mean_zero(self, rng):
         rows, ys = make_rows(rng, 500, lambda a, b: a * 3 + b)
-        specs = specs_for(rows)
-        model = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
-        binned = naive_bin_matrix(rows, model.specs)
+        specs, binned, _ = specs_for(rows)
+        model = fit_ebm(binned, ys, specs, FAST)
         for j, spec in enumerate(model.specs):
             mass = np.bincount(binned[:, j], minlength=spec.n_bins)
             weighted = float(np.dot(mass / mass.sum(), model.shapes[spec.name]))
@@ -126,17 +134,16 @@ class TestFitEbm:
 
     def test_deterministic_rerun(self, rng):
         rows, ys = make_rows(rng, 300, lambda a, b: a - b)
-        specs = specs_for(rows)
-        m1 = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
-        m2 = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
+        specs, binned, _ = specs_for(rows)
+        m1 = fit_ebm(binned, ys, specs, FAST)
+        m2 = fit_ebm(binned, ys, specs, FAST)
         assert m1.intercept == m2.intercept
         for name in m1.shapes:
             assert np.array_equal(m1.shapes[name], m2.shapes[name])
 
     def test_inbag_loss_monotone_non_increasing(self, rng):
         rows, ys = make_rows(rng, 400, lambda a, b: 2 * a + float(rng.normal(0, 0.2)))
-        specs = specs_for(rows)
-        binned = naive_bin_matrix(rows, specs)
+        specs, binned, _ = specs_for(rows)
         for bag in range(3):
             _, _, losses = _fit_bags(binned, np.asarray(ys), specs, FAST, [bag])[0]
             assert all(later <= earlier + 1e-10
@@ -145,25 +152,29 @@ class TestFitEbm:
     def test_non_finite_target_fatal_with_row(self, rng):
         rows, ys = make_rows(rng, 20, lambda a, b: a)
         ys[7] = float("nan")
-        specs = specs_for(rows)
+        specs, binned, _ = specs_for(rows)
         with pytest.raises(NumericalError, match="row 7"):
-            fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
+            fit_ebm(binned, ys, specs, FAST)
 
     def test_preconditions(self, rng):
         rows, ys = make_rows(rng, 5, lambda a, b: a)
-        specs = specs_for(rows)
+        specs, binned, _ = specs_for(rows)
         with pytest.raises(ValueError):
-            fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)  # too few rows
+            fit_ebm(binned, ys, specs, FAST)  # too few rows
         rows, ys = make_rows(rng, 20, lambda a, b: a)
-        specs = specs_for(rows)
+        specs, binned, _ = specs_for(rows)
         with pytest.raises(ValueError):
             fit_ebm(naive_bin_matrix(rows, []), ys, [], FAST)  # no features
         with pytest.raises(ValueError):
-            fit_ebm(naive_bin_matrix(rows, specs), ys[:-1], specs, FAST)
+            fit_ebm(binned, ys[:-1], specs, FAST)
+
+
+# the oracle's binning of the fixed model's one feature
+FIXED_SPECS = [naive_categorical_spec("f", ["a", "b"])]
 
 
 def fixed_model():
-    spec = FeatureSpec(name="f", kind=KIND_CATEGORICAL, categories=["a", "b"])
+    spec = FeatureSpec(name="f", labels=["a", "b", "missing"])
     shapes = {"f": np.array([0.25, -0.25, 0.0])}
     return EbmModel(intercept=0.5, shapes=shapes, specs=[spec])
 
@@ -172,41 +183,40 @@ class TestPredictAndImportance:
     def test_intercept_only(self):
         model = fixed_model()
         model.shapes["f"] = np.zeros(3)
-        assert predict(model, {"f": "a"}) == 0.5
+        assert predict(model, FIXED_SPECS, {"f": "a"}) == 0.5
 
     def test_hand_summed_fixture(self):
         model = fixed_model()
-        assert predict(model, {"f": "a"}) == 0.75
-        assert predict(model, {"f": "b"}) == 0.25
-        assert predict(model, {"f": "unseen"}) == 0.5  # missing bin
+        assert predict(model, FIXED_SPECS, {"f": "a"}) == 0.75
+        assert predict(model, FIXED_SPECS, {"f": "b"}) == 0.25
+        assert predict(model, FIXED_SPECS, {"f": "unseen"}) == 0.5  # missing bin
 
     def test_exact_additivity(self, rng):
         rows, ys = make_rows(rng, 200, lambda a, b: a * b)
-        specs = specs_for(rows)
-        model = fit_ebm(naive_bin_matrix(rows, specs), ys, specs, FAST)
+        specs, binned, naive = specs_for(rows)
+        model = fit_ebm(binned, ys, specs, FAST)
         row = dict(rows[0])
-        base = predict(model, row)
+        base = predict(model, naive, row)
         moved = dict(row)
         moved["x1"] = rows[1]["x1"]
-        delta_shape = shape_at(model, "x1", moved["x1"]) - \
-            shape_at(model, "x1", row["x1"])
-        assert predict(model, moved) - base == pytest.approx(delta_shape, abs=1e-12)
+        delta_shape = shape_at(model, naive, "x1", moved["x1"]) - \
+            shape_at(model, naive, "x1", row["x1"])
+        assert predict(model, naive, moved) - base == pytest.approx(delta_shape, abs=1e-12)
 
     def test_zero_shape_zero_importance(self):
         model = fixed_model()
         model.shapes["f"] = np.zeros(3)
         assert importance(model, naive_bin_matrix([{"f": "a"}, {"f": "b"}],
-                                                  model.specs)) == [("f", 0.0)]
+                                                  FIXED_SPECS)) == [("f", 0.0)]
 
     def test_binary_equal_mass_importance(self):
         model = fixed_model()
         rows = [{"f": "a"}, {"f": "b"}] * 10
-        assert importance(model, naive_bin_matrix(rows, model.specs)) == [("f", 0.25)]
+        assert importance(model, naive_bin_matrix(rows, FIXED_SPECS)) == [("f", 0.25)]
 
     def test_importance_sorted_descending(self, rng):
         rows, ys = make_rows(rng, 1500, lambda a, b: 3.0 * a + float(rng.normal(0, 0.05)))
-        specs = specs_for(rows)
-        binned = naive_bin_matrix(rows, specs)
+        specs, binned, _ = specs_for(rows)
         model = fit_ebm(binned, ys, specs, FAST)
         ranked = importance(model, binned)
         assert ranked[0][0] == "x1"

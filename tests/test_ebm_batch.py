@@ -5,11 +5,11 @@ explainer specs and bins against the one-dict-per-user oracle."""
 import numpy as np
 import pytest
 
-from oracles import (naive_bin_matrix, naive_bin_of, naive_ebm_feature_rows,
-                     naive_ebm_specs, naive_fit_one_bag)
+from oracles import (NaiveSpec, naive_bin_matrix, naive_bin_numeric, naive_bin_of,
+                     naive_categorical_spec, naive_ebm_feature_rows, naive_ebm_specs,
+                     naive_fit_one_bag)
 from recaudit import grouping, report
-from recaudit.ebm import (KIND_CATEGORICAL, KIND_NUMERIC, EbmConfig, FeatureSpec,
-                          _fit_bags, bin_numeric, categorical_spec)
+from recaudit.ebm import EbmConfig, FeatureSpec, _fit_bags, bin_categorical, bin_numeric
 from recaudit.ingest import GdpTable
 from recaudit.interactions import GENDER_NA, UserAttributes
 from recaudit.util import derive_seed
@@ -24,11 +24,11 @@ def random_problem(rng, n):
                   + float(rng.normal(0, 0.5)) for r in rows])
     labels = ["a", "b", "c"]  # a missing category's code is 3, past the labels
     codes = np.array([3 if r["c"] is None else labels.index(r["c"]) for r in rows])
-    specs = [bin_numeric("x", [np.nan if r["x"] is None else r["x"] for r in rows],
+    pairs = [bin_numeric("x", [np.nan if r["x"] is None else r["x"] for r in rows],
                          int(rng.integers(2, 17))),
              bin_numeric("k", [r["k"] for r in rows], 4),
-             categorical_spec("c", codes, labels)]
-    return naive_bin_matrix(rows, specs), y, specs
+             bin_categorical("c", codes, labels)]
+    return np.column_stack([bins for _, bins in pairs]), y, [spec for spec, _ in pairs]
 
 
 def assert_same_fit(got, want):
@@ -97,7 +97,7 @@ class TestBatchedFitMatchesOracle:
         rng = np.random.default_rng(0)
         binned = rng.integers(0, 2, size=(200, 1))
         y = binned[:, 0] + rng.normal(0, 1.5, size=200)
-        specs = [FeatureSpec(name="f", kind=KIND_CATEGORICAL, categories=["a", "b"])]
+        specs = [FeatureSpec(name="f", labels=["a", "b", "missing"])]
         config = EbmConfig(learning_rate=0.1, max_rounds=5000, bags=8, patience=2, seed=0)
         rounds = fit_and_compare(binned, y, specs, config, range(8))
         assert sum(r > 200 for r in rounds) >= 3
@@ -111,43 +111,51 @@ class TestBatchedFitMatchesOracle:
 
         seed = next(s for s in range(10_000) if covers_every_row(s, 0))
         other = next(b for b in range(1, 100) if not covers_every_row(seed, b))
-        specs = [FeatureSpec(name="f", kind=KIND_CATEGORICAL, categories=["a", "b"]),
-                 FeatureSpec(name="g", kind=KIND_NUMERIC, bin_edges=np.array([0.5]))]
+        specs = [FeatureSpec(name="f", labels=["a", "b", "missing"]),
+                 FeatureSpec(name="g", labels=["(-inf, 0.5]", "(0.5, inf)", "missing"])]
+        naive = [NaiveSpec("f", categories=["a", "b"]), NaiveSpec("g", edges=np.array([0.5]))]
         rows = [{"f": "a", "g": 0.0}, {"f": "b", "g": 1.0},
                 {"f": "a", "g": 1.0}, {"f": None, "g": None}]
         y = np.array([1.0, -0.5, 2.0, 0.25])
         config = EbmConfig(learning_rate=0.3, max_rounds=200, patience=5, seed=seed)
-        fit_and_compare(naive_bin_matrix(rows, specs), y, specs, config, [other, 0])
+        fit_and_compare(naive_bin_matrix(rows, naive), y, specs, config, [other, 0])
 
 
 class TestBinColumn:
     def test_matches_bin_of_cell_by_cell(self):
-        numeric = FeatureSpec(name="x", kind=KIND_NUMERIC,
-                              bin_edges=np.array([0.5, 1.0, 2.0]))
-        empty = bin_numeric("none", [np.nan, np.nan], max_bins=4)
-        labels = ["a", "b", "3", "zzz", "A"]
-        categorical = categorical_spec("c", np.array([0, 1, 2, 5]), labels)
+        # the padding puts the quartile edges at 0.5, 1 and 2, so that the
+        # values on them and between them come out as they did before
         values = [None, float("nan"), 0, 1, 2, 3, True, -1.5, 0.5, 1.0, 2.0,
                   np.float32(1.5), float("inf"), float("-inf"), 2.0000001]
+        values += [0.5, 1.0, 2.0, 3.0] * 5
+        labels = ["a", "b", "3", "zzz", "A"]
         cats = [None, "a", "b", "3", "zzz", "A"]
-        rows = [{"x": v, "none": v, "c": cats[i % len(cats)]}
+        rows = [{"x": v, "constant": None if i % 4 == 0 else 7.0, "c": cats[i % len(cats)]}
                 for i, v in enumerate(values)]
         rows.append({})  # every feature absent
         column = np.array([row.get("x") for row in rows], dtype=np.float64)
+        constant = np.array([row.get("constant") for row in rows], dtype=np.float64)
         codes = np.array([labels.index(row["c"]) if row.get("c") else len(labels)
                           for row in rows])
-        specs = [numeric, empty, categorical]
-        binned = np.column_stack([numeric.bin_values(column), empty.bin_values(column),
-                                  categorical.bin_codes(codes, labels)])
+        pairs = [bin_numeric("x", column, max_bins=4),
+                 bin_numeric("constant", constant, max_bins=4),
+                 bin_categorical("c", codes, labels)]
+        specs = [spec for spec, _ in pairs]
+        binned = np.column_stack([bins for _, bins in pairs])
+        naive = [naive_bin_numeric(name, [row.get(name) for row in rows], max_bins=4)
+                 for name in ("x", "constant")]
+        naive.append(naive_categorical_spec("c", [row.get("c") for row in rows]))
+        assert specs[0].labels == ["(-inf, 0.5]", "(0.5, 1]", "(1, 2]", "(2, inf)",
+                                   "missing"]
+        assert [(s.name, s.labels) for s in specs] == [(s.name, s.labels) for s in naive]
         assert binned.shape == (len(rows), len(specs))
         assert binned.dtype == np.int64
         for i, row in enumerate(rows):
-            for j, spec in enumerate(specs):
+            for j, spec in enumerate(naive):
                 assert binned[i, j] == naive_bin_of(spec, row.get(spec.name)), (i, spec.name)
         # the checks above must reach every kind of bin
-        assert set(binned[:, 0]) == set(range(numeric.n_bins))
-        assert set(binned[:, 1]) == set(range(empty.n_bins))
-        assert set(binned[:, 2]) == set(range(categorical.n_bins))
+        for j, spec in enumerate(specs):
+            assert set(binned[:, j]) == set(range(spec.n_bins)), spec.name
 
 
 def random_attributes(rng, case):
@@ -215,12 +223,8 @@ class TestExplainerInputs:
             specs, binned = report._explainer_inputs(features, users, max_bins)
             rows = naive_ebm_feature_rows(attributes, assignments, users)
             want = naive_ebm_specs(rows, max_bins)
-            assert [(s.name, s.kind) for s in specs] == [(s.name, s.kind) for s in want]
-            for got, expected in zip(specs, want):
-                if got.kind == KIND_NUMERIC:
-                    assert got.bin_edges.tobytes() == expected.bin_edges.tobytes(), case
-                else:
-                    assert got.categories == expected.categories, case
+            assert [(s.name, s.labels) for s in specs] == \
+                [(s.name, s.labels) for s in want], case
             assert binned.dtype == np.int64
             assert np.array_equal(binned, naive_bin_matrix(rows, want)), case
 
@@ -240,8 +244,8 @@ class TestExplainerInputs:
                                                       for a in attributes)),
                     ("value on an edge", any(
                         np.isin([float(r[s.name]) for r in rows if r[s.name] is not None],
-                                s.bin_edges).any()
-                        for s in specs if s.kind == KIND_NUMERIC)),
+                                s.edges).any()
+                        for s in want if s.edges is not None)),
                     ("infinity", any(r["usage"] in (np.inf, -np.inf)
                                      or r["age"] in (np.inf, -np.inf) for r in rows)),
                 ] if hit)

@@ -14,10 +14,12 @@ from oracles import (naive_balanced_sample, naive_crosstab_counts, naive_group_n
                      naive_kw_groups, naive_labels, naive_per_user_mean, nan_column)
 from recaudit import report as report_mod
 from recaudit.config import AuditConfig, apply_overrides, load_config
+from recaudit.ebm import EbmConfig, fit_ebm
 from recaudit.errors import ConfigError, DataError
 from recaudit.evaluation import METRICS, MetricFrame, MetricRow
-from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
-                               bucket_from_brackets, bucket_integer_values)
+from recaudit.grouping import (NA_LABEL, GroupAssignment, balanced_sample,
+                               bucket_categorical, bucket_from_brackets,
+                               bucket_integer_values)
 from recaudit.ingest import RawDataset
 from recaudit.interactions import Triples
 from recaudit.report import _largest_remainder, build_crosstab, run_audit
@@ -409,6 +411,52 @@ class TestAuditEndToEnd:
         assert set(features) == {"age", "gender", "usage", "pop_index", "last_digit"}
 
 
+def test_ebm_shapes_csv_names_every_bin(tmp_path):
+    n = 100
+    country = GroupAssignment("country", ["Peru", "Chile", "Fiji", NA_LABEL],
+                              np.array([0, 1, 3] * 33 + [0]))  # Fiji unused
+    columns = {
+        "usage": np.arange(1.0, n + 1) * 1e6,  # quartile edges 2.575e+07, ...
+        "age": np.where(np.arange(n) % 3 == 0, np.nan, 7.0),  # constant
+        "pop_index": np.full(n, np.nan),  # missing in every row: left out
+        "country": country,
+    }
+    specs, binned = report_mod._explainer_inputs(columns, np.arange(n), max_bins=4)
+    model = fit_ebm(binned, np.linspace(0.0, 1.0, n), specs,
+                    EbmConfig(max_rounds=5, bags=2))
+    audit = report_mod.AuditReport(
+        config=AuditConfig(), frame=MetricFrame(), schemes={}, ebm_importance=[],
+        ebm_model=model, crosstabs={}, manifest={})
+    report_mod.emit_tables(audit, tmp_path)
+    with open(tmp_path / "ebm_shapes.csv", newline="", encoding="utf-8") as fh:
+        named = [(row["feature"], row["bin"]) for row in csv.DictReader(fh)]
+    assert named == [
+        ("__intercept__", ""),
+        ("usage", "(-inf, 2.575e+07]"), ("usage", "(2.575e+07, 5.05e+07]"),
+        ("usage", "(5.05e+07, 7.525e+07]"), ("usage", "(7.525e+07, inf)"),
+        ("usage", "missing"),
+        ("age", "(-inf, inf)"), ("age", "missing"),
+        ("country", "Chile"), ("country", "Peru"), ("country", "missing"),
+    ]
+
+
+def test_solo_run_reads_the_missing_bin_for_a_label_the_sample_lacks(monkeypatch):
+    assignment = GroupAssignment("scheme", ["b", "a", "c", NA_LABEL],
+                                 np.array([0, 1, 2, 3] * 10))
+    tested = np.flatnonzero(assignment.codes != 2)  # no user of c is tested
+    models = []
+    fit = report_mod.ebm.fit_ebm
+    monkeypatch.setattr(report_mod.ebm, "fit_ebm",
+                        lambda *args: models.append(fit(*args)) or models[-1])
+    result = report_mod.SchemeResult(assignment=assignment)
+    report_mod._solo_ebm_runs(AuditConfig(), {"scheme": result}, tested,
+                              np.linspace(0.0, 1.0, 40))
+    (model,) = models
+    assert model.specs[0].labels == ["a", "b", "missing"]
+    shape = model.shapes["group"]
+    assert result.ebm_shape == {"b": shape[1], "a": shape[0], "c": shape[2]}
+
+
 @pytest.fixture(scope="module")
 def country_audit(tmp_path_factory):
     """Hand-built LFM-format dataset with countries and a GDP table."""
@@ -623,6 +671,26 @@ dir = {tmp_path / 'out'}
                     run_audit(rerun)
             # same files, same bytes, and no staging directory left behind
             assert snapshot() == before, name
+
+    def test_narrower_rerun_leaves_only_its_own_outputs(self, tmp_path):
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        config = self.small_config(tmp_path)
+        out = tmp_path / "out"
+        run_audit(config)
+        wide = files(out)
+        (out / "notes.txt").write_text("not an output\n")
+        narrow = replace(config, grouping=replace(config.grouping, schemes=("gender",)))
+        run_audit(narrow)
+        run_audit(apply_overrides(narrow, out=str(tmp_path / "fresh")))
+        fresh = files(tmp_path / "fresh")
+        assert Path("crosstab_usage_by_gender.csv") not in fresh
+        assert set(wide) - set(fresh) >= {Path("charts", "usage.svg"),
+                                          Path("crosstab_usage_by_gender.csv")}
+        assert files(out) == {**fresh, Path("notes.txt"): b"not an output\n"}
+        # the removal list names every output of the wide run
+        assert set(wide) - {report_mod.MANIFEST} <= set(report_mod.EMIT_FILES)
 
     def test_manifest_moves_last(self, tmp_path, monkeypatch):
         config = self.small_config(tmp_path)
