@@ -67,19 +67,20 @@ def init_factors(n: int, k: int, seed: int) -> np.ndarray:
 
 
 def _transpose_csr(m: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Item-major (indptr, user indices, strengths) view of the matrix.
+    """Item-major (indptr, int32 user indices, strengths) view of the matrix.
 
     The stable sort runs on the narrowest integer type that holds every item
     index: numpy radix-sorts keys of 16 bits or fewer (up to 65,536 items),
-    and a stable order is the same whatever the key's type.
+    and a stable order is the same whatever the key's type.  The item counts
+    come first, so the intp copy of the indices that ``np.bincount`` makes
+    is freed before the sort's arrays exist.
     """
+    indptr = np.zeros(m.n_items + 1, dtype=np.int64)
+    np.cumsum(np.bincount(m.indices, minlength=m.n_items), out=indptr[1:])
     order = np.argsort(m.indices.astype(np.min_scalar_type(m.n_items - 1)),
                        kind="stable")
     rows = m.entry_rows()[order]
-    cols = m.indices[order]
     vals = m.data[order]
-    indptr = np.zeros(m.n_items + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=m.n_items), out=indptr[1:])
     return indptr, rows, vals
 
 

@@ -216,9 +216,7 @@ def assign_holdouts(plan: FoldPlan, matrix: InteractionMatrix,
 
 def fold_training_matrix(matrix: InteractionMatrix, fold: Fold) -> InteractionMatrix:
     """Training matrix for one fold: everything except its held-out entries."""
-    drop = np.zeros(matrix.nnz, dtype=bool)
-    drop[fold.held] = True
-    return matrix.drop_entries(drop)
+    return matrix.drop_entries(fold.held)
 
 
 def _ndcg_at(hits: Sequence[int], n_relevant: int, n_ranked: int) -> float:
@@ -308,7 +306,8 @@ def evaluate_fold(model: als.AlsModel, fold: Fold, matrix: InteractionMatrix,
             f"fold {fold.index}: non-finite factors for test user {user_ids[u]}")
     rows = []
     for j, u in enumerate(fold.test_users):
-        held = matrix.indices[fold.held[fold.held_ptr[j]:fold.held_ptr[j + 1]]]
+        # cast once: every use below indexes with it
+        held = matrix.indices[fold.held[fold.held_ptr[j]:fold.held_ptr[j + 1]]].astype(np.intp)
         scores = model.item_factors @ model.user_factors[u]
         if filter_train:
             # exclude the user's items other than the held-out ones

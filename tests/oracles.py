@@ -628,7 +628,7 @@ def naive_csr(rows):
         data.append(cells[(u, i)])
     for u in range(len(user_index)):
         indptr[u + 1] += indptr[u]
-    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int32),
             np.array(data, dtype=np.float64), tuple(user_index), tuple(item_index))
 
 

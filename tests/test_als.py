@@ -53,7 +53,7 @@ class TestConfidence:
 class TestHalfSweep:
     def test_user_without_interactions_gets_zero_row(self):
         m, _, _ = from_triples(from_rows([("u0", "i0", 2), ("u1", "i0", 3)]))
-        trimmed = m.drop_entries(np.array([False, True]))  # u1 loses its row
+        trimmed = m.drop_entries(np.array([1]))  # u1 loses its row
         hp = als.AlsHyperparams(factors=3, regularization=0.5, iterations=1, seed=0)
         model = als.AlsModel(np.full((2, 3), 0.7), np.full((1, 3), 0.4), hp)
         sweep_side("users", model, trimmed)

@@ -116,7 +116,7 @@ USER_SETS = {
 def test_fit_restricted_to_users_matches_full_fit(monkeypatch, iterations, k, users):
     rng = np.random.default_rng([k, iterations, 5])
     m, _, _ = random_matrix(rng, 30, 40, density=0.25)
-    m = m.drop_entries(m.entry_rows() == EMPTY_USER)
+    m = m.drop_entries(np.flatnonzero(m.entry_rows() == EMPTY_USER))
     hp = als.AlsHyperparams(factors=k, iterations=iterations, seed=k)
     full = als.fit(m, hp)
     got = als.fit(m, hp, users)

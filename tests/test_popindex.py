@@ -77,7 +77,7 @@ class TestPopIndex:
 
     def test_user_without_items_rejected(self):
         m, _, _ = from_triples(from_rows([("a", "x", 1), ("b", "x", 1)]))
-        trimmed = m.drop_entries(np.array([False, True]))
+        trimmed = m.drop_entries(np.array([1]))
         # a user with an empty row has no pop-index
         assert pop_indices(trimmed)[1] == -1
 
@@ -129,7 +129,7 @@ class TestPopIndices:
             m, _, _ = random_matrix(rng, 20, 15, density=0.3)
             rows = m.entry_rows()
             emptied = rng.choice(m.n_users, size=5, replace=False)
-            trimmed = m.drop_entries(np.isin(rows, emptied))
+            trimmed = m.drop_entries(np.flatnonzero(np.isin(rows, emptied)))
             assert all(len(trimmed.user_items(u)) == 0 for u in emptied)
             self.check(trimmed)
 
@@ -174,7 +174,7 @@ class TestFillAttributes:
 
     def test_empty_row_left_unset(self):
         m, _, _ = from_triples(from_rows([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)]))
-        trimmed = m.drop_entries(np.array([True, False, False]))
+        trimmed = m.drop_entries(np.array([0]))
         attrs = [UserAttributes("a"), UserAttributes("b")]
         fill_attributes(attrs, trimmed, PROVENANCE_LFM360K)
         assert attrs[0].usage is None and attrs[0].pop_index is None
@@ -206,7 +206,7 @@ class TestFillAttributes:
         for trial in range(8):
             m, user_ids, _ = random_matrix(rng, 30, 20, density=0.3, max_strength=500)
             emptied = rng.choice(m.n_users, size=trial, replace=False)
-            m = m.drop_entries(np.isin(m.entry_rows(), emptied))
+            m = m.drop_entries(np.flatnonzero(np.isin(m.entry_rows(), emptied)))
             attrs = [UserAttributes(uid) for uid in user_ids]
             fill_attributes(attrs, m, provenance)
             for u, attr in enumerate(attrs):

@@ -440,7 +440,7 @@ def test_ebm_shapes_csv_names_every_bin(tmp_path):
     ]
 
 
-def test_solo_run_reads_the_missing_bin_for_a_label_the_sample_lacks(monkeypatch):
+def test_solo_run_scores_no_label_the_sample_lacks(monkeypatch):
     assignment = GroupAssignment("scheme", ["b", "a", "c", NA_LABEL],
                                  np.array([0, 1, 2, 3] * 10))
     tested = np.flatnonzero(assignment.codes != 2)  # no user of c is tested
@@ -454,7 +454,8 @@ def test_solo_run_reads_the_missing_bin_for_a_label_the_sample_lacks(monkeypatch
     (model,) = models
     assert model.specs[0].labels == ["a", "b", "missing"]
     shape = model.shapes["group"]
-    assert result.ebm_shape == {"b": shape[1], "a": shape[0], "c": shape[2]}
+    assert result.ebm_shape == {"b": shape[1], "a": shape[0]}
+    assert "c" not in result.ebm_shape
 
 
 @pytest.fixture(scope="module")

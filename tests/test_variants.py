@@ -9,8 +9,9 @@ explainer settings, run end to end through the verbs in variants:
 
 Every variant audits byte-identically at ``--threads`` 1 and 2 (the corpus
 as it is also at 3), ``evaluate`` writes the audit's metrics, ``report``
-reproduces the audit, and every chart parses as XML.  The corpus and its
-audit are written once per session.
+reproduces the audit, and every chart parses as XML.  Every variant's
+matrices index with int32.  The corpus and its audit are written once per
+session.
 """
 
 import codecs
@@ -23,6 +24,7 @@ import xml.etree.ElementTree as ET
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -31,7 +33,10 @@ except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import recaudit
+from recaudit import als, load_config
 from recaudit.cli import main
+from recaudit.evaluation import assign_holdouts, fold_training_matrix, make_folds
+from recaudit.report import load
 from recaudit.synthetic import generate_planted
 
 CONFIG = Path(__file__).parents[1] / "configs" / "synthetic.ini"
@@ -183,6 +188,20 @@ def test_variant_audits_alike_at_any_threads(variant, corpus, synthetic_audit, t
         assert b'data-label="&quot;"' in audited["charts/last_digit.svg"]
     elif variant == "cold_start":
         assert int(ingest_stats(ini, capsys)["removed users"]) > 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_matrices_index_with_int32(variant, corpus, tmp_path):
+    """The variant's matrix, its fold 0 training matrix and their item-major
+    views hold int32 user and item indices."""
+    ini = write_config(tmp_path / f"{variant}.ini",
+                       *VARIANTS[variant](corpus / "synthetic", tmp_path), tmp_path / "audit")
+    data = load(load_config(ini))
+    plan = make_folds(range(data.matrix.n_users), 5, "partition", seed=0)
+    assign_holdouts(plan, data.matrix, data.user_ids)
+    for m in (data.matrix, fold_training_matrix(data.matrix, plan.folds[0])):
+        assert m.indices.dtype == m.entry_rows().dtype == np.int32
+        assert als._transpose_csr(m)[1].dtype == np.int32
 
 
 @pytest.mark.parametrize("metric", ["ndcg", "mrr", "rbp"])
