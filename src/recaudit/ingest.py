@@ -102,6 +102,20 @@ _WEIGHTS = (2 * np.arange(_HASH_WORDS, dtype=np.uint64) + np.uint64(1)) * np.uin
     0x9E3779B97F4A7C15)
 
 
+class _Numbering(dict):
+    """Field bytes -> the code of the id ``id_of`` decodes them to.  A field
+    is decoded when first met and a new id takes the next code, so ids are
+    numbered in first-seen order and fields that decode alike share one."""
+
+    def __init__(self, id_of):
+        super().__init__()
+        self.id_of, self.ids = id_of, {}  # ids: decoded id -> code
+
+    def __missing__(self, field: bytes) -> int:
+        code = self[field] = self.ids.setdefault(self.id_of(field), len(self.ids))
+        return code
+
+
 def _read_rows(stream: BinaryIO, what: str, parse, id_of) -> tuple[Triples, int]:
     """The rows that ``parse`` finds in ``stream``, read a chunk of whole lines
     at a time, and the number of lines.  Lines end at \\n, \\r\\n or \\r, and
@@ -110,11 +124,10 @@ def _read_rows(stream: BinaryIO, what: str, parse, id_of) -> tuple[Triples, int]
     ``parse(buf, size, before)`` reads the lines in ``buf[:size]``, which
     ``before`` lines precede and ``PAD`` readable bytes follow.  It returns
     their number, the rows user start, user length, item start and item
-    length of the valid rows, and their strengths.  Fields whose bytes give
-    one ``id_of`` are one id."""
-    # per side, field bytes -> code, in order of first position
-    users: dict[bytes, int] = {}
-    items: dict[bytes, int] = {}
+    length of the valid rows, and their strengths.  Each side's ids are
+    numbered by decoded id in first-seen order: a field's bytes are decoded
+    with ``id_of`` when first met, and fields that decode alike share one."""
+    users, items = _Numbering(id_of), _Numbering(id_of)
     # user codes, item codes and strengths, each grown a chunk at a time
     columns = (array("i"), array("i"), array("d"))
     lines = 0
@@ -149,18 +162,8 @@ def _read_rows(stream: BinaryIO, what: str, parse, id_of) -> tuple[Triples, int]
             columns[2].frombytes(strengths.view(np.uint8))
             del buf, bounds, strengths, text[-PAD:], text[:cut]  # a view of text pins it
             lines += n_lines
-    codes = []
-    for column, keys in zip(columns, (users, items)):
-        index: dict = {}
-        remap = np.array([index.setdefault(id_of(key), len(index)) for key in keys],
-                         dtype=np.int64)
-        column = np.frombuffer(column, dtype=np.int32)
-        if len(index) < len(keys):
-            column[:] = remap[column]
-        codes.append((column, list(index)))
-    (user_codes, user_ids), (item_codes, item_ids) = codes
-    strengths = np.frombuffer(columns[2], dtype=np.float64)
-    return Triples(user_codes, item_codes, strengths, user_ids, item_ids), lines
+    user_codes, item_codes, strengths = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    return Triples(user_codes, item_codes, strengths, list(users.ids), list(items.ids)), lines
 
 
 def parse_lfm_interactions(stream: BinaryIO) -> tuple[Triples, int]:
@@ -201,10 +204,12 @@ def _parse_chunk(buf: np.ndarray, size: int, _before: int) -> tuple[int, np.ndar
     return n_lines, bounds[1:5, keep], strengths[keep]
 
 
-def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int32 code in ``keys`` of each field ``buf[s:s + n]`` (n >= 1), adding
-    the unseen ones in position order.  ``buf`` has ``PAD`` readable bytes
-    past its last field.
+def _codes(keys: _Numbering, buf: np.ndarray, starts: np.ndarray,
+           lengths: np.ndarray) -> np.ndarray:
+    """The int32 code in ``keys`` of each field ``buf[s:s + n]`` (n >= 1):
+    fields met for the first time are decoded in position order, so their
+    ids are numbered in first-seen order.  ``buf`` has ``PAD`` readable
+    bytes past its last field.
 
     A field whose words and length equal those of the first field of its
     hash group takes that field's code; any other field (a group's first,
@@ -230,7 +235,7 @@ def _codes(keys: dict, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray)
     looked = np.flatnonzero(alone)
     data = buf.data
     code = np.empty(starts.size, dtype=np.int32)
-    code[looked] = [keys.setdefault(data[s:s + n].tobytes(), len(keys))
+    code[looked] = [keys[data[s:s + n].tobytes()]
                     for s, n in zip(starts[looked].tolist(), lengths[looked].tolist())]
     return np.where(alone, code, code[head])
 

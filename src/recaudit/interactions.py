@@ -3,9 +3,14 @@ and dataset statistics.
 
 Parsed rows are ``Triples``, columns of int32 codes.  The interaction
 matrix is stored CSR-style (indptr/indices/data) with dense contiguous
-indices assigned in first-seen order; a tuple of ids in that order names
-each side's rows or columns.  It is immutable after construction and safe
-to share across parallel readers.
+indices; a tuple of ids in index order names each side's rows or columns.
+It is immutable after construction and safe to share across parallel
+readers.
+
+One numbering rule holds on both sides: ids are numbered by decoded id in
+first-seen order.  The parsers number ids as they read them, and a matrix
+built from filtered rows renumbers the ids its rows hold by first row, in
+one linear pass.
 
 ``indptr`` is int64, ``indices`` int32 and ``data`` float64, so the matrix
 holds 12 bytes per stored entry plus 8 per row.  int32 indices cannot
@@ -118,28 +123,16 @@ class Triples:
 
 
 def _first_seen(codes: np.ndarray, ids: list) -> tuple[np.ndarray, tuple]:
-    """``codes`` renumbered 0, 1, ... in order of first appearance, and
-    their ids in that order."""
-    if _numbered_in_first_seen_order(codes, len(ids)):
-        seen_ids = tuple(ids)
-    else:
-        seen, first = np.unique(codes, return_index=True)
-        seen = seen[np.argsort(first)]
-        renumber = np.empty(len(ids), dtype=np.int32)
-        renumber[seen] = np.arange(seen.size)
-        codes = renumber[codes]
-        seen_ids = tuple(ids[c] for c in seen.tolist())
-    return codes, seen_ids
-
-
-def _numbered_in_first_seen_order(codes: np.ndarray, n_ids: int) -> bool:
-    """Whether ``codes`` hold every code below ``n_ids``, each first
-    appearing after every smaller one, as parsing numbers them."""
-    if not codes.size:
-        return n_ids == 0
-    top = np.maximum.accumulate(codes)
-    # the running maximum starts at 0 and never skips a code
-    return bool(codes[0] == 0 and top[-1] == n_ids - 1 and np.all(np.diff(top) <= 1))
+    """``codes`` renumbered 0, 1, ... in order of first appearance, as
+    int64, and their ids in that order, in one linear pass over the rows:
+    each code's first row is the least row that holds it."""
+    codes = codes.astype(np.intp)  # numpy indexes fastest by intp
+    first = np.full(len(ids), codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    seen = codes[np.sort(first[first < codes.size])]
+    renumber = np.empty(len(ids), dtype=np.int64)
+    renumber[seen] = np.arange(seen.size)
+    return renumber[codes], tuple(map(ids.__getitem__, seen.tolist()))
 
 
 def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
@@ -160,7 +153,7 @@ def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
     if users.size:
         # sort by the (user, item) key, stably, then merge duplicate cells
         # by summing runs in row order
-        keys = users.astype(np.int64)
+        keys = users  # a new int64 array, scaled in place
         keys *= n_items
         keys += items
         del users, items

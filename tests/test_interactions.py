@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_rows
-from recaudit.interactions import from_triples, stats
+from oracles import from_rows, naive_csr
+from recaudit.interactions import Triples, from_triples, stats
 
-from conftest import entries
+from conftest import entries, triple_rows
 
 
 def test_empty_input():
@@ -86,6 +86,36 @@ def test_round_trip_multiset(triples):
         merged[(uid, iid)] = merged.get((uid, iid), 0) + s
     rebuilt = {(user_ids[u], item_ids[i]): s for u, i, s in entries(m)}
     assert rebuilt == {k: float(v) for k, v in merged.items()}
+
+
+@st.composite
+def coded_triples(draw):
+    """``Triples`` built directly, not as the parsers number them: ids in
+    any order, some that no row holds, code gaps, repeated cells and
+    non-positive strengths, down to zero rows."""
+    user_ids = draw(st.lists(st.text(max_size=2), unique=True, max_size=6))
+    item_ids = draw(st.lists(st.integers(-3, 9), unique=True, max_size=6))
+    rows = draw(st.lists(st.tuples(st.integers(0, max(len(user_ids) - 1, 0)),
+                                   st.integers(0, max(len(item_ids) - 1, 0)),
+                                   st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0])),
+                         max_size=30 if user_ids and item_ids else 0))
+    users, items, strengths = zip(*rows) if rows else ((), (), ())
+    return Triples(np.array(users, dtype=np.int32), np.array(items, dtype=np.int32),
+                   np.array(strengths, dtype=np.float64), user_ids, item_ids)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coded_triples())
+def test_from_triples_matches_oracle_on_any_coding(triples):
+    """However the rows are coded, the matrix and its ids are those of the
+    decoded rows: ids renumbered in first-seen order among the rows with a
+    positive strength."""
+    m, user_ids, item_ids = from_triples(triples)
+    indptr, indices, data, want_user_ids, want_item_ids = naive_csr(triple_rows(triples))
+    for got, want in ((m.indptr, indptr), (m.indices, indices), (m.data, data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (user_ids, item_ids) == (want_user_ids, want_item_ids)
+    assert (m.n_users, m.n_items) == (len(user_ids), len(item_ids))
 
 
 def test_indices_in_range(small_random_matrix):

@@ -227,6 +227,33 @@ def test_invalid_bytes_that_decode_alike_are_one_id():
     assert triples.items.tolist() == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("provenance, data, user_ids, users", [
+    ("lfm", b"\xff7\tm\tN\t1\nx\tm\tN\t2\n\xfe7\tn\tN\t3\nx\tn\tN\t4\n",
+     ["\ufffd7", "x"], [0, 1, 0, 1]),
+    ("ml1m", b"007::1::3::0\n8::1::3::0\n7::2::3::0\n+8::2::3::0\n", [7, 8], [0, 1, 0, 1]),
+])
+def test_ids_that_decode_alike_share_a_code_across_chunks(provenance, data, user_ids, users):
+    """A byte form first met in a later chunk takes the code its decoded id
+    got in an earlier one, and ids keep their first-seen order."""
+    calls = []
+    codes = ingest._codes
+
+    def counted(*args):  # keeps no argument: a view of the read buffer would pin it
+        calls.append(None)
+        return codes(*args)
+
+    with mock.patch.object(ingest, "_CHUNK_BYTES", 4), \
+            mock.patch.object(ingest, "_codes", counted):
+        if provenance == "lfm":
+            triples, _ = ingest.parse_lfm_interactions(io.BytesIO(data))
+        else:
+            triples = ingest.parse_ml1m(io.BytesIO(data), []).triples
+    assert len(calls) == 2 * 4  # each line its own chunk, coded per side
+    assert triples.user_ids == user_ids
+    assert triples.users.tolist() == users
+    assert triples.items.tolist() == [0, 0, 1, 1]
+
+
 def test_ids_longer_than_any_word_group():
     ids = [b"a" * n for n in (1, 7, 8, 9, 63, 64, 65, 200, 1000)] + [b"b" * 1000]
     data = b"".join(user + b"\t" + artist + b"\tN\t1\n"
