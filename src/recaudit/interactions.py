@@ -152,7 +152,8 @@ def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
     n_items = len(item_ids)
     if users.size:
         # sort by the (user, item) key, stably, then merge duplicate cells
-        # by summing runs in row order
+        # by summing runs in row order; with no duplicate there is nothing
+        # to merge
         keys = users  # a new int64 array, scaled in place
         keys *= n_items
         keys += items
@@ -164,10 +165,12 @@ def from_triples(triples: Triples) -> tuple[InteractionMatrix, tuple, tuple]:
         first = np.empty(keys.size, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        values = np.add.reduceat(values, starts)
-        keys = keys[starts]
-        del first, starts
+        if not first.all():
+            starts = np.flatnonzero(first)
+            values = np.add.reduceat(values, starts)
+            keys = keys[starts]
+            del starts
+        del first
     else:
         keys = np.empty(0, dtype=np.int64)
     # row u's merged keys are those in [u * n_items, (u + 1) * n_items), and

@@ -510,13 +510,6 @@ def _solo_ebm_runs(config: AuditConfig, schemes: dict[str, SchemeResult],
         result.solo_importance = ebm.importance(model, binned)[0][1]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @contextmanager
 def staging(out_dir: str | Path, outputs: Sequence[Path] = ()):
     """A new directory inside ``out_dir`` to write outputs into.
@@ -566,13 +559,11 @@ def emit(report: AuditReport, out_dir: str | Path, with_manifest: bool = False) 
 def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
     """Write the CSV outputs; returns the paths written."""
     out_dir = Path(out_dir)
-    written = []
-
     path = out_dir / "metrics_per_user.csv"
     report.frame.to_csv(path)
-    written.append(path)
+    written = [path]
 
-    summary_rows = []
+    summary_rows, stats_rows = [], []
     for name in sorted(report.schemes):
         result = report.schemes[name]
         for label in result.assignment.labels:
@@ -584,15 +575,6 @@ def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
                 row.append(fmt_float(mean) if mean is not None else "")
                 row.append(fmt_float(se) if se is not None else "")
             summary_rows.append(row)
-    path = out_dir / "group_summary.csv"
-    _write_csv(path, ["scheme", "group", "n_users", "n_tested",
-                      "mean_ndcg", "se_ndcg", "mean_mrr", "se_mrr",
-                      "mean_rbp", "se_rbp"], summary_rows)
-    written.append(path)
-
-    stats_rows = []
-    for name in sorted(report.schemes):
-        result = report.schemes[name]
         for metric in METRICS:
             kw = result.kw.get(metric)
             if kw is None:
@@ -603,43 +585,43 @@ def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
                                    fmt_float(kw.p_value),
                                    fmt_float(result.p_adjusted[metric]),
                                    len(kw.group_sizes)])
-    path = out_dir / "stats_summary.csv"
-    _write_csv(path, ["scheme", "metric", "H", "df", "p", "p_bonferroni",
-                      "n_groups"], stats_rows)
-    written.append(path)
 
     imp_rows = [[feat, fmt_float(value), rank + 1]
                 for rank, (feat, value) in enumerate(report.ebm_importance)]
-    path = out_dir / "ebm_importance.csv"
-    _write_csv(path, ["feature", "importance", "rank"], imp_rows)
-    written.append(path)
-
     solo = [(name, res.solo_importance) for name, res in report.schemes.items()
             if res.solo_importance is not None]
     solo.sort(key=lambda pair: (-pair[1], pair[0]))
     solo_rows = [[name, fmt_float(value), rank + 1]
                  for rank, (name, value) in enumerate(solo)]
-    path = out_dir / "ebm_solo_importance.csv"
-    _write_csv(path, ["feature", "importance", "rank"], solo_rows)
-    written.append(path)
-
+    # file name -> (header, rows), written in this order
+    tables = {
+        "group_summary.csv": (["scheme", "group", "n_users", "n_tested",
+                               "mean_ndcg", "se_ndcg", "mean_mrr", "se_mrr",
+                               "mean_rbp", "se_rbp"], summary_rows),
+        "stats_summary.csv": (["scheme", "metric", "H", "df", "p", "p_bonferroni",
+                               "n_groups"], stats_rows),
+        "ebm_importance.csv": (["feature", "importance", "rank"], imp_rows),
+        "ebm_solo_importance.csv": (["feature", "importance", "rank"], solo_rows),
+    }
     if report.ebm_model is not None:
         shape_rows = [["__intercept__", "", fmt_float(report.ebm_model.intercept)]]
         for spec in report.ebm_model.specs:
             for label, score in zip(spec.labels, report.ebm_model.shapes[spec.name]):
                 shape_rows.append([spec.name, label, fmt_float(score)])
-        path = out_dir / "ebm_shapes.csv"
-        _write_csv(path, ["feature", "bin", "score"], shape_rows)
-        written.append(path)
-
+        tables["ebm_shapes.csv"] = (["feature", "bin", "score"], shape_rows)
     for name in sorted(report.crosstabs):
         tab = report.crosstabs[name]
-        header = ["bucket"] + [str(c) for c in tab.col_labels]
         rows = [[row] + [tab.percentages[col][row] for col in tab.col_labels]
                 for row in tab.row_labels]
         rows.append(["n_users"] + [tab.col_totals[col] for col in tab.col_labels])
-        path = out_dir / f"crosstab_{name}.csv"
-        _write_csv(path, header, rows)
+        tables[f"crosstab_{name}.csv"] = (["bucket"] + [str(c) for c in tab.col_labels], rows)
+
+    for file_name, (header, rows) in tables.items():
+        path = out_dir / file_name
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         written.append(path)
     return written
 

@@ -2,6 +2,8 @@
 
 Implements mid-rank assignment, the tie-corrected Kruskal-Wallis H test
 with a chi-square reference distribution, and Bonferroni correction.
+A pooled sample is sorted once: the ranks and the tie runs that the
+correction counts both come from that one stable sort.
 The test's df is always an integer (groups - 1), so the chi-square tail
 is summed in closed form; its relative error stays below 1e-12 for
 p-values down to 1e-290.
@@ -30,10 +32,13 @@ class KwResult:
     group_sizes: tuple[int, ...]
 
 
-def rank_mid(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks with tied values receiving the mean of their rank span.
+def rank_mid(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with tied values receiving the mean of their rank span,
+    and the length of each run of equal values in ascending order of value,
+    both from one stable sort.
 
-    The rank sum is always n(n+1)/2 exactly.
+    The rank sum is always n(n+1)/2 exactly.  -0.0 ties 0.0, and each NaN
+    is a run of its own after every number, in input order.
     """
     arr = np.asarray(values, dtype=np.float64)
     n = arr.shape[0]
@@ -50,7 +55,7 @@ def rank_mid(values: Sequence[float]) -> np.ndarray:
     run_id = np.cumsum(first) - 1
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = mid_ranks[run_id]
-    return ranks
+    return ranks, ends - starts
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -104,10 +109,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> KwResult:
     if not np.isfinite(pooled).all():
         raise ValueError("kruskal_wallis values must be finite")
     df = len(groups) - 1
-    ranks = rank_mid(pooled)
-
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_sum = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts))
+    ranks, runs = rank_mid(pooled)
+    tie_sum = float(np.sum(runs.astype(np.float64) ** 3 - runs))
     correction = 1.0 - tie_sum / (n_total ** 3 - n_total)
     if correction <= 0.0:
         # all values identical: no evidence of any difference

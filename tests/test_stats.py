@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,25 +15,40 @@ from recaudit.stats import test_grouping as kw_test_grouping  # avoid pytest col
 
 class TestRankMid:
     def test_distinct_values(self):
-        assert list(rank_mid([10, 20, 30])) == [1, 2, 3]
+        assert list(rank_mid([10, 20, 30])[0]) == [1, 2, 3]
 
     def test_pair_tie(self):
-        assert list(rank_mid([5, 5])) == [1.5, 1.5]
+        assert list(rank_mid([5, 5])[0]) == [1.5, 1.5]
 
     def test_matches_naive(self, rng):
         for _ in range(50):
             values = rng.integers(0, 10, size=int(rng.integers(1, 40))).tolist()
-            assert list(rank_mid(values)) == naive_rank_mid(values)
+            assert list(rank_mid(values)[0]) == naive_rank_mid(values)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=60))
     def test_rank_sum_identity(self, values):
         n = len(values)
-        assert sum(rank_mid(values)) == pytest.approx(n * (n + 1) / 2, abs=1e-9)
+        assert sum(rank_mid(values)[0]) == pytest.approx(n * (n + 1) / 2, abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_mid([])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, -1.5, 2.0, 3.25]), min_size=1, max_size=60))
+    def test_runs_are_the_tie_counts_in_ascending_order(self, values):
+        ranks, runs = rank_mid(values)
+        assert list(ranks) == naive_rank_mid(values)
+        # -0.0 == 0.0, so both count in one key
+        counts = Counter(values)
+        assert runs.tolist() == [counts[v] for v in sorted(counts)]
+        assert int(runs.sum()) == len(values)
+
+    def test_each_nan_is_a_run_of_its_own_after_every_number(self):
+        ranks, runs = rank_mid([2.0, math.nan, 1.0, math.nan])
+        assert ranks.tolist() == [2.0, 3.0, 1.0, 4.0]
+        assert runs.tolist() == [1, 1, 1, 1]
 
 
 class TestChi2Sf:
