@@ -106,7 +106,9 @@ def _sweep(this: np.ndarray, other: np.ndarray, indptr: np.ndarray,
     if rows is None:
         order = np.argsort(degrees, kind="stable")
     else:
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        marked = np.zeros(this.shape[0], dtype=bool)
+        marked[np.asarray(rows, dtype=np.int64)] = True
+        rows = np.flatnonzero(marked)
         order = rows[np.argsort(degrees[rows], kind="stable")]
     sorted_degrees = degrees[order]
     bounds = np.append(np.flatnonzero(np.diff(sorted_degrees, prepend=-1)), order.size)
@@ -153,7 +155,8 @@ def fit(interactions: InteractionMatrix, hyperparams: AlsHyperparams,
     if interactions.nnz == 0:
         raise DataError("cannot fit ALS on an empty interaction matrix")
     k = hyperparams.factors
-    item_factors = init_factors(interactions.n_items, k, hyperparams.seed)
+    # the first item half-sweep writes every item row before any is read
+    item_factors = np.empty((interactions.n_items, k))
     user_factors = init_factors(interactions.n_users, k, hyperparams.seed + 1)
     model = AlsModel(user_factors, item_factors, hyperparams)
 

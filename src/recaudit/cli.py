@@ -131,10 +131,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _load(args)
+    # a bad path fails before any ingest; the rows are read after load's peak
+    with report.stage("metrics"), open(args.metrics, "rb"):
+        pass
+    data = report.load(config)
     with report.stage("metrics"):
         frame = evaluation.MetricFrame.from_csv(args.metrics)
-    report.emit(report.rebuild_report(config, frame, report.load(config)),
-                config.output.dir)
+    report.emit(report.rebuild_report(config, frame, data), config.output.dir)
     print(f"re-rendered report into {config.output.dir}")
     return 0
 

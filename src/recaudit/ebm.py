@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .util import derive_seed
+from .util import derive_seed, distinct_sorted
 
 log = logging.getLogger(__name__)
 
@@ -60,10 +60,18 @@ def bin_numeric(name: str, values: Sequence[float],
         log.warning("feature %s has no non-missing values", name)
         edges = np.empty(0)
     else:
-        qs = np.arange(1, max_bins) / max_bins
-        edges = np.unique(np.quantile(present, qs))
-        # an edge at the maximum would leave the top bin empty
-        edges = edges[edges < present.max()]
+        # np.quantile's linear rule, step for step, on one sorted copy
+        ordered = np.sort(present)
+        at = (ordered.size - 1) * (np.arange(1, max_bins) / max_bins)
+        lo = at.astype(np.intp)  # at >= 0, so this is its floor
+        t = at - lo
+        a, b = ordered[lo], ordered[np.minimum(lo + 1, ordered.size - 1)]
+        edges = a + (b - a) * t
+        np.subtract(b, (b - a) * (1 - t), out=edges, where=t >= 0.5)
+        # an edge at the maximum would leave the top bin empty; a NaN edge
+        # (interpolated between infinities) fails the test too
+        edges = distinct_sorted(edges)
+        edges = edges[edges < ordered[-1]]
     bins = np.searchsorted(edges, values, side="left")
     bins[missing] = len(edges) + 1
     cuts = ["-inf"] + [f"{e:g}" for e in edges]
@@ -76,7 +84,7 @@ def bin_categorical(name: str, codes: np.ndarray,
     """The spec and the bin of every code of a categorical column: one bin
     per label that ``codes`` use, sorted, and a code past ``labels`` is
     missing (the ``GroupAssignment`` form, N/A last)."""
-    used = np.unique(codes)
+    used = np.flatnonzero(np.bincount(codes))
     categories = sorted(labels[code] for code in used[used < len(labels)].tolist())
     index = {category: b for b, category in enumerate(categories)}
     lookup = np.array([index.get(label, len(categories)) for label in labels]

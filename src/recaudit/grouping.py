@@ -21,7 +21,7 @@ import numpy as np
 
 from .ingest import GdpTable
 from .interactions import UserId
-from .util import derive_seed
+from .util import derive_seed, distinct_sorted
 
 log = logging.getLogger(__name__)
 
@@ -241,7 +241,7 @@ def bucket_integer_values(name: str, values: np.ndarray,
     """One group per raw integer value, merging everything >= merge_at
     into a single top group (pop-index presentation).
     """
-    seen = np.unique(values[values < merge_at])
+    seen = distinct_sorted(values[values < merge_at])
     codes = np.where(values >= merge_at, len(seen), np.searchsorted(seen, values))
     return _finish(name, np.where(np.isnan(values), len(seen) + 1, codes),
                    [str(int(v)) for v in seen.tolist()] + [f"{merge_at}+"])

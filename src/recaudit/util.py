@@ -1,8 +1,10 @@
-"""Small shared helpers: stable seed derivation and float formatting."""
+"""Small shared helpers: seed derivation, float formatting, distinct values."""
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 
 def derive_seed(*parts) -> int:
@@ -23,3 +25,13 @@ def derive_seed(*parts) -> int:
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form, identical on every run."""
     return repr(float(x))
+
+
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for an array without NaN, as one sort keeping the
+    first of each run of equal values: under numpy 2.x a plain ``np.unique``
+    imports ``numpy.ma``, which no verb needs."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]

@@ -199,6 +199,24 @@ class TestFit:
         assert np.array_equal(a.user_factors, b.user_factors)
         assert np.array_equal(a.item_factors, b.item_factors)
 
+    def test_item_init_is_never_read(self, rng):
+        # the first item half-sweep solves every item row, or zeroes it when
+        # the item has no entries, so any item init gives the fit's bytes
+        full, _, _ = random_matrix(rng, 25, 30, density=0.2)
+        m = full.drop_entries(np.flatnonzero(full.indices == 0))  # item 0 empty
+        hp = als.AlsHyperparams(factors=5, iterations=3, seed=4)
+        fitted = als.fit(m, hp)
+        for item_init in (als.init_factors(m.n_items, 5, hp.seed),
+                          np.full((m.n_items, 5), np.nan)):
+            model = als.AlsModel(als.init_factors(m.n_users, 5, hp.seed + 1),
+                                 item_init, hp)
+            for _ in range(hp.iterations):
+                sweep_side("items", model, m)
+                sweep_side("users", model, m)
+            assert model.item_factors.tobytes() == fitted.item_factors.tobytes()
+            assert model.user_factors.tobytes() == fitted.user_factors.tobytes()
+        assert not fitted.item_factors[0].any()
+
     def test_factors_finite(self, rng):
         m, _, _ = random_matrix(rng, 20, 20, density=0.2)
         model = als.fit(m, als.AlsHyperparams(factors=5, iterations=3, seed=2))

@@ -513,6 +513,36 @@ def test_report_missing_metrics_exits_2(config_file, tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.fixture()
+def gone_dataset_config(config_file, tmp_path):
+    """The audit config with its interactions file missing (a data error)."""
+    ini = tmp_path / "no-data.ini"
+    ini.write_text(config_file.read_text().replace(
+        "interactions = ", f"interactions = {tmp_path / 'gone.tsv'}\n# was "))
+    return ini
+
+
+def test_report_missing_metrics_is_reported_before_a_bad_dataset(gone_dataset_config,
+                                                                 tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert main(["report", "--config", str(gone_dataset_config),
+                 "--metrics", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "stage metrics" in err and str(missing) in err
+    assert "gone.tsv" not in err
+
+
+def test_report_loads_the_dataset_before_parsing_the_metrics(gone_dataset_config,
+                                                             tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("user_id,fold,ndcg,mrr,rbp\n1,zero,0.5,0.5,0.5\n")
+    assert main(["report", "--config", str(gone_dataset_config),
+                 "--metrics", str(metrics)]) == 3
+    err = capsys.readouterr().err
+    assert "stage ingest" in err and "gone.tsv" in err
+    assert "stage metrics" not in err
+
+
 def test_evaluate_skips_the_explainer(config_file, tmp_path, monkeypatch):
     assert main(["audit", "--config", str(config_file),
                  "--out", str(tmp_path / "audit")]) == 0
@@ -681,6 +711,49 @@ def test_depth_below_one_exits_2(config_file, tmp_path, capsys, depth):
     assert main(["evaluate", "--config", str(ini), "--out", str(out)]) == 2
     assert "depth must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_no_verb_imports_numpy_ma(dataset_dir, tmp_path):
+    # numpy 2.x imports numpy.ma on first use, and a plain np.unique or an
+    # interpolating np.quantile is such a use; numpy 1.x imports it with
+    # numpy, so there this test has nothing to check
+    ini = tmp_path / "default-ebm.ini"
+    ini.write_text(f"""
+[dataset]
+provenance = synthetic
+interactions = {dataset_dir / 'interactions.tsv'}
+profiles = {dataset_dir / 'profiles.tsv'}
+
+[model]
+factors = 6
+iterations = 2
+
+[evaluation]
+scheme = partition
+folds = 3
+depth = 30
+""")
+    out = tmp_path / "out"
+    verbs = [["ingest-stats"], ["train", "--model-out", str(tmp_path / "model.npz")],
+             ["evaluate", "--out", str(tmp_path / "eval")], ["audit", "--out", str(out)],
+             ["report", "--metrics", str(out / "metrics_per_user.csv"),
+              "--out", str(tmp_path / "report")]]
+    code = ("import sys\n"
+            "import numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "from recaudit.cli import main\n"
+            f"for verb in {verbs!r}:\n"
+            f"    assert main(verb + ['--config', {str(ini)!r}, '--threads', '1']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(recaudit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    before, after = lines[0], lines[-1]
+    if before == "True":
+        pytest.skip("numpy 1.x imports numpy.ma with numpy")
+    assert after == "False"
 
 
 def test_cli_import_loads_no_network_modules():

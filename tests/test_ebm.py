@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_bin_matrix, naive_bin_numeric, naive_categorical_spec
+from oracles import naive_bin_matrix, naive_bin_numeric, naive_bin_of, naive_categorical_spec
 from recaudit.ebm import (EbmConfig, EbmModel, FeatureSpec, _fit_bags, bin_categorical,
                           bin_numeric, fit_ebm, importance)
 from recaudit.errors import NumericalError
@@ -48,6 +50,23 @@ class TestBinNumeric:
         assert bins[0] == spec.n_bins - 1
         assert bins[1] == spec.n_bins - 1
         assert bins[2] != spec.n_bins - 1
+
+    # columns drawn from a pool of up to 8 values, so most have ties; -0.0 is
+    # left out, since where it ties 0.0 the edge's sign is whichever of the
+    # two the sort (here) or the selection (np.quantile) puts at that index
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300]),
+                              st.floats(-1e300, 1e300).map(lambda v: v + 0.0)),
+                    min_size=1, max_size=8)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)),
+           st.integers(2, 64))
+    def test_matches_np_quantile_edges(self, values, max_bins):
+        spec, bins = bin_numeric("x", values, max_bins=max_bins)
+        want = naive_bin_numeric("x", values, max_bins)
+        assert spec.labels == want.labels
+        assert bins.tobytes() == \
+            np.array([naive_bin_of(want, v) for v in values], dtype=bins.dtype).tobytes()
 
 
 class TestCategoricalSpec:

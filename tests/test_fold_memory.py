@@ -16,9 +16,6 @@ up to half a byte.  A change that raises a bound says so, with the reason.
 
 import tracemalloc
 
-# numpy's first plain np.unique imports numpy.ma; import it here so that no
-# stage's traced bytes hold that import
-import numpy.ma  # noqa: F401
 import pytest
 
 from recaudit import als
