@@ -68,7 +68,7 @@ def _bar_panel(out: list[str], top: int, title: str, labels: Sequence[str],
 def render_scheme_chart(scheme: str, labels: Sequence[str], counts: Sequence[int],
                         means: Sequence[float], ses: Sequence[float],
                         ebm_scores: Optional[Sequence[float]],
-                        p_annotation: str, color: str = "#c23b22") -> str:
+                        p_annotation: str) -> str:
     """Render one scheme's three-panel chart; returns the SVG document."""
     panels = 3 if ebm_scores is not None else 2
     height = MARGIN + panels * (PANEL_H + LABEL_SPACE + GAP)
@@ -80,9 +80,9 @@ def render_scheme_chart(scheme: str, labels: Sequence[str], counts: Sequence[int
         f'font-family="sans-serif">{escape(scheme)} ({escape(p_annotation)})</text>',
     ]
     top = MARGIN + GAP / 2
-    _bar_panel(out, int(top), "users", labels, [float(c) for c in counts], color=color)
+    _bar_panel(out, int(top), "users", labels, [float(c) for c in counts])
     top += PANEL_H + LABEL_SPACE + GAP
-    _bar_panel(out, int(top), "mean NDCG", labels, means, whiskers=ses, color=color)
+    _bar_panel(out, int(top), "mean NDCG", labels, means, whiskers=ses)
     if ebm_scores is not None:
         top += PANEL_H + LABEL_SPACE + GAP
         _bar_panel(out, int(top), "EBM score", labels, ebm_scores, color="#555")

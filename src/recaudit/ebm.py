@@ -68,10 +68,12 @@ def bin_numeric(name: str, values: Sequence[float],
         a, b = ordered[lo], ordered[np.minimum(lo + 1, ordered.size - 1)]
         edges = a + (b - a) * t
         np.subtract(b, (b - a) * (1 - t), out=edges, where=t >= 0.5)
-        # an edge at the maximum would leave the top bin empty; a NaN edge
-        # (interpolated between infinities) fails the test too
         edges = distinct_sorted(edges)
-        edges = edges[edges < ordered[-1]]
+        # an edge at the maximum would leave the top bin empty; a NaN edge
+        # (interpolated between infinities) fails the test too.  The sort
+        # leaves tied -0.0 and 0.0 in either order: + 0.0 labels an edge at
+        # zero "0" whichever of the two it took
+        edges = edges[edges < ordered[-1]] + 0.0
     bins = np.searchsorted(edges, values, side="left")
     bins[missing] = len(edges) + 1
     cuts = ["-inf"] + [f"{e:g}" for e in edges]

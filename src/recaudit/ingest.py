@@ -20,8 +20,7 @@ from typing import BinaryIO, Iterable, Optional
 import numpy as np
 
 from .errors import DataError
-from .interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, Triples,
-                           UserAttributes)
+from .interactions import GENDER_FEMALE, GENDER_MALE, Triples, UserAttributes
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +70,15 @@ class GdpTable:
         return len(self.values)
 
 
-def _iter_lines(stream: Iterable[str], what: str):
-    """Enumerate lines without line endings; a decode failure raises DataError."""
+def _iter_lines(stream: Iterable[str], what: str, bom: str):
+    """Enumerate lines without line endings, ``bom`` (a byte order mark as
+    the stream decodes it) removed from the start of the first; a decode
+    failure raises DataError."""
     lineno = 0
     try:
         for lineno, line in enumerate(stream, 1):
-            yield lineno, line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n").rstrip("\r")
+            yield lineno, line.removeprefix(bom) if lineno == 1 else line
     except (UnicodeDecodeError, OSError) as exc:
         raise DataError(f"{what}: unreadable input at line {lineno + 1}: {exc}") from exc
 
@@ -347,46 +349,43 @@ def _parse_age(text: str) -> Optional[int]:
         age = int(text)
     except ValueError:
         return None
-    if not AGE_MIN <= age <= AGE_MAX:
-        return None
-    return age
+    return age if AGE_MIN <= age <= AGE_MAX else None
 
 
-def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
-    """Parse LFM360K profiles: user-sha1 \\t gender \\t age \\t country \\t signup.
-
-    The signup field is not read.  Empty or unrecognized gender maps to NA;
-    non-integer or out-of-range ages and empty countries become missing.
-    Duplicate user ids keep the first occurrence with a warning.  One
-    leading byte order mark is ignored.
-    """
+def _read_profiles(stream: Iterable[str], what: str, bom: str, sep: str,
+                   fields_of) -> list[UserAttributes]:
+    """The records of ``stream``'s profile lines, read as ``_iter_lines``
+    reads them.  Blank lines are skipped, and ``fields_of(line.split(sep),
+    lineno)`` gives a line's user id and its gender, age and country texts,
+    or None to skip the line.  A gender other than m or f (either case), an
+    age that is not an integer in 1-120 and an empty country are missing.
+    The first record of each user id is kept, and each later one is
+    skipped with a warning."""
     seen: set = set()
     out: list[UserAttributes] = []
-    for lineno, line in _iter_lines(stream, "lfm profiles"):
-        if lineno == 1:
-            line = line.removeprefix("\ufeff")
-        if not line:
+    for lineno, line in _iter_lines(stream, what, bom):
+        fields = fields_of(line.split(sep), lineno) if line else None
+        if fields is None:
             continue
-        fields = line.split("\t")
-        if len(fields) < 4:
-            fields = fields + [""] * (4 - len(fields))
-        user, gender, age_text, country = fields[:4]
-        if not user:
-            continue
+        user, gender, age, country = fields
         if user in seen:
-            log.warning("duplicate profile for user %s at line %d; keeping first", user, lineno)
+            log.warning("%s line %d: duplicate user %s; keeping the first", what, lineno, user)
             continue
         seen.add(user)
         gender = gender.strip().lower()
         if gender not in (GENDER_MALE, GENDER_FEMALE):
-            gender = GENDER_NA
-        out.append(UserAttributes(
-            user_id=user,
-            gender=gender,
-            age=_parse_age(age_text.strip()),
-            country=country.strip() or None,
-        ))
+            gender = None
+        out.append(UserAttributes(user, gender, _parse_age(age), country.strip() or None))
     return out
+
+
+def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
+    """Parse LFM360K profiles: user-sha1 \\t gender \\t age \\t country \\t signup,
+    as ``_read_profiles`` reads them.  Missing trailing fields are empty, a
+    line with an empty user is skipped, and the signup field is not read.
+    """
+    return _read_profiles(stream, "lfm profiles", "\ufeff", "\t",
+                          lambda fields, _: (fields + [""] * 3)[:4] if fields[0] else None)
 
 
 def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawDataset:
@@ -398,10 +397,10 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
     or rating that is not an integer (by ``int``), or a rating outside 1-5
     is skipped and counted, and each reason is logged once with its count
     and first line; blank lines are not counted.  The timestamp is not
-    read.  A users row whose id or age is not an integer is skipped; an
-    age outside 1-120 becomes missing, as in the LFM profiles.  The users
-    file's occupation and zip fields are not carried into the attribute
-    table.  One leading byte order mark is ignored in each file.
+    read.  The users file is read as ``_read_profiles`` reads it: a row
+    without 5 fields, or whose id or age is not an integer, is skipped with
+    a warning, and the occupation and zip fields are not read.  One leading
+    byte order mark is ignored in each file.
     """
     skips: dict[str, list[int]] = {}  # reason -> count, first line
     triples, _ = _read_rows(ratings_stream, "ml1m ratings",
@@ -410,33 +409,19 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
     for reason, (count, first) in skips.items():
         log.warning("ml1m ratings: %d lines %s, the first at line %d", count, reason, first)
 
-    attributes: list[UserAttributes] = []
-    seen: set = set()
-    for lineno, line in _iter_lines(users_stream, "ml1m users"):
-        if lineno == 1:
-            line = line.removeprefix(_LATIN1_BOM)
-        if not line:
-            continue
-        fields = line.split("::")
+    def fields_of(fields: list[str], lineno: int) -> Optional[tuple]:
         if len(fields) != 5:
             log.warning("ml1m users line %d: expected 5 fields, got %d", lineno, len(fields))
-            continue
-        user_text, gender, age_text, _occupation, _zip = fields
+            return None
         try:
-            user, age = int(user_text), int(age_text)
+            user = int(fields[0])
+            int(fields[2])  # a non-integer age skips the row, not only the age
         except ValueError:
             log.warning("ml1m users line %d: non-integer id or age", lineno)
-            continue
-        if user in seen:
-            log.warning("duplicate ml1m user %d at line %d; keeping first", user, lineno)
-            continue
-        seen.add(user)
-        gender = gender.strip().upper()
-        attributes.append(UserAttributes(
-            user_id=user,
-            gender={"M": GENDER_MALE, "F": GENDER_FEMALE}.get(gender, GENDER_NA),
-            age=age if AGE_MIN <= age <= AGE_MAX else None,
-        ))
+            return None
+        return user, fields[1], fields[2], ""
+
+    attributes = _read_profiles(users_stream, "ml1m users", _LATIN1_BOM, "::", fields_of)
     return RawDataset(triples, attributes, PROVENANCE_ML1M,
                       skipped_interactions=sum(count for count, _ in skips.values()))
 
@@ -452,8 +437,7 @@ def load_gdp_table(stream: Iterable[str]) -> GdpTable:
     mark is ignored.  A row the CSV reader rejects raises DataError.
     """
     table = GdpTable()
-    reader = csv.reader(line.removeprefix("\ufeff") if lineno == 1 else line
-                        for lineno, line in _iter_lines(stream, "gdp table"))
+    reader = csv.reader(line for _, line in _iter_lines(stream, "gdp table", "\ufeff"))
     try:
         for fields in reader:
             if not fields:
@@ -488,7 +472,8 @@ def cold_start_filter(dataset: RawDataset, max_items: Optional[int] = None) -> R
     ML1M needs no filtering (every user has at least 20 ratings) and
     synthetic data is left alone unless ``max_items`` overrides the default.
     Items' interactions from other users are untouched, and so are the
-    attribute records: only the matrix users' records are ever read.
+    attribute records: ``report.load`` drops those of users outside the
+    matrix.
     """
     if max_items is None:
         if dataset.provenance == PROVENANCE_LFM360K:

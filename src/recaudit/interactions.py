@@ -32,19 +32,19 @@ UserId = Hashable
 
 GENDER_MALE = "m"
 GENDER_FEMALE = "f"
-GENDER_NA = "NA"
 
 
 @dataclass
 class UserAttributes:
     """Per-user demographic record plus derived usage and pop-index.
 
-    ``usage`` and ``pop_index`` start unset and are filled by the popularity
-    module once the interaction matrix exists.
+    A missing gender, age or country is None.  ``usage`` and ``pop_index``
+    start unset and are filled by the popularity module once the
+    interaction matrix exists.
     """
 
     user_id: UserId
-    gender: str = GENDER_NA
+    gender: Optional[str] = None
     age: Optional[int] = None
     country: Optional[str] = None
     usage: Optional[float] = None

@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .evaluation import METRICS
 from .ingest import (GdpTable, PROVENANCE_ML1M, cold_start_filter, load_gdp,
                      load_lfm, load_ml1m)
-from .interactions import GENDER_NA, InteractionMatrix, UserAttributes, from_triples
+from .interactions import InteractionMatrix, UserAttributes, from_triples
 from .interactions import stats as dataset_stats
 from .util import derive_seed, fmt_float
 
@@ -84,16 +84,17 @@ class AuditReport:
     schemes: dict[str, SchemeResult]
     ebm_importance: list[tuple[str, float]]  # all-features run, sorted desc
     ebm_model: Optional[ebm.EbmModel]
-    crosstabs: dict[str, "CrossTab"]
+    crosstabs: dict[str, tuple[list, list]]  # name -> CSV header and rows
     manifest: dict
 
 
 @dataclass
 class Dataset:
     """The cleaned dataset every verb starts from: user u is row u of
-    ``matrix`` and has id ``user_ids[u]``.  ``attributes`` holds the
-    parsed profile records, in file order; ``skipped_rows`` and
-    ``removed_users`` count what ingest and cold start dropped."""
+    ``matrix``, has id ``user_ids[u]`` and profile record ``attributes[u]``
+    (``UserAttributes(user_ids[u])`` for a user without a profile).
+    ``skipped_rows`` and ``removed_users`` count what ingest and cold start
+    dropped."""
 
     provenance: str
     attributes: list[UserAttributes]
@@ -111,16 +112,6 @@ class Dataset:
                 "n_items": ds.n_items, "n_interactions": ds.n_interactions,
                 "sparsity": ds.sparsity, "skipped_rows": self.skipped_rows,
                 "removed_users": self.removed_users}
-
-
-@dataclass
-class CrossTab:
-    """Integer percentage table; each column sums to exactly 100."""
-
-    row_labels: list[str]
-    col_labels: list[str]
-    percentages: dict[str, dict[str, int]]  # col -> row -> pct
-    col_totals: dict[str, int]
 
 
 def scheme_result(assignment: grouping.GroupAssignment,
@@ -160,28 +151,25 @@ def _largest_remainder(shares: Sequence[float]) -> list[int]:
 
 
 def build_crosstab(rows_assignment: grouping.GroupAssignment,
-                   cols_assignment: grouping.GroupAssignment) -> CrossTab:
-    """Cross-tabulate two assignments: per demographic column, the integer
-    percentage of its users in each row bucket.  Users missing the row
-    attribute are left out of the column total."""
+                   cols_assignment: grouping.GroupAssignment) -> tuple[list, list]:
+    """Cross-tabulate two assignments as a CSV header and rows: per
+    demographic column, the integer percentage of its users in each row
+    bucket (each column sums to exactly 100, or to 0 if it counts nobody),
+    one row per bucket, then the ``n_users`` row of column totals.  Users
+    missing the row attribute are left out of the column total."""
     row_labels = rows_assignment.non_na_labels()
-    col_labels = list(cols_assignment.labels)
-    n_rows = len(row_labels)
+    n_rows, n_cols = len(row_labels), len(cols_assignment.labels)
     has_row = rows_assignment.codes < n_rows
     cells = np.bincount(cols_assignment.codes[has_row] * n_rows
-                        + rows_assignment.codes[has_row],
-                        minlength=len(col_labels) * n_rows)
-    pct: dict[str, dict[str, int]] = {}
-    totals: dict[str, int] = {}
-    for col, counts in zip(col_labels, cells.reshape(len(col_labels), n_rows).tolist()):
-        totals[col] = total = sum(counts)
-        if total:
-            ints = _largest_remainder([100.0 * count / total for count in counts])
-        else:
-            ints = [0] * n_rows
-        pct[col] = dict(zip(row_labels, ints))
-    return CrossTab(row_labels=row_labels, col_labels=col_labels,
-                    percentages=pct, col_totals=totals)
+                        + rows_assignment.codes[has_row], minlength=n_cols * n_rows)
+    columns, totals = [], []
+    for counts in cells.reshape(n_cols, n_rows).tolist():
+        total = sum(counts)
+        totals.append(total)
+        columns.append(_largest_remainder([100.0 * count / total for count in counts])
+                       if total else [0] * n_rows)
+    rows = [list(row) for row in zip(row_labels, *columns)]
+    return ["bucket", *cols_assignment.labels], rows + [["n_users", *totals]]
 
 
 @contextmanager
@@ -218,7 +206,9 @@ def load(config: AuditConfig) -> Dataset:
     matrix, user_ids, _ = from_triples(raw.triples)
     if matrix.nnz == 0:
         raise DataError("no interactions after cleanup")
-    return Dataset(raw.provenance, raw.attributes, gdp, matrix, user_ids,
+    by_id = {a.user_id: a for a in raw.attributes}
+    attributes = [by_id.get(uid) or UserAttributes(uid) for uid in user_ids]
+    return Dataset(raw.provenance, attributes, gdp, matrix, user_ids,
                    raw.skipped_interactions, raw.skipped_users)
 
 
@@ -334,9 +324,8 @@ def _user_columns(attributes: Sequence[UserAttributes]) -> dict:
     where unset), gender and country as labels (None where missing), user_id."""
     columns = {name: np.array([getattr(a, name) for a in attributes], dtype=np.float64)
                for name in ("age", "usage", "pop_index")}  # None becomes NaN
-    columns["gender"] = [None if a.gender == GENDER_NA else a.gender for a in attributes]
-    columns["country"] = [a.country for a in attributes]
-    columns["user_id"] = [a.user_id for a in attributes]
+    for name in ("gender", "country", "user_id"):
+        columns[name] = [getattr(a, name) for a in attributes]
     return columns
 
 
@@ -421,10 +410,8 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     and group codes (``_explainer_inputs``).  A metrics row naming no user
     of the dataset raises DataError before anything is grouped."""
     means = frame.user_means(data.user_ids)
-    by_id = {a.user_id: a for a in data.attributes}
-    attributes = [by_id.get(uid) or UserAttributes(user_id=uid) for uid in data.user_ids]
-    popindex.fill_attributes(attributes, data.matrix, data.provenance)
-    columns = _user_columns(attributes)
+    popindex.fill_attributes(data.attributes, data.matrix, data.provenance)
+    columns = _user_columns(data.attributes)
     assignments = build_assignments(config, columns, data.gdp)
 
     schemes = {name: scheme_result(assignments[name], means)
@@ -455,14 +442,10 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
             ebm_importance = ebm.importance(ebm_model, binned)
     _solo_ebm_runs(config, schemes, tested_users, means["ndcg"])
 
-    crosstabs: dict[str, CrossTab] = {}
-    for base in ("usage", "popindex"):
-        if base not in schemes:
-            continue
-        for name in DEMOGRAPHIC_SCHEMES:
-            if name in schemes:
-                crosstabs[f"{base}_by_{name}"] = build_crosstab(
-                    schemes[base].assignment, schemes[name].assignment)
+    crosstabs = {f"{base}_by_{name}": build_crosstab(schemes[base].assignment,
+                                                     schemes[name].assignment)
+                 for base in ("usage", "popindex") if base in schemes
+                 for name in DEMOGRAPHIC_SCHEMES if name in schemes}
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -610,11 +593,7 @@ def emit_tables(report: AuditReport, out_dir: str | Path) -> list[Path]:
                 shape_rows.append([spec.name, label, fmt_float(score)])
         tables["ebm_shapes.csv"] = (["feature", "bin", "score"], shape_rows)
     for name in sorted(report.crosstabs):
-        tab = report.crosstabs[name]
-        rows = [[row] + [tab.percentages[col][row] for col in tab.col_labels]
-                for row in tab.row_labels]
-        rows.append(["n_users"] + [tab.col_totals[col] for col in tab.col_labels])
-        tables[f"crosstab_{name}.csv"] = (["bucket"] + [str(c) for c in tab.col_labels], rows)
+        tables[f"crosstab_{name}.csv"] = report.crosstabs[name]
 
     for file_name, (header, rows) in tables.items():
         path = out_dir / file_name

@@ -224,8 +224,6 @@ def naive_fit_one_bag(binned, y, specs, config, bag):
 def naive_ebm_feature_rows(attributes, assignments, users):
     """Feature dicts for the all-features explainer run, one per user index
     in ``users``."""
-    from recaudit.interactions import GENDER_NA
-
     countries = [assignments[name] for name in ("country_prevalence", "country_gdp")
                  if name in assignments]
     rows = []
@@ -233,7 +231,7 @@ def naive_ebm_feature_rows(attributes, assignments, users):
         attr = attributes[i]
         row = {
             "age": attr.age,
-            "gender": None if attr.gender == GENDER_NA else attr.gender,
+            "gender": attr.gender,
             "usage": attr.usage,
             "pop_index": attr.pop_index,
             "last_digit": str(attr.user_id)[-1].lower(),
@@ -579,6 +577,72 @@ def naive_parse_ml1m_rows(lines):
             continue
         rows.append((user, movie, rating))
     return rows, skipped
+
+
+def naive_parse_lfm_profiles(lines):
+    """LFM profile lines as records, one per user id (the first), with the
+    gender "NA" where it is neither m nor f."""
+    from recaudit.interactions import UserAttributes
+
+    seen = set()
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n").rstrip("\r")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 4:
+            fields = fields + [""] * (4 - len(fields))
+        user, gender, age_text, country = fields[:4]
+        if not user:
+            continue
+        if user in seen:
+            continue
+        seen.add(user)
+        gender = gender.strip().lower()
+        if gender not in ("m", "f"):
+            gender = "NA"
+        try:
+            age = int(age_text.strip())
+        except ValueError:
+            age = None
+        if age is not None and not 1 <= age <= 120:
+            age = None
+        out.append(UserAttributes(user_id=user, gender=gender, age=age,
+                                  country=country.strip() or None))
+    return out
+
+
+def naive_parse_ml1m_users(lines):
+    """ML1M users.dat lines (decoded as latin-1) as records, one per integer
+    user id (the first), with the gender "NA" where it is neither M nor F."""
+    from recaudit.interactions import UserAttributes
+
+    seen = set()
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n").rstrip("\r")
+        if lineno == 1:
+            line = line.removeprefix("\xef\xbb\xbf")  # a UTF-8 BOM read as latin-1
+        if not line:
+            continue
+        fields = line.split("::")
+        if len(fields) != 5:
+            continue
+        user_text, gender, age_text, _occupation, _zip = fields
+        try:
+            user, age = int(user_text), int(age_text)
+        except ValueError:
+            continue
+        if user in seen:
+            continue
+        seen.add(user)
+        gender = gender.strip().upper()
+        out.append(UserAttributes(user_id=user, gender={"M": "m", "F": "f"}.get(gender, "NA"),
+                                  age=age if 1 <= age <= 120 else None))
+    return out
 
 
 def from_rows(rows) -> Triples:

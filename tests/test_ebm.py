@@ -52,8 +52,8 @@ class TestBinNumeric:
         assert bins[2] != spec.n_bins - 1
 
     # columns drawn from a pool of up to 8 values, so most have ties; -0.0 is
-    # left out, since where it ties 0.0 the edge's sign is whichever of the
-    # two the sort (here) or the selection (np.quantile) puts at that index
+    # left out, since where it ties 0.0 np.quantile's edge takes the sign of
+    # whichever of the two its selection puts at that index
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300]),
@@ -67,6 +67,24 @@ class TestBinNumeric:
         assert spec.labels == want.labels
         assert bins.tobytes() == \
             np.array([naive_bin_of(want, v) for v in values], dtype=bins.dtype).tobytes()
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, -0.0, 0.0, -1.0, 1.0, 2.5, np.nan]),
+                    min_size=1, max_size=60),
+           st.integers(2, 16))
+    def test_negative_zero_bins_as_zero(self, values, max_bins):
+        """A column holding -0.0 gets the labels and bins of the same column
+        with every zero positive, whichever zero comes first."""
+        values = np.array(values)
+        want_spec, want_bins = bin_numeric("x", values + 0.0, max_bins=max_bins)
+        zeros = np.flatnonzero(values == 0)
+        swapped = values.copy()
+        swapped[zeros] = values[zeros][::-1]
+        for column in (values, swapped):
+            spec, bins = bin_numeric("x", column, max_bins=max_bins)
+            assert spec.labels == want_spec.labels
+            assert np.array_equal(bins, want_bins)
 
 
 class TestCategoricalSpec:

@@ -11,7 +11,7 @@ from oracles import (NaiveSpec, naive_bin_matrix, naive_bin_numeric, naive_bin_o
 from recaudit import grouping, report
 from recaudit.ebm import EbmConfig, FeatureSpec, _fit_bags, bin_categorical, bin_numeric
 from recaudit.ingest import GdpTable
-from recaudit.interactions import GENDER_NA, UserAttributes
+from recaudit.interactions import UserAttributes
 from recaudit.util import derive_seed
 
 
@@ -180,7 +180,7 @@ def random_attributes(rng, case):
         return int(rng.choice([18, 25, 25, 35, 50]))
 
     attributes = [UserAttributes(
-        uid, gender=str(rng.choice(["m", "f", GENDER_NA])), age=age(),
+        uid, gender=rng.choice(["m", "f", None]), age=age(),
         country=[None, "Chile", "Ghana", "Peru", "Fiji"][int(rng.integers(0, 5))])
         for uid in ids]
     users = rng.permutation(n)[:int(rng.integers(1, n + 1))]
@@ -233,7 +233,7 @@ class TestExplainerInputs:
             reached.update(
                 name for name, hit in [
                     ("ages all missing", all(a.age is None for a in attributes)),
-                    ("NA gender", any(a.gender == GENDER_NA for a in tested)),
+                    ("NA gender", any(a.gender is None for a in tested)),
                     ("integer ids", isinstance(tested[0].user_id, int)),
                     ("upper-case hex id", any(str(a.user_id)[-1] in "ABCDEF" for a in tested)),
                     ("quote id", any(str(a.user_id).endswith('"') for a in tested)),

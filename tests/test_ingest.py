@@ -2,12 +2,15 @@ import codecs
 import gc
 import io
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (from_rows, naive_cold_start, naive_csr, naive_parse_lfm_rows,
-                     naive_parse_ml1m_rows)
+from oracles import (from_rows, naive_cold_start, naive_csr, naive_parse_lfm_profiles,
+                     naive_parse_lfm_rows, naive_parse_ml1m_rows, naive_parse_ml1m_users)
 from recaudit.errors import DataError
 from recaudit.grouping import NA_LABEL, bucket_countries_by_gdp
 from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
@@ -15,8 +18,7 @@ from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              RawDataset, cold_start_filter, load_gdp, load_gdp_table,
                              load_ml1m, parse_lfm_interactions, parse_lfm_profiles,
                              parse_ml1m)
-from recaudit.interactions import (GENDER_FEMALE, GENDER_MALE, GENDER_NA, UserAttributes,
-                                   from_triples)
+from recaudit.interactions import GENDER_FEMALE, GENDER_MALE, UserAttributes, from_triples
 
 from conftest import triple_rows
 
@@ -112,7 +114,7 @@ class TestLfmProfiles:
     def test_all_empty_fields(self):
         attrs = parse_lfm_profiles(lines("u\t\t\t\t\n"))
         a = attrs[0]
-        assert a.gender == GENDER_NA
+        assert a.gender is None
         assert a.age is None
         assert a.country is None
 
@@ -180,6 +182,43 @@ class TestMl1m:
         assert [(a.user_id, a.gender, a.age) for a in marked.attributes] == [
             (1, GENDER_FEMALE, 25), (2, GENDER_MALE, 35)]
         assert "non-integer" not in caplog.text
+
+
+def profile_lines(ids, sep, bom):
+    """Profile lines as a text stream yields them: 0 to 6 fields from small
+    pools (so ids repeat, and ages and genders are often odd), some led by
+    ``bom``, each ended by \\n, \\r\\n or nothing."""
+    pick = st.sampled_from
+    fields = st.tuples(
+        pick(ids), pick(["m", "M", " f ", "F", "", "x", "NA", "male", "\u2003m"]),
+        pick(["25", " 30 ", "\u200330\u2003", "0", "1", "120", "121", "-5", "abc", "",
+              "1e2", "\u0663"]),
+        pick(["", " ", "Peru", " Chile ", "\u00e9"]), pick(["0", "", "Apr 1"]),
+        pick(["", "extra"]))
+    line = st.builds(lambda f, n, lead, end: lead + sep.join(f[:n]) + end,
+                     fields, st.integers(0, 6), pick(["", bom]), pick(["\n", "\r\n", ""]))
+    return st.lists(line, max_size=30)
+
+
+class TestProfileReader:
+    """Both profile formats against their line-loop oracles; the oracles
+    write a missing gender as "NA"."""
+
+    @staticmethod
+    def expected(records):
+        return [replace(a, gender=None if a.gender == "NA" else a.gender) for a in records]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(profile_lines(["u1", "u2", "7", "007", "", " u1", "\ufeffu1"], "\t", "\ufeff"))
+    def test_lfm_profiles_match_the_line_loop(self, lines):
+        assert parse_lfm_profiles(lines) == self.expected(naive_parse_lfm_profiles(lines))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(profile_lines(["1", "2", "7", "007", " 7", "x", ""], "::",
+                         codecs.BOM_UTF8.decode("latin-1")))
+    def test_ml1m_users_match_the_line_loop(self, lines):
+        assert parse_ml1m(ratings(""), lines).attributes == \
+            self.expected(naive_parse_ml1m_users(lines))
 
 
 class TestGdpTable:

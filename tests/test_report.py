@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import (naive_balanced_sample, naive_crosstab_counts, naive_group_numbers,
-                     naive_kw_groups, naive_labels, naive_per_user_mean, nan_column)
+                     naive_kw_groups, naive_labels, naive_parse_lfm_profiles,
+                     naive_parse_ml1m_users, naive_per_user_mean, nan_column)
 from recaudit import report as report_mod
 from recaudit.config import AuditConfig, apply_overrides, load_config
 from recaudit.ebm import EbmConfig, fit_ebm
@@ -21,11 +22,13 @@ from recaudit.grouping import (NA_LABEL, GroupAssignment, balanced_sample,
                                bucket_categorical, bucket_from_brackets,
                                bucket_integer_values)
 from recaudit.ingest import RawDataset
-from recaudit.interactions import Triples
+from recaudit.interactions import Triples, UserAttributes
 from recaudit.report import _largest_remainder, build_crosstab, run_audit
 from recaudit.stats import kruskal_wallis
 from recaudit.synthetic import generate_planted
 from recaudit.util import derive_seed
+
+from test_variants import VARIANTS, corpus, write_config  # noqa: F401 (corpus is a fixture)
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -195,31 +198,42 @@ class TestConfig:
         assert load_config(ini).resolved_fold_scheme() == "sample"
 
 
+def crosstab_columns(tab):
+    """A cross-tab's row labels, column labels, per column its percentage
+    by row label, and per column its ``n_users`` total."""
+    header, rows = tab
+    assert header[0] == "bucket" and rows[-1][0] == "n_users"
+    col_labels, row_labels = header[1:], [row[0] for row in rows[:-1]]
+    percentages = {col: {row[0]: row[j] for row in rows[:-1]}
+                   for j, col in enumerate(col_labels, 1)}
+    return row_labels, col_labels, percentages, dict(zip(col_labels, rows[-1][1:]))
+
+
 class TestCrossTab:
     def test_columns_sum_to_100(self):
         rows = bucket_integer_values("pop", nan_column([i % 5 for i in range(40)]),
                                      merge_at=13)
         cols = bucket_categorical("g", ["a" if i < 25 else "b" for i in range(40)])
-        tab = build_crosstab(rows, cols)
-        for col in tab.col_labels:
-            assert sum(tab.percentages[col].values()) == 100
+        _, col_labels, percentages, _ = crosstab_columns(build_crosstab(rows, cols))
+        for col in col_labels:
+            assert sum(percentages[col].values()) == 100
 
     def test_uneven_shares_still_sum_100(self, rng):
         rows = bucket_integer_values("pop", rng.integers(0, 7, 97).astype(np.float64),
                                      merge_at=13)
         cols = bucket_categorical("g", [str(v) for v in rng.integers(0, 3, 97)])
-        tab = build_crosstab(rows, cols)
-        for col in tab.col_labels:
-            assert sum(tab.percentages[col].values()) == 100
+        _, col_labels, percentages, _ = crosstab_columns(build_crosstab(rows, cols))
+        for col in col_labels:
+            assert sum(percentages[col].values()) == 100
 
     def test_empty_column_no_division_error(self):
         # ghost has no pop bucket, so the N/A gender column counts nobody
         rows = bucket_integer_values("pop", nan_column([1, 2, None]), merge_at=13)
         cols = bucket_categorical("g", ["a", "a", None])
-        tab = build_crosstab(rows, cols)
-        assert tab.col_totals["N/A"] == 0
-        assert sum(tab.percentages["N/A"].values()) == 0
-        assert sum(tab.percentages["a"].values()) == 100
+        _, _, percentages, col_totals = crosstab_columns(build_crosstab(rows, cols))
+        assert col_totals["N/A"] == 0
+        assert sum(percentages["N/A"].values()) == 0
+        assert sum(percentages["a"].values()) == 100
 
 
 BRACKETS = (0, 2, 4, 6, 8, 10)
@@ -314,17 +328,18 @@ class TestGroupNumbersMatchOracle:
                     ("one-member group", any(e["tested"] == 1 for e in numbers.values())),
                     ("untested user", len(tested_ids) < len(ids))) if hit)
 
-            tab = build_crosstab(brackets, categories)
+            tab_rows, tab_cols, percentages, col_totals = crosstab_columns(
+                build_crosstab(brackets, categories))
             row_labels = [lab for lab in brackets.labels if lab != NA_LABEL]
-            assert tab.row_labels == row_labels
-            assert tab.col_labels == categories.labels
+            assert tab_rows == row_labels
+            assert tab_cols == categories.labels
             counts = naive_crosstab_counts(bracket_of, brackets.labels, cat_of,
                                            categories.labels)
             for col, (total, per_row) in counts.items():
-                assert tab.col_totals[col] == total
+                assert col_totals[col] == total
                 pct = (_largest_remainder([100.0 * per_row[r] / total for r in row_labels])
                        if total else [0] * len(row_labels))
-                assert tab.percentages[col] == dict(zip(row_labels, pct))
+                assert percentages[col] == dict(zip(row_labels, pct))
         assert seen == {"n/a", "dropped", "untested group", "one-member group",
                         "untested user"}
 
@@ -526,10 +541,11 @@ class TestCountrySchemes:
 
     def test_country_crosstabs_emitted(self, country_audit):
         assert "usage_by_country_prevalence" in country_audit.crosstabs
-        tab = country_audit.crosstabs["usage_by_country_prevalence"]
-        for col in tab.col_labels:
-            total = sum(tab.percentages[col].values())
-            assert total == 100 or tab.col_totals[col] == 0
+        _, col_labels, percentages, col_totals = crosstab_columns(
+            country_audit.crosstabs["usage_by_country_prevalence"])
+        for col in col_labels:
+            total = sum(percentages[col].values())
+            assert total == 100 or col_totals[col] == 0
 
 
 @pytest.fixture(scope="module")
@@ -579,6 +595,35 @@ class TestFoldWorkers:
                        for f in fields(data))
         assert data.matrix.nnz > 0 and data.attributes
         assert len(data.user_ids) == data.matrix.n_users
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_load_aligns_profile_records_to_rows(variant, cut, corpus, tmp_path):
+    """``attributes[u]`` is row u's profile record, or an empty record for a
+    user without one, on every variant corpus as it is and with every third
+    profile line removed; a profile of a user outside the matrix is
+    dropped."""
+    provenance, dataset = VARIANTS[variant](corpus / "synthetic", tmp_path)
+    key = "users" if provenance == "ml1m" else "profiles"
+    if cut:
+        kept = [line for i, line in enumerate(Path(dataset[key]).read_bytes()
+                                              .splitlines(keepends=True)) if i % 3 != 1]
+        (tmp_path / "cut").write_bytes(b"".join(kept))
+        dataset = {**dataset, key: tmp_path / "cut"}
+    data = report_mod.load(load_config(write_config(tmp_path / "c.ini", provenance, dataset,
+                                                    tmp_path / "out")))
+    encoding = "latin-1" if provenance == "ml1m" else "utf-8"
+    with open(dataset[key], encoding=encoding) as fh:
+        parse = naive_parse_ml1m_users if provenance == "ml1m" else naive_parse_lfm_profiles
+        profiles = {a.user_id: replace(a, gender=None if a.gender == "NA" else a.gender)
+                    for a in parse(fh)}
+    assert len(data.attributes) == data.matrix.n_users
+    for uid, attr in zip(data.user_ids, data.attributes):
+        assert attr.user_id == uid
+        assert attr == profiles.get(uid, UserAttributes(uid))
+    assert (len(set(data.user_ids) - set(profiles)) > 0) == cut
+    assert (len(set(profiles) - set(data.user_ids)) > 0) == (variant == "cold_start")
 
 
 class TestFailureHandling:
