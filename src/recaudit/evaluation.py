@@ -38,7 +38,7 @@ import numpy as np
 
 from . import als
 from .errors import ConfigError, DataError, NumericalError
-from .interactions import InteractionMatrix, UserId
+from .interactions import InteractionMatrix
 from .util import derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
@@ -73,7 +73,7 @@ class FoldPlan:
 
 @dataclass(frozen=True)
 class MetricRow:
-    user_id: UserId
+    user_id: str
     fold: int
     ndcg: float
     mrr: float
@@ -88,15 +88,14 @@ class MetricFrame:
 
     def user_means(self, user_ids: Sequence) -> dict[str, np.ndarray]:
         """Per metric, each user's mean across the folds they were tested
-        in, as an ``(n_users,)`` array in the order of ``user_ids``; NaN
-        where a user was not tested.  A user's sum runs in row order.
-
-        A row names its user by the id's text, as a metrics CSV holds it
-        (ML1M ids are integers); one that names no user raises DataError.
+        in, as an ``(n_users,)`` array in the order of ``user_ids`` (id
+        texts, as a row's ``user_id``); NaN where a user was not tested.  A
+        user's sum runs in row order, and a row naming no user raises
+        DataError.
         """
-        row_of = {str(uid): u for u, uid in enumerate(user_ids)}
+        row_of = {uid: u for u, uid in enumerate(user_ids)}
         try:
-            users = np.fromiter((row_of[str(row.user_id)] for row in self.rows),
+            users = np.fromiter((row_of[row.user_id] for row in self.rows),
                                 dtype=np.intp, count=len(self.rows))
         except KeyError as exc:
             raise DataError(f"metrics user id {exc.args[0]!r} is not a user "
@@ -117,7 +116,7 @@ class MetricFrame:
             writer = csv.writer(fh)
             writer.writerow(["user_id", "fold", "ndcg", "mrr", "rbp"])
             for row in self.rows:
-                writer.writerow([str(row.user_id), row.fold, fmt_float(row.ndcg),
+                writer.writerow([row.user_id, row.fold, fmt_float(row.ndcg),
                                  fmt_float(row.mrr), fmt_float(row.rbp)])
 
     @classmethod

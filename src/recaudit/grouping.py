@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ingest import GdpTable
-from .interactions import UserId
 from .util import derive_seed, distinct_sorted
 
 log = logging.getLogger(__name__)
@@ -228,11 +227,11 @@ def bucket_countries_by_gdp(name: str, countries: Sequence[Optional[str]],
                         labels)
 
 
-def control_last_digit(name: str, user_ids: Sequence[UserId]) -> GroupAssignment:
-    """Control grouping by the last decimal digit of a numeric id, or the
-    last hex character of a sha1-style id.  Should predict nothing.
+def control_last_digit(name: str, user_ids: Sequence[str]) -> GroupAssignment:
+    """Control grouping by each id's last character, lower-cased (a numeric
+    id's last digit, a sha1's last hex digit).  Should predict nothing.
     """
-    per_user = [str(uid)[-1:].lower() or NA_LABEL for uid in user_ids]
+    per_user = [uid[-1:].lower() or NA_LABEL for uid in user_ids]
     return _from_labels(name, per_user, sorted(set(per_user) - {NA_LABEL}))
 
 

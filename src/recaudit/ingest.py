@@ -41,10 +41,10 @@ LFM_COLD_START_MAX_ITEMS = 40
 
 @dataclass
 class RawDataset:
-    """Parsed rows plus user attributes, before matrix construction."""
+    """Parsed rows plus user id -> profile record, before the matrix."""
 
     triples: Triples
-    attributes: list[UserAttributes]
+    attributes: dict[str, UserAttributes]
     provenance: str
     skipped_interactions: int = 0
     skipped_users: int = 0
@@ -353,33 +353,31 @@ def _parse_age(text: str) -> Optional[int]:
 
 
 def _read_profiles(stream: Iterable[str], what: str, bom: str, sep: str,
-                   fields_of) -> list[UserAttributes]:
-    """The records of ``stream``'s profile lines, read as ``_iter_lines``
-    reads them.  Blank lines are skipped, and ``fields_of(line.split(sep),
-    lineno)`` gives a line's user id and its gender, age and country texts,
-    or None to skip the line.  A gender other than m or f (either case), an
-    age that is not an integer in 1-120 and an empty country are missing.
-    The first record of each user id is kept, and each later one is
-    skipped with a warning."""
-    seen: set = set()
-    out: list[UserAttributes] = []
+                   fields_of) -> dict[str, UserAttributes]:
+    """User id -> the record of its profile line in ``stream``, read as
+    ``_iter_lines`` reads them.  Blank lines are skipped, and
+    ``fields_of(line.split(sep), lineno)`` gives a line's user id and its
+    gender, age and country texts, or None to skip the line.  A gender
+    other than m or f (either case), an age that is not an integer in 1-120
+    and an empty country are missing.  The first record of each user id is
+    kept, and each later one is skipped with a warning."""
+    out: dict[str, UserAttributes] = {}
     for lineno, line in _iter_lines(stream, what, bom):
         fields = fields_of(line.split(sep), lineno) if line else None
         if fields is None:
             continue
         user, gender, age, country = fields
-        if user in seen:
+        if user in out:
             log.warning("%s line %d: duplicate user %s; keeping the first", what, lineno, user)
             continue
-        seen.add(user)
         gender = gender.strip().lower()
         if gender not in (GENDER_MALE, GENDER_FEMALE):
             gender = None
-        out.append(UserAttributes(user, gender, _parse_age(age), country.strip() or None))
+        out[user] = UserAttributes(gender, _parse_age(age), country.strip() or None)
     return out
 
 
-def parse_lfm_profiles(stream: Iterable[str]) -> list[UserAttributes]:
+def parse_lfm_profiles(stream: Iterable[str]) -> dict[str, UserAttributes]:
     """Parse LFM360K profiles: user-sha1 \\t gender \\t age \\t country \\t signup,
     as ``_read_profiles`` reads them.  Missing trailing fields are empty, a
     line with an empty user is skipped, and the signup field is not read.
@@ -392,20 +390,21 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
     """Parse ML1M "::"-separated ratings and user files.
 
     The ratings stream is binary and read as ``_read_rows`` reads it; text
-    is latin-1, and ids of one integer value are one id.  Ratings become
-    strengths 1-5.  A ratings line with other than 4 fields, a user, movie
-    or rating that is not an integer (by ``int``), or a rating outside 1-5
-    is skipped and counted, and each reason is logged once with its count
-    and first line; blank lines are not counted.  The timestamp is not
-    read.  The users file is read as ``_read_profiles`` reads it: a row
-    without 5 fields, or whose id or age is not an integer, is skipped with
-    a warning, and the occupation and zip fields are not read.  One leading
-    byte order mark is ignored in each file.
+    is latin-1, and an id is the text of its integer value: ``007``, ``+7``
+    and ``7`` are id ``"7"``.  Ratings become strengths 1-5.  A ratings
+    line with other than 4 fields, a user, movie or rating that is not an
+    integer (by ``int``), or a rating outside 1-5 is skipped and counted,
+    and each reason is logged once with its count and first line; blank
+    lines are not counted.  The timestamp is not read.  The users file is
+    read as ``_read_profiles`` reads it into ``attributes`` (id -> record):
+    a row without 5 fields, or whose id or age is not an integer, is
+    skipped with a warning, and the occupation and zip fields are not read.
+    One leading byte order mark is ignored in each file.
     """
     skips: dict[str, list[int]] = {}  # reason -> count, first line
     triples, _ = _read_rows(ratings_stream, "ml1m ratings",
                             lambda buf, size, before: _parse_ml1m_chunk(buf, size, before, skips),
-                            lambda key: int(key.decode("latin-1")))
+                            lambda key: str(int(key.decode("latin-1"))))
     for reason, (count, first) in skips.items():
         log.warning("ml1m ratings: %d lines %s, the first at line %d", count, reason, first)
 
@@ -414,7 +413,7 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
             log.warning("ml1m users line %d: expected 5 fields, got %d", lineno, len(fields))
             return None
         try:
-            user = int(fields[0])
+            user = str(int(fields[0]))
             int(fields[2])  # a non-integer age skips the row, not only the age
         except ValueError:
             log.warning("ml1m users line %d: non-integer id or age", lineno)
@@ -509,7 +508,7 @@ def load_lfm(interactions_path: str | Path, profiles_path: Optional[str | Path],
     """Load LFM-format files from disk (UTF-8, tolerant of stray bytes)."""
     with _open(interactions_path, None) as fh:
         triples, skipped = parse_lfm_interactions(fh)
-    attributes: list[UserAttributes] = []
+    attributes: dict[str, UserAttributes] = {}
     if profiles_path is not None:
         with _open(profiles_path, "utf-8", errors="replace") as fh:
             attributes = parse_lfm_profiles(fh)

@@ -24,26 +24,23 @@ bytes per entry of the full matrix, and the fold matrix peaked at 13.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 import numpy as np
-
-UserId = Hashable
 
 GENDER_MALE = "m"
 GENDER_FEMALE = "f"
 
 
-@dataclass
+@dataclass(slots=True)
 class UserAttributes:
-    """Per-user demographic record plus derived usage and pop-index.
+    """A user's demographics plus derived usage and pop-index, without its id.
 
     A missing gender, age or country is None.  ``usage`` and ``pop_index``
     start unset and are filled by the popularity module once the
     interaction matrix exists.
     """
 
-    user_id: UserId
     gender: Optional[str] = None
     age: Optional[int] = None
     country: Optional[str] = None

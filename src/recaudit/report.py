@@ -91,8 +91,8 @@ class AuditReport:
 @dataclass
 class Dataset:
     """The cleaned dataset every verb starts from: user u is row u of
-    ``matrix``, has id ``user_ids[u]`` and profile record ``attributes[u]``
-    (``UserAttributes(user_ids[u])`` for a user without a profile).
+    ``matrix``, has profile record ``attributes[u]`` (``UserAttributes()``
+    without a profile) and id ``user_ids[u]``, the id's one copy, as text.
     ``skipped_rows`` and ``removed_users`` count what ingest and cold start
     dropped."""
 
@@ -100,7 +100,7 @@ class Dataset:
     attributes: list[UserAttributes]
     gdp: Optional[GdpTable]
     matrix: InteractionMatrix
-    user_ids: tuple
+    user_ids: tuple[str, ...]
     skipped_rows: int
     removed_users: int
 
@@ -206,8 +206,7 @@ def load(config: AuditConfig) -> Dataset:
     matrix, user_ids, _ = from_triples(raw.triples)
     if matrix.nnz == 0:
         raise DataError("no interactions after cleanup")
-    by_id = {a.user_id: a for a in raw.attributes}
-    attributes = [by_id.get(uid) or UserAttributes(uid) for uid in user_ids]
+    attributes = [raw.attributes.get(uid) or UserAttributes() for uid in user_ids]
     return Dataset(raw.provenance, attributes, gdp, matrix, user_ids,
                    raw.skipped_interactions, raw.skipped_users)
 
@@ -321,21 +320,21 @@ def _fold_worker(run: Callable[[evaluation.Fold], list], folds: list[evaluation.
 
 def _user_columns(attributes: Sequence[UserAttributes]) -> dict:
     """The records as columns: age, usage and pop_index as float64 (NaN
-    where unset), gender and country as labels (None where missing), user_id."""
+    where unset), gender and country as labels (None where missing)."""
     columns = {name: np.array([getattr(a, name) for a in attributes], dtype=np.float64)
                for name in ("age", "usage", "pop_index")}  # None becomes NaN
-    for name in ("gender", "country", "user_id"):
+    for name in ("gender", "country"):
         columns[name] = [getattr(a, name) for a in attributes]
     return columns
 
 
-def build_assignments(config: AuditConfig, columns: dict,
-                      gdp: Optional[GdpTable]) -> dict[str, grouping.GroupAssignment]:
+def build_assignments(config: AuditConfig, data: Dataset,
+                      columns: dict) -> dict[str, grouping.GroupAssignment]:
     """Every grouping scheme that the data can support, from the users'
-    attribute columns (``_user_columns``).  The report tests the configured
-    ones; the all-features explainer reads gender, last_digit and the
-    country schemes whichever are configured."""
-    gc = config.grouping
+    attribute columns (``_user_columns``), ids and GDP table.  The report
+    tests the configured ones; the all-features explainer reads gender,
+    last_digit and the country schemes whichever are configured."""
+    gc, gdp = config.grouping, data.gdp
     ages, countries = columns["age"], columns["country"]
     have_ages = not np.isnan(ages).all()
     have_countries = any(c is not None for c in countries)
@@ -371,7 +370,7 @@ def build_assignments(config: AuditConfig, columns: dict,
             out[scheme] = grouping.bucket_integer_values(scheme, columns["pop_index"],
                                                          gc.popindex_merge_at)
         elif scheme == "last_digit":
-            out[scheme] = grouping.control_last_digit(scheme, columns["user_id"])
+            out[scheme] = grouping.control_last_digit(scheme, data.user_ids)
     return out
 
 
@@ -412,7 +411,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     means = frame.user_means(data.user_ids)
     popindex.fill_attributes(data.attributes, data.matrix, data.provenance)
     columns = _user_columns(data.attributes)
-    assignments = build_assignments(config, columns, data.gdp)
+    assignments = build_assignments(config, data, columns)
 
     schemes = {name: scheme_result(assignments[name], means)
                for name in config.resolved_schemes() if name in assignments}
@@ -424,10 +423,9 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
         schemes[name].p_adjusted[metric] = p_adj
 
     # the explainers' bootstrap draws depend on row order, so the rows follow
-    # the id texts, not the order the dataset lists the users in
-    tested_users = np.array(
-        sorted(np.flatnonzero(~np.isnan(means["ndcg"])).tolist(),
-               key=lambda i: str(data.user_ids[i])), dtype=np.intp)
+    # the ids, not the order the dataset lists the users in
+    tested_users = np.array(sorted(np.flatnonzero(~np.isnan(means["ndcg"])).tolist(),
+                                   key=data.user_ids.__getitem__), dtype=np.intp)
     ebm_model = None
     ebm_importance: list[tuple[str, float]] = []
     if len(tested_users) >= 10:

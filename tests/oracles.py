@@ -221,9 +221,9 @@ def naive_fit_one_bag(binned, y, specs, config, bag):
 # The report once fed the all-features explainer this way: one dict per tested
 # user, specs built from the dict values, and every cell binned on its own.
 
-def naive_ebm_feature_rows(attributes, assignments, users):
+def naive_ebm_feature_rows(attributes, user_ids, assignments, users):
     """Feature dicts for the all-features explainer run, one per user index
-    in ``users``."""
+    in ``users``; user i has record ``attributes[i]`` and id ``user_ids[i]``."""
     countries = [assignments[name] for name in ("country_prevalence", "country_gdp")
                  if name in assignments]
     rows = []
@@ -234,7 +234,7 @@ def naive_ebm_feature_rows(attributes, assignments, users):
             "gender": attr.gender,
             "usage": attr.usage,
             "pop_index": attr.pop_index,
-            "last_digit": str(attr.user_id)[-1].lower(),
+            "last_digit": user_ids[i][-1].lower(),
         }
         for assignment in countries:
             label = assignment.labels[assignment.codes[i]]
@@ -555,8 +555,9 @@ def naive_parse_lfm_rows(lines):
 
 
 def naive_parse_ml1m_rows(lines):
-    """ML1M rating lines as (user, movie, rating) integer tuples and the
-    skipped-line count; blank lines are not counted."""
+    """ML1M rating lines as (user, movie, rating) tuples, the ids as the text
+    of their integer values and the rating an integer, and the skipped-line
+    count; blank lines are not counted."""
     rows = []
     skipped = 0
     for line in lines:
@@ -568,7 +569,7 @@ def naive_parse_ml1m_rows(lines):
             skipped += 1
             continue
         try:
-            user, movie, rating = int(fields[0]), int(fields[1]), int(fields[2])
+            user, movie, rating = str(int(fields[0])), str(int(fields[1])), int(fields[2])
         except ValueError:
             skipped += 1
             continue
@@ -580,12 +581,11 @@ def naive_parse_ml1m_rows(lines):
 
 
 def naive_parse_lfm_profiles(lines):
-    """LFM profile lines as records, one per user id (the first), with the
-    gender "NA" where it is neither m nor f."""
+    """LFM profile lines as user id -> record, the first line of each id,
+    with the gender "NA" where it is neither m nor f."""
     from recaudit.interactions import UserAttributes
 
-    seen = set()
-    out = []
+    out = {}
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n").rstrip("\r")
         if lineno == 1:
@@ -596,11 +596,8 @@ def naive_parse_lfm_profiles(lines):
         if len(fields) < 4:
             fields = fields + [""] * (4 - len(fields))
         user, gender, age_text, country = fields[:4]
-        if not user:
+        if not user or user in out:
             continue
-        if user in seen:
-            continue
-        seen.add(user)
         gender = gender.strip().lower()
         if gender not in ("m", "f"):
             gender = "NA"
@@ -610,18 +607,17 @@ def naive_parse_lfm_profiles(lines):
             age = None
         if age is not None and not 1 <= age <= 120:
             age = None
-        out.append(UserAttributes(user_id=user, gender=gender, age=age,
-                                  country=country.strip() or None))
+        out[user] = UserAttributes(gender=gender, age=age, country=country.strip() or None)
     return out
 
 
 def naive_parse_ml1m_users(lines):
-    """ML1M users.dat lines (decoded as latin-1) as records, one per integer
-    user id (the first), with the gender "NA" where it is neither M nor F."""
+    """ML1M users.dat lines (decoded as latin-1) as user id -> record, the id
+    the text of its integer value and the first line of each id kept, with
+    the gender "NA" where it is neither M nor F."""
     from recaudit.interactions import UserAttributes
 
-    seen = set()
-    out = []
+    out = {}
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n").rstrip("\r")
         if lineno == 1:
@@ -633,15 +629,14 @@ def naive_parse_ml1m_users(lines):
             continue
         user_text, gender, age_text, _occupation, _zip = fields
         try:
-            user, age = int(user_text), int(age_text)
+            user, age = str(int(user_text)), int(age_text)
         except ValueError:
             continue
-        if user in seen:
+        if user in out:
             continue
-        seen.add(user)
         gender = gender.strip().upper()
-        out.append(UserAttributes(user_id=user, gender={"M": "m", "F": "f"}.get(gender, "NA"),
-                                  age=age if 1 <= age <= 120 else None))
+        out[user] = UserAttributes(gender={"M": "m", "F": "f"}.get(gender, "NA"),
+                                   age=age if 1 <= age <= 120 else None)
     return out
 
 

@@ -400,7 +400,7 @@ def test_criterion_9_directional_real_data():
     present = {t.user_ids[u] for u in np.unique(t.users).tolist()}
     keep = set(rng.choice(sorted(present), size=30000, replace=False).tolist())
     rows = np.array([uid in keep for uid in t.user_ids])[t.users]
-    raw.attributes = [a for a in raw.attributes if a.user_id in keep]
+    raw.attributes = {uid: a for uid, a in raw.attributes.items() if uid in keep}
 
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -411,8 +411,8 @@ def test_criterion_9_directional_real_data():
                 fh.write(f"{t.user_ids[u]}\t{t.item_ids[a]}\tx\t{int(p)}\n")
         prof = Path(tmp) / "profiles.tsv"
         with open(prof, "w", encoding="utf-8") as fh:
-            for at in raw.attributes:
-                fh.write(f"{at.user_id}\t{at.gender if at.gender != 'NA' else ''}\t"
+            for uid, at in raw.attributes.items():
+                fh.write(f"{uid}\t{at.gender or ''}\t"
                          f"{at.age if at.age else ''}\t{at.country or ''}\t\n")
         (Path(tmp) / "audit.ini").write_text(f"""
 [dataset]

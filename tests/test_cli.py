@@ -294,8 +294,7 @@ def test_evaluate_writes_metrics(config_file, tmp_path, capsys):
                                 "ndcg")
     # one np.mean over the tested users in dataset order, the same on every
     # Python version: sum() rounds differently from 3.12 on
-    tested = [means[str(uid)] for uid in load(load_config(config_file)).user_ids
-              if str(uid) in means]
+    tested = [means[uid] for uid in load(load_config(config_file)).user_ids if uid in means]
     out = capsys.readouterr().out
     assert f"metrics for {len(tested)} users written" in out
     assert f"mean NDCG: {fmt_float(np.mean(tested))}\n" in out

@@ -159,15 +159,15 @@ class TestBinColumn:
 
 
 def random_attributes(rng, case):
-    """A seeded attribute set in dense user order, with the assignments the
-    report would pass, and the tested users in a random order.  The cases
-    rotate through what broke or could: ages all missing, NA genders,
-    integer ids, ids ending in an upper-case hex digit or a quote, N/A
+    """A seeded attribute set and its ids in dense user order, with the
+    assignments the report would pass, and the tested users in a random
+    order.  The cases rotate through what broke or could: ages all missing,
+    NA genders, integer ids, ids ending in an upper-case hex digit or a quote, N/A
     countries, a numeric feature missing for every tested user, values on
     a quantile edge (few distinct values) and infinities."""
     n = int(rng.integers(12, 90))
     if case % 4 == 0:
-        ids = [int(u) for u in rng.choice(10_000, size=n, replace=False)]
+        ids = [str(u) for u in rng.choice(10_000, size=n, replace=False)]
     else:
         ends = list("0123456789abcdefABCDEF\"")
         ids = [f"{u:08x}{ends[int(rng.integers(0, len(ends)))]}" for u in range(n)]
@@ -180,9 +180,9 @@ def random_attributes(rng, case):
         return int(rng.choice([18, 25, 25, 35, 50]))
 
     attributes = [UserAttributes(
-        uid, gender=rng.choice(["m", "f", None]), age=age(),
+        gender=rng.choice(["m", "f", None]), age=age(),
         country=[None, "Chile", "Ghana", "Peru", "Fiji"][int(rng.integers(0, 5))])
-        for uid in ids]
+        for _ in ids]
     users = rng.permutation(n)[:int(rng.integers(1, n + 1))]
     for u, attr in enumerate(attributes):
         attr.usage = float(rng.choice([1, 2, 3, 5, 8, 13, 2 ** 64, np.inf, -np.inf])
@@ -201,7 +201,7 @@ def random_attributes(rng, case):
     if case % 4 != 3:
         assignments["country_gdp"] = grouping.bucket_countries_by_gdp(
             "country_gdp", countries, gdp, 2)
-    return attributes, assignments, users
+    return attributes, ids, assignments, users
 
 
 class TestExplainerInputs:
@@ -211,17 +211,16 @@ class TestExplainerInputs:
         reached = set()
         for case in range(60):
             rng = np.random.default_rng(derive_seed("explainer-inputs", case))
-            attributes, assignments, users = random_attributes(rng, case)
+            attributes, ids, assignments, users = random_attributes(rng, case)
             max_bins = int(rng.integers(2, 9))
             columns = report._user_columns(attributes)
             features = {"age": columns["age"],
                         "gender": grouping.bucket_categorical("gender", columns["gender"]),
                         "usage": columns["usage"], "pop_index": columns["pop_index"],
-                        "last_digit": grouping.control_last_digit("last_digit",
-                                                                  columns["user_id"]),
+                        "last_digit": grouping.control_last_digit("last_digit", ids),
                         **assignments}
             specs, binned = report._explainer_inputs(features, users, max_bins)
-            rows = naive_ebm_feature_rows(attributes, assignments, users)
+            rows = naive_ebm_feature_rows(attributes, ids, assignments, users)
             want = naive_ebm_specs(rows, max_bins)
             assert [(s.name, s.labels) for s in specs] == \
                 [(s.name, s.labels) for s in want], case
@@ -230,13 +229,14 @@ class TestExplainerInputs:
 
             names = {s.name for s in specs}
             tested = [attributes[u] for u in users.tolist()]
+            tested_ids = [ids[u] for u in users.tolist()]
             reached.update(
                 name for name, hit in [
                     ("ages all missing", all(a.age is None for a in attributes)),
                     ("NA gender", any(a.gender is None for a in tested)),
-                    ("integer ids", isinstance(tested[0].user_id, int)),
-                    ("upper-case hex id", any(str(a.user_id)[-1] in "ABCDEF" for a in tested)),
-                    ("quote id", any(str(a.user_id).endswith('"') for a in tested)),
+                    ("integer ids", tested_ids[0].isdigit()),
+                    ("upper-case hex id", any(uid[-1] in "ABCDEF" for uid in tested_ids)),
+                    ("quote id", any(uid.endswith('"') for uid in tested_ids)),
                     ("N/A country", any(s.name.startswith("country") for s in specs)
                      and any(a.country is None for a in tested)),
                     ("numeric feature missing for every tested user",

@@ -9,16 +9,21 @@ indices and float64 strengths.
 
 Every other stage is bounded by the model ``a * nnz + b * (n_users +
 n_items) * k``: ``nnz``, ``n_users`` and ``n_items`` are the full matrix's,
-and ``b`` counts the float64 factor rows.  Each ``a`` and ``b`` is the
-value measured when the bound was set plus a margin of 5% or more, rounded
-up to half a byte.  A change that raises a bound says so, with the reason.
+and ``b`` counts the float64 factor rows.  ``report.load`` with the
+profiles, the parent's dataset through every fold, is bounded by ``a *
+nnz + c * n_users``: ``c`` counts what each user holds beyond the matrix's
+entries (its row start, id text and profile record).  Each ``a``, ``b``
+and ``c`` is the value measured when the bound was set plus a margin of
+5% or more, rounded up to half a byte.  A change that raises a bound says
+so, with the reason.
 """
 
 import tracemalloc
 
 import pytest
 
-from recaudit import als
+from recaudit import als, report
+from recaudit.config import AuditConfig, DatasetConfig
 from recaudit.evaluation import (SCHEME_PARTITION, assign_holdouts, evaluate_fold,
                                  fold_training_matrix, make_folds)
 from recaudit.ingest import LFM_COLD_START_MAX_ITEMS, cold_start_filter, load_lfm
@@ -39,6 +44,13 @@ MODEL = {
     "als.fit": ((0.5, 8.5), (21, 8.5)),
     "evaluate_fold": ((1, 0), (1, 1)),
 }
+
+# (a, c) bounding report.load's kept bytes, then (a, c) bounding its peak.
+# Measured: (12.0, 201), the entries' int32 items and float64 strengths,
+# then per user its row start, its id (a 1-4 digit text), its slotted
+# profile record and a pointer to each; and (53.2, 274), the peak in
+# from_triples' stable sort while the parsed profiles are alive
+PROFILED_LOAD = ((13, 213), (56, 290))
 
 
 def traced(fn):
@@ -80,6 +92,11 @@ def planted(tmp_path_factory):
     rows, *traces["evaluate_fold"] = traced(
         lambda: evaluate_fold(model, fold, matrix, user_ids))
     assert len(rows) == len(fold.test_users)
+    config = AuditConfig(dataset=DatasetConfig(
+        provenance="synthetic", interactions=str(root / "interactions.tsv"),
+        profiles=str(root / "profiles.tsv"), cold_start_min_items=LFM_COLD_START_MAX_ITEMS))
+    data, *traces["report.load"] = traced(lambda: report.load(config))
+    assert data.matrix.nnz == matrix.nnz and len(data.attributes) == matrix.n_users
     return matrix, fold, traces
 
 
@@ -92,6 +109,12 @@ def test_fold_matrix_and_item_view_bytes_per_entry(planted):
     _, kept, peak = traced(lambda: als._transpose_csr(train))
     assert kept <= 12 * matrix.nnz
     assert peak <= 20.5 * matrix.nnz
+
+
+def test_profiled_load_bytes_within_model(planted):
+    matrix, _, traces = planted
+    for (a, c), traced_bytes in zip(PROFILED_LOAD, traces["report.load"]):
+        assert traced_bytes <= a * matrix.nnz + c * matrix.n_users
 
 
 @pytest.mark.parametrize("stage", sorted(MODEL))

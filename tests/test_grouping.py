@@ -208,7 +208,7 @@ class TestCountryGdp:
 
 class TestLastDigit:
     def test_numeric_id(self):
-        a = control_last_digit("ld", [1208])
+        a = control_last_digit("ld", ["1208"])
         assert a.labels[a.codes[0]] == "8"
 
     def test_sha_style_id(self):
@@ -216,7 +216,7 @@ class TestLastDigit:
         assert a.labels[a.codes[0]] == "e"
 
     def test_hundred_sequential_ids(self):
-        a = control_last_digit("ld", list(range(100)))
+        a = control_last_digit("ld", [str(i) for i in range(100)])
         sizes = a.sizes()
         assert len(sizes) == 10
         assert all(size == 10 for size in sizes.values())

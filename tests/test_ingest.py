@@ -108,29 +108,29 @@ class TestLfmProfiles:
     def test_documented_row_format(self):
         attrs = parse_lfm_profiles(lines("u\tm\t19\tMexico\tApr 28, 2008\n"))
         assert len(attrs) == 1
-        a = attrs[0]
-        assert (a.user_id, a.gender, a.age, a.country) == ("u", "m", 19, "Mexico")
+        [(uid, a)] = attrs.items()
+        assert (uid, a.gender, a.age, a.country) == ("u", "m", 19, "Mexico")
 
     def test_all_empty_fields(self):
         attrs = parse_lfm_profiles(lines("u\t\t\t\t\n"))
-        a = attrs[0]
+        a = attrs["u"]
         assert a.gender is None
         assert a.age is None
         assert a.country is None
 
     def test_age_out_of_range_missing(self):
         attrs = parse_lfm_profiles(lines("u\tf\t250\tBrazil\t\n"))
-        assert attrs[0].age is None
-        assert attrs[0].gender == GENDER_FEMALE
+        assert attrs["u"].age is None
+        assert attrs["u"].gender == GENDER_FEMALE
 
     def test_non_integer_age_missing(self):
         attrs = parse_lfm_profiles(lines("u\tm\ttwenty\t\t\n"))
-        assert attrs[0].age is None
+        assert attrs["u"].age is None
 
     def test_duplicate_user_keeps_first(self, caplog):
         attrs = parse_lfm_profiles(lines("u\tm\t30\tPeru\t\nu\tf\t40\tChile\t\n"))
         assert len(attrs) == 1
-        assert attrs[0].gender == GENDER_MALE
+        assert attrs["u"].gender == GENDER_MALE
         assert "duplicate" in caplog.text
 
 
@@ -138,29 +138,29 @@ class TestMl1m:
     def test_documented_row_formats(self):
         raw = parse_ml1m(ratings("1::1193::5::978300760\n"),
                          lines("1::F::1::10::48067\n"))
-        assert triple_rows(raw.triples) == [(1, 1193, 5)]
-        a = raw.attributes[0]
-        assert (a.user_id, a.gender, a.age) == (1, GENDER_FEMALE, 1)
+        assert triple_rows(raw.triples) == [("1", "1193", 5)]
+        [(uid, a)] = raw.attributes.items()
+        assert (uid, a.gender, a.age) == ("1", GENDER_FEMALE, 1)
         assert raw.provenance == PROVENANCE_ML1M
 
     def test_age_outside_1_to_120_is_missing_and_the_user_kept(self, caplog):
         raw = parse_ml1m(ratings(""), lines("1::M::-5::0::1\n2::F::999::0::1\n"
                                             "3::F::120::0::1\n4::M::x::0::1\n"))
-        assert [(a.user_id, a.gender, a.age) for a in raw.attributes] == [
-            (1, GENDER_MALE, None), (2, GENDER_FEMALE, None), (3, GENDER_FEMALE, 120)]
+        assert [(uid, a.gender, a.age) for uid, a in raw.attributes.items()] == [
+            ("1", GENDER_MALE, None), ("2", GENDER_FEMALE, None), ("3", GENDER_FEMALE, 120)]
         assert "non-integer id or age" in caplog.text  # user 4's row is skipped
 
     def test_rating_outside_range_skipped(self, caplog):
         raw = parse_ml1m(ratings("1::10::7::0\n2::10::3::0\n"), lines(""))
-        assert triple_rows(raw.triples) == [(2, 10, 3)]
+        assert triple_rows(raw.triples) == [("2", "10", 3)]
         assert raw.skipped_interactions == 1
         assert "outside 1-5" in caplog.text
 
     def test_gender_mapping(self):
         raw = parse_ml1m(ratings(""), lines("1::M::25::0::11111\n2::F::35::1::22222\n"))
-        assert raw.attributes[0].gender == GENDER_MALE
-        assert raw.attributes[1].gender == GENDER_FEMALE
-        assert raw.attributes[1].age == 35
+        assert raw.attributes["1"].gender == GENDER_MALE
+        assert raw.attributes["2"].gender == GENDER_FEMALE
+        assert raw.attributes["2"].age == 35
 
     def test_leading_byte_order_marks_ignored(self, tmp_path, caplog):
         ratings = b"1::10::5::0\n2::10::9::0\n2::11::3::0\n"
@@ -173,14 +173,14 @@ class TestMl1m:
                                     tmp_path / f"{name}-users.dat"))
         plain, marked = loaded
         assert triple_rows(marked.triples) == triple_rows(plain.triples) == [
-            (1, 10, 5), (2, 11, 3)]
+            ("1", "10", 5), ("2", "11", 3)]
         for column in ("users", "items", "strengths", "user_ids", "item_ids"):
             assert np.array_equal(getattr(marked.triples, column),
                                   getattr(plain.triples, column))
         assert marked.skipped_interactions == plain.skipped_interactions == 1
         assert marked.attributes == plain.attributes
-        assert [(a.user_id, a.gender, a.age) for a in marked.attributes] == [
-            (1, GENDER_FEMALE, 25), (2, GENDER_MALE, 35)]
+        assert [(uid, a.gender, a.age) for uid, a in marked.attributes.items()] == [
+            ("1", GENDER_FEMALE, 25), ("2", GENDER_MALE, 35)]
         assert "non-integer" not in caplog.text
 
 
@@ -206,18 +206,20 @@ class TestProfileReader:
 
     @staticmethod
     def expected(records):
-        return [replace(a, gender=None if a.gender == "NA" else a.gender) for a in records]
+        return [(uid, replace(a, gender=None if a.gender == "NA" else a.gender))
+                for uid, a in records.items()]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(profile_lines(["u1", "u2", "7", "007", "", " u1", "\ufeffu1"], "\t", "\ufeff"))
     def test_lfm_profiles_match_the_line_loop(self, lines):
-        assert parse_lfm_profiles(lines) == self.expected(naive_parse_lfm_profiles(lines))
+        assert list(parse_lfm_profiles(lines).items()) == \
+            self.expected(naive_parse_lfm_profiles(lines))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(profile_lines(["1", "2", "7", "007", " 7", "x", ""], "::",
                          codecs.BOM_UTF8.decode("latin-1")))
     def test_ml1m_users_match_the_line_loop(self, lines):
-        assert parse_ml1m(ratings(""), lines).attributes == \
+        assert list(parse_ml1m(ratings(""), lines).attributes.items()) == \
             self.expected(naive_parse_ml1m_users(lines))
 
 
@@ -357,7 +359,7 @@ def _assert_ingest_matches_tuple_path(triples, rows, attribute_ids, provenance, 
     """Cold start and matrix from ``triples`` equal the tuple, dict-of-sets
     and dict-loop path over the same ``rows``; the attribute records stay
     as they were."""
-    raw = RawDataset(triples, [UserAttributes(uid) for uid in attribute_ids], provenance)
+    raw = RawDataset(triples, {uid: UserAttributes() for uid in attribute_ids}, provenance)
     filtered = cold_start_filter(raw, max_items)
     m, m_user_ids, m_item_ids = from_triples(filtered.triples)
 
@@ -444,5 +446,5 @@ class TestColumnarIngestMatchesTuplePath:
         assert triple_rows(raw.triples) == rows
         assert raw.skipped_interactions == want_skipped
         _assert_ingest_matches_tuple_path(raw.triples, rows,
-                                          [a.user_id for a in raw.attributes],
+                                          list(raw.attributes),
                                           PROVENANCE_ML1M, (None, 3, 6)[seed % 3])

@@ -133,7 +133,7 @@ def assert_ml1m_matches_oracle(data: bytes, chunk_bytes: int):
     t = raw.triples
     assert t.user_ids == list(dict.fromkeys(user for user, _, _ in rows))
     assert t.item_ids == list(dict.fromkeys(movie for _, movie, _ in rows))
-    assert all(type(i) is int for i in t.user_ids + t.item_ids)
+    assert all(type(i) is str for i in t.user_ids + t.item_ids)
     assert (t.users.dtype, t.items.dtype, t.strengths.dtype) == (np.int32, np.int32, np.float64)
 
 
@@ -171,7 +171,7 @@ def test_ml1m_colon_runs_split_as_str_split(chunk_bytes):
             b"1::2:::3::0\r\n:::1::2::3\r1::2::3:::::\n")
     assert_ml1m_matches_oracle(data, chunk_bytes)
     raw = ingest.parse_ml1m(io.BytesIO(data), [])
-    assert triple_rows(raw.triples) == [(1, 2, 3)]  # the first line, timestamp ":"
+    assert triple_rows(raw.triples) == [("1", "2", 3)]  # the first line, timestamp ":"
 
 
 def test_ml1m_ids_past_int64_stay_apart():
@@ -183,7 +183,7 @@ def test_ml1m_ids_past_int64_stay_apart():
     for chunk_bytes in (5, 1 << 20):
         assert_ml1m_matches_oracle(data, chunk_bytes)
     raw = ingest.parse_ml1m(io.BytesIO(data), [])
-    want = [2 ** 63 - 1, 2 ** 63, 10 ** 19, 7, -2 ** 63, -2 ** 63 - 1]
+    want = [str(i) for i in (2 ** 63 - 1, 2 ** 63, 10 ** 19, 7, -2 ** 63, -2 ** 63 - 1)]
     assert raw.triples.user_ids == raw.triples.item_ids == want
     assert raw.triples.users.tolist() == [code for code in (0, 1, 2, 3, 3, 4, 5, 1)
                                           for _ in ids]
@@ -230,7 +230,7 @@ def test_invalid_bytes_that_decode_alike_are_one_id():
 @pytest.mark.parametrize("provenance, data, user_ids, users", [
     ("lfm", b"\xff7\tm\tN\t1\nx\tm\tN\t2\n\xfe7\tn\tN\t3\nx\tn\tN\t4\n",
      ["\ufffd7", "x"], [0, 1, 0, 1]),
-    ("ml1m", b"007::1::3::0\n8::1::3::0\n7::2::3::0\n+8::2::3::0\n", [7, 8], [0, 1, 0, 1]),
+    ("ml1m", b"007::1::3::0\n8::1::3::0\n7::2::3::0\n+8::2::3::0\n", ["7", "8"], [0, 1, 0, 1]),
 ])
 def test_ids_that_decode_alike_share_a_code_across_chunks(provenance, data, user_ids, users):
     """A byte form first met in a later chunk takes the code its decoded id

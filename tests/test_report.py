@@ -3,12 +3,15 @@ import errno
 import os
 import re
 import shutil
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (naive_balanced_sample, naive_crosstab_counts, naive_group_numbers,
                      naive_kw_groups, naive_labels, naive_parse_lfm_profiles,
@@ -21,7 +24,8 @@ from recaudit.evaluation import METRICS, MetricFrame, MetricRow
 from recaudit.grouping import (NA_LABEL, GroupAssignment, balanced_sample,
                                bucket_categorical, bucket_from_brackets,
                                bucket_integer_values)
-from recaudit.ingest import RawDataset
+from recaudit.cli import main
+from recaudit.ingest import RawDataset, load_lfm, load_ml1m
 from recaudit.interactions import Triples, UserAttributes
 from recaudit.report import _largest_remainder, build_crosstab, run_audit
 from recaudit.stats import kruskal_wallis
@@ -616,14 +620,109 @@ def test_load_aligns_profile_records_to_rows(variant, cut, corpus, tmp_path):
     encoding = "latin-1" if provenance == "ml1m" else "utf-8"
     with open(dataset[key], encoding=encoding) as fh:
         parse = naive_parse_ml1m_users if provenance == "ml1m" else naive_parse_lfm_profiles
-        profiles = {a.user_id: replace(a, gender=None if a.gender == "NA" else a.gender)
-                    for a in parse(fh)}
+        profiles = {uid: replace(a, gender=None if a.gender == "NA" else a.gender)
+                    for uid, a in parse(fh).items()}
     assert len(data.attributes) == data.matrix.n_users
+    # each row its own record: the pop-index stage fills them in place
+    assert len(set(map(id, data.attributes))) == data.matrix.n_users
     for uid, attr in zip(data.user_ids, data.attributes):
-        assert attr.user_id == uid
-        assert attr == profiles.get(uid, UserAttributes(uid))
+        assert type(uid) is str
+        assert attr == profiles.get(uid, UserAttributes())
     assert (len(set(data.user_ids) - set(profiles)) > 0) == cut
     assert (len(set(profiles) - set(data.user_ids)) > 0) == (variant == "cold_start")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_id_is_text(variant, corpus, tmp_path):
+    """Parsed and matrix ids and scored rows name users by text on every
+    variant corpus, and the per-user means of a scored frame are the
+    means of its metrics CSV, bit for bit."""
+    provenance, dataset = VARIANTS[variant](corpus / "synthetic", tmp_path)
+    raw = (load_ml1m(dataset["ratings"], dataset["users"]) if provenance == "ml1m"
+           else load_lfm(dataset["interactions"], dataset["profiles"], provenance))
+    config = load_config(write_config(tmp_path / "c.ini", provenance, dataset,
+                                      tmp_path / "out"))
+    data = report_mod.load(config)
+    frame = report_mod.score(config, data)
+    for ids in (raw.triples.user_ids, raw.triples.item_ids, list(raw.attributes),
+                data.user_ids, [row.user_id for row in frame.rows]):
+        assert ids and all(type(uid) is str for uid in ids)
+    frame.to_csv(tmp_path / "metrics.csv")
+    read = MetricFrame.from_csv(tmp_path / "metrics.csv").user_means(data.user_ids)
+    for metric, means in frame.user_means(data.user_ids).items():
+        assert means.tobytes() == read[metric].tobytes(), metric
+
+
+ML1M_FORMS = ["7", "007", "+7"]  # one integer value, as int() reads each
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(ML1M_FORMS), min_size=12, max_size=12),
+       st.lists(st.sampled_from(ML1M_FORMS), min_size=1, max_size=3),
+       st.integers(0, 19), st.integers(0, 20))
+def test_ml1m_id_forms_are_one_user(rating_forms, profile_forms, first_at, profile_at):
+    """User 7 written as 7, 007 or +7 across both ML1M files is one user,
+    "7", with the record of its first users line; ``audit`` then ``report
+    --metrics`` writes the audit's tables and charts again."""
+    rng = np.random.default_rng(derive_seed("ml1m-forms", first_at))
+    ratings = [(str(user), int(movie), int(rng.integers(1, 6)))
+               for user in range(1, 21) if user != 7
+               for movie in rng.choice(30, size=12, replace=False) + 1]
+    sevens = [(form, int(movie), 4) for form, movie
+              in zip(rating_forms, rng.choice(30, size=12, replace=False) + 1)]
+    # user 7 is first met at row first_at * 12, or row 0's user is 7
+    at = first_at * 12
+    ratings = ratings[:at] + sevens + ratings[at:]
+    users = [f"{u}::{'MF'[u % 2]}::{18 + u}::0::00000" for u in range(1, 21) if u != 7]
+    # the first users line of user 7 says F and 25; each later one M and 50
+    sevens = [f"{form}::{'F' if i == 0 else 'M'}::{25 if i == 0 else 50}::0::00000"
+              for i, form in enumerate(profile_forms)]
+    users = users[:profile_at] + sevens + users[profile_at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "ratings.dat").write_text(
+            "".join(f"{u}::{m}::{r}::0\n" for u, m, r in ratings), encoding="latin-1")
+        (root / "users.dat").write_text("\n".join(users) + "\n", encoding="latin-1")
+        ini = root / "audit.ini"
+        ini.write_text(f"""
+[dataset]
+provenance = ml1m
+ratings = {root / 'ratings.dat'}
+users = {root / 'users.dat'}
+
+[model]
+factors = 4
+iterations = 2
+
+[evaluation]
+folds = 2
+depth = 20
+
+[ebm]
+max_rounds = 20
+bags = 2
+
+[output]
+dir = {root / 'audit'}
+threads = 1
+""")
+        data = report_mod.load(load_config(ini))
+        assert data.user_ids.count("7") == 1
+        assert not {"007", "+7"} & set(data.user_ids)
+        seven = data.user_ids.index("7")
+        assert data.matrix.user_items(seven).size == 12
+        assert (data.attributes[seven].gender, data.attributes[seven].age) == ("f", 25)
+
+        assert main(["audit", "--config", str(ini)]) == 0
+        assert main(["report", "--config", str(ini), "--metrics",
+                     str(root / "audit" / "metrics_per_user.csv"),
+                     "--out", str(root / "report")]) == 0
+        audited = {p.relative_to(root / "audit"): p.read_bytes()
+                   for p in (root / "audit").rglob("*") if p.is_file()}
+        assert b"\n7," in audited[Path("metrics_per_user.csv")]
+        del audited[Path("manifest.json")]
+        assert {p.relative_to(root / "report"): p.read_bytes()
+                for p in (root / "report").rglob("*") if p.is_file()} == audited
 
 
 class TestFailureHandling:
