@@ -23,6 +23,9 @@ is the number of processes the folds run in, one fit each.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -203,17 +206,25 @@ def loss(model: AlsModel, interactions: InteractionMatrix) -> float:
 
 def save_model(model: AlsModel, path: str | Path) -> None:
     """Dump factor matrices with a small header (see README for the layout)
-    at exactly ``path``: given a path, ``np.savez`` would add ``.npz``."""
+    at exactly ``path``: given a path, ``np.savez`` would add ``.npz``.
+    The dump is written in a temporary directory beside ``path`` and then
+    replaces it whole, so a failed dump leaves the previous file as it was."""
     hp = model.hyperparams
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            user_factors=model.user_factors,
-            item_factors=model.item_factors,
-            header=np.array([model.user_factors.shape[0], model.item_factors.shape[0],
-                             hp.factors, hp.seed], dtype=np.int64),
-            hyperparams=np.array([hp.regularization, hp.alpha, float(hp.iterations)]),
-        )
+    path = Path(path)
+    tmp = Path(tempfile.mkdtemp(prefix=".staging-", dir=path.parent))
+    try:
+        with open(tmp / path.name, "wb") as fh:
+            np.savez(
+                fh,
+                user_factors=model.user_factors,
+                item_factors=model.item_factors,
+                header=np.array([model.user_factors.shape[0], model.item_factors.shape[0],
+                                 hp.factors, hp.seed], dtype=np.int64),
+                hyperparams=np.array([hp.regularization, hp.alpha, float(hp.iterations)]),
+            )
+        os.replace(tmp / path.name, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def load_model(path: str | Path) -> AlsModel:

@@ -5,15 +5,15 @@ sampling.
 Every scheme assigns each user exactly one label; users whose source
 attribute is missing get the distinguished "N/A" label, which significance
 testing later drops.  A scheme takes one column in dense user order (a
-numeric scheme float64 values, NaN where missing; the others labels, None
-where missing) and stores the labels as one integer code per user, so
-every per-group count or statistic is a mask or a ``bincount``.
+numeric scheme float64 values, NaN where missing; a categorical one the
+codes and labels of ``code_labels``) and stores the labels as one integer
+code per user, so every per-group count or statistic is a mask or a
+``bincount``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,15 +58,13 @@ def _finish(name: str, codes: np.ndarray, ordered_labels: list[str]) -> GroupAss
     return GroupAssignment(name=name, labels=labels, codes=remap[codes])
 
 
-def _from_labels(name: str, per_user: Sequence[str],
-                 ordered_labels: list[str]) -> GroupAssignment:
-    """The assignment giving user i the label ``per_user[i]``; a label
-    missing from ``ordered_labels`` (N/A among them) becomes N/A."""
-    code_of = {label: code for code, label in enumerate(ordered_labels)}
-    na = len(ordered_labels)
-    codes = np.fromiter((code_of.get(label, na) for label in per_user),
-                        dtype=np.intp, count=len(per_user))
-    return _finish(name, codes, ordered_labels)
+def code_labels(values: Sequence[Optional[str]]) -> tuple[np.ndarray, list[str]]:
+    """A categorical column as ``(codes, labels)``: ``labels`` its sorted
+    distinct values and ``codes[i]`` the index of value i there, with a
+    missing value (None) coded ``len(labels)``."""
+    labels = sorted(set(values) - {None})
+    code_of = dict(zip(labels + [None], range(len(labels) + 1)))
+    return np.fromiter(map(code_of.__getitem__, values), np.intp, len(values)), labels
 
 
 def _fmt_value(v) -> str:
@@ -75,12 +73,16 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def bucket_categorical(name: str, values: Sequence[Optional[str]]) -> GroupAssignment:
-    """One group per distinct value, ordered by descending size; missing -> N/A."""
-    per_user = [NA_LABEL if value is None else str(value) for value in values]
-    counts = Counter(label for label in per_user if label != NA_LABEL)
-    ordered = sorted(counts, key=lambda lab: (-counts[lab], lab))
-    return _from_labels(name, per_user, ordered)
+def bucket_categorical(name: str, codes: np.ndarray,
+                       labels: Sequence[str]) -> GroupAssignment:
+    """One group per value of a ``code_labels`` column, ordered by
+    descending size; a missing value, or one equal to N/A, -> N/A."""
+    counts = np.bincount(codes, minlength=len(labels) + 1).tolist()
+    ordered = sorted((c for c, label in enumerate(labels) if label != NA_LABEL),
+                     key=lambda c: (-counts[c], labels[c]))
+    table = np.full(len(labels) + 1, len(ordered), dtype=np.intp)
+    table[ordered] = np.arange(len(ordered))
+    return _finish(name, table[codes], [labels[c] for c in ordered])
 
 
 def bucket_from_brackets(name: str, values: np.ndarray,
@@ -163,76 +165,56 @@ def _tercile_labels(k: int) -> list[str]:
     return [f"bucket{i + 1}" for i in range(k)]
 
 
-def bucket_countries_by_prevalence(name: str, countries: Sequence[Optional[str]],
+def bucket_countries_by_prevalence(name: str, codes: np.ndarray,
+                                   countries: Sequence[str],
                                    k: int = 3) -> GroupAssignment:
-    """Bucket countries by how many users they contribute, low to high.
+    """Bucket countries (a ``code_labels`` column) by user count, low to high.
 
-    Countries are walked in ascending user count; each bucket greedily
-    accumulates countries while that brings its total closer to an equal
-    share of users, always leaving at least one country per later bucket.
-    The most-represented countries therefore land in "high".
+    Countries are walked in ascending user count; each bucket takes the
+    next country, then greedily more while that brings its total closer to
+    an equal share of users and leaves a country for each later bucket, and
+    the last takes the rest.  The most-represented countries therefore land
+    in "high".
     """
-    counts = Counter(c for c in countries if c is not None)
-    labels = _tercile_labels(k)
-    ordered = sorted(counts, key=lambda c: (counts[c], c))
-    country_bucket: dict[str, str] = {}
-    pos = 0
-    remaining_total = sum(counts.values())
+    counts = np.bincount(codes, minlength=len(countries) + 1)[:-1].tolist()
+    ordered = sorted(np.flatnonzero(counts).tolist(),
+                     key=lambda c: (counts[c], countries[c]))
+    table = np.full(len(countries) + 1, k, dtype=np.intp)
+    pos, remaining = 0, sum(counts)
     for j in range(k):
-        remaining_buckets = k - j
-        if pos >= len(ordered):
-            break
-        if remaining_buckets == 1:
-            chosen = ordered[pos:]
-            pos = len(ordered)
-        else:
-            target = remaining_total / remaining_buckets
-            total = 0
-            chosen = []
-            while pos < len(ordered):
-                c = ordered[pos]
-                must_reserve = len(ordered) - (pos + 1) < remaining_buckets - 1
-                if chosen and (must_reserve or
-                               abs(total + counts[c] - target) >= abs(total - target)):
-                    break
-                chosen.append(c)
-                total += counts[c]
-                pos += 1
-            remaining_total -= total
-        for c in chosen:
-            country_bucket[c] = labels[j]
-
-    return _from_labels(name, [country_bucket.get(c, NA_LABEL) for c in countries],
-                        labels)
+        start, total, target = pos, 0, remaining / (k - j)
+        while pos < len(ordered) and (pos == start or j == k - 1 or (
+                len(ordered) - pos > k - j - 1
+                and abs(total + counts[ordered[pos]] - target) < abs(total - target))):
+            total += counts[ordered[pos]]
+            pos += 1
+        table[ordered[start:pos]] = j
+        remaining -= total
+    return _finish(name, table[codes], _tercile_labels(k))
 
 
-def bucket_countries_by_gdp(name: str, countries: Sequence[Optional[str]],
+def bucket_countries_by_gdp(name: str, codes: np.ndarray, countries: Sequence[str],
                             gdp: GdpTable, k: int = 3) -> GroupAssignment:
-    """Bucket countries into GDP-per-capita terciles (by country count).
+    """Bucket countries (a ``code_labels`` column) into GDP-per-capita
+    terciles (by country count).
 
     Users inherit their country's bucket; countries absent from the table
     and users without a country go to N/A.
     """
-    with_gdp = [(gdp.lookup(c), c) for c in sorted(set(countries) - {None})]
-    with_gdp = [(g, c) for g, c in with_gdp if g is not None]
-    with_gdp.sort()
-    labels = _tercile_labels(k)
-    country_bucket: dict[str, str] = {}
-    if with_gdp:
-        chunks = np.array_split(np.arange(len(with_gdp)), k)
-        for j, chunk in enumerate(chunks):
-            for idx in chunk:
-                country_bucket[with_gdp[idx][1]] = labels[j]
-    return _from_labels(name, [country_bucket.get(c, NA_LABEL) for c in countries],
-                        labels)
+    used = np.flatnonzero(np.bincount(codes, minlength=len(countries) + 1)[:-1])
+    with_gdp = [(gdp.lookup(countries[c]), countries[c], c) for c in used.tolist()]
+    with_gdp = sorted(entry for entry in with_gdp if entry[0] is not None)
+    table = np.full(len(countries) + 1, k, dtype=np.intp)
+    for j, chunk in enumerate(np.array_split(np.arange(len(with_gdp)), k)):
+        table[[with_gdp[idx][2] for idx in chunk.tolist()]] = j
+    return _finish(name, table[codes], _tercile_labels(k))
 
 
 def control_last_digit(name: str, user_ids: Sequence[str]) -> GroupAssignment:
     """Control grouping by each id's last character, lower-cased (a numeric
     id's last digit, a sha1's last hex digit).  Should predict nothing.
     """
-    per_user = [uid[-1:].lower() or NA_LABEL for uid in user_ids]
-    return _from_labels(name, per_user, sorted(set(per_user) - {NA_LABEL}))
+    return _finish(name, *code_labels([uid[-1:].lower() or None for uid in user_ids]))
 
 
 def bucket_integer_values(name: str, values: np.ndarray,

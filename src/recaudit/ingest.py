@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .interactions import GENDER_FEMALE, GENDER_MALE, Triples, UserAttributes
+from .util import distinct_sorted
 
 log = logging.getLogger(__name__)
 
@@ -480,9 +481,7 @@ def cold_start_filter(dataset: RawDataset, max_items: Optional[int] = None) -> R
         else:
             return dataset
     t = dataset.triples
-    # distinct (user, item) keys by a sort: np.unique's hash was ~15x slower
-    pairs = np.sort(t.users.astype(np.int64) * len(t.item_ids) + t.items)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    pairs = distinct_sorted(t.users.astype(np.int64) * len(t.item_ids) + t.items)
     distinct = np.bincount(pairs // len(t.item_ids), minlength=len(t.user_ids))
     removed = (distinct > 0) & (distinct <= max_items)
     n_removed = int(np.count_nonzero(removed))

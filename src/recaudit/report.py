@@ -320,11 +320,11 @@ def _fold_worker(run: Callable[[evaluation.Fold], list], folds: list[evaluation.
 
 def _user_columns(attributes: Sequence[UserAttributes]) -> dict:
     """The records as columns: age, usage and pop_index as float64 (NaN
-    where unset), gender and country as labels (None where missing)."""
+    where unset), gender and country coded by ``grouping.code_labels``."""
     columns = {name: np.array([getattr(a, name) for a in attributes], dtype=np.float64)
                for name in ("age", "usage", "pop_index")}  # None becomes NaN
     for name in ("gender", "country"):
-        columns[name] = [getattr(a, name) for a in attributes]
+        columns[name] = grouping.code_labels([getattr(a, name) for a in attributes])
     return columns
 
 
@@ -337,7 +337,6 @@ def build_assignments(config: AuditConfig, data: Dataset,
     gc, gdp = config.grouping, data.gdp
     ages, countries = columns["age"], columns["country"]
     have_ages = not np.isnan(ages).all()
-    have_countries = any(c is not None for c in countries)
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
 
     out: dict[str, grouping.GroupAssignment] = {}
@@ -353,12 +352,12 @@ def build_assignments(config: AuditConfig, data: Dataset,
             except ValueError as exc:
                 log.warning("skipping age_equal_count scheme: %s", exc)
         elif scheme == "gender":
-            out[scheme] = grouping.bucket_categorical(scheme, columns["gender"])
-        elif scheme == "country_prevalence" and have_countries:
+            out[scheme] = grouping.bucket_categorical(scheme, *columns["gender"])
+        elif scheme == "country_prevalence" and countries[1]:
             out[scheme] = grouping.bucket_countries_by_prevalence(
-                scheme, countries, gc.country_buckets)
-        elif scheme == "country_gdp" and have_countries and gdp is not None:
-            out[scheme] = grouping.bucket_countries_by_gdp(scheme, countries, gdp,
+                scheme, *countries, gc.country_buckets)
+        elif scheme == "country_gdp" and countries[1] and gdp is not None:
+            out[scheme] = grouping.bucket_countries_by_gdp(scheme, *countries, gdp,
                                                            gc.country_buckets)
         elif scheme == "usage":
             try:

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from recaudit.errors import NumericalError
-from recaudit.grouping import (NA_LABEL, GroupAssignment, _finish, _fmt_value,
-                               _from_labels)
+from recaudit.grouping import NA_LABEL, GroupAssignment
 from recaudit.interactions import Triples
 from recaudit.synthetic import PlantedTruth
 from recaudit.util import derive_seed
@@ -346,6 +345,27 @@ def naive_numeric(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return present, arr
 
 
+def naive_assignment(name: str, per_user: Sequence[str],
+                     ordered: Sequence[str]) -> GroupAssignment:
+    """The assignment giving user i the label ``per_user[i]``, one of
+    ``ordered`` or N/A: labels of ``ordered`` with a member, in that order,
+    then N/A if anyone has it."""
+    labels = naive_labels(dict(enumerate(per_user)), ordered)
+    return GroupAssignment(name, labels, np.array([labels.index(label) for label in per_user],
+                                                  dtype=np.intp))
+
+
+def naive_per_user(labels, present, idx) -> list[str]:
+    """User i's label: ``labels[idx[i]]`` where ``present[i]``, else N/A."""
+    return [labels[i] if p else NA_LABEL for p, i in zip(present.tolist(), idx.tolist())]
+
+
+def naive_fmt_value(v) -> str:
+    """A value as a label: a whole number without its ".0"."""
+    v = float(v)
+    return str(int(v)) if v.is_integer() else str(v)
+
+
 def naive_bucket_from_brackets(name: str, values: Sequence[Optional[int]],
                          lower_bounds: Sequence[int]) -> GroupAssignment:
     """Bucket by a configured bracket list of lower bounds (e.g. the ML1M
@@ -360,7 +380,7 @@ def naive_bucket_from_brackets(name: str, values: Sequence[Optional[int]],
             labels.append(f"{lo}+")
     present, arr = naive_numeric(values)
     idx = np.maximum(np.searchsorted(bounds, arr, side="right") - 1, 0)
-    return _finish(name, np.where(present, idx, len(labels)), labels)
+    return naive_assignment(name, naive_per_user(labels, present, idx), labels)
 
 
 def naive_bucket_equal_range(name: str, values: Sequence[Optional[int]],
@@ -372,13 +392,13 @@ def naive_bucket_equal_range(name: str, values: Sequence[Optional[int]],
         raise ValueError("bin width must be positive")
     present = [v for v in values if v is not None]
     if not present:
-        return _finish(name, np.zeros(len(values), dtype=np.intp), [])
+        return naive_assignment(name, [NA_LABEL] * len(values), [])
     lo0 = min(present) if anchor is None else anchor
     n_bins = (max(present) - lo0) // width + 1
     labels = [f"{lo0 + b * width}-{lo0 + (b + 1) * width - 1}" for b in range(n_bins)]
     mask, arr = naive_numeric(values)
     idx = np.clip((arr - lo0) // width, 0, n_bins - 1).astype(np.intp)
-    return _finish(name, np.where(mask, idx, n_bins), labels)
+    return naive_assignment(name, naive_per_user(labels, mask, idx), labels)
 
 
 def naive_bucket_equal_count(name: str, values: Sequence[Optional[float]],
@@ -415,9 +435,10 @@ def naive_bucket_equal_count(name: str, values: Sequence[Optional[float]],
     for start, end in zip(boundaries[:-1], boundaries[1:]):
         lo, hi = sorted_vals[start], sorted_vals[end - 1]
         upper_values.append(hi)
-        labels.append(f"{_fmt_value(lo)}-{_fmt_value(hi)}" if lo != hi else _fmt_value(lo))
+        labels.append(f"{naive_fmt_value(lo)}-{naive_fmt_value(hi)}" if lo != hi
+                      else naive_fmt_value(lo))
     idx = np.minimum(np.searchsorted(upper_values, arr, side="left"), len(labels) - 1)
-    return _finish(name, np.where(present, idx, len(labels)), labels)
+    return naive_assignment(name, naive_per_user(labels, present, idx), labels)
 
 
 def naive_bucket_integer_values(name: str, values: Sequence[Optional[int]],
@@ -429,7 +450,7 @@ def naive_bucket_integer_values(name: str, values: Sequence[Optional[int]],
     per_user = [NA_LABEL if v is None else top if v >= merge_at else str(int(v))
                 for v in values]
     seen = sorted({int(v) for v in values if v is not None and v < merge_at})
-    return _from_labels(name, per_user, [str(v) for v in seen] + [top])
+    return naive_assignment(name, per_user, [str(v) for v in seen] + [top])
 
 
 # ---- per-group numbers from user_id -> label dicts ---------------------------

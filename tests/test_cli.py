@@ -242,6 +242,27 @@ def test_train_unwritable_model_out_exits_2(config_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_failing_dump_keeps_the_previous_model(config_file, tmp_path, capsys,
+                                                     monkeypatch):
+    models = tmp_path / "models"
+    models.mkdir()
+    model_path = models / "model.npz"
+    assert main(["train", "--config", str(config_file),
+                 "--model-out", str(model_path)]) == 0
+    before = model_path.read_bytes()
+
+    def broken_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    assert main(["train", "--config", str(config_file),
+                 "--model-out", str(model_path)]) == 2
+    assert "stage emit" in capsys.readouterr().err
+    assert model_path.read_bytes() == before
+    assert [p.name for p in models.iterdir()] == ["model.npz"]
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_train_rejects_a_negative_model_seed(config_file, tmp_path, capsys, where):
     # numpy's generator refuses a negative seed, so train cannot run one

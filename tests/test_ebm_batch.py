@@ -190,17 +190,17 @@ def random_attributes(rng, case):
         attr.pop_index = int(rng.integers(0, 101)) if rng.random() < 0.9 else None
         if case % 5 == 2 and u in users:
             attr.pop_index = None
-    countries = [a.country for a in attributes]
+    countries = grouping.code_labels([a.country for a in attributes])
     gdp = GdpTable()
     for i, country in enumerate(["Chile", "Ghana", "Fiji"]):
         gdp.add(country, 1000.0 * (3 - i))
     assignments = {}
     if case % 3 != 1:
         assignments["country_prevalence"] = grouping.bucket_countries_by_prevalence(
-            "country_prevalence", countries, int(rng.integers(2, 4)))
+            "country_prevalence", *countries, int(rng.integers(2, 4)))
     if case % 4 != 3:
         assignments["country_gdp"] = grouping.bucket_countries_by_gdp(
-            "country_gdp", countries, gdp, 2)
+            "country_gdp", *countries, gdp, 2)
     return attributes, ids, assignments, users
 
 
@@ -215,7 +215,7 @@ class TestExplainerInputs:
             max_bins = int(rng.integers(2, 9))
             columns = report._user_columns(attributes)
             features = {"age": columns["age"],
-                        "gender": grouping.bucket_categorical("gender", columns["gender"]),
+                        "gender": grouping.bucket_categorical("gender", *columns["gender"]),
                         "usage": columns["usage"], "pop_index": columns["pop_index"],
                         "last_digit": grouping.control_last_digit("last_digit", ids),
                         **assignments}

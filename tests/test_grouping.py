@@ -9,7 +9,7 @@ from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
                                bucket_countries_by_prevalence,
                                bucket_equal_count, bucket_equal_range,
                                bucket_from_brackets, bucket_integer_values,
-                               control_last_digit)
+                               code_labels, control_last_digit)
 from recaudit.ingest import GdpTable
 from recaudit.util import derive_seed
 
@@ -35,18 +35,18 @@ class TestCategorical:
             values[f"f{i}"] = "f"
         for i in range(9):
             values[f"x{i}"] = None
-        a = bucket_categorical("gender", list(values.values()))
+        a = bucket_categorical("gender", *code_labels(list(values.values())))
         assert a.labels == ["m", "f", NA_LABEL]
         sizes = a.sizes()
         assert (sizes["m"], sizes["f"], sizes[NA_LABEL]) == (67, 24, 9)
 
     def test_single_group(self):
-        a = bucket_categorical("g", ["only"] * 5)
+        a = bucket_categorical("g", *code_labels(["only"] * 5))
         assert a.labels == ["only"]
 
     def test_total_function(self):
         values = {"a": "x", "b": None, "c": "y"}
-        a = bucket_categorical("g", list(values.values()))
+        a = bucket_categorical("g", *code_labels(list(values.values())))
         assert labels_by_user(a, values) == {"a": "x", "b": NA_LABEL, "c": "y"}
         assert sum(a.sizes().values()) == 3
 
@@ -139,13 +139,13 @@ class TestBrackets:
 class TestCountryPrevalence:
     def test_three_equal_countries(self):
         countries = users_with_countries({"A": 10, "B": 10, "C": 10})
-        a = bucket_countries_by_prevalence("prev", countries)
+        a = bucket_countries_by_prevalence("prev", *code_labels(countries))
         sizes = a.sizes()
         assert sizes == {"low": 10, "medium": 10, "high": 10}
 
     def test_dominant_country_alone_in_high(self):
         countries = users_with_countries({"A": 10, "B": 15, "C": 15, "D": 60})
-        a = bucket_countries_by_prevalence("prev", countries)
+        a = bucket_countries_by_prevalence("prev", *code_labels(countries))
         high_countries = {countries[i] for i in range(len(countries))
                           if a.labels[a.codes[i]] == "high"}
         assert high_countries == {"D"}
@@ -153,16 +153,22 @@ class TestCountryPrevalence:
     def test_distinct_counts_near_equal_totals(self):
         spec = {chr(65 + i): 5 + 3 * i for i in range(9)}  # 5,8,...,29
         countries = users_with_countries(spec)
-        a = bucket_countries_by_prevalence("prev", countries)
+        a = bucket_countries_by_prevalence("prev", *code_labels(countries))
         total = sum(spec.values())
         sizes = a.sizes()
         largest = max(spec.values())
         for label in ("low", "medium", "high"):
             assert abs(sizes[label] - total / 3) <= largest
 
+    def test_tie_leaves_the_bucket_closed(self):
+        # "medium" aims at 1.5 users: C would move it from 1 to 2, no closer
+        countries = users_with_countries({"A": 1, "B": 1, "C": 1, "D": 1})
+        a = bucket_countries_by_prevalence("prev", *code_labels(countries))
+        assert [a.labels[code] for code in a.codes] == ["low", "medium", "high", "high"]
+
     def test_missing_country_na(self):
         countries = users_with_countries({"A": 3, None: 2})
-        a = bucket_countries_by_prevalence("prev", countries)
+        a = bucket_countries_by_prevalence("prev", *code_labels(countries))
         assert a.sizes()[NA_LABEL] == 2
 
 
@@ -176,7 +182,7 @@ class TestCountryGdp:
     def test_three_countries_one_per_bucket(self):
         countries = users_with_countries({"Poor": 4, "Mid": 4, "Rich": 4})
         gdp = self.table({"Poor": 1000.0, "Mid": 10000.0, "Rich": 50000.0})
-        a = bucket_countries_by_gdp("gdp", countries, gdp)
+        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
         assert a.labels[a.codes[0]] == "low"
         assert a.labels[a.codes[4]] == "medium"
         assert a.labels[a.codes[8]] == "high"
@@ -185,20 +191,20 @@ class TestCountryGdp:
         spec = {f"C{i}": 2 for i in range(6)}
         countries = users_with_countries(spec)
         gdp = self.table({f"C{i}": 1000.0 * (i + 1) for i in range(6)})
-        a = bucket_countries_by_gdp("gdp", countries, gdp)
+        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
         sizes = a.sizes()
         assert sizes == {"low": 4, "medium": 4, "high": 4}
 
     def test_absent_from_table_is_na(self):
         countries = users_with_countries({"Known": 2, "Unknown": 3, None: 1})
         gdp = self.table({"Known": 5000.0, "Other": 1.0, "More": 2.0})
-        a = bucket_countries_by_gdp("gdp", countries, gdp)
+        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
         assert a.sizes()[NA_LABEL] == 4
 
     def test_fixture_hand_assignment(self):
         countries = users_with_countries({"A": 1, "B": 2, "C": 3, "D": 4})
         gdp = self.table({"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0})
-        a = bucket_countries_by_gdp("gdp", countries, gdp)
+        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
         # ascending GDP: D, C, B, A -> chunks [D,C], [B], [A]
         sizes = a.sizes()
         assert sizes["low"] == 4 + 3
@@ -237,7 +243,7 @@ class TestIntegerValues:
 class TestBalancedSample:
     def assignment(self, sizes):
         values = [label for label, n in sizes.items() for _ in range(n)]
-        return bucket_categorical("g", values)
+        return bucket_categorical("g", *code_labels(values))
 
     @staticmethod
     def sample(a, seed):
@@ -268,7 +274,7 @@ class TestBalancedSample:
         assert counts == {"x": 12, "y": 12, "z": 12}
 
     def test_na_group_ignored(self):
-        a = bucket_categorical("g", ["x", "x", None, "y", "y"])
+        a = bucket_categorical("g", *code_labels(["x", "x", None, "y", "y"]))
         sample = self.sample(a, seed=0)
         assert 2 not in sample
         assert len(sample) == 4

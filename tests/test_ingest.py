@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import (from_rows, naive_cold_start, naive_csr, naive_parse_lfm_profiles,
                      naive_parse_lfm_rows, naive_parse_ml1m_rows, naive_parse_ml1m_users)
 from recaudit.errors import DataError
-from recaudit.grouping import NA_LABEL, bucket_countries_by_gdp
+from recaudit.grouping import NA_LABEL, bucket_countries_by_gdp, code_labels
 from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              PROVENANCE_ML1M, PROVENANCE_SYNTHETIC, PROVENANCES,
                              RawDataset, cold_start_filter, load_gdp, load_gdp_table,
@@ -256,7 +256,7 @@ class TestGdpTable:
         assert sorted(table.values) == ["A", "C", "D", "F"]
         assert caplog.text.count("non-numeric") == 2
         countries = ["A", "B", "C", "D", "E", "F"]
-        a = bucket_countries_by_gdp("gdp", countries, table)
+        a = bucket_countries_by_gdp("gdp", *code_labels(countries), table)
         assert [a.labels[c] for c in a.codes] == ["low", NA_LABEL, "high", "low", NA_LABEL,
                                                   "medium"]
 

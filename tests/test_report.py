@@ -23,7 +23,7 @@ from recaudit.errors import ConfigError, DataError
 from recaudit.evaluation import METRICS, MetricFrame, MetricRow
 from recaudit.grouping import (NA_LABEL, GroupAssignment, balanced_sample,
                                bucket_categorical, bucket_from_brackets,
-                               bucket_integer_values)
+                               bucket_integer_values, code_labels)
 from recaudit.cli import main
 from recaudit.ingest import RawDataset, load_lfm, load_ml1m
 from recaudit.interactions import Triples, UserAttributes
@@ -217,7 +217,7 @@ class TestCrossTab:
     def test_columns_sum_to_100(self):
         rows = bucket_integer_values("pop", nan_column([i % 5 for i in range(40)]),
                                      merge_at=13)
-        cols = bucket_categorical("g", ["a" if i < 25 else "b" for i in range(40)])
+        cols = bucket_categorical("g", *code_labels(["a" if i < 25 else "b" for i in range(40)]))
         _, col_labels, percentages, _ = crosstab_columns(build_crosstab(rows, cols))
         for col in col_labels:
             assert sum(percentages[col].values()) == 100
@@ -225,7 +225,7 @@ class TestCrossTab:
     def test_uneven_shares_still_sum_100(self, rng):
         rows = bucket_integer_values("pop", rng.integers(0, 7, 97).astype(np.float64),
                                      merge_at=13)
-        cols = bucket_categorical("g", [str(v) for v in rng.integers(0, 3, 97)])
+        cols = bucket_categorical("g", *code_labels([str(v) for v in rng.integers(0, 3, 97)]))
         _, col_labels, percentages, _ = crosstab_columns(build_crosstab(rows, cols))
         for col in col_labels:
             assert sum(percentages[col].values()) == 100
@@ -233,7 +233,7 @@ class TestCrossTab:
     def test_empty_column_no_division_error(self):
         # ghost has no pop bucket, so the N/A gender column counts nobody
         rows = bucket_integer_values("pop", nan_column([1, 2, None]), merge_at=13)
-        cols = bucket_categorical("g", ["a", "a", None])
+        cols = bucket_categorical("g", *code_labels(["a", "a", None]))
         _, _, percentages, col_totals = crosstab_columns(build_crosstab(rows, cols))
         assert col_totals["N/A"] == 0
         assert sum(percentages["N/A"].values()) == 0
@@ -292,7 +292,7 @@ class TestGroupNumbersMatchOracle:
             cat_counts = {c: cats.count(c) for c in set(cats) - {None}}
             cat_order = sorted(cat_counts, key=lambda c: (-cat_counts[c], c))
             brackets = bucket_from_brackets("br", nan_column(values), BRACKETS)
-            categories = bucket_categorical("cat", cats)
+            categories = bucket_categorical("cat", *code_labels(cats))
             for assignment, by_user, ordered in ((brackets, bracket_of, BRACKET_LABELS),
                                                  (categories, cat_of, cat_order)):
                 labels = naive_labels(by_user, ordered)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import ks_distance_from_uniform, naive_kruskal_h, naive_rank_mid
 from recaudit.evaluation import MetricFrame, MetricRow
-from recaudit.grouping import bucket_categorical
+from recaudit.grouping import bucket_categorical, code_labels
 from recaudit.stats import bonferroni, chi2_sf, kruskal_wallis, rank_mid
 from recaudit.stats import test_grouping as kw_test_grouping  # avoid pytest collection
 
@@ -204,7 +204,7 @@ class TestTestGrouping:
             labels[f"a{i}"] = "a"
             means[f"b{i}"] = float(rng.normal(0.4, 0.05))
             labels[f"b{i}"] = "b"
-        assignment = bucket_categorical("g", list(labels.values()))
+        assignment = bucket_categorical("g", *code_labels(list(labels.values())))
         result = kw_test_grouping(means_of(means, labels), assignment)
         assert result is not None
         assert result.p_value < 0.01
@@ -212,7 +212,7 @@ class TestTestGrouping:
     def test_na_users_omitted(self, rng):
         means = {f"u{i}": float(rng.random()) for i in range(20)}
         labels = {f"u{i}": ("x" if i % 2 else None) for i in range(20)}
-        assignment = bucket_categorical("g", list(labels.values()))
+        assignment = bucket_categorical("g", *code_labels(list(labels.values())))
         # only one usable group once N/A users are dropped
         assert kw_test_grouping(means_of(means, labels), assignment) is None
 
@@ -220,7 +220,7 @@ class TestTestGrouping:
         means = {f"a{i}": float(rng.random()) for i in range(10)}
         labels = {f"a{i}": "a" for i in range(10)}
         labels.update({f"b{i}": "b" for i in range(5)})  # b users never evaluated
-        assignment = bucket_categorical("g", list(labels.values()))
+        assignment = bucket_categorical("g", *code_labels(list(labels.values())))
         assert kw_test_grouping(means_of(means, labels), assignment) is None
 
     def test_pools_means_across_folds(self, rng):
@@ -231,7 +231,7 @@ class TestTestGrouping:
             rows.append(MetricRow(f"b{i}", 0, 0.3, 0.3, 0.3))
         labels = {f"a{i}": "a" for i in range(30)}
         labels.update({f"b{i}": "b" for i in range(30)})
-        assignment = bucket_categorical("g", list(labels.values()))
+        assignment = bucket_categorical("g", *code_labels(list(labels.values())))
         result = kw_test_grouping(ndcg_means(rows, labels), assignment)
         assert result is not None
         assert result.group_sizes == (30, 30)
