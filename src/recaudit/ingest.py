@@ -20,7 +20,7 @@ from typing import BinaryIO, Iterable, Optional
 import numpy as np
 
 from .errors import DataError
-from .interactions import GENDER_FEMALE, GENDER_MALE, Triples, UserAttributes
+from .interactions import GENDER_FEMALE, GENDER_MALE, Triples
 from .util import distinct_sorted
 
 log = logging.getLogger(__name__)
@@ -42,10 +42,11 @@ LFM_COLD_START_MAX_ITEMS = 40
 
 @dataclass
 class RawDataset:
-    """Parsed rows plus user id -> profile record, before the matrix."""
+    """Parsed rows plus user id -> profile ``(gender, age, country)``,
+    before the matrix."""
 
     triples: Triples
-    attributes: dict[str, UserAttributes]
+    attributes: dict[str, tuple]
     provenance: str
     skipped_interactions: int = 0
     skipped_users: int = 0
@@ -62,9 +63,7 @@ class GdpTable:
         self.values[country] = gdp
         self._folded[country.casefold()] = gdp
 
-    def lookup(self, country: Optional[str]) -> Optional[float]:
-        if country is None:
-            return None
+    def lookup(self, country: str) -> Optional[float]:
         return self._folded.get(country.casefold())
 
     def __len__(self) -> int:
@@ -354,15 +353,17 @@ def _parse_age(text: str) -> Optional[int]:
 
 
 def _read_profiles(stream: Iterable[str], what: str, bom: str, sep: str,
-                   fields_of) -> dict[str, UserAttributes]:
-    """User id -> the record of its profile line in ``stream``, read as
-    ``_iter_lines`` reads them.  Blank lines are skipped, and
+                   fields_of) -> dict[str, tuple]:
+    """User id -> ``(gender, age, country)`` of its profile line in
+    ``stream``, read as ``_iter_lines`` reads them; users with equal
+    profiles share one tuple.  Blank lines are skipped, and
     ``fields_of(line.split(sep), lineno)`` gives a line's user id and its
     gender, age and country texts, or None to skip the line.  A gender
     other than m or f (either case), an age that is not an integer in 1-120
-    and an empty country are missing.  The first record of each user id is
-    kept, and each later one is skipped with a warning."""
-    out: dict[str, UserAttributes] = {}
+    and an empty country are missing (None).  The first line of each user
+    id is kept, and each later one is skipped with a warning."""
+    out: dict[str, tuple] = {}
+    shared: dict[tuple, tuple] = {}
     for lineno, line in _iter_lines(stream, what, bom):
         fields = fields_of(line.split(sep), lineno) if line else None
         if fields is None:
@@ -374,11 +375,12 @@ def _read_profiles(stream: Iterable[str], what: str, bom: str, sep: str,
         gender = gender.strip().lower()
         if gender not in (GENDER_MALE, GENDER_FEMALE):
             gender = None
-        out[user] = UserAttributes(gender, _parse_age(age), country.strip() or None)
+        profile = (gender, _parse_age(age), country.strip() or None)
+        out[user] = shared.setdefault(profile, profile)
     return out
 
 
-def parse_lfm_profiles(stream: Iterable[str]) -> dict[str, UserAttributes]:
+def parse_lfm_profiles(stream: Iterable[str]) -> dict[str, tuple]:
     """Parse LFM360K profiles: user-sha1 \\t gender \\t age \\t country \\t signup,
     as ``_read_profiles`` reads them.  Missing trailing fields are empty, a
     line with an empty user is skipped, and the signup field is not read.
@@ -397,7 +399,7 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
     integer (by ``int``), or a rating outside 1-5 is skipped and counted,
     and each reason is logged once with its count and first line; blank
     lines are not counted.  The timestamp is not read.  The users file is
-    read as ``_read_profiles`` reads it into ``attributes`` (id -> record):
+    read as ``_read_profiles`` reads it into ``attributes`` (id -> tuple):
     a row without 5 fields, or whose id or age is not an integer, is
     skipped with a warning, and the occupation and zip fields are not read.
     One leading byte order mark is ignored in each file.
@@ -507,7 +509,7 @@ def load_lfm(interactions_path: str | Path, profiles_path: Optional[str | Path],
     """Load LFM-format files from disk (UTF-8, tolerant of stray bytes)."""
     with _open(interactions_path, None) as fh:
         triples, skipped = parse_lfm_interactions(fh)
-    attributes: dict[str, UserAttributes] = {}
+    attributes: dict[str, tuple] = {}
     if profiles_path is not None:
         with _open(profiles_path, "utf-8", errors="replace") as fh:
             attributes = parse_lfm_profiles(fh)

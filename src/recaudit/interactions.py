@@ -1,5 +1,5 @@
-"""Interaction rows, the sparse interaction matrix, user attribute records,
-and dataset statistics.
+"""Interaction rows, the sparse interaction matrix, the profile table's row
+type, and dataset statistics.
 
 Parsed rows are ``Triples``, columns of int32 codes.  The interaction
 matrix is stored CSR-style (indptr/indices/data) with dense contiguous
@@ -24,28 +24,17 @@ bytes per entry of the full matrix, and the fold matrix peaked at 13.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 GENDER_MALE = "m"
 GENDER_FEMALE = "f"
 
-
-@dataclass(slots=True)
-class UserAttributes:
-    """A user's demographics plus derived usage and pop-index, without its id.
-
-    A missing gender, age or country is None.  ``usage`` and ``pop_index``
-    start unset and are filled by the popularity module once the
-    interaction matrix exists.
-    """
-
-    gender: Optional[str] = None
-    age: Optional[int] = None
-    country: Optional[str] = None
-    usage: Optional[float] = None
-    pop_index: Optional[int] = None
+# one row of a dataset's profile table (``report.Dataset.attributes``):
+# gender and country coded by ``grouping.code_labels``, the rest NaN where
+# missing; usage and pop_index are filled by ``popindex.fill_attributes``
+PROFILE_DTYPE = np.dtype([("gender", np.intp), ("age", np.float64), ("country", np.intp),
+                          ("usage", np.float64), ("pop_index", np.float64)])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The pop-index user statistic and the usage attribute.
+"""The pop-index user statistic, filled with usage into the profile table.
 
 The pop-index is an h-index-style measure of how mainstream a user's
 consumption is: the largest integer p in [0, 100] such that at least p%
@@ -19,12 +19,11 @@ computes every user's value in one sort over the matrix entries.
 from __future__ import annotations
 
 import logging
-from typing import Sequence
 
 import numpy as np
 
 from .ingest import PROVENANCE_ML1M
-from .interactions import InteractionMatrix, UserAttributes
+from .interactions import InteractionMatrix
 
 log = logging.getLogger(__name__)
 
@@ -72,16 +71,18 @@ def pop_indices(m: InteractionMatrix) -> np.ndarray:
     return out
 
 
-def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
+def fill_attributes(attributes: np.recarray, m: InteractionMatrix,
                     provenance: str) -> None:
-    """Fill usage (total plays, or for ML1M the number of rated items, as a
-    float) and pop_index on the attribute records, one per matrix row in
-    row order.
+    """Fill the profile table's ``usage`` (total plays, or for ML1M the
+    number of rated items) and ``pop_index``, one row per matrix row.
 
-    A user with an empty row keeps both fields unset; a total past the
-    float64 range leaves usage unset, with one warning.
+    A user with an empty row reads NaN in both; a total past the float64
+    range leaves usage NaN, with one warning.  A table of another length
+    raises ValueError.
     """
-    pops = pop_indices(m).tolist()
+    if len(attributes) != m.n_users:
+        raise ValueError(f"{len(attributes)} profile rows for {m.n_users} matrix rows")
+    pops = pop_indices(m)
     uses = np.diff(m.indptr).astype(np.float64)
     if provenance != PROVENANCE_ML1M:
         # play counts are integers: a row's sum is integral, exact in any order below 2**53
@@ -92,8 +93,6 @@ def fill_attributes(attributes: Sequence[UserAttributes], m: InteractionMatrix,
     if not finite.all():
         log.warning("usage left missing for %d users: play total past the float range",
                     np.count_nonzero(~finite))
-    for attr, pop, use, use_finite in zip(attributes, pops, uses.tolist(), finite.tolist(),
-                                          strict=True):
-        if pop >= 0:
-            attr.usage = use if use_finite else None
-            attr.pop_index = pop
+    has_row = pops >= 0
+    attributes.pop_index = np.where(has_row, pops, np.nan)
+    attributes.usage = np.where(has_row & finite, uses, np.nan)

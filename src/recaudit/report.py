@@ -1,7 +1,7 @@
 """The audit pipeline as the stages every CLI verb composes: ``load``
-(ingest, cold start, matrix), ``score`` (folds, fit and evaluate per fold),
-``rebuild_report`` (grouping, tests, explainer) and ``emit`` (tables,
-charts, manifest).
+(ingest, cold start, matrix, profile table), ``score`` (folds, fit and
+evaluate per fold), ``rebuild_report`` (pop-index, grouping, tests,
+explainer) and ``emit`` (tables, charts, manifest).
 
 Every random decision derives from the seeds recorded in the manifest, all
 reductions happen in fixed order, and the per-user metrics CSV is the
@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .evaluation import METRICS
 from .ingest import (GdpTable, PROVENANCE_ML1M, cold_start_filter, load_gdp,
                      load_lfm, load_ml1m)
-from .interactions import InteractionMatrix, UserAttributes, from_triples
+from .interactions import PROFILE_DTYPE, InteractionMatrix, from_triples
 from .interactions import stats as dataset_stats
 from .util import derive_seed, fmt_float
 
@@ -91,13 +91,16 @@ class AuditReport:
 @dataclass
 class Dataset:
     """The cleaned dataset every verb starts from: user u is row u of
-    ``matrix``, has profile record ``attributes[u]`` (``UserAttributes()``
-    without a profile) and id ``user_ids[u]``, the id's one copy, as text.
-    ``skipped_rows`` and ``removed_users`` count what ingest and cold start
-    dropped."""
+    ``matrix``, row u of the profile table ``attributes`` (a record array
+    of ``PROFILE_DTYPE``; its gender and country codes index
+    ``gender_labels`` and ``country_labels``) and has id ``user_ids[u]``,
+    the id's one copy, as text.  ``skipped_rows`` and ``removed_users``
+    count what ingest and cold start dropped."""
 
     provenance: str
-    attributes: list[UserAttributes]
+    attributes: np.recarray
+    gender_labels: list[str]
+    country_labels: list[str]
     gdp: Optional[GdpTable]
     matrix: InteractionMatrix
     user_ids: tuple[str, ...]
@@ -190,8 +193,8 @@ def stage(name: str):
 
 @stage("ingest")
 def load(config: AuditConfig) -> Dataset:
-    """Parse the configured files, drop cold-start users, build the matrix;
-    the parsed rows are freed on return."""
+    """Parse the configured files, drop cold-start users, build the matrix
+    and the profile table; the parsed rows are freed on return."""
     ds = config.dataset
     if ds.provenance == PROVENANCE_ML1M:
         if not ds.ratings or not ds.users:
@@ -206,9 +209,14 @@ def load(config: AuditConfig) -> Dataset:
     matrix, user_ids, _ = from_triples(raw.triples)
     if matrix.nnz == 0:
         raise DataError("no interactions after cleanup")
-    attributes = [raw.attributes.get(uid) or UserAttributes() for uid in user_ids]
-    return Dataset(raw.provenance, attributes, gdp, matrix, user_ids,
-                   raw.skipped_interactions, raw.skipped_users)
+    genders, ages, countries = zip(*[raw.attributes.get(uid, (None,) * 3) for uid in user_ids])
+    attributes = np.recarray(len(user_ids), PROFILE_DTYPE)
+    attributes.gender, gender_labels = grouping.code_labels(genders)
+    attributes.country, country_labels = grouping.code_labels(countries)
+    attributes.age = ages  # None becomes NaN
+    attributes.usage = attributes.pop_index = np.nan
+    return Dataset(raw.provenance, attributes, gender_labels, country_labels, gdp, matrix,
+                   user_ids, raw.skipped_interactions, raw.skipped_users)
 
 
 @stage("score")
@@ -318,24 +326,14 @@ def _fold_worker(run: Callable[[evaluation.Fold], list], folds: list[evaluation.
         os._exit(code)
 
 
-def _user_columns(attributes: Sequence[UserAttributes]) -> dict:
-    """The records as columns: age, usage and pop_index as float64 (NaN
-    where unset), gender and country coded by ``grouping.code_labels``."""
-    columns = {name: np.array([getattr(a, name) for a in attributes], dtype=np.float64)
-               for name in ("age", "usage", "pop_index")}  # None becomes NaN
-    for name in ("gender", "country"):
-        columns[name] = grouping.code_labels([getattr(a, name) for a in attributes])
-    return columns
-
-
-def build_assignments(config: AuditConfig, data: Dataset,
-                      columns: dict) -> dict[str, grouping.GroupAssignment]:
-    """Every grouping scheme that the data can support, from the users'
-    attribute columns (``_user_columns``), ids and GDP table.  The report
-    tests the configured ones; the all-features explainer reads gender,
-    last_digit and the country schemes whichever are configured."""
-    gc, gdp = config.grouping, data.gdp
-    ages, countries = columns["age"], columns["country"]
+def build_assignments(config: AuditConfig,
+                      data: Dataset) -> dict[str, grouping.GroupAssignment]:
+    """Every grouping scheme that the data can support, from the profile
+    table's columns, the ids and the GDP table.  The report tests the
+    configured ones; the all-features explainer reads gender, last_digit
+    and the country schemes whichever are configured."""
+    gc, gdp, profiles = config.grouping, data.gdp, data.attributes
+    ages, countries = profiles.age, data.country_labels
     have_ages = not np.isnan(ages).all()
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
 
@@ -352,21 +350,21 @@ def build_assignments(config: AuditConfig, data: Dataset,
             except ValueError as exc:
                 log.warning("skipping age_equal_count scheme: %s", exc)
         elif scheme == "gender":
-            out[scheme] = grouping.bucket_categorical(scheme, *columns["gender"])
-        elif scheme == "country_prevalence" and countries[1]:
+            out[scheme] = grouping.bucket_categorical(scheme, profiles.gender, data.gender_labels)
+        elif scheme == "country_prevalence" and countries:
             out[scheme] = grouping.bucket_countries_by_prevalence(
-                scheme, *countries, gc.country_buckets)
-        elif scheme == "country_gdp" and countries[1] and gdp is not None:
-            out[scheme] = grouping.bucket_countries_by_gdp(scheme, *countries, gdp,
-                                                           gc.country_buckets)
+                scheme, profiles.country, countries, gc.country_buckets)
+        elif scheme == "country_gdp" and countries and gdp is not None:
+            out[scheme] = grouping.bucket_countries_by_gdp(
+                scheme, profiles.country, countries, gdp, gc.country_buckets)
         elif scheme == "usage":
             try:
-                out[scheme] = grouping.bucket_equal_count(scheme, columns["usage"],
+                out[scheme] = grouping.bucket_equal_count(scheme, profiles.usage,
                                                           gc.usage_bins)
             except ValueError as exc:
                 log.warning("skipping usage scheme: %s", exc)
         elif scheme == "popindex":
-            out[scheme] = grouping.bucket_integer_values(scheme, columns["pop_index"],
+            out[scheme] = grouping.bucket_integer_values(scheme, profiles.pop_index,
                                                          gc.popindex_merge_at)
         elif scheme == "last_digit":
             out[scheme] = grouping.control_last_digit(scheme, data.user_ids)
@@ -409,8 +407,7 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     of the dataset raises DataError before anything is grouped."""
     means = frame.user_means(data.user_ids)
     popindex.fill_attributes(data.attributes, data.matrix, data.provenance)
-    columns = _user_columns(data.attributes)
-    assignments = build_assignments(config, data, columns)
+    assignments = build_assignments(config, data)
 
     schemes = {name: scheme_result(assignments[name], means)
                for name in config.resolved_schemes() if name in assignments}
@@ -428,8 +425,8 @@ def rebuild_report(config: AuditConfig, frame: evaluation.MetricFrame,
     ebm_model = None
     ebm_importance: list[tuple[str, float]] = []
     if len(tested_users) >= 10:
-        features = {"age": columns["age"], "gender": assignments["gender"],
-                    "usage": columns["usage"], "pop_index": columns["pop_index"],
+        features = {"age": data.attributes.age, "gender": assignments["gender"],
+                    "usage": data.attributes.usage, "pop_index": data.attributes.pop_index,
                     "last_digit": assignments["last_digit"],
                     **{name: assignments[name] for name in
                        ("country_prevalence", "country_gdp") if name in assignments}}

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import from_rows, naive_bin_of
 from recaudit import als
-from recaudit.interactions import from_triples
+from recaudit.interactions import PROFILE_DTYPE, from_triples
 
 
 @pytest.fixture
@@ -29,6 +29,16 @@ def random_matrix(rng, n_users, n_items, density=0.2, max_strength=9):
         triples.append((f"u{rng.integers(0, n_users)}", f"i{i}",
                         int(rng.integers(1, max_strength + 1))))
     return from_triples(from_rows(triples))
+
+
+def blank_profiles(n):
+    """A profile table of ``n`` users without a profile, as ``report.load``
+    builds it before the pop-index stage: no labels, so code 0 is missing,
+    and every value NaN."""
+    table = np.recarray(n, PROFILE_DTYPE)
+    table.gender = table.country = 0
+    table.age = table.usage = table.pop_index = np.nan
+    return table
 
 
 def triple_rows(triples):

@@ -602,10 +602,8 @@ def naive_parse_ml1m_rows(lines):
 
 
 def naive_parse_lfm_profiles(lines):
-    """LFM profile lines as user id -> record, the first line of each id,
-    with the gender "NA" where it is neither m nor f."""
-    from recaudit.interactions import UserAttributes
-
+    """LFM profile lines as user id -> (gender, age, country), the first
+    line of each id, with the gender "NA" where it is neither m nor f."""
     out = {}
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n").rstrip("\r")
@@ -628,16 +626,15 @@ def naive_parse_lfm_profiles(lines):
             age = None
         if age is not None and not 1 <= age <= 120:
             age = None
-        out[user] = UserAttributes(gender=gender, age=age, country=country.strip() or None)
+        out[user] = (gender, age, country.strip() or None)
     return out
 
 
 def naive_parse_ml1m_users(lines):
-    """ML1M users.dat lines (decoded as latin-1) as user id -> record, the id
-    the text of its integer value and the first line of each id kept, with
-    the gender "NA" where it is neither M nor F."""
-    from recaudit.interactions import UserAttributes
-
+    """ML1M users.dat lines (decoded as latin-1) as user id -> (gender, age,
+    country), the id the text of its integer value and the first line of
+    each id kept, with the gender "NA" where it is neither M nor F and no
+    country."""
     out = {}
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n").rstrip("\r")
@@ -656,8 +653,8 @@ def naive_parse_ml1m_users(lines):
         if user in out:
             continue
         gender = gender.strip().upper()
-        out[user] = UserAttributes(gender={"M": "m", "F": "f"}.get(gender, "NA"),
-                                   age=age if 1 <= age <= 120 else None)
+        out[user] = ({"M": "m", "F": "f"}.get(gender, "NA"),
+                     age if 1 <= age <= 120 else None, None)
     return out
 
 

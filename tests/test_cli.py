@@ -98,6 +98,31 @@ def test_play_count_too_large_for_a_float_is_skipped(dataset_dir, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("module, preset, want, numpy_loaded", [
+    ("recaudit.cli", None, ["1", "1", "1"], True),
+    ("recaudit.cli", "3", ["3", "1", "1"], True),
+    ("recaudit", None, [None, None, None], False),
+])
+def test_cli_runs_blas_on_one_thread_unless_the_caller_chose(module, preset, want,
+                                                             numpy_loaded):
+    # the fold processes would multiply BLAS's own threads; a library import
+    # loads no numpy and leaves the caller's environment alone
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(recaudit.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (f"import os, sys, {module}; "
+            f"print(repr([[os.environ.get(n) for n in {BLAS_THREAD_VARS!r}], "
+            f"'numpy' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == repr([want, numpy_loaded])
+
+
 def _report_with_extra_plays(config_file, dataset_dir, tmp_path, extra: bytes):
     """Run ``report`` as a subprocess on the dataset with ``extra`` lines
     appended to its interactions; return the process and the usage rows of

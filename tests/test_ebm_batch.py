@@ -2,6 +2,8 @@
 column binning against the scalar oracle, cell by cell; and the report's
 explainer specs and bins against the one-dict-per-user oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from oracles import (NaiveSpec, naive_bin_matrix, naive_bin_numeric, naive_bin_o
 from recaudit import grouping, report
 from recaudit.ebm import EbmConfig, FeatureSpec, _fit_bags, bin_categorical, bin_numeric
 from recaudit.ingest import GdpTable
-from recaudit.interactions import UserAttributes
+from recaudit.interactions import PROFILE_DTYPE
 from recaudit.util import derive_seed
 
 
@@ -159,7 +161,8 @@ class TestBinColumn:
 
 
 def random_attributes(rng, case):
-    """A seeded attribute set and its ids in dense user order, with the
+    """A seeded attribute set (one record per user, None where a value is
+    missing) and its ids in dense user order, with the
     assignments the report would pass, and the tested users in a random
     order.  The cases rotate through what broke or could: ages all missing,
     NA genders, integer ids, ids ending in an upper-case hex digit or a quote, N/A
@@ -179,7 +182,7 @@ def random_attributes(rng, case):
             return float(rng.choice([np.inf, -np.inf]))
         return int(rng.choice([18, 25, 25, 35, 50]))
 
-    attributes = [UserAttributes(
+    attributes = [SimpleNamespace(
         gender=rng.choice(["m", "f", None]), age=age(),
         country=[None, "Chile", "Ghana", "Peru", "Fiji"][int(rng.integers(0, 5))])
         for _ in ids]
@@ -204,6 +207,17 @@ def random_attributes(rng, case):
     return attributes, ids, assignments, users
 
 
+def profile_table(attributes):
+    """The records as the profile table holds them once the pop-index
+    stage has run, and the gender labels its codes index."""
+    table = np.recarray(len(attributes), PROFILE_DTYPE)
+    for name in ("age", "usage", "pop_index"):
+        table[name] = [getattr(a, name) for a in attributes]  # None becomes NaN
+    table.gender, genders = grouping.code_labels([a.gender for a in attributes])
+    table.country, _ = grouping.code_labels([a.country for a in attributes])
+    return table, genders
+
+
 class TestExplainerInputs:
     # np.quantile interpolates between infinities to NaN, on both paths
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -213,10 +227,10 @@ class TestExplainerInputs:
             rng = np.random.default_rng(derive_seed("explainer-inputs", case))
             attributes, ids, assignments, users = random_attributes(rng, case)
             max_bins = int(rng.integers(2, 9))
-            columns = report._user_columns(attributes)
-            features = {"age": columns["age"],
-                        "gender": grouping.bucket_categorical("gender", *columns["gender"]),
-                        "usage": columns["usage"], "pop_index": columns["pop_index"],
+            table, genders = profile_table(attributes)
+            features = {"age": table.age,
+                        "gender": grouping.bucket_categorical("gender", table.gender, genders),
+                        "usage": table.usage, "pop_index": table.pop_index,
                         "last_digit": grouping.control_last_digit("last_digit", ids),
                         **assignments}
             specs, binned = report._explainer_inputs(features, users, max_bins)

@@ -12,7 +12,7 @@ n_items) * k``: ``nnz``, ``n_users`` and ``n_items`` are the full matrix's,
 and ``b`` counts the float64 factor rows.  ``report.load`` with the
 profiles, the parent's dataset through every fold, is bounded by ``a *
 nnz + c * n_users``: ``c`` counts what each user holds beyond the matrix's
-entries (its row start, id text and profile record).  Each ``a``, ``b``
+entries (its row start, id text and profile table row).  Each ``a``, ``b``
 and ``c`` is the value measured when the bound was set plus a margin of
 5% or more, rounded up to half a byte.  A change that raises a bound says
 so, with the reason.
@@ -46,11 +46,12 @@ MODEL = {
 }
 
 # (a, c) bounding report.load's kept bytes, then (a, c) bounding its peak.
-# Measured: (12.0, 201), the entries' int32 items and float64 strengths,
-# then per user its row start, its id (a 1-4 digit text), its slotted
-# profile record and a pointer to each; and (53.2, 274), the peak in
-# from_triples' stable sort while the parsed profiles are alive
-PROFILED_LOAD = ((13, 213), (56, 290))
+# Measured: (12.0, 111.5), the entries' int32 items and float64 strengths,
+# then per user its row start, its id (a 1-4 digit text) and a pointer to
+# it, and its 40-byte row of the profile table; and (53.2, 177.3), the peak
+# in from_triples' stable sort while the parsed profiles are alive (one
+# tuple per distinct profile)
+PROFILED_LOAD = ((13, 117.5), (56, 186.5))
 
 
 def traced(fn):

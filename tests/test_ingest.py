@@ -2,7 +2,6 @@ import codecs
 import gc
 import io
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from recaudit.ingest import (LFM_COLD_START_MAX_ITEMS, PROVENANCE_LFM360K,
                              RawDataset, cold_start_filter, load_gdp, load_gdp_table,
                              load_ml1m, parse_lfm_interactions, parse_lfm_profiles,
                              parse_ml1m)
-from recaudit.interactions import GENDER_FEMALE, GENDER_MALE, UserAttributes, from_triples
+from recaudit.interactions import GENDER_FEMALE, GENDER_MALE, from_triples
 
 from conftest import triple_rows
 
@@ -109,28 +108,28 @@ class TestLfmProfiles:
         attrs = parse_lfm_profiles(lines("u\tm\t19\tMexico\tApr 28, 2008\n"))
         assert len(attrs) == 1
         [(uid, a)] = attrs.items()
-        assert (uid, a.gender, a.age, a.country) == ("u", "m", 19, "Mexico")
+        assert (uid, *a) == ("u", "m", 19, "Mexico")
 
     def test_all_empty_fields(self):
         attrs = parse_lfm_profiles(lines("u\t\t\t\t\n"))
-        a = attrs["u"]
-        assert a.gender is None
-        assert a.age is None
-        assert a.country is None
+        gender, age, country = attrs["u"]
+        assert gender is None
+        assert age is None
+        assert country is None
 
     def test_age_out_of_range_missing(self):
-        attrs = parse_lfm_profiles(lines("u\tf\t250\tBrazil\t\n"))
-        assert attrs["u"].age is None
-        assert attrs["u"].gender == GENDER_FEMALE
+        gender, age, _ = parse_lfm_profiles(lines("u\tf\t250\tBrazil\t\n"))["u"]
+        assert age is None
+        assert gender == GENDER_FEMALE
 
     def test_non_integer_age_missing(self):
-        attrs = parse_lfm_profiles(lines("u\tm\ttwenty\t\t\n"))
-        assert attrs["u"].age is None
+        _, age, _ = parse_lfm_profiles(lines("u\tm\ttwenty\t\t\n"))["u"]
+        assert age is None
 
     def test_duplicate_user_keeps_first(self, caplog):
         attrs = parse_lfm_profiles(lines("u\tm\t30\tPeru\t\nu\tf\t40\tChile\t\n"))
         assert len(attrs) == 1
-        assert attrs["u"].gender == GENDER_MALE
+        assert attrs["u"] == (GENDER_MALE, 30, "Peru")
         assert "duplicate" in caplog.text
 
 
@@ -139,14 +138,14 @@ class TestMl1m:
         raw = parse_ml1m(ratings("1::1193::5::978300760\n"),
                          lines("1::F::1::10::48067\n"))
         assert triple_rows(raw.triples) == [("1", "1193", 5)]
-        [(uid, a)] = raw.attributes.items()
-        assert (uid, a.gender, a.age) == ("1", GENDER_FEMALE, 1)
+        [(uid, (gender, age, _))] = raw.attributes.items()
+        assert (uid, gender, age) == ("1", GENDER_FEMALE, 1)
         assert raw.provenance == PROVENANCE_ML1M
 
     def test_age_outside_1_to_120_is_missing_and_the_user_kept(self, caplog):
         raw = parse_ml1m(ratings(""), lines("1::M::-5::0::1\n2::F::999::0::1\n"
                                             "3::F::120::0::1\n4::M::x::0::1\n"))
-        assert [(uid, a.gender, a.age) for uid, a in raw.attributes.items()] == [
+        assert [(uid, gender, age) for uid, (gender, age, _) in raw.attributes.items()] == [
             ("1", GENDER_MALE, None), ("2", GENDER_FEMALE, None), ("3", GENDER_FEMALE, 120)]
         assert "non-integer id or age" in caplog.text  # user 4's row is skipped
 
@@ -158,9 +157,9 @@ class TestMl1m:
 
     def test_gender_mapping(self):
         raw = parse_ml1m(ratings(""), lines("1::M::25::0::11111\n2::F::35::1::22222\n"))
-        assert raw.attributes["1"].gender == GENDER_MALE
-        assert raw.attributes["2"].gender == GENDER_FEMALE
-        assert raw.attributes["2"].age == 35
+        assert raw.attributes["1"][0] == GENDER_MALE
+        assert raw.attributes["2"][0] == GENDER_FEMALE
+        assert raw.attributes["2"][1] == 35
 
     def test_leading_byte_order_marks_ignored(self, tmp_path, caplog):
         ratings = b"1::10::5::0\n2::10::9::0\n2::11::3::0\n"
@@ -179,7 +178,7 @@ class TestMl1m:
                                   getattr(plain.triples, column))
         assert marked.skipped_interactions == plain.skipped_interactions == 1
         assert marked.attributes == plain.attributes
-        assert [(uid, a.gender, a.age) for uid, a in marked.attributes.items()] == [
+        assert [(uid, gender, age) for uid, (gender, age, _) in marked.attributes.items()] == [
             ("1", GENDER_FEMALE, 25), ("2", GENDER_MALE, 35)]
         assert "non-integer" not in caplog.text
 
@@ -206,8 +205,8 @@ class TestProfileReader:
 
     @staticmethod
     def expected(records):
-        return [(uid, replace(a, gender=None if a.gender == "NA" else a.gender))
-                for uid, a in records.items()]
+        return [(uid, (None if gender == "NA" else gender, age, country))
+                for uid, (gender, age, country) in records.items()]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(profile_lines(["u1", "u2", "7", "007", "", " u1", "\ufeffu1"], "\t", "\ufeff"))
@@ -359,7 +358,7 @@ def _assert_ingest_matches_tuple_path(triples, rows, attribute_ids, provenance, 
     """Cold start and matrix from ``triples`` equal the tuple, dict-of-sets
     and dict-loop path over the same ``rows``; the attribute records stay
     as they were."""
-    raw = RawDataset(triples, {uid: UserAttributes() for uid in attribute_ids}, provenance)
+    raw = RawDataset(triples, {uid: (None, None, None) for uid in attribute_ids}, provenance)
     filtered = cold_start_filter(raw, max_items)
     m, m_user_ids, m_item_ids = from_triples(filtered.triples)
 

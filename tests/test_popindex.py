@@ -6,10 +6,10 @@ import pytest
 
 from oracles import brute_force_pop_index, from_rows
 from recaudit.ingest import PROVENANCE_LFM360K, PROVENANCE_ML1M, PROVENANCE_SYNTHETIC
-from recaudit.interactions import UserAttributes, from_triples
+from recaudit.interactions import from_triples
 from recaudit.popindex import fill_attributes, pop_indices
 
-from conftest import entries, random_matrix
+from conftest import blank_profiles, entries, random_matrix
 
 
 def oracle_pop(matrix, user_ids, item_ids, u):
@@ -24,7 +24,7 @@ def oracle_pop(matrix, user_ids, item_ids, u):
 def usage_of(plays, provenance):
     """The usage ``fill_attributes`` gives a user with these play counts."""
     m, _, _ = from_triples(from_rows([("u", f"i{k}", p) for k, p in enumerate(plays)]))
-    attrs = [UserAttributes()]
+    attrs = blank_profiles(1)
     fill_attributes(attrs, m, provenance)
     return attrs[0].usage
 
@@ -40,10 +40,10 @@ class TestItemUserCounts:
 
     def test_empty_matrix(self):
         m, _, _ = from_triples(from_rows([]))
-        fill_attributes([], m, PROVENANCE_LFM360K)
-        # one record per matrix row, so a record past the rows is an error
+        fill_attributes(blank_profiles(0), m, PROVENANCE_LFM360K)
+        # one profile row per matrix row, so a row past the matrix's is an error
         with pytest.raises(ValueError):
-            fill_attributes([UserAttributes()], m, PROVENANCE_LFM360K)
+            fill_attributes(blank_profiles(1), m, PROVENANCE_LFM360K)
 
     def test_random_matrix_column_recount(self, rng):
         # a user with one item has the floor of that item's coverage
@@ -162,29 +162,30 @@ class TestUsage:
 class TestFillAttributes:
     def test_fills_only_users_with_rows(self):
         m, _, _ = from_triples(from_rows([("a", "x", 2), ("a", "y", 3), ("b", "x", 1)]))
-        attrs = [UserAttributes(), UserAttributes()]
+        attrs = blank_profiles(2)
         fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage == 5
         assert attrs[1].usage == 1
-        assert attrs[0].pop_index is not None
-        # records are matched to rows by position: one too many or too few raises
-        for records in (attrs + [UserAttributes()], attrs[:1]):
+        assert not np.isnan(attrs[0].pop_index)
+        # profile rows are matched to matrix rows by position: one too many
+        # or too few raises
+        for records in (blank_profiles(3), attrs[:1]):
             with pytest.raises(ValueError):
                 fill_attributes(records, m, PROVENANCE_LFM360K)
 
     def test_empty_row_left_unset(self):
         m, _, _ = from_triples(from_rows([("a", "x", 2), ("b", "x", 1), ("b", "y", 1)]))
         trimmed = m.drop_entries(np.array([0]))
-        attrs = [UserAttributes(), UserAttributes()]
+        attrs = blank_profiles(2)
         fill_attributes(attrs, trimmed, PROVENANCE_LFM360K)
-        assert attrs[0].usage is None and attrs[0].pop_index is None
+        assert np.isnan(attrs[0].usage) and np.isnan(attrs[0].pop_index)
         assert attrs[1].usage == 2
         assert attrs[1].pop_index == oracle_pop(trimmed, None, None, 1)
 
     def test_usage_at_or_past_2_pow_63_keeps_its_value(self):
         # an int64 cast once turned such a total into -2**63, the lowest usage
         m, _, _ = from_triples(from_rows([("a", "x", 1e19), ("a", "y", 1e19), ("b", "x", 3)]))
-        attrs = [UserAttributes(), UserAttributes()]
+        attrs = blank_profiles(2)
         fill_attributes(attrs, m, PROVENANCE_LFM360K)
         assert attrs[0].usage == 2e19
         assert attrs[1].usage == 3
@@ -193,11 +194,11 @@ class TestFillAttributes:
         # such a total once became usage inf, with an overflow warning
         m, _, _ = from_triples(from_rows([("a", "x", 1.7e308), ("a", "y", 1.7e308),
                                           ("b", "x", 3)]))
-        attrs = [UserAttributes(), UserAttributes()]
+        attrs = blank_profiles(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fill_attributes(attrs, m, PROVENANCE_LFM360K)
-        assert attrs[0].usage is None and attrs[0].pop_index is not None
+        assert np.isnan(attrs[0].usage) and not np.isnan(attrs[0].pop_index)
         assert attrs[1].usage == 3
         assert "usage left missing for 1 users" in caplog.text
 
@@ -207,11 +208,11 @@ class TestFillAttributes:
             m, user_ids, _ = random_matrix(rng, 30, 20, density=0.3, max_strength=500)
             emptied = rng.choice(m.n_users, size=trial, replace=False)
             m = m.drop_entries(np.flatnonzero(np.isin(m.entry_rows(), emptied)))
-            attrs = [UserAttributes() for _ in user_ids]
+            attrs = blank_profiles(len(user_ids))
             fill_attributes(attrs, m, provenance)
             for u, attr in enumerate(attrs):
                 if u in emptied:
-                    assert attr.usage is None and attr.pop_index is None
+                    assert np.isnan(attr.usage) and np.isnan(attr.pop_index)
                 else:
                     row = slice(m.indptr[u], m.indptr[u + 1])
                     plays = round(float(np.sum(m.data[row])))

@@ -26,7 +26,7 @@ from recaudit.grouping import (NA_LABEL, GroupAssignment, balanced_sample,
                                bucket_integer_values, code_labels)
 from recaudit.cli import main
 from recaudit.ingest import RawDataset, load_lfm, load_ml1m
-from recaudit.interactions import Triples, UserAttributes
+from recaudit.interactions import PROFILE_DTYPE, Triples
 from recaudit.report import _largest_remainder, build_crosstab, run_audit
 from recaudit.stats import kruskal_wallis
 from recaudit.synthetic import generate_planted
@@ -597,17 +597,17 @@ class TestFoldWorkers:
         data = report_mod.load(fold_config(fold_data, "partition", 3))
         assert not any(isinstance(getattr(data, f.name), (Triples, RawDataset))
                        for f in fields(data))
-        assert data.matrix.nnz > 0 and data.attributes
+        assert data.matrix.nnz > 0 and data.attributes.size
         assert len(data.user_ids) == data.matrix.n_users
 
 
 @pytest.mark.parametrize("cut", [False, True])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_load_aligns_profile_records_to_rows(variant, cut, corpus, tmp_path):
-    """``attributes[u]`` is row u's profile record, or an empty record for a
-    user without one, on every variant corpus as it is and with every third
-    profile line removed; a profile of a user outside the matrix is
-    dropped."""
+    """``attributes[u]`` holds row u's profile, coded, or every field
+    missing for a user without one, on every variant corpus as it is and
+    with every third profile line removed; a profile of a user outside the
+    matrix is dropped, its labels with it."""
     provenance, dataset = VARIANTS[variant](corpus / "synthetic", tmp_path)
     key = "users" if provenance == "ml1m" else "profiles"
     if cut:
@@ -620,14 +620,20 @@ def test_load_aligns_profile_records_to_rows(variant, cut, corpus, tmp_path):
     encoding = "latin-1" if provenance == "ml1m" else "utf-8"
     with open(dataset[key], encoding=encoding) as fh:
         parse = naive_parse_ml1m_users if provenance == "ml1m" else naive_parse_lfm_profiles
-        profiles = {uid: replace(a, gender=None if a.gender == "NA" else a.gender)
-                    for uid, a in parse(fh).items()}
+        profiles = {uid: (None if gender == "NA" else gender, age, country)
+                    for uid, (gender, age, country) in parse(fh).items()}
     assert len(data.attributes) == data.matrix.n_users
-    # each row its own record: the pop-index stage fills them in place
-    assert len(set(map(id, data.attributes))) == data.matrix.n_users
-    for uid, attr in zip(data.user_ids, data.attributes):
+    # one table, its usage and pop-index columns left for the pop-index stage
+    assert data.attributes.dtype == PROFILE_DTYPE
+    assert np.isnan(data.attributes.usage).all() and np.isnan(data.attributes.pop_index).all()
+    want = [profiles.get(uid, (None, None, None)) for uid in data.user_ids]
+    assert data.gender_labels == sorted({g for g, _, _ in want} - {None})
+    assert data.country_labels == sorted({c for _, _, c in want} - {None})
+    for uid, attr, (gender, age, country) in zip(data.user_ids, data.attributes, want):
         assert type(uid) is str
-        assert attr == profiles.get(uid, UserAttributes())
+        assert (data.gender_labels + [None])[attr.gender] == gender
+        assert (data.country_labels + [None])[attr.country] == country
+        assert (None if np.isnan(attr.age) else attr.age) == age
     assert (len(set(data.user_ids) - set(profiles)) > 0) == cut
     assert (len(set(profiles) - set(data.user_ids)) > 0) == (variant == "cold_start")
 
@@ -711,7 +717,8 @@ threads = 1
         assert not {"007", "+7"} & set(data.user_ids)
         seven = data.user_ids.index("7")
         assert data.matrix.user_items(seven).size == 12
-        assert (data.attributes[seven].gender, data.attributes[seven].age) == ("f", 25)
+        assert (data.gender_labels[data.attributes[seven].gender],
+                data.attributes[seven].age) == ("f", 25)
 
         assert main(["audit", "--config", str(ini)]) == 0
         assert main(["report", "--config", str(ini), "--metrics",

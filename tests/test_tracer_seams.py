@@ -1,7 +1,7 @@
 """The benchmark's tracer still finds every pipeline function it wraps: a
 traced ``perfbench/child.py`` sample of ``report-rerender`` and of
-``audit-rank`` exits 0 and records every layer its workload expects.  The
-samples run in a temporary directory, and nothing is written under
+``audit-rank`` exits 0, records every layer its workload expects and
+counts one pop-index user per workload user.  The samples run in a temporary directory, and nothing is written under
 ``perfbench/``."""
 
 import json
@@ -28,7 +28,8 @@ def tree(root: Path) -> dict:
 def test_traced_sample_reaches_every_layer(workload, layers, tmp_path):
     before = tree(PERFBENCH)
     # run_path compiles the file without writing its bytecode
-    expected = runpy.run_path(str(PERFBENCH / "workloads.py"))[layers]
+    namespace = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    expected = namespace[layers]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run(
@@ -39,4 +40,8 @@ def test_traced_sample_reaches_every_layer(workload, layers, tmp_path):
     result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
     assert result["exit_code"] == 0
     assert set(expected) <= set(result["layers"]["totals"])
+    # the pop-index stage fills one profile row per matrix user, and the
+    # workload's every user keeps a non-empty row
+    assert result["layers"]["totals"]["popindex"]["counts"]["users"] == \
+        namespace["WORKLOADS"][workload].users
     assert tree(PERFBENCH) == before
