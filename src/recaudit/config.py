@@ -149,6 +149,7 @@ _RULES = {
     ("evaluation", "scheme"): (
         (lambda value: value in _FOLD_SCHEMES), f"must be one of {', '.join(_FOLD_SCHEMES)}"),
     ("evaluation", "folds"): _at_least(2),
+    ("evaluation", "sample_size"): _at_least(1),
     ("evaluation", "holdout_fraction"): _OPEN_UNIT,
     ("evaluation", "depth"): _at_least(1),
     ("evaluation", "rbp_persistence"): _OPEN_UNIT,

@@ -4,11 +4,12 @@ sampling.
 
 Every scheme assigns each user exactly one label; users whose source
 attribute is missing get the distinguished "N/A" label, which significance
-testing later drops.  A scheme takes one column in dense user order (a
+testing later drops.  A scheme takes numpy columns in dense user order (a
 numeric scheme float64 values, NaN where missing; a categorical one the
-codes and labels of ``code_labels``) and stores the labels as one integer
-code per user, so every per-group count or statistic is a mask or a
-``bincount``.
+codes and labels of ``code_labels``, GDP one value per label) and stores
+the labels as one integer code per user, so every per-group count or
+statistic is a mask or a ``bincount``.  Of the package, only ``util`` is
+imported.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingest import GdpTable
 from .util import derive_seed, distinct_sorted
 
 log = logging.getLogger(__name__)
@@ -193,20 +193,20 @@ def bucket_countries_by_prevalence(name: str, codes: np.ndarray,
     return _finish(name, table[codes], _tercile_labels(k))
 
 
-def bucket_countries_by_gdp(name: str, codes: np.ndarray, countries: Sequence[str],
-                            gdp: GdpTable, k: int = 3) -> GroupAssignment:
+def bucket_countries_by_gdp(name: str, codes: np.ndarray, gdp: np.ndarray,
+                            k: int = 3) -> GroupAssignment:
     """Bucket countries (a ``code_labels`` column) into GDP-per-capita
-    terciles (by country count).
-
-    Users inherit their country's bucket; countries absent from the table
-    and users without a country go to N/A.
+    terciles (by country count), ``gdp[c]`` being label c's GDP, NaN where
+    unknown.  A GDP tie ranks by name, which is code order.  Users inherit
+    their country's bucket; countries without a GDP and users without a
+    country go to N/A.
     """
-    used = np.flatnonzero(np.bincount(codes, minlength=len(countries) + 1)[:-1])
-    with_gdp = [(gdp.lookup(countries[c]), countries[c], c) for c in used.tolist()]
-    with_gdp = sorted(entry for entry in with_gdp if entry[0] is not None)
-    table = np.full(len(countries) + 1, k, dtype=np.intp)
-    for j, chunk in enumerate(np.array_split(np.arange(len(with_gdp)), k)):
-        table[[with_gdp[idx][2] for idx in chunk.tolist()]] = j
+    used = np.bincount(codes, minlength=len(gdp) + 1)[:-1] > 0
+    ranked = np.flatnonzero(used & ~np.isnan(gdp))
+    ranked = ranked[np.argsort(gdp[ranked], kind="stable")]
+    table = np.full(len(gdp) + 1, k, dtype=np.intp)
+    for j, chunk in enumerate(np.array_split(ranked, k)):
+        table[chunk] = j
     return _finish(name, table[codes], _tercile_labels(k))
 
 

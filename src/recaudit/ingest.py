@@ -1,5 +1,5 @@
-"""Parsers for the LFM360K and ML1M file formats, the GDP side table, and
-the cold-start filter.
+"""Parsers for the LFM360K and ML1M file formats, the GDP side table (a
+dict keyed by the case-folded country name), and the cold-start filter.
 
 Malformed rows are skipped and counted, never fatal: all downstream
 statistics are computed on the cleaned data.  Only an unreadable stream
@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional
 
@@ -50,24 +50,6 @@ class RawDataset:
     provenance: str
     skipped_interactions: int = 0
     skipped_users: int = 0
-
-
-@dataclass
-class GdpTable:
-    """country name -> GDP per capita, matched case-insensitively."""
-
-    values: dict[str, float] = field(default_factory=dict)
-    _folded: dict[str, float] = field(default_factory=dict, repr=False)
-
-    def add(self, country: str, gdp: float) -> None:
-        self.values[country] = gdp
-        self._folded[country.casefold()] = gdp
-
-    def lookup(self, country: str) -> Optional[float]:
-        return self._folded.get(country.casefold())
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _iter_lines(stream: Iterable[str], what: str, bom: str):
@@ -428,17 +410,20 @@ def parse_ml1m(ratings_stream: BinaryIO, users_stream: Iterable[str]) -> RawData
                       skipped_interactions=sum(count for count, _ in skips.values()))
 
 
-def load_gdp_table(stream: Iterable[str]) -> GdpTable:
+def load_gdp_table(stream: Iterable[str]) -> dict[str, float]:
     """Load a two-column CSV "country,gdp_per_capita", with standard CSV
-    quoting (as in World Bank exports: ``"Korea, Rep.",33000``).
+    quoting (as in World Bank exports: ``"Korea, Rep.",33000``), as a dict
+    from the case-folded country name to its GDP per capita.
 
     An optional header row is detected by a non-numeric second field on the
     first line; other rows with non-numeric GDP, or with other than two
     fields, are skipped with a warning.  A value that is not finite, such
     as ``nan`` or ``inf``, counts as non-numeric.  One leading byte order
-    mark is ignored.  A row the CSV reader rejects raises DataError.
+    mark is ignored.  The first row of each country, compared
+    case-insensitively, is kept, and each later one is skipped with a
+    warning.  A row the CSV reader rejects raises DataError.
     """
-    table = GdpTable()
+    table: dict[str, float] = {}
     reader = csv.reader(line for _, line in _iter_lines(stream, "gdp table", "\ufeff"))
     try:
         for fields in reader:
@@ -460,8 +445,10 @@ def load_gdp_table(stream: Iterable[str]) -> GdpTable:
                     log.warning("gdp table line %d: non-numeric value %r, skipped",
                                 lineno, gdp_text)
                 continue
-            if country:
-                table.add(country, gdp)
+            if country.casefold() in table:
+                log.warning("gdp table line %d: duplicate country %s, skipped", lineno, country)
+            elif country:
+                table[country.casefold()] = gdp
     except csv.Error as exc:
         raise DataError(f"gdp table line {reader.line_num}: {exc}") from exc
     return table
@@ -522,6 +509,6 @@ def load_ml1m(ratings_path: str | Path, users_path: str | Path) -> RawDataset:
         return parse_ml1m(rfh, ufh)
 
 
-def load_gdp(path: str | Path) -> GdpTable:
+def load_gdp(path: str | Path) -> dict[str, float]:
     with _open(path, "utf-8") as fh:
         return load_gdp_table(fh)

@@ -40,8 +40,7 @@ from .charts import render_scheme_chart
 from .config import ALL_GROUPING_SCHEMES, AuditConfig
 from .errors import ConfigError, DataError, RecauditError, WorkerError
 from .evaluation import METRICS
-from .ingest import (GdpTable, PROVENANCE_ML1M, cold_start_filter, load_gdp,
-                     load_lfm, load_ml1m)
+from .ingest import PROVENANCE_ML1M, cold_start_filter, load_gdp, load_lfm, load_ml1m
 from .interactions import PROFILE_DTYPE, InteractionMatrix, from_triples
 from .interactions import stats as dataset_stats
 from .util import derive_seed, fmt_float
@@ -93,15 +92,16 @@ class Dataset:
     """The cleaned dataset every verb starts from: user u is row u of
     ``matrix``, row u of the profile table ``attributes`` (a record array
     of ``PROFILE_DTYPE``; its gender and country codes index
-    ``gender_labels`` and ``country_labels``) and has id ``user_ids[u]``,
-    the id's one copy, as text.  ``skipped_rows`` and ``removed_users``
-    count what ingest and cold start dropped."""
+    ``gender_labels`` and ``country_labels``, whose GDP per capita
+    ``country_gdp`` lists, NaN where unknown, None without a GDP table) and
+    has id ``user_ids[u]``, the id's one copy, as text.  ``skipped_rows``
+    and ``removed_users`` count what ingest and cold start dropped."""
 
     provenance: str
     attributes: np.recarray
     gender_labels: list[str]
     country_labels: list[str]
-    gdp: Optional[GdpTable]
+    country_gdp: Optional[np.ndarray]
     matrix: InteractionMatrix
     user_ids: tuple[str, ...]
     skipped_rows: int
@@ -121,7 +121,8 @@ def scheme_result(assignment: grouping.GroupAssignment,
                   means: dict[str, np.ndarray]) -> SchemeResult:
     """A scheme's user and tested counts per group, and per metric each
     group's mean and standard error over its tested users and the
-    Kruskal-Wallis test; ``means`` as ``MetricFrame.user_means`` gives it."""
+    Kruskal-Wallis test across the groups but N/A (the last label); ``means``
+    as ``MetricFrame.user_means`` gives it, each user tested for all or none."""
     tested = ~np.isnan(means["ndcg"])
     in_group = [tested & (assignment.codes == code)
                 for code in range(len(assignment.labels))]
@@ -130,14 +131,14 @@ def scheme_result(assignment: grouping.GroupAssignment,
                      for label, mask in zip(assignment.labels, in_group)}
     for metric in METRICS:
         result.means[metric], result.ses[metric] = {}, {}
-        for label, mask in zip(assignment.labels, in_group):
-            values = means[metric][mask]
+        groups = [means[metric][mask] for mask in in_group]
+        for label, values in zip(assignment.labels, groups):
             if len(values):
                 result.means[metric][label] = float(values.mean())
                 result.ses[metric][label] = (
                     float(values.std(ddof=1) / math.sqrt(len(values)))
                     if len(values) > 1 else 0.0)
-        result.kw[metric] = stats.test_grouping(means[metric], assignment)
+        result.kw[metric] = stats.test_grouping(groups[:len(assignment.non_na_labels())])
     return result
 
 
@@ -215,8 +216,10 @@ def load(config: AuditConfig) -> Dataset:
     attributes.country, country_labels = grouping.code_labels(countries)
     attributes.age = ages  # None becomes NaN
     attributes.usage = attributes.pop_index = np.nan
-    return Dataset(raw.provenance, attributes, gender_labels, country_labels, gdp, matrix,
-                   user_ids, raw.skipped_interactions, raw.skipped_users)
+    country_gdp = None if gdp is None else np.array(
+        [gdp.get(country.casefold(), np.nan) for country in country_labels])
+    return Dataset(raw.provenance, attributes, gender_labels, country_labels, country_gdp,
+                   matrix, user_ids, raw.skipped_interactions, raw.skipped_users)
 
 
 @stage("score")
@@ -329,10 +332,10 @@ def _fold_worker(run: Callable[[evaluation.Fold], list], folds: list[evaluation.
 def build_assignments(config: AuditConfig,
                       data: Dataset) -> dict[str, grouping.GroupAssignment]:
     """Every grouping scheme that the data can support, from the profile
-    table's columns, the ids and the GDP table.  The report tests the
+    table's columns, the ids and the countries' GDP.  The report tests the
     configured ones; the all-features explainer reads gender, last_digit
     and the country schemes whichever are configured."""
-    gc, gdp, profiles = config.grouping, data.gdp, data.attributes
+    gc, gdp, profiles = config.grouping, data.country_gdp, data.attributes
     ages, countries = profiles.age, data.country_labels
     have_ages = not np.isnan(ages).all()
     raw_ages = have_ages and config.dataset.provenance != PROVENANCE_ML1M
@@ -356,7 +359,7 @@ def build_assignments(config: AuditConfig,
                 scheme, profiles.country, countries, gc.country_buckets)
         elif scheme == "country_gdp" and countries and gdp is not None:
             out[scheme] = grouping.bucket_countries_by_gdp(
-                scheme, profiles.country, countries, gdp, gc.country_buckets)
+                scheme, profiles.country, gdp, gc.country_buckets)
         elif scheme == "usage":
             try:
                 out[scheme] = grouping.bucket_equal_count(scheme, profiles.usage,

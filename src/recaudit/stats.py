@@ -1,12 +1,12 @@
 """Nonparametric significance testing across user groups.
 
 Implements mid-rank assignment, the tie-corrected Kruskal-Wallis H test
-with a chi-square reference distribution, and Bonferroni correction.
-A pooled sample is sorted once: the ranks and the tie runs that the
-correction counts both come from that one stable sort.
-The test's df is always an integer (groups - 1), so the chi-square tail
-is summed in closed form; its relative error stays below 1e-12 for
-p-values down to 1e-290.
+with a chi-square reference distribution, and Bonferroni correction, on
+plain arrays, with nothing imported from the package.  A pooled sample is
+sorted once: the ranks and the tie runs that the correction counts both
+come from that one stable sort.  The test's df is always an integer
+(groups - 1), so the chi-square tail is summed in closed form; its
+relative error stays below 1e-12 for p-values down to 1e-290.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .grouping import GroupAssignment
 
 
 @dataclass(frozen=True)
@@ -136,17 +134,13 @@ def bonferroni(p_values: Sequence[float]) -> list[float]:
     return [min(1.0, m * p) for p in p_values]
 
 
-def test_grouping(means: np.ndarray, assignment: GroupAssignment) -> Optional[KwResult]:
-    """Kruskal-Wallis over per-user mean metric values (an ``(n_users,)``
-    array, NaN for users never tested), grouped by the assignment with the
-    N/A group omitted.
+def test_grouping(groups: Sequence[np.ndarray]) -> Optional[KwResult]:
+    """Kruskal-Wallis over the per-user mean metric values of each non-N/A
+    group (its tested users only), empty groups left out.
 
-    Returns None ("not testable") when fewer than two non-N/A groups have
-    any evaluated users.
+    Returns None ("not testable") when fewer than two groups have any
+    users, or fewer than three users are tested in all.
     """
-    tested = ~np.isnan(means)
-    groups = [means[tested & (assignment.codes == code)]
-              for code in range(len(assignment.non_na_labels()))]
     groups = [group for group in groups if len(group)]
     if len(groups) < 2 or sum(len(g) for g in groups) < 3:
         return None

@@ -311,7 +311,8 @@ def test_train_rejects_a_negative_model_seed(config_file, tmp_path, capsys, wher
     ("model", "factor = 8", "[model] unknown key 'factor'"),
     ("ebm", "max_rounds = 0", "[ebm] max_rounds must be >= 1"),
     ("output", "significance = 5", "[output] significance must lie in (0, 1)"),
-], ids=["max_bins", "modle", "factor", "max_rounds", "significance"])
+    ("evaluation", "sample_size = 0", "[evaluation] sample_size must be >= 1"),
+], ids=["max_bins", "modle", "factor", "max_rounds", "significance", "sample_size"])
 def test_config_the_audit_cannot_run_exits_2(config_file, tmp_path, capsys, verb,
                                              section, line, named):
     key = line.split(" = ")[0]

@@ -12,7 +12,6 @@ from oracles import (NaiveSpec, naive_bin_matrix, naive_bin_numeric, naive_bin_o
                      naive_fit_one_bag)
 from recaudit import grouping, report
 from recaudit.ebm import EbmConfig, FeatureSpec, _fit_bags, bin_categorical, bin_numeric
-from recaudit.ingest import GdpTable
 from recaudit.interactions import PROFILE_DTYPE
 from recaudit.util import derive_seed
 
@@ -194,16 +193,15 @@ def random_attributes(rng, case):
         if case % 5 == 2 and u in users:
             attr.pop_index = None
     countries = grouping.code_labels([a.country for a in attributes])
-    gdp = GdpTable()
-    for i, country in enumerate(["Chile", "Ghana", "Fiji"]):
-        gdp.add(country, 1000.0 * (3 - i))
+    gdp = {country: 1000.0 * (3 - i) for i, country in enumerate(["Chile", "Ghana", "Fiji"])}
     assignments = {}
     if case % 3 != 1:
         assignments["country_prevalence"] = grouping.bucket_countries_by_prevalence(
             "country_prevalence", *countries, int(rng.integers(2, 4)))
     if case % 4 != 3:
         assignments["country_gdp"] = grouping.bucket_countries_by_gdp(
-            "country_gdp", *countries, gdp, 2)
+            "country_gdp", countries[0],
+            np.array([gdp.get(c, np.nan) for c in countries[1]]), 2)
     return attributes, ids, assignments, users
 
 

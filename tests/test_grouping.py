@@ -10,7 +10,6 @@ from recaudit.grouping import (NA_LABEL, balanced_sample, bucket_categorical,
                                bucket_equal_count, bucket_equal_range,
                                bucket_from_brackets, bucket_integer_values,
                                code_labels, control_last_digit)
-from recaudit.ingest import GdpTable
 from recaudit.util import derive_seed
 
 
@@ -173,16 +172,16 @@ class TestCountryPrevalence:
 
 
 class TestCountryGdp:
-    def table(self, mapping):
-        t = GdpTable()
-        for c, g in mapping.items():
-            t.add(c, g)
-        return t
+    def buckets(self, countries, gdp):
+        """The GDP scheme of one country per user, ``gdp`` mapping a
+        country to its GDP."""
+        codes, labels = code_labels(countries)
+        return bucket_countries_by_gdp("gdp", codes,
+                                       np.array([gdp.get(c, np.nan) for c in labels]))
 
     def test_three_countries_one_per_bucket(self):
         countries = users_with_countries({"Poor": 4, "Mid": 4, "Rich": 4})
-        gdp = self.table({"Poor": 1000.0, "Mid": 10000.0, "Rich": 50000.0})
-        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
+        a = self.buckets(countries, {"Poor": 1000.0, "Mid": 10000.0, "Rich": 50000.0})
         assert a.labels[a.codes[0]] == "low"
         assert a.labels[a.codes[4]] == "medium"
         assert a.labels[a.codes[8]] == "high"
@@ -190,26 +189,31 @@ class TestCountryGdp:
     def test_six_countries_two_per_bucket(self):
         spec = {f"C{i}": 2 for i in range(6)}
         countries = users_with_countries(spec)
-        gdp = self.table({f"C{i}": 1000.0 * (i + 1) for i in range(6)})
-        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
+        a = self.buckets(countries, {f"C{i}": 1000.0 * (i + 1) for i in range(6)})
         sizes = a.sizes()
         assert sizes == {"low": 4, "medium": 4, "high": 4}
 
     def test_absent_from_table_is_na(self):
         countries = users_with_countries({"Known": 2, "Unknown": 3, None: 1})
-        gdp = self.table({"Known": 5000.0, "Other": 1.0, "More": 2.0})
-        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
+        a = self.buckets(countries, {"Known": 5000.0, "Other": 1.0, "More": 2.0})
         assert a.sizes()[NA_LABEL] == 4
 
     def test_fixture_hand_assignment(self):
         countries = users_with_countries({"A": 1, "B": 2, "C": 3, "D": 4})
-        gdp = self.table({"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0})
-        a = bucket_countries_by_gdp("gdp", *code_labels(countries), gdp)
+        a = self.buckets(countries, {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0})
         # ascending GDP: D, C, B, A -> chunks [D,C], [B], [A]
         sizes = a.sizes()
         assert sizes["low"] == 4 + 3
         assert sizes["medium"] == 2
         assert sizes["high"] == 1
+
+    def test_gdp_tie_ranks_by_name(self):
+        # Bo and Cy tie across the low/medium boundary; users list Cy first
+        countries = ["Cy", "Fa", "Ed", "Bo", "Ab", "Di"]
+        a = self.buckets(countries, {"Ab": 1.0, "Cy": 5.0, "Bo": 5.0, "Di": 9.0,
+                                     "Ed": 10.0, "Fa": 11.0})
+        assert labels_by_user(a, countries) == {"Ab": "low", "Bo": "low", "Cy": "medium",
+                                                "Di": "medium", "Ed": "high", "Fa": "high"}
 
 
 class TestLastDigit:

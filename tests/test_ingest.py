@@ -222,12 +222,17 @@ class TestProfileReader:
             self.expected(naive_parse_ml1m_users(lines))
 
 
+def lookup(table, country):
+    """A country's GDP as the report joins it: by case-folded name."""
+    return table.get(country.casefold())
+
+
 class TestGdpTable:
     def test_direct_parse(self):
         table = load_gdp_table(lines("Mexico,9926.4\n"))
-        assert table.lookup("Mexico") == 9926.4
-        assert table.lookup("mexico") == 9926.4  # canonical casing
-        assert table.lookup("Atlantis") is None
+        assert lookup(table, "Mexico") == 9926.4
+        assert lookup(table, "mexico") == 9926.4  # canonical casing
+        assert lookup(table, "Atlantis") is None
 
     def test_empty_file(self):
         assert len(load_gdp_table(lines(""))) == 0
@@ -239,7 +244,7 @@ class TestGdpTable:
         table = load_gdp_table(lines(text))
         assert len(table) == 5
         for country, gdp in fixture.items():
-            assert table.lookup(country) == gdp
+            assert lookup(table, country) == gdp
 
     def test_header_row_detected(self):
         table = load_gdp_table(lines("country,gdp_per_capita\nMexico,9926.4\n"))
@@ -252,10 +257,11 @@ class TestGdpTable:
 
     def test_non_finite_gdp_skipped(self, caplog):
         table = load_gdp_table(lines("A,1000\nB,nan\nC,3000\nD,500\nE,inf\nF,2000\n"))
-        assert sorted(table.values) == ["A", "C", "D", "F"]
+        assert sorted(table) == ["a", "c", "d", "f"]
         assert caplog.text.count("non-numeric") == 2
-        countries = ["A", "B", "C", "D", "E", "F"]
-        a = bucket_countries_by_gdp("gdp", *code_labels(countries), table)
+        codes, countries = code_labels(["A", "B", "C", "D", "E", "F"])
+        gdp = np.array([table.get(c.casefold(), np.nan) for c in countries])
+        a = bucket_countries_by_gdp("gdp", codes, gdp)
         assert [a.labels[c] for c in a.codes] == ["low", NA_LABEL, "high", "low", NA_LABEL,
                                                   "medium"]
 
@@ -264,29 +270,34 @@ class TestGdpTable:
         # third field, and that row is skipped with a warning
         table = load_gdp_table(lines('"country","gdp"\nAland,50000\n"Korea, Rep.",33000\n'
                                      '"Borduria","2000"\nCongo, Dem. Rep.,600\n'))
-        assert table.values == {"Aland": 50000.0, "Korea, Rep.": 33000.0,
-                                "Borduria": 2000.0}
+        assert table == {"aland": 50000.0, "korea, rep.": 33000.0, "borduria": 2000.0}
         assert "gdp table line 5: 3 fields, not 2, skipped" in caplog.text
         with pytest.raises(DataError, match="^gdp table line 2: "):
             load_gdp_table(lines("Aland,50000\n" + "9" * (1 << 18) + ",1\n"))
 
     def test_byte_order_mark_ignored(self):
         table = load_gdp_table(lines("\ufeffMexico,9926.4\nBrazil,8917.7\n"))
-        assert table.lookup("Mexico") == 9926.4
-        assert table.lookup("Brazil") == 8917.7
+        assert lookup(table, "Mexico") == 9926.4
+        assert lookup(table, "Brazil") == 8917.7
         # only one mark, and only at the start of the first line
         table = load_gdp_table(lines("\ufeff\ufeffMexico,1\n\ufeffBrazil,2\n"))
-        assert table.lookup("Mexico") is None
-        assert table.lookup("Brazil") is None
+        assert lookup(table, "Mexico") is None
+        assert lookup(table, "Brazil") is None
 
     def test_byte_order_mark_ignored_in_file(self, tmp_path):
         path = tmp_path / "gdp.csv"
         path.write_bytes(b"\xef\xbb\xbfcountry,gdp_per_capita\r\nMexico,9926.4\r\n")
         table = load_gdp(path)
         assert len(table) == 1
-        assert table.lookup("Mexico") == 9926.4
+        assert lookup(table, "Mexico") == 9926.4
         path.write_bytes(b"\xef\xbb\xbfMexico,9926.4\n")
-        assert load_gdp(path).lookup("Mexico") == 9926.4
+        assert lookup(load_gdp(path), "Mexico") == 9926.4
+
+    def test_repeated_country_keeps_the_first(self, caplog):
+        table = load_gdp_table(lines("Mexico,1000\nBrazil,8917.7\nMEXICO,2000\n"))
+        assert lookup(table, "Mexico") == 1000.0
+        assert len(table) == 2
+        assert "gdp table line 3: duplicate country MEXICO, skipped" in caplog.text
 
 
 def _dataset(provenance, user_item_counts):

@@ -1,4 +1,5 @@
-"""Every function in ``src/recaudit`` is reached from a verb.
+"""Every function in ``src/recaudit`` is reached from a verb, every name
+it imports is used, and the array modules import nothing of the pipeline.
 
 The walk parses the package with ``ast`` and follows references from
 ``cli.main``, ``synthetic.main`` and all module-level code.  A reference is
@@ -115,3 +116,92 @@ def test_exports_resolve():
     namespace = {}
     exec("from recaudit import *", namespace)
     assert set(recaudit.__all__) <= set(namespace)
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def own_nodes(scope):
+    """The nodes of ``scope`` outside the scopes nested in it (a nested
+    scope's own node included)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def bound_name(alias):
+    return (alias.asname or alias.name).split(".")[0]
+
+
+def bound_in(scope):
+    """The names a function, lambda or comprehension binds for itself."""
+    names = set()
+    for node in own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(map(bound_name, node.names))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                               ast.ExceptHandler)) and node.name:
+            names.add(node.name)
+    return names
+
+
+def loaded_in(scope, shadowed=frozenset()):
+    """The names read in ``scope`` or below it where no nested scope binds
+    them, so that they read ``scope``'s own binding."""
+    loaded = set()
+    for node in own_nodes(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.update({node.id} - shadowed)
+        elif isinstance(node, SCOPES):
+            loaded |= loaded_in(node, shadowed | bound_in(node))
+    return loaded
+
+
+def test_every_imported_name_is_used():
+    # a local that shares an import's name does not use it; an import marked
+    # "# noqa: F401" is kept for the attribute it puts on the module
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(source), source.splitlines()
+        for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, SCOPES)]:
+            loaded = loaded_in(scope)
+            unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                       for node in own_nodes(scope)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and getattr(node, "module", None) != "__future__"
+                       and not any("# noqa: F401" in line
+                                   for line in lines[node.lineno - 1:node.end_lineno])
+                       for alias in node.names if bound_name(alias) not in loaded]
+    assert not unused, "imported and never used: " + ", ".join(unused)
+
+
+def package_imports(module):
+    """The package modules that ``module`` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = f"recaudit.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [f"{base}.{alias.name}" for alias in node.names] \
+                if base == "recaudit" else [base]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.partition(".")[2] or name for name in names
+                     if name.split(".")[0] == "recaudit")
+    return found
+
+
+def test_grouping_and_stats_take_plain_arrays():
+    assert package_imports("grouping") == {"util"}
+    assert package_imports("stats") == set()
+    assert package_imports("report") >= {"grouping", "stats", "ingest"}

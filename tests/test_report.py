@@ -538,6 +538,18 @@ class TestCountrySchemes:
         sizes = scheme.assignment.sizes()
         assert sizes.get("N/A", 0) > 0  # Dorne has no GDP entry
 
+    def test_load_joins_the_gdp_table_to_the_country_labels(self, country_audit, tmp_path):
+        config = country_audit.config
+        data = report_mod.load(config)
+        assert data.country_labels == ["Aland", "Borduria", "Cascadia", "Dorne"]
+        np.testing.assert_array_equal(data.country_gdp, [50000.0, 2000.0, 30000.0, np.nan])
+        (tmp_path / "gdp.csv").write_text("ALAND,1\nborduria,2\n")
+        folded = replace(config.dataset, gdp_table=str(tmp_path / "gdp.csv"))
+        np.testing.assert_array_equal(report_mod.load(replace(config, dataset=folded)).country_gdp,
+                                      [1.0, 2.0, np.nan, np.nan])
+        no_table = replace(config.dataset, gdp_table=None)
+        assert report_mod.load(replace(config, dataset=no_table)).country_gdp is None
+
     def test_country_features_reach_the_explainer(self, country_audit):
         features = {name for name, _ in country_audit.ebm_importance}
         assert "country_prevalence" in features

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ks_distance_from_uniform, naive_kruskal_h, naive_rank_mid
-from recaudit.evaluation import MetricFrame, MetricRow
+from recaudit.evaluation import METRICS, MetricFrame, MetricRow
 from recaudit.grouping import bucket_categorical, code_labels
+from recaudit.report import scheme_result
 from recaudit.stats import bonferroni, chi2_sf, kruskal_wallis, rank_mid
 from recaudit.stats import test_grouping as kw_test_grouping  # avoid pytest collection
 
@@ -195,6 +196,12 @@ def means_of(means, user_ids):
     return ndcg_means(rows, user_ids)
 
 
+def report_test(means, assignment):
+    """The NDCG test of ``assignment`` as the report runs it: the per-user
+    ``means`` split by ``scheme_result`` and passed to ``test_grouping``."""
+    return scheme_result(assignment, dict.fromkeys(METRICS, means)).kw["ndcg"]
+
+
 class TestTestGrouping:
     def test_planted_gap_detected(self, rng):
         means = {}
@@ -205,7 +212,7 @@ class TestTestGrouping:
             means[f"b{i}"] = float(rng.normal(0.4, 0.05))
             labels[f"b{i}"] = "b"
         assignment = bucket_categorical("g", *code_labels(list(labels.values())))
-        result = kw_test_grouping(means_of(means, labels), assignment)
+        result = report_test(means_of(means, labels), assignment)
         assert result is not None
         assert result.p_value < 0.01
 
@@ -214,14 +221,14 @@ class TestTestGrouping:
         labels = {f"u{i}": ("x" if i % 2 else None) for i in range(20)}
         assignment = bucket_categorical("g", *code_labels(list(labels.values())))
         # only one usable group once N/A users are dropped
-        assert kw_test_grouping(means_of(means, labels), assignment) is None
+        assert report_test(means_of(means, labels), assignment) is None
 
     def test_group_without_tested_users_not_testable(self, rng):
         means = {f"a{i}": float(rng.random()) for i in range(10)}
         labels = {f"a{i}": "a" for i in range(10)}
         labels.update({f"b{i}": "b" for i in range(5)})  # b users never evaluated
         assignment = bucket_categorical("g", *code_labels(list(labels.values())))
-        assert kw_test_grouping(means_of(means, labels), assignment) is None
+        assert report_test(means_of(means, labels), assignment) is None
 
     def test_pools_means_across_folds(self, rng):
         rows = []
@@ -232,6 +239,13 @@ class TestTestGrouping:
         labels = {f"a{i}": "a" for i in range(30)}
         labels.update({f"b{i}": "b" for i in range(30)})
         assignment = bucket_categorical("g", *code_labels(list(labels.values())))
-        result = kw_test_grouping(ndcg_means(rows, labels), assignment)
+        result = report_test(ndcg_means(rows, labels), assignment)
         assert result is not None
         assert result.group_sizes == (30, 30)
+
+    def test_empty_groups_left_out(self):
+        result = kw_test_grouping([np.array([0.1, 0.2]), np.array([]), np.array([0.3])])
+        assert result.group_sizes == (2, 1)
+        assert result.df == 1
+        assert kw_test_grouping([np.array([0.1, 0.2]), np.array([])]) is None
+        assert kw_test_grouping([np.array([0.1]), np.array([0.2])]) is None
